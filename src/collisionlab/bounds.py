@@ -38,10 +38,12 @@ __all__ = [
     "LogBinomLowers",
     "Section5Thresholds",
     "pi_upper_dusart",
+    "pi_upper_dusart_expr",
     "pi_upper_dusart_floor",
     "stirling_log_bounds",
     "log_g_lower",
     "log_g_upper",
+    "log_g_upper_expr",
     "f_stirling",
     "psi_upper_linear",
     "psi_linear_constant_check",
@@ -86,14 +88,14 @@ def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     """
     if _as_float(x) <= 1.0:
         raise ValueError(f"pi_upper_dusart: x must exceed 1, got {x}")
+    return evaluate(lambda cx: pi_upper_dusart_expr(cx, _operand(cx, x)), precise)
 
-    def build(cx):
-        v = _operand(cx, x)
-        el = cx.log(v)
-        el2 = el * el
-        return (v / el) * (1 + 1 / el + 2 / el2 + cx.decimal("7.59") / (el2 * el))
 
-    return evaluate(build, precise)
+def pi_upper_dusart_expr(cx, v):
+    """The pi_upper_dusart expression at v, built in evaluation context cx."""
+    el = cx.log(v)
+    el2 = el * el
+    return (v / el) * (1 + 1 / el + 2 / el2 + cx.decimal("7.59") / (el2 * el))
 
 
 def pi_upper_dusart_floor(xs: np.ndarray) -> np.ndarray:
@@ -128,12 +130,12 @@ def log_g_upper(z: Real, precise: bool = False) -> IntervalValue:
     """Enclose z log z - z + log(2 pi z)/2 + 1/(12 z)."""
     if _as_float(z) <= 0.0:
         raise ValueError(f"log_g_upper: z must be positive, got {z}")
+    return evaluate(lambda cx: log_g_upper_expr(cx, _operand(cx, z)), precise)
 
-    def build(cx):
-        v = _operand(cx, z)
-        return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2 + 1 / (12 * v)
 
-    return evaluate(build, precise)
+def log_g_upper_expr(cx, v):
+    """The log_g_upper expression at v, built in evaluation context cx."""
+    return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2 + 1 / (12 * v)
 
 
 def f_stirling(z: Real, precise: bool = False) -> IntervalValue:

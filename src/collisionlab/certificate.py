@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arith
+from .pool import ordered_map
 from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "run",
     "checkpoint_save",
     "checkpoint_load",
-    "checkpoint_roundtrip",
 ]
 
 Window = tuple[int, int]
@@ -78,24 +78,25 @@ class CertificateConfig:
         if self.gap_min < 1:
             raise ValueError(f"certificate: gap_min must be >= 1, got {self.gap_min}")
 
-    def config_hash(self) -> str:
-        """Hash of the fields that determine the mathematical output.
+    def output_fields(self) -> dict:
+        """The fields that determine the mathematical output, in report order.
 
         Paths and worker count are deliberately excluded: they affect where
         results land and how fast, never what they are.
         """
-        payload = json.dumps(
-            {
-                "q_max": self.q_max,
-                "gap_min": self.gap_min,
-                "windows": [list(w) for w in self.windows],
-                "smooth_bound": self.smooth_bound,
-                "gap_cap": self.gap_cap,
-                "window_len": self.window_len,
-                "segment_size": self.segment_size,
-            },
-            separators=(",", ":"),
-        )
+        return {
+            "q_max": self.q_max,
+            "gap_min": self.gap_min,
+            "windows": [list(w) for w in self.windows],
+            "smooth_bound": self.smooth_bound,
+            "gap_cap": self.gap_cap,
+            "window_len": self.window_len,
+            "segment_size": self.segment_size,
+        }
+
+    def config_hash(self) -> str:
+        """Hash of output_fields()."""
+        payload = json.dumps(self.output_fields(), separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -178,15 +179,7 @@ class CertificateReport:
             payload["version"] = version
         payload.update(
             {
-                "config": {
-                    "q_max": self.config.q_max,
-                    "gap_min": self.config.gap_min,
-                    "windows": [list(w) for w in self.config.windows],
-                    "smooth_bound": self.config.smooth_bound,
-                    "gap_cap": self.config.gap_cap,
-                    "window_len": self.config.window_len,
-                    "segment_size": self.config.segment_size,
-                },
+                "config": self.config.output_fields(),
                 "config_hash": self.config.config_hash(),
                 "coverage_ok": self.coverage_ok,
                 "gap_prime_count": self.gap_prime_count,
@@ -237,20 +230,6 @@ def checkpoint_load(path: str) -> dict:
         if not isinstance(state[name], kind):
             raise ValueError(f"checkpoint field has wrong type: {name}")
     return state
-
-
-def checkpoint_roundtrip(state: dict) -> dict:
-    """Serialize and reparse a checkpoint state, verifying nothing drifts."""
-    text = json.dumps(state, separators=(",", ":"))
-    back = json.loads(text)
-    if back != state:
-        raise ValueError("checkpoint state does not survive a JSON round trip")
-    for name, kind in _CHECKPOINT_SCHEMA.items():
-        if name not in back:
-            raise ValueError(f"checkpoint missing field: {name}")
-        if not isinstance(back[name], kind):
-            raise ValueError(f"checkpoint field has wrong type: {name}")
-    return back
 
 
 def _fresh_state(config_hash: str) -> dict:
@@ -322,11 +301,17 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
 
     witness_fh = None
     if config.witness_path:
-        mode = "r+" if os.path.exists(config.witness_path) and state["witness_bytes"] else "w"
-        witness_fh = open(config.witness_path, mode, encoding="utf-8")
-        if mode == "r+":
-            witness_fh.truncate(state["witness_bytes"])
-            witness_fh.seek(state["witness_bytes"])
+        path, kept = config.witness_path, state["witness_bytes"]
+        if kept and (not os.path.exists(path) or os.path.getsize(path) < kept):
+            # truncate() would NUL-pad a short file into a corrupt witness stream
+            raise ValueError(
+                f"witness file {path} is missing or shorter than the {kept} bytes "
+                "the checkpoint recorded; refusing to resume"
+            )
+        witness_fh = open(path, "r+" if kept else "w", encoding="utf-8")
+        if kept:
+            witness_fh.truncate(kept)
+            witness_fh.seek(kept)
 
     refuted: dict[str, int] = dict(state["refuted"])
     for w in config.windows:
@@ -385,22 +370,9 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             )
 
     try:
-        workers = config.workers
-        if workers == 0:
-            import multiprocessing
-
-            workers = multiprocessing.cpu_count()
-        if workers > 1 and len(job_args) > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(min(workers, len(job_args))) as pool:
-                for result, (_, _, shi) in zip(
-                    pool.imap(_certificate_job, job_args), pending
-                ):
-                    handle(result, shi)
-        else:
-            for args, (_, _, shi) in zip(job_args, pending):
-                handle(_certificate_job(args), shi)
+        results = ordered_map(_certificate_job, job_args, config.workers)
+        for result, (_, _, shi) in zip(results, pending):
+            handle(result, shi)
     finally:
         if witness_fh is not None:
             witness_fh.close()

@@ -407,7 +407,7 @@ def _cmd_certify(args) -> int:
     print(report.to_json(include_timing=args.timing, version=__version__))
     if args.timing:
         print(f"certify: {report.wall_time:.1f}s wall", file=sys.stderr)
-    return EXIT_FAILS if report.failures else EXIT_OK
+    return EXIT_FAILS if report.failures or report.gap_cap_violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

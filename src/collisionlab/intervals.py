@@ -337,6 +337,18 @@ def _from_iv(r) -> IntervalValue:
     return IntervalValue(lo, hi)
 
 
+def _run_precise(build: Callable):
+    """build(PreciseContext()) at PRECISE_DIGITS; the raw mpmath interval."""
+    from mpmath import iv
+
+    saved = iv.dps
+    iv.dps = PRECISE_DIGITS
+    try:
+        return build(PreciseContext())
+    finally:
+        iv.dps = saved
+
+
 def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     """Run an expression builder under one of the two contexts.
 
@@ -344,17 +356,8 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     arithmetic only; the same callable then works in both contexts.
     """
     if not precise:
-        out = build(FloatContext())
-        return IntervalValue.of(out)
-    from mpmath import iv
-
-    saved = iv.dps
-    iv.dps = PRECISE_DIGITS
-    try:
-        out = build(PreciseContext())
-    finally:
-        iv.dps = saved
-    return _from_iv(out)
+        return IntervalValue.of(build(FloatContext()))
+    return _from_iv(_run_precise(build))
 
 
 def certified_less(
@@ -376,15 +379,9 @@ def certified_less(
     if verdict.decided:
         return verdict, lhs, rhs
     import mpmath
-    from mpmath import iv
 
-    saved = iv.dps
-    iv.dps = PRECISE_DIGITS
-    try:
-        lhs_raw = lhs_build(PreciseContext())
-        rhs_raw = rhs_build(PreciseContext())
-    finally:
-        iv.dps = saved
+    lhs_raw = _run_precise(lhs_build)
+    rhs_raw = _run_precise(rhs_build)
     # read endpoints at a working precision above the evaluation's, so the
     # conversion itself cannot merge values the escalation separated
     with mpmath.mp.workdps(PRECISE_DIGITS + 10):

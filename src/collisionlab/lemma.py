@@ -33,7 +33,14 @@ from typing import Optional
 import numpy as np
 
 from . import arith, sieve
-from .bounds import f_stirling, pi_upper_dusart, section5_thresholds, Section5Thresholds
+from .bounds import (
+    Section5Thresholds,
+    f_stirling,
+    log_g_upper_expr,
+    pi_upper_dusart,
+    pi_upper_dusart_expr,
+    section5_thresholds,
+)
 from .collision import ParamTuple, check_eq12
 from .intervals import (
     FAILS,
@@ -44,7 +51,9 @@ from .intervals import (
     certified_less,
     compare_less,
     enclose_float,
+    evaluate,
 )
+from .pool import ordered_map
 
 __all__ = [
     "LemmaReport",
@@ -331,6 +340,17 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     return LemmaReport("lemma31", hyp, lhs, rhs, verdict, pi_note)
 
 
+def _lemma32(cx, F: int):
+    """The lemma32_expression builder: the whole expression in context cx."""
+    pi_bar = pi_upper_dusart_expr(cx, cx.integer(2 * F))
+    fa = log_g_upper_expr(cx, cx.fraction(Fraction(53, 200) * (F - 1)))
+    fb = log_g_upper_expr(cx, cx.fraction(F - Fraction(147, 200) * (F - 1)))
+    head = pi_bar * cx.log(cx.integer(2 * F - 1))
+    count = cx.decimal("0.53") * (F - 1) - pi_bar
+    inner = cx.power(cx.integer(2 * F - 2), 1.5) - (2 * F - 1)
+    return head + fa + fb - count * cx.log(inner)
+
+
 def lemma32_expression(F: int, precise: bool = False) -> IntervalValue:
     """The decreasing expression whose last nonnegative point caps k + l.
 
@@ -340,17 +360,12 @@ def lemma32_expression(F: int, precise: bool = False) -> IntervalValue:
     with pi-bar the explicit upper bound for the prime count.  Substituting
     the upper bound only raises the expression (both occurrences enter
     positively once the subtraction is expanded), so a certified negative
-    value rules the true expression negative as well.
+    value rules the true expression negative as well.  With precise=True
+    the whole expression is re-evaluated in mpmath, not just its pieces.
     """
     if F < 3:
         raise ValueError(f"lemma32_expression: F must be >= 3, got {F}")
-    pi_bar = pi_upper_dusart(2 * F, precise)
-    fa = f_stirling(Fraction(53, 200) * (F - 1), precise)
-    fb = f_stirling(F - Fraction(147, 200) * (F - 1), precise)
-    head = pi_bar * IntervalValue.from_int(2 * F - 1).log()
-    count = IntervalValue.from_decimal("0.53") * (F - 1) - pi_bar
-    inner = IntervalValue.from_int(2 * F - 2).power(1.5) - (2 * F - 1)
-    return head + fa + fb - count * inner.log()
+    return evaluate(lambda cx: _lemma32(cx, F), precise)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,17 +377,10 @@ class Lemma32Threshold:
 
 def _sign_at(F: int) -> int:
     """+1 if the expression is certified >= 0 at F, -1 if certified < 0."""
-    e = lemma32_expression(F)
-    if e.lo >= 0.0:
-        return 1
-    if e.hi < 0.0:
-        return -1
-    e = lemma32_expression(F, precise=True)
-    if e.lo >= 0.0:
-        return 1
-    if e.hi < 0.0:
-        return -1
-    raise ArithmeticError(f"threshold expression sign undecidable at F = {F}")
+    verdict, _, _ = certified_less(lambda cx: _lemma32(cx, F), lambda cx: cx.integer(0))
+    if not verdict.decided:
+        raise ArithmeticError(f"threshold expression sign undecidable at F = {F}")
+    return -1 if verdict.holds else 1
 
 
 def threshold_lemma32(f_lo: int = 10**4, f_hi: int = 10**7) -> Lemma32Threshold:
@@ -468,9 +476,13 @@ def _nmax_point(k: int, l: int, pi_iv: IntervalValue) -> Optional[float]:
     return (num / den).hi
 
 
+# the merge below is independent of how k is split, so the split need not
+# follow the worker count; 32 stripes keep a few-core pool balanced
+_NMAX_STRIPES = 32
+
+
 def _nmax_chunk(args: tuple) -> tuple[Optional[tuple[float, int, int]], int, int]:
-    ks, cfg_fields = args
-    cfg = GridConfig(**cfg_fields)
+    ks, cfg = args
     best: Optional[tuple[float, int, int]] = None
     points = 0
     skipped = 0
@@ -508,34 +520,13 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     skipped; ties break toward the lexicographically smallest (k, l).
     """
     ks = grid.k_values()
-    cfg_fields = {
-        "k_min": grid.k_min,
-        "k_max": grid.k_max,
-        "dense_until": grid.dense_until,
-        "growth": grid.growth,
-        "l_samples": grid.l_samples,
-        "pi_mode": grid.pi_mode,
-        "workers": 1,
-    }
-    workers = grid.workers
-    if workers == 0:
-        import multiprocessing
-
-        workers = multiprocessing.cpu_count()
-    if workers > 1 and len(ks) > 1:
-        import multiprocessing
-
-        stripes = max(1, len(ks) // (4 * workers))
-        chunks = [(ks[i : i + stripes], cfg_fields) for i in range(0, len(ks), stripes)]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_nmax_chunk, chunks)
-    else:
-        results = [_nmax_chunk((ks, cfg_fields))]
+    stripe = -(-len(ks) // _NMAX_STRIPES)
+    chunks = [(ks[i : i + stripe], grid) for i in range(0, len(ks), stripe)]
 
     best: Optional[tuple[float, int, int]] = None
     points = 0
     skipped = 0
-    for cand, pts, skp in results:
+    for cand, pts, skp in ordered_map(_nmax_chunk, chunks, grid.workers):
         points += pts
         skipped += skp
         if cand is None:

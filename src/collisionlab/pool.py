@@ -1,0 +1,40 @@
+"""The worker policy shared by every parallel scan in the package.
+
+`ordered_map` is the only place that decides how many processes run and
+in which order their results come back; the sieve's gap scan, the
+certificate run and the n-bound grid all go through it, so their output
+never depends on the worker count.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator, Sequence, TypeVar
+
+__all__ = ["ordered_map"]
+
+J = TypeVar("J")
+R = TypeVar("R")
+
+
+def ordered_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
+    """Yield fn(job) for every job, in job order.
+
+    workers == 0 means one worker per CPU.  With more than one worker and
+    more than one job, a process pool of min(workers, len(jobs)) runs the
+    jobs, and each result is yielded as soon as it and all earlier ones are
+    in, so the caller can act on it (write a checkpoint, say) while later
+    jobs still run.  Otherwise the jobs run one by one in this process.
+    fn must be a module-level function, since the pool pickles it.
+    """
+    if workers != 1 and len(jobs) > 1:
+        # imported here so that the serial path, and every import of the
+        # package, stay clear of multiprocessing's start-up cost
+        import multiprocessing
+
+        size = min(workers or multiprocessing.cpu_count(), len(jobs))
+        if size > 1:
+            with multiprocessing.Pool(size) as pool:
+                yield from pool.imap(fn, jobs)
+            return
+    for job in jobs:
+        yield fn(job)

@@ -23,11 +23,12 @@ within the 1e-6 contract.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from .pool import ordered_map
 
 __all__ = [
     "GapEvent",
@@ -67,46 +68,14 @@ def _simple_sieve(limit: int) -> np.ndarray:
 _base_cache: dict[str, object] = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
-def _disk_cache_path() -> "str | None":
-    cache_dir = os.environ.get("COLLISIONLAB_CACHE_DIR")
-    if not cache_dir:
-        return None
-    return os.path.join(cache_dir, "base_primes.npy")
-
-
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached, grow-only).
-
-    With COLLISIONLAB_CACHE_DIR set, the table also persists to disk, so a
-    resumed certificate run skips resieving its base primes.  A stale or
-    unreadable cache file is ignored, never trusted.
-    """
+    """All primes <= limit as an int64 array (cached, grow-only)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit > _base_cache["limit"]:
-        path = _disk_cache_path()
-        if path is not None and os.path.exists(path):
-            try:
-                stored = np.load(path)
-                if stored.ndim == 1 and stored.dtype == np.int64 and len(stored) and int(stored[-1]) >= limit:
-                    _base_cache["primes"] = stored
-                    _base_cache["limit"] = int(stored[-1])
-            except (OSError, ValueError):
-                pass
     if limit > _base_cache["limit"]:
         grown = max(limit, 2 * int(_base_cache["limit"]), 1 << 16)
         _base_cache["primes"] = _simple_sieve(grown)
         _base_cache["limit"] = grown
-        path = _disk_cache_path()
-        if path is not None and grown >= 1 << 20:
-            try:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as fh:
-                    np.save(fh, _base_cache["primes"])
-                os.replace(tmp, path)
-            except OSError:
-                pass
     primes: np.ndarray = _base_cache["primes"]  # type: ignore[assignment]
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
@@ -303,22 +272,9 @@ def gap_scan(
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
     jobs = [(idx, slo, shi, min_gap) for idx, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
-    if workers == 0:
-        import multiprocessing
-
-        workers = multiprocessing.cpu_count()
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            for _, events, _ in pool.imap(_gap_job, jobs):
-                for p, g in events:
-                    yield GapEvent(p, g)
-    else:
-        for job in jobs:
-            _, events, _ = _gap_job(job)
-            for p, g in events:
-                yield GapEvent(p, g)
+    for _, events, _ in ordered_map(_gap_job, jobs, workers):
+        for p, g in events:
+            yield GapEvent(p, g)
 
 
 @dataclass(frozen=True, slots=True)

@@ -252,14 +252,13 @@ def test_checkpoint_save_is_atomic(tmp_path):
     assert not (tmp_path / "ck.json.tmp").exists()
 
 
-def test_checkpoint_roundtrip():
-    state = certificate._fresh_state("deadbeef")
-    assert certificate.checkpoint_roundtrip(state) == state
-    bad = dict(state)
-    bad["failures"] = [(17, (152, 156))]  # tuples do not survive JSON
-    with pytest.raises(ValueError, match="round trip"):
-        certificate.checkpoint_roundtrip(bad)
-    missing = dict(state)
-    del missing["witness_bytes"]
-    with pytest.raises(ValueError, match="missing field"):
-        certificate.checkpoint_roundtrip(missing)
+def test_resume_refuses_missing_witness_file(tmp_path):
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    cfg = small_config(checkpoint_path=ck, witness_path=str(wit))
+    run(cfg, stop_after_segments=6)
+    assert certificate.checkpoint_load(ck)["witness_bytes"] > 0
+    wit.unlink()
+    with pytest.raises(ValueError, match="refusing to resume"):
+        run(cfg)
+    assert not wit.exists()

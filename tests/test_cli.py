@@ -352,6 +352,31 @@ def test_certify_resume_via_cli(capsys, tmp_path):
     assert open(wit, "rb").read() == open(wit_ref, "rb").read()
 
 
+def test_certify_gap_cap_violation_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, ["certify", "--qmax", "30000000", "--gap-cap", "157", "--windows", "1-156"]
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert len(doc["gap_cap_violations"]) == 4
+    assert doc["failures"] == []
+    assert doc["complete"] is True
+
+
+def test_certify_resume_refuses_truncated_witness(capsys, tmp_path):
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", ck, "--witness", str(wit)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "6"])
+    assert code == 0
+    wit.write_bytes(wit.read_bytes()[:100])
+    code, out, err = run_cli(capsys, base)
+    assert code == 3
+    assert out == ""
+    assert "refusing to resume" in err
+    assert wit.stat().st_size == 100
+
+
 def test_certify_bad_windows_text(capsys):
     code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", "152:156"])
     assert code == 3

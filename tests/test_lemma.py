@@ -190,6 +190,8 @@ def test_lemma32_expression_precise_path():
     f64 = lemma.lemma32_expression(871155)
     mp = lemma.lemma32_expression(871155, precise=True)
     assert mp.width < f64.width
+    # the whole expression is re-evaluated in mpmath, not only its pieces
+    assert mp.width < 1e-12
     assert f64.lo <= mp.lo <= mp.hi <= f64.hi
 
 

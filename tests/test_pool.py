@@ -1,0 +1,41 @@
+"""The shared worker map: job order and pool selection."""
+
+import os
+import time
+
+import pytest
+
+from collisionlab.pool import ordered_map
+
+
+def _slow_echo(job):
+    # earlier jobs sleep longer, so a pool finishes them out of order
+    time.sleep(job)
+    return job, os.getpid()
+
+
+JOBS = [0.06, 0.04, 0.02, 0.0]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_ordered_map_keeps_job_order(workers):
+    out = list(ordered_map(_slow_echo, JOBS, workers))
+    assert [job for job, _ in out] == JOBS
+    pids = {pid for _, pid in out}
+    if workers == 1:
+        assert pids == {os.getpid()}
+    if workers == 2:
+        assert os.getpid() not in pids
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_ordered_map_single_job_runs_in_process(workers):
+    assert list(ordered_map(_slow_echo, [0.0], workers)) == [(0.0, os.getpid())]
+
+
+def test_ordered_map_is_lazy():
+    calls = []
+    results = ordered_map(calls.append, [1, 2, 3], 1)
+    assert calls == []
+    next(results)
+    assert calls == [1]

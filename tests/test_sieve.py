@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,22 +150,3 @@ def test_chebyshev_tables_match_exact():
 def test_chebyshev_tables_guard():
     with pytest.raises(ValueError):
         sieve.chebyshev_tables(3 * 10**7)
-
-
-def test_base_primes_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("COLLISIONLAB_CACHE_DIR", str(tmp_path))
-    # the in-process cache is grow-only, so ask past whatever earlier tests built
-    need = max(1 << 21, int(sieve._base_cache["limit"]) + 1)
-    sieve.base_primes(need)
-    cache_file = tmp_path / "base_primes.npy"
-    assert cache_file.exists()
-    stored = np.load(cache_file)
-    assert list(stored[:5]) == [2, 3, 5, 7, 11]
-    assert np.array_equal(stored, sieve._base_cache["primes"])
-
-    # a corrupt cache file is ignored, not trusted
-    cache_file.write_bytes(b"not numpy data")
-    need2 = int(sieve._base_cache["limit"]) + 1
-    fresh = sieve.base_primes(need2)
-    # prime gaps at this scale are far below 300
-    assert int(fresh[0]) == 2 and need2 - 300 <= int(fresh[-1]) <= need2
