@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 __all__ = [
     "binomial",
@@ -130,9 +131,35 @@ class SmoothFactorization:
             part *= p**e
         return part
 
+    @property
+    def least_prime_above(self) -> int | None:
+        """Smallest prime factor of the cofactor (so above the bound), or None.
+
+        A composite cofactor has one below its square root, and every prime
+        up to the bound is already divided out, so only primes above it are
+        tried, in windows that double: the prime table grows to about twice
+        the factor found, not to the square root of the cofactor.
+        """
+        cof = self.cofactor
+        if cof == 1:
+            return None
+        if is_prime(cof):
+            return cof
+        from . import sieve
+
+        root, lo = math.isqrt(cof), self.bound
+        while lo < root:
+            hi = min(root, max(2 * lo, 1 << 16))
+            primes = sieve.base_primes(hi)
+            for p in map(int, primes[int(np.searchsorted(primes, lo, side="right")) :]):
+                if cof % p == 0:
+                    return p
+            lo = hi
+        raise AssertionError(f"composite cofactor {cof} has no prime factor below its root")
+
 
 def smooth_split(value: int, bound: int) -> SmoothFactorization:
-    """Trial-divide `value` by every prime <= bound.
+    """Trial-divide `value` by every prime <= bound (none when bound is 1).
 
     The scan stops early once p * p exceeds the remaining cofactor; at
     that point the remainder is prime, and it joins the smooth part or
@@ -140,8 +167,8 @@ def smooth_split(value: int, bound: int) -> SmoothFactorization:
     """
     if value < 2:
         raise ValueError(f"smooth_split: value must be >= 2, got {value}")
-    if bound < 2:
-        raise ValueError(f"smooth_split: bound must be >= 2, got {bound}")
+    if bound < 1:
+        raise ValueError(f"smooth_split: bound must be >= 1, got {bound}")
     from . import sieve
 
     rem = value
@@ -163,7 +190,7 @@ def smooth_split(value: int, bound: int) -> SmoothFactorization:
 
 
 def largest_prime_factor(value: int) -> int:
-    """Exact P(value) by trial division with a primality-test early exit.
+    """Exact P(value): strip smallest prime factors until one is left.
 
     Intended for inputs whose factors are reachable by trial division
     (everything the certificate and the small oracles produce, 128-bit
@@ -171,47 +198,17 @@ def largest_prime_factor(value: int) -> int:
     """
     if value < 2:
         raise ValueError(f"largest_prime_factor: value must be >= 2, got {value}")
-    from . import sieve
-
-    rem = value
-    largest = 1
-    if is_prime(rem):
-        return rem
-    for p in sieve.primes_unbounded():
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            largest = p
-            while rem % p == 0:
-                rem //= p
-            if rem == 1:
-                return largest
-            if is_prime(rem):
-                return max(largest, rem)
-    # rem > 1 here means the remainder is prime (no factor <= sqrt survived)
-    return max(largest, rem) if rem > 1 else largest
+    while True:
+        p = smooth_split(value, 1).least_prime_above
+        while value % p == 0:
+            value //= p
+        if value == 1:
+            return p
 
 
 def prime_factor_above(value: int, bound: int) -> int | None:
-    """Some prime factor of `value` exceeding `bound`, or None.
-
-    Used to name a concrete witness prime once smooth_split reports a
-    nontrivial cofactor; the cofactor's factors all exceed the bound,
-    so its smallest prime factor qualifies.
-    """
-    cof = smooth_split(value, bound).cofactor if value >= 2 else 1
-    if cof == 1:
-        return None
-    if is_prime(cof):
-        return cof
-    from . import sieve
-
-    for p in sieve.primes_unbounded():
-        if p * p > cof:
-            break
-        if cof % p == 0:
-            return p
-    return cof
+    """The smallest prime factor of `value` exceeding `bound`, or None."""
+    return smooth_split(value, bound).least_prime_above if value >= 2 else None
 
 
 def legendre_valuation(p: int, nu: int) -> int:

@@ -142,8 +142,9 @@ class WindowRefutation:
 def refute_window(q: int, window: Window, bound: int) -> Optional[WindowRefutation]:
     """First element of q+a .. q+b with a prime factor above bound, or None.
 
-    The witness is re-verified on emission: it must divide its element,
-    be prime, and exceed the bound.
+    Each element is trial-divided once; the witness is the smallest prime
+    factor above the bound, read from that split.  It is re-verified on
+    emission: it must divide its element, be prime, and exceed the bound.
     """
     a, b = window
     for offset in range(a, b + 1):
@@ -152,7 +153,7 @@ def refute_window(q: int, window: Window, bound: int) -> Optional[WindowRefutati
             continue
         split = arith.smooth_split(value, bound)
         if split.cofactor > 1:
-            prime = arith.prime_factor_above(value, bound)
+            prime = split.least_prime_above
             if prime is None or value % prime or prime <= bound or not arith.is_prime(prime):
                 raise AssertionError(f"witness extraction failed for {value}")
             return WindowRefutation(q, window, offset, prime)

@@ -236,13 +236,18 @@ def enclose_float(x: float, ulps: int = 2) -> IntervalValue:
     return IntervalValue(_dn(x, ulps), _up(x, ulps))
 
 
+def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
+    """The HOLDS/FAILS/INDETERMINATE ladder over float or mpf endpoints."""
+    if lhs_hi < rhs_lo or (not strict and lhs_hi <= rhs_lo):
+        return Verdict(HOLDS, float(rhs_lo - lhs_hi))
+    if lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
+        return Verdict(FAILS, float(lhs_lo - rhs_hi))
+    return Verdict(INDETERMINATE, float(rhs_lo - lhs_hi))
+
+
 def compare_less(lhs: IntervalValue, rhs: IntervalValue, strict: bool = True) -> Verdict:
     """Verdict for the claim lhs < rhs (or lhs <= rhs when strict=False)."""
-    if lhs.hi < rhs.lo or (not strict and lhs.hi <= rhs.lo):
-        return Verdict(HOLDS, rhs.lo - lhs.hi)
-    if lhs.lo > rhs.hi or (strict and lhs.lo >= rhs.hi):
-        return Verdict(FAILS, lhs.lo - rhs.hi)
-    return Verdict(INDETERMINATE, rhs.lo - lhs.hi)
+    return _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
 
 
 class FloatContext:
@@ -385,12 +390,8 @@ def certified_less(
     # read endpoints at a working precision above the evaluation's, so the
     # conversion itself cannot merge values the escalation separated
     with mpmath.mp.workdps(PRECISE_DIGITS + 10):
-        lhs_lo, lhs_hi = mpmath.mpf(lhs_raw.a), mpmath.mpf(lhs_raw.b)
-        rhs_lo, rhs_hi = mpmath.mpf(rhs_raw.a), mpmath.mpf(rhs_raw.b)
-        if lhs_hi < rhs_lo or (not strict and lhs_hi <= rhs_lo):
-            verdict = Verdict(HOLDS, float(rhs_lo - lhs_hi))
-        elif lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
-            verdict = Verdict(FAILS, float(lhs_lo - rhs_hi))
-        else:
-            verdict = Verdict(INDETERMINATE, float(rhs_lo - lhs_hi))
+        verdict = _verdict(
+            mpmath.mpf(lhs_raw.a), mpmath.mpf(lhs_raw.b),
+            mpmath.mpf(rhs_raw.a), mpmath.mpf(rhs_raw.b), strict,
+        )
     return verdict, _from_iv(lhs_raw), _from_iv(rhs_raw)

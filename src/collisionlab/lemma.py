@@ -24,6 +24,7 @@ for n over a (k, l) grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -237,18 +238,6 @@ def lemma22_conclusions(t: ParamTuple) -> dict[str, bool]:
     }
 
 
-def _largest_smooth_factor(value: int, bound: int) -> Optional[int]:
-    """P(value) if value is bound-smooth, else None.  value >= 1."""
-    if value == 1:
-        return 1
-    if bound < 2:
-        return None
-    split = arith.smooth_split(value, bound)
-    if not split.is_smooth:
-        return None
-    return split.factors[-1][0]
-
-
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     """Every element of S1 and S2 must be k0-smooth.
 
@@ -266,14 +255,18 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     if any(v < 1 for v in elements):
         raise ValueError(f"lemma23: window contains a nonpositive element for {t}")
 
+    # no prime is <= k0 < 2, so there every element >= 2 is a witness
+    split = functools.cache(lambda v: arith.smooth_split(v, max(k0, 1)))
     max_smooth_p = 1
     witness: Optional[tuple[int, int]] = None  # (element, prime factor > k0)
     for v in elements:
-        p = _largest_smooth_factor(v, k0)
-        if p is None:
-            witness = (v, arith.prime_factor_above(v, max(k0, 1)))
+        if v == 1:
+            continue
+        fac = split(v)
+        if not fac.is_smooth:
+            witness = (v, fac.least_prime_above)
             break
-        max_smooth_p = max(max_smooth_p, p)
+        max_smooth_p = max(max_smooth_p, fac.factors[-1][0])
 
     rhs = IntervalValue.from_int(k0)
     if witness is None:
@@ -286,11 +279,7 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
 
-    shifted_all = all(
-        _largest_smooth_factor(v, k0) is not None
-        for v in s1_shifted.elements(t)
-        if v >= 1
-    )
+    shifted_all = all(v == 1 or split(v).is_smooth for v in s1_shifted.elements(t) if v >= 1)
     notes = (
         f"{detail}; S1 offsets {s1.offsets.start}..{s1.offsets.stop - 1}, "
         f"S2 offsets {s2.offsets.start}..{s2.offsets.stop - 1}; "
@@ -628,18 +617,23 @@ def section5_check(n: int, c: float) -> Section5Report:
 
     With l0 = (cn/log n)^(40/21), checks
     (2n+l0)^(21/40) log(2n+l0) < 1.3132 n - log(n)/2 - 0.5359; the left side
-    increases in l, so a certified HOLDS here excludes every l <= l0.
+    increases in l, so a certified HOLDS here excludes every l <= l0.  l0 is
+    enclosed inside each evaluation context, so HOLDS covers the exact l0;
+    the report's l0 is the binary64 t_pow, for display.
     """
     thresholds = section5_thresholds(n, c)
     if not c < thresholds.c_star:
         raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
-    l0 = thresholds.t_pow
+
+    def lhs_build(cx):
+        l0 = cx.power(cx.real(c) * cx.integer(n) / cx.log(cx.integer(n)), Fraction(40, 21))
+        base = 2 * cx.integer(n) + l0
+        return cx.power(base, Fraction(21, 40)) * cx.log(base)
 
     verdict, lhs, rhs = certified_less(
-        lambda cx: cx.power(2 * cx.integer(n) + cx.real(l0), Fraction(21, 40))
-        * cx.log(2 * cx.integer(n) + cx.real(l0)),
+        lhs_build,
         lambda cx: cx.decimal("1.3132") * cx.integer(n)
         - cx.log(cx.integer(n)) / 2
         - cx.decimal("0.5359"),
     )
-    return Section5Report(n, c, thresholds, l0, lhs, rhs, verdict)
+    return Section5Report(n, c, thresholds, thresholds.t_pow, lhs, rhs, verdict)

@@ -10,8 +10,10 @@ segments so ranges up to a few times 1e10 stay within desk memory:
   * chebyshev_exact / _tables       exact pi, theta, psi summations
 
 Gap attribution: a gap belongs to its left endpoint, and every segment
-closes its own last gap by sieving ahead until the next prime appears, so
-results never depend on segmentation or on how many workers ran the scan.
+closes its own last gap by walking the candidates after its last prime with
+the deterministic Miller-Rabin test (arith.is_prime, exact far beyond the
+63-bit sieve range), not by sieving ahead.  So results never depend on
+segmentation or on how many workers ran the scan.
 
 Accuracy of theta/psi: per segment the prime logarithms are summed with
 math.fsum (correctly rounded), and the per-segment partials are fsum-ed
@@ -28,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import arith
 from .pool import ordered_map
 
 __all__ = [
@@ -193,33 +196,24 @@ def prime_count(x: int, segment_size: int = DEFAULT_SEGMENT_ODDS) -> int:
 
 
 def next_prime_after(x: int) -> int:
-    """Smallest prime > x."""
-    lo = x + 1
-    window = 1024
-    while True:
-        ps = _primes_array(lo, lo + window)
-        if len(ps):
-            return int(ps[0])
-        lo += window
-        window *= 2
+    """Smallest prime > x, walking candidates with the Miller-Rabin test."""
+    if x > _MAX_SIEVE_POINT:
+        raise ValueError(f"next_prime_after: x exceeds 63-bit sieve range: {x}")
+    c = max(x + 1, 2)
+    while not arith.is_prime(c):
+        c += 1
+    return c
 
 
 def prime_neighbors(x: int) -> tuple[int, int]:
-    """(largest prime <= x, smallest prime > x); needs x >= 3."""
+    """(largest prime <= x, smallest prime > x); needs 3 <= x <= 2**63 - 1."""
     if x < 3:
         raise ValueError(f"prime_neighbors: x must be >= 3, got {x}")
-    hi = x + 1
-    window = 1024
-    while True:
-        lo = max(2, hi - window)
-        ps = _primes_array(lo, hi)
-        if len(ps):
-            prev = int(ps[-1])
-            break
-        if lo == 2:
-            raise AssertionError("unreachable: no prime below x >= 3")
-        window *= 2
-    return prev, next_prime_after(x)
+    nxt = next_prime_after(x)  # refuses x above the 63-bit range first
+    prev = x
+    while not arith.is_prime(prev):
+        prev -= 1
+    return prev, nxt
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +230,7 @@ def _segment_gap_events(
     """Gap events attributed to primes in [slo, shi).
 
     Returns (ps, gaps, prime_count_in_segment).  The last gap is closed
-    by looking ahead to the next prime at or beyond shi, so the result
+    by walking ahead to the next prime at or beyond shi, so the result
     is independent of segmentation.
     """
     ps = _primes_array(slo, shi)

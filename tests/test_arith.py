@@ -93,6 +93,50 @@ def test_prime_factor_above():
     assert arith.prime_factor_above(8402, 3427) == 4201
     assert arith.prime_factor_above(720, 5) is None
     assert arith.prime_factor_above(4201 * 4201, 3427) == 4201
+    assert arith.prime_factor_above(2, 1) == 2
+    assert arith.prime_factor_above(1, 1) is None
+
+
+def _prime_factors(value: int) -> list[int]:
+    """Brute force: naive trial division by every integer, no sieve."""
+    rem, d, factors = value, 2, []
+    while d * d <= rem:
+        while rem % d == 0:
+            factors.append(d)
+            rem //= d
+        d += 1
+    return factors + [rem] if rem > 1 else factors
+
+
+@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=200))
+@settings(max_examples=300)
+def test_prime_factor_above_is_least_factor_above_bound(value, bound):
+    factors = _prime_factors(value)
+    assert arith.prime_factor_above(value, bound) == min((p for p in factors if p > bound), default=None)
+    assert arith.largest_prime_factor(value) == max(factors)
+
+
+_PRIMES_ABOVE_3427 = [p for p in base_primes(40_000).tolist() if p > 3427]
+
+
+@given(
+    st.sampled_from(_PRIMES_ABOVE_3427),
+    st.sampled_from(_PRIMES_ABOVE_3427),
+    st.integers(min_value=1, max_value=3427),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=200)
+def test_prime_factor_above_composite_cofactor(p, q, smooth, power):
+    # the cofactor p**power * q is composite, with both factors above 3427
+    value = p**power * q * smooth
+    assert arith.prime_factor_above(value, 3427) == min(p, q)
+
+
+def test_prime_factor_above_large_cofactor_stays_near_its_factor():
+    # cofactor ~1e24: the walk stops near 1e6, far below its root ~1e12
+    p, q, r = 1_000_003, 1_000_033, 999_999_937
+    assert arith.prime_factor_above(2 * p * r**2, 3427) == p
+    assert arith.prime_factor_above(p * q, 1) == p
 
 
 def test_legendre_valuation_known_values():

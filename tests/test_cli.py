@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from collisionlab.arith import is_prime
 from collisionlab.cli import main
 
 
@@ -233,6 +234,20 @@ def test_sieve_neighbors(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["prev"], doc["next"], doc["gap"]) == (97, 101, 4)
+
+
+def test_sieve_neighbors_at_1e18_and_refused_at_2_63(capsys):
+    code, out, err = run_cli(capsys, ["sieve", "neighbors", "--x", str(10**18)])
+    assert code == 0
+    doc = json.loads(out)
+    prev, nxt = doc["prev"], doc["next"]
+    assert prev <= 10**18 < nxt and doc["gap"] == nxt - prev
+    assert is_prime(prev) and is_prime(nxt)
+    assert not any(is_prime(v) for v in range(prev + 1, nxt))
+    code, out, err = run_cli(capsys, ["sieve", "neighbors", "--x", str(2**63)])
+    assert code == 3
+    assert out == ""
+    assert "63-bit" in err
 
 
 def test_sieve_gaps_stream_and_threads(capsys):

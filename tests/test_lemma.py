@@ -1,7 +1,9 @@
 """Lemma checkers: gating, certified verdicts, thresholds, grids."""
 
+import itertools
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,33 @@ def test_check23_pinned_notes():
 def test_check23_gated_without_collision():
     report = lemma.check_lemma23_smooth(ParamTuple(0, 7, 1, 2, 2))
     assert report.verdict.state == INDETERMINATE
+
+
+def test_check23_k0_below_two_fails_with_witness():
+    # C(2, 2) = C(2, 0): elements [2, 1, 2], k0 = 1, and no prime is <= 1
+    report = lemma.check_lemma23_smooth(ParamTuple(0, 1, -1, 1, 0))
+    assert report.verdict.state == FAILS
+    assert (report.lhs.lo, report.rhs.lo) == (2.0, 1.0)
+    assert "element 2 has prime factor 2 > 1" in report.notes
+
+
+def test_check23_k0_below_two_sweep():
+    failed = 0
+    for delta, n, m, k, l in itertools.product((0, 1), range(40), range(-2, 40), range(-1, 2), range(3)):
+        t = ParamTuple(delta, n, m, k, l)
+        if t.k0 >= 2 or not check_eq12(t):
+            continue
+        s1, s2 = lemma.index_windows(t)
+        elements = s1.elements(t) + s2.elements(t)
+        big = [v for v in elements if v >= 2]
+        if not big or min(elements) < 1:
+            continue
+        report = lemma.check_lemma23_smooth(t)
+        assert report.verdict.state == FAILS, t
+        least = min(p for p in range(2, big[0] + 1) if big[0] % p == 0)
+        assert report.lhs.lo == least, t
+        failed += 1
+    assert failed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +341,17 @@ def test_section5_pinned():
     assert rep.lhs.hi < rep.rhs.lo
     assert rep.lhs.mid == pytest.approx(1.081e9, rel=1e-3)
     assert rep.rhs.mid == pytest.approx(1.3132e9, rel=1e-3)
+
+
+def test_section5_lhs_encloses_value_at_exact_l0():
+    n, c = 10**9, 0.68
+    rep = lemma.section5_check(n, c)
+    with mpmath.workdps(50):
+        l0 = (mpmath.mpf(c) * n / mpmath.log(n)) ** (mpmath.mpf(40) / 21)
+        base = 2 * n + l0
+        exact = base ** (mpmath.mpf(21) / 40) * mpmath.log(base)
+        assert rep.lhs.lo <= exact <= rep.lhs.hi
+    assert rep.l0 == rep.thresholds.t_pow
 
 
 def test_section5_rejects_c_at_or_above_star():

@@ -83,6 +83,36 @@ def test_prime_neighbors():
         sieve.prime_neighbors(2)
 
 
+def _neighbors_by_sieve(x):
+    window = sieve._primes_array(max(2, x - 2000), x + 2000)
+    return int(window[window <= x][-1]), int(window[window > x][0])
+
+
+@given(st.integers(min_value=3, max_value=10**12))
+@settings(max_examples=100)
+def test_prime_neighbors_match_sieve_at_random_points(x):
+    prev, nxt = _neighbors_by_sieve(x)
+    assert sieve.prime_neighbors(x) == (prev, nxt)
+    assert sieve.next_prime_after(x) == nxt
+
+
+@pytest.mark.parametrize("segment", [1, 2, 100, 238, 7570])
+def test_prime_neighbors_straddle_segment_boundaries(segment):
+    boundary = 2 + segment * 2 * sieve.DEFAULT_SEGMENT_ODDS
+    for x in range(boundary - 30, boundary + 30):
+        assert sieve.prime_neighbors(x) == _neighbors_by_sieve(x), x
+    # the gap a segment closes across the boundary
+    last = int(sieve._primes_array(boundary - 4000, boundary)[-1])
+    assert sieve.next_prime_after(last) == int(sieve._primes_array(boundary, boundary + 4000)[0])
+
+
+def test_prime_neighbors_refuse_above_63_bits():
+    assert sieve.prime_neighbors(2**63 - 1) == (2**63 - 25, 2**63 + 29)
+    for fn in (sieve.next_prime_after, sieve.prime_neighbors):
+        with pytest.raises(ValueError, match="63-bit"):
+            fn(2**63)
+
+
 def test_gap_scan_events_below_1e8():
     events = list(sieve.gap_scan(2, 10**8, 158))
     assert len(events) == 73
