@@ -254,7 +254,7 @@ def _certificate_job(
 ) -> tuple[int, list]:
     """One segment: sieve gap events and attack each in every window."""
     idx, slo, shi, gap_min, windows, bound = args
-    ps, gaps, _ = _segment_gap_events(slo, shi, gap_min)
+    ps, gaps = _segment_gap_events(slo, shi, gap_min)
     out = []
     for q, gap in zip(ps.tolist(), gaps.tolist()):
         hits = []
@@ -303,6 +303,12 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     witness_fh = None
     if config.witness_path:
         path, kept = config.witness_path, state["witness_bytes"]
+        unwitnessed = 0 if kept else sum(state["refuted"].values())
+        if unwitnessed:
+            raise ValueError(
+                f"the checkpoint holds {unwitnessed} refutations written "
+                f"without a witness stream, so {path} would miss their lines; refusing to resume"
+            )
         if kept and (not os.path.exists(path) or os.path.getsize(path) < kept):
             # truncate() would NUL-pad a short file into a corrupt witness stream
             raise ValueError(

@@ -9,11 +9,27 @@ segments so ranges up to a few times 1e10 stay within desk memory:
   * prime_neighbors                 nearest primes around a point
   * chebyshev_exact / _tables       exact pi, theta, psi summations
 
-Gap attribution: a gap belongs to its left endpoint, and every segment
-closes its own last gap by walking the candidates after its last prime with
-the deterministic Miller-Rabin test (arith.is_prime, exact far beyond the
-63-bit sieve range), not by sieving ahead.  So results never depend on
-segmentation or on how many workers ran the scan.
+Segment mask: a segment starts as a slice (or np.tile) of one constant
+pattern that already strikes the multiples of 3..17; its period is 255255
+odd entries.  The first odd multiple >= max(lo, p^2) of every other base
+prime comes from one numpy expression, and the only Python loop left is
+one strided store per prime.
+
+Gap events: the mask is read in blocks of B odd entries (B a power of two,
+2B <= min_gap, at most 32) with one flag per block, so no gap of interest
+lies inside a block.  Only pairs of consecutive non-empty blocks far enough
+apart are opened, to find their last and first prime; the primes of a
+segment are never listed.  Gap attribution: a gap belongs to its left
+endpoint, and every segment closes its own last gap by walking the
+candidates after its last prime with the deterministic Miller-Rabin test
+(arith.is_prime, exact far beyond the 63-bit sieve range), not by sieving
+ahead.  So results never depend on segmentation or on how many workers ran
+the scan.
+
+Memory: the base prime table is seeded by a plain sieve up to 2^16 and
+grown one segment at a time, so building it never needs a byte per
+integer.  The int64 table itself remains: pi(sqrt(hi)) * 8 bytes, about
+0.4 GB at hi = 1e18 and 1.2 GB at hi = 2^63.
 
 Accuracy of theta/psi: per segment the prime logarithms are summed with
 math.fsum (correctly rounded), and the per-segment partials are fsum-ed
@@ -68,7 +84,35 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-_base_cache: dict[str, object] = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
+# the base prime table is seeded by _simple_sieve up to 2^16; base_primes
+# extends it one segment at a time
+_base_cache: dict[str, object] = {"limit": 1 << 16, "primes": _simple_sieve(1 << 16)}
+
+
+def _pi_upper(x: int) -> int:
+    """An upper bound on pi(x): 1.25506 x / log x (Rosser & Schoenfeld 1962)."""
+    return int(1.25506 * x / math.log(x)) + 16 if x > 1 else 0
+
+
+def _extend_base(old: np.ndarray, old_limit: int, limit: int) -> np.ndarray:
+    """`old` (all primes <= old_limit) followed by the primes in (old_limit, limit].
+
+    The new primes go straight into one buffer sized by _pi_upper, so the
+    peak stays near the returned table plus one segment's mask.
+    """
+    out = np.empty(max(_pi_upper(limit), len(old)), dtype=np.int64)
+    n = len(old)
+    out[:n] = old
+    lo = (old_limit + 1) | 1
+    while lo <= limit:
+        hi = min(lo + 2 * DEFAULT_SEGMENT_ODDS, limit + 1)
+        found = np.flatnonzero(_odd_prime_mask(lo, hi))
+        np.multiply(found, 2, out=out[n : n + len(found)])
+        out[n : n + len(found)] += lo
+        n += len(found)
+        lo = hi
+    out.resize(n, refcheck=False)  # in place; no view of `out` is alive
+    return out
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -76,8 +120,11 @@ def base_primes(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > _base_cache["limit"]:
-        grown = max(limit, 2 * int(_base_cache["limit"]), 1 << 16)
-        _base_cache["primes"] = _simple_sieve(grown)
+        grown = max(limit, 2 * int(_base_cache["limit"]))
+        base_primes(math.isqrt(grown))  # the sieving primes of the extension
+        _base_cache["primes"] = _extend_base(
+            _base_cache["primes"], int(_base_cache["limit"]), grown  # type: ignore[arg-type]
+        )
         _base_cache["limit"] = grown
     primes: np.ndarray = _base_cache["primes"]  # type: ignore[assignment]
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
@@ -107,21 +154,55 @@ def primes_unbounded() -> Iterator[int]:
         limit *= 2
 
 
+# presieve: the odd numbers 2j+1 (entry j) with no factor among these primes;
+# the pattern repeats every 3*5*7*11*13*17 = 255255 entries (510510 integers)
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
+
+
+def _presieve_pattern() -> np.ndarray:
+    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)  # two periods: one slice fits
+    for p in _PRESIEVE_PRIMES:
+        pattern[(p - 1) // 2 :: p] = False
+    return pattern
+
+
+_PRESIEVE = _presieve_pattern()
+
+
+def _first_odd_multiple_offsets(lo: int, ps: np.ndarray) -> np.ndarray:
+    """Entry (start - lo) // 2 of each p's first odd multiple start >= max(lo, p*p).
+
+    lo is odd and every p odd and <= isqrt(2**63 - 1), so p*p and the offsets
+    fit in int64; lo + r is never formed, so lo may reach 2**63 - 1.
+    """
+    sq = ps * ps
+    r = (ps - np.int64(lo) % ps) % ps  # lo + r is the first multiple >= lo
+    r += ps * (r & 1)  # ... made odd
+    return np.where(sq >= lo, (sq - lo) // 2, r // 2)
+
+
 def _odd_prime_mask(lo: int, hi: int) -> np.ndarray:
-    """Primality mask for the odd numbers lo, lo+2, ..., < hi (lo odd, >= 3)."""
+    """Primality mask for the odd numbers lo, lo+2, ..., < hi (lo odd, >= 1)."""
     count = (hi - lo + 1) // 2
-    mask = np.ones(count, dtype=bool)
     if count <= 0:
-        return mask[:0]
-    for p in base_primes(math.isqrt(hi - 1))[1:]:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start < hi:
-            mask[(start - lo) // 2 :: p] = False
+        return np.ones(0, dtype=bool)
+    at = (lo // 2) % _PRESIEVE_PERIOD
+    if at + count <= len(_PRESIEVE):
+        mask = _PRESIEVE[at : at + count].copy()
+    else:
+        reps = -(-(at + count) // _PRESIEVE_PERIOD)
+        mask = np.tile(_PRESIEVE[:_PRESIEVE_PERIOD], reps)[at : at + count]
+    for p in _PRESIEVE_PRIMES:
+        if lo <= p < hi:
+            mask[(p - lo) // 2] = True
     if lo == 1:
         mask[0] = False
+    ps = base_primes(math.isqrt(hi - 1))[1 + len(_PRESIEVE_PRIMES) :]
+    starts = _first_odd_multiple_offsets(lo, ps)
+    hit = starts < count
+    for p, start in zip(ps[hit].tolist(), starts[hit].tolist()):
+        mask[start::p] = False
     return mask
 
 
@@ -224,29 +305,71 @@ class GapEvent:
     gap: int
 
 
-def _segment_gap_events(
-    slo: int, shi: int, min_gap: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gap events attributed to primes in [slo, shi).
+def _block_size(min_gap: int) -> int:
+    """Largest power of two B <= 32 with 2B <= max(min_gap, 2).
 
-    Returns (ps, gaps, prime_count_in_segment).  The last gap is closed
-    by walking ahead to the next prime at or beyond shi, so the result
-    is independent of segmentation.
+    Two primes inside one block of B odd entries lie at most 2B - 2 apart,
+    so no gap of at least min_gap starts and ends in the same block.
     """
-    ps = _primes_array(slo, shi)
-    if len(ps) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    nxt = next_prime_after(int(ps[-1]))
-    allp = np.concatenate([ps, np.array([nxt], dtype=np.int64)])
-    gaps = np.diff(allp)
-    keep = gaps >= min_gap
-    return ps[keep], gaps[keep], len(ps)
+    b = 1
+    while b < 32 and 4 * b <= max(min_gap, 2):
+        b *= 2
+    return b
 
 
-def _gap_job(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, int]], int]:
+def _segment_gap_events(slo: int, shi: int, min_gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gap events (ps, gaps) attributed to primes in [slo, shi).
+
+    The odd mask is read in blocks of B entries with one flag per block.  A
+    qualifying gap runs from the last prime of a non-empty block i to the
+    first prime of the next non-empty block j, and is at most
+    2B(j - i + 1) - 2 long, so only those block pairs are opened.  B = 1 is
+    the plain difference of consecutive primes.  The last gap is closed by
+    walking ahead to the next prime at or beyond shi, so the result is
+    independent of segmentation.
+    """
+    ps = [np.empty(0, dtype=np.int64)]
+    gaps = [np.empty(0, dtype=np.int64)]
+    if slo <= 2 < shi and min_gap <= 1:
+        ps.append(np.array([2], dtype=np.int64))
+        gaps.append(np.array([1], dtype=np.int64))
+    olo = max(slo, 3) | 1
+    mask = _odd_prime_mask(olo, shi) if olo < shi else np.zeros(0, dtype=bool)
+    b = _block_size(min_gap)
+    if len(mask) % b:
+        mask = np.concatenate((mask, np.zeros(b - len(mask) % b, dtype=bool)))
+    blocks = mask.reshape(-1, b)
+    words = blocks.view(np.uint64 if b >= 8 else np.dtype(f"u{b}"))
+    flags = words[:, 0].copy()
+    for col in range(1, words.shape[1]):  # OR of the block's words, column by column
+        flags |= words[:, col]
+    full = np.flatnonzero(flags)
+    if len(full) == 0:
+        return np.concatenate(ps), np.concatenate(gaps)
+
+    def last_entry(rows: np.ndarray) -> np.ndarray:
+        return b * rows + (b - 1 - np.argmax(blocks[rows, ::-1], axis=1))
+
+    # consecutive non-empty blocks i < j hold a gap of at most 2b(j - i + 1) - 2
+    pick = np.flatnonzero(2 * b * (np.diff(full) + 1) - 2 >= min_gap)
+    i, j = full[pick], full[pick + 1]
+    last = last_entry(i)
+    first = b * j + np.argmax(blocks[j], axis=1)
+    keep = 2 * (first - last) >= min_gap
+    ps.append(olo + 2 * last[keep])
+    gaps.append(2 * (first - last)[keep])
+    tail = olo + 2 * int(last_entry(full[-1:])[0])
+    tail_gap = next_prime_after(tail) - tail
+    if tail_gap >= min_gap:
+        ps.append(np.array([tail], dtype=np.int64))
+        gaps.append(np.array([tail_gap], dtype=np.int64))
+    return np.concatenate(ps), np.concatenate(gaps)
+
+
+def _gap_job(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, int]]]:
     idx, slo, shi, min_gap = args
-    ps, gaps, nprimes = _segment_gap_events(slo, shi, min_gap)
-    return idx, list(zip(ps.tolist(), gaps.tolist())), nprimes
+    ps, gaps = _segment_gap_events(slo, shi, min_gap)
+    return idx, list(zip(ps.tolist(), gaps.tolist()))
 
 
 def gap_scan(
@@ -266,7 +389,7 @@ def gap_scan(
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
     jobs = [(idx, slo, shi, min_gap) for idx, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
-    for _, events, _ in ordered_map(_gap_job, jobs, workers):
+    for _, events in ordered_map(_gap_job, jobs, workers):
         for p, g in events:
             yield GapEvent(p, g)
 

@@ -392,6 +392,24 @@ def test_certify_resume_refuses_truncated_witness(capsys, tmp_path):
     assert wit.stat().st_size == 100
 
 
+def test_certify_resume_refuses_witness_started_late(capsys, tmp_path):
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", ck]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "6"])
+    assert code == 0
+    assert sum(json.loads(out)["refuted"].values()) > 0
+    code, out, err = run_cli(capsys, base + ["--witness", str(wit)])
+    assert code == 3
+    assert out == ""
+    assert "refusing to resume" in err
+    assert not wit.exists()
+    # the same resume without a witness stream still finishes
+    code, out, err = run_cli(capsys, base)
+    assert code == 0
+    assert json.loads(out)["complete"] is True
+
+
 def test_certify_bad_windows_text(capsys):
     code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", "152:156"])
     assert code == 3

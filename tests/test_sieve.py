@@ -1,12 +1,17 @@
 """Segmented sieve: prime streams, gap events, Chebyshev sums."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import sieve
+from collisionlab import arith, sieve
 
 # frozen oracle values (first run pinned, cross-checked against published
 # prime-counting tables)
@@ -26,6 +31,140 @@ def test_base_primes_grow_only_cache():
     b = sieve.base_primes(1000)
     assert list(a) == list(b[: len(a)])
     assert int(b[-1]) == 997
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_primes(limit):
+    """All primes <= limit by a plain sieve of Eratosthenes over every integer."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def _reference_odd_prime_mask(lo, hi):
+    """The per-prime mask loop the sieve used before its presieve."""
+    count = (hi - lo + 1) // 2
+    mask = np.ones(max(count, 0), dtype=bool)
+    if count <= 0:
+        return mask
+    for p in _reference_primes(math.isqrt(hi - 1))[1:].tolist():
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start % 2 == 0:
+            start += p
+        if start < hi:
+            mask[(start - lo) // 2 :: p] = False
+    if lo == 1:
+        mask[0] = False
+    return mask
+
+
+def _reference_gap_events(lo, hi, min_gap):
+    """Every prime in [lo, hi) with its gap, closed by a Miller-Rabin walk."""
+    ps = [2] if lo <= 2 < hi else []
+    olo = max(lo, 3) | 1
+    if olo < hi:
+        ps += (olo + 2 * np.flatnonzero(_reference_odd_prime_mask(olo, hi))).tolist()
+    if not ps:
+        return [], []
+    nxt = ps[-1] + 1
+    while not arith.is_prime(nxt):
+        nxt += 1
+    events = [(p, q - p) for p, q in zip(ps, ps[1:] + [nxt]) if q - p >= min_gap]
+    return [p for p, _ in events], [g for _, g in events]
+
+
+def test_base_primes_match_reference_sieve():
+    limit = 3 * 10**6 + 7
+    assert np.array_equal(sieve.base_primes(limit), _reference_primes(limit))
+    assert sieve.base_primes(limit).dtype == np.int64
+
+
+def test_base_primes_grow_one_segment_at_a_time():
+    # a fresh interpreter: the table is seeded small and grown through the
+    # segment sieve, so the peak stays near the table's own size
+    code = (
+        "import tracemalloc\n"
+        "from collisionlab import sieve\n"
+        "tracemalloc.start()\n"
+        "t = sieve.base_primes(2**26)\n"
+        "print(tracemalloc.get_traced_memory()[1], t.nbytes, len(t), int(t[-1]))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(sieve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.split()
+    peak, nbytes, count, last = map(int, out)
+    assert (count, last) == (3957809, 67108859)
+    assert peak < 1.5 * nbytes + sieve.DEFAULT_SEGMENT_ODDS
+
+
+_GAP_EDGES = [1, 2, 3] + [2 * b + d for b in (1, 2, 4, 8, 16, 32) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "min_gap, block",
+    [(1, 1), (2, 1), (3, 1), (4, 2), (7, 2), (8, 4), (15, 4), (16, 8), (31, 8),
+     (32, 16), (63, 16), (64, 32), (158, 32), (300, 32)],
+)
+def test_block_size(min_gap, block):
+    assert sieve._block_size(min_gap) == block
+
+
+_lows = st.one_of(
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=1, max_value=10**12),
+    # ranges that straddle a period of the 3..17 presieve pattern
+    st.builds(lambda k, d: max(1, 510510 * k + d), st.integers(0, 2 * 10**6), st.integers(-3 * 10**5, 10)),
+)
+_widths = st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3 * 10**5))
+
+
+@given(_lows, _widths)
+@settings(max_examples=150, deadline=None)
+def test_odd_prime_mask_matches_reference(lo, width):
+    olo = lo | 1
+    hi = olo + width
+    assert np.array_equal(sieve._odd_prime_mask(olo, hi), _reference_odd_prime_mask(olo, hi))
+
+
+@given(_lows, _widths, st.one_of(st.sampled_from(_GAP_EDGES), st.integers(min_value=1, max_value=300)))
+@settings(max_examples=150, deadline=None)
+def test_segment_gap_events_match_brute_force(lo, width, min_gap):
+    ps, gaps = sieve._segment_gap_events(lo, lo + width, min_gap)
+    assert ps.dtype == gaps.dtype == np.int64
+    assert (ps.tolist(), gaps.tolist()) == _reference_gap_events(lo, lo + width, min_gap)
+
+
+def test_segment_gap_events_small_ranges_exhaustive():
+    for lo in (1, 2, 3):
+        for hi in range(lo + 1, 200):
+            for min_gap in _GAP_EDGES:
+                ps, gaps = sieve._segment_gap_events(lo, hi, min_gap)
+                assert (ps.tolist(), gaps.tolist()) == _reference_gap_events(lo, hi, min_gap)
+
+
+def test_first_odd_multiple_offsets_near_63_bits():
+    top = math.isqrt(2**63 - 1)  # 3037000499, odd: the largest base prime a 63-bit range needs
+    ps = [19, 23, 3427, 65537, 1000003, top - 6, top - 2, top]
+    for lo in (2**63 - 1, 2**63 - 3, 2**63 - 2 * 10**9 - 1, top * top, top * top - 2):
+        got = sieve._first_odd_multiple_offsets(lo, np.array(ps, dtype=np.int64)).tolist()
+        want = []
+        for p in ps:
+            start = max(p * p, -(-lo // p) * p)
+            if start % 2 == 0:
+                start += p
+            want.append((start - lo) // 2)
+        assert got == want, lo
+
+
+def test_odd_prime_mask_matches_miller_rabin_at_1e14():
+    lo, hi = 10**14 - 2001, 10**14 + 2001
+    got = (lo + 2 * np.flatnonzero(sieve._odd_prime_mask(lo, hi))).tolist()
+    assert got == [x for x in range(lo, hi, 2) if arith.is_prime(x)]
 
 
 def test_primes_in_window():
