@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .intervals import IntervalValue, Verdict, certified_less, evaluate
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "Section5Thresholds",
     "pi_upper_dusart",
     "pi_upper_dusart_expr",
-    "pi_upper_dusart_floor",
     "stirling_log_bounds",
     "log_g_lower",
     "log_g_upper",
@@ -98,22 +95,6 @@ def pi_upper_dusart_expr(cx, v):
     return (v / el) * (1 + 1 / el + 2 / el2 + cx.decimal("7.59") / (el2 * el))
 
 
-def pi_upper_dusart_floor(xs: np.ndarray) -> np.ndarray:
-    """Vectorized sound lower bound of the pi_upper_dusart expression.
-
-    Roughly ten float64 operations per point, each within 0.5 ulp, so the
-    true expression exceeds the rounded result by at most ~2e-15 relative.
-    The 1e-12 haircut below overshoots that budget by three orders of
-    magnitude while staying far under the bound's distance to pi(x).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs <= 1.0):
-        raise ValueError("pi_upper_dusart_floor: all points must exceed 1")
-    el = np.log(xs)
-    expr = xs / el * (1.0 + 1.0 / el + 2.0 / el**2 + 7.59 / el**3)
-    return expr * (1.0 - 1e-12)
-
-
 def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
     """Enclose z log z - z + log(2 pi z)/2 + 1/(12(z+1))."""
     if _as_float(z) <= 0.0:
@@ -169,7 +150,7 @@ def psi_linear_constant_check() -> Verdict:
     return verdict
 
 
-def h_rate(alpha: Real, lam: Real = 0, precise: bool = False) -> IntervalValue:
+def h_rate(alpha: Real, lam: Real = 0) -> IntervalValue:
     """Enclose the per-k rate of the combined two-binomial lower bound.
 
     h(alpha, lam) = 0.265 (1 + log((1-alpha)/(0.265 alpha)))
@@ -193,7 +174,7 @@ def h_rate(alpha: Real, lam: Real = 0, precise: bool = False) -> IntervalValue:
         second = rate2 * (1 + cx.log((1 + cx.decimal("0.735") * av) / (av * rate2)))
         return first + second
 
-    return evaluate(build, precise)
+    return evaluate(build)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +183,7 @@ class LogBinomLowers:
     eq43: IntervalValue
 
 
-def log_binom_lowers(alpha: Real, lam: Real, n: int, precise: bool = False) -> LogBinomLowers:
+def log_binom_lowers(alpha: Real, lam: Real, n: int) -> LogBinomLowers:
     """The two displayed lower bounds for the split binomials at m = 0.735k.
 
     eq42 bounds log C(n-m-1, k-m) from below; eq43 bounds
@@ -242,7 +223,7 @@ def log_binom_lowers(alpha: Real, lam: Real, n: int, precise: bool = False) -> L
         main = rate * av * nv * (1 + cx.log((1 + cx.decimal("0.735") * av) / (rate * av)))
         return main + cx.log(av / nv) / 2 - cx.decimal("1.5794")
 
-    return LogBinomLowers(evaluate(build42, precise), evaluate(build43, precise))
+    return LogBinomLowers(evaluate(build42), evaluate(build43))
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +267,7 @@ def dusart_interval(x: Real) -> tuple[float, float]:
     return xf, evaluate(build).hi
 
 
-def central_binom_lower(n: int, precise: bool = False) -> IntervalValue:
+def central_binom_lower(n: int) -> IntervalValue:
     """Enclose 1.3132 n - log(n)/2 - 0.5359.
 
     Floor for log C(2n+delta, n-m) when the lower index stays >= 0.735 n
@@ -300,7 +281,7 @@ def central_binom_lower(n: int, precise: bool = False) -> IntervalValue:
         nv = cx.integer(n)
         return cx.decimal("1.3132") * nv - cx.log(nv) / 2 - cx.decimal("0.5359")
 
-    return evaluate(build, precise)
+    return evaluate(build)
 
 
 def central_binom_constant_check() -> Verdict:

@@ -12,8 +12,11 @@ Structure of a run:
      smooth run could occupy inside a maximal gap (refuses to run otherwise);
   2. the segmented sieve streams GapEvents in ascending order;
   3. each event is attacked by trial division in every window;
-  4. per-segment progress goes to an atomic checkpoint, so an interrupted
-     run resumes into a byte-identical report.
+  4. the checkpoint record is the run's state: each segment folds into it,
+     it is saved atomically after every segment (with the length and the
+     sha256 of the witness stream so far), and the report is read from it,
+     so an interrupted run resumes into a byte-identical report and refuses
+     a witness file whose prefix no longer matches.
 
 Counts and refutations are a pure function of the configuration: worker
 count and segment size never change the output (the acceptance suite checks
@@ -200,16 +203,22 @@ class CertificateReport:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-_CHECKPOINT_SCHEMA: dict[str, type] = {
-    "config_hash": str,
-    "completed_hi": int,
-    "gap_prime_count": int,
-    "failures": list,
-    "segments_done": int,
-    "refuted": dict,
-    "gap_cap_violations": list,
-    "witness_bytes": int,
-}
+def _fresh_state(config_hash: str) -> dict:
+    """The run state before the first segment; a checkpoint saves it as is."""
+    return {
+        "config_hash": config_hash,
+        "completed_hi": 2,
+        "gap_prime_count": 0,
+        "failures": [],
+        "segments_done": 0,
+        "refuted": {},
+        "gap_cap_violations": [],
+        "witness_bytes": 0,
+        "witness_sha256": hashlib.sha256().hexdigest(),
+    }
+
+
+_CHECKPOINT_SCHEMA: dict[str, type] = {name: type(value) for name, value in _fresh_state("").items()}
 
 
 def checkpoint_save(path: str, state: dict) -> None:
@@ -233,27 +242,23 @@ def checkpoint_load(path: str) -> dict:
     return state
 
 
-def _fresh_state(config_hash: str) -> dict:
-    return {
-        "config_hash": config_hash,
-        "completed_hi": 2,
-        "gap_prime_count": 0,
-        "failures": [],
-        "segments_done": 0,
-        "refuted": {},
-        "gap_cap_violations": [],
-        "witness_bytes": 0,
-    }
+def _prefix_sha256(path: str, size: int):
+    """sha256 of the first size bytes of path (of fewer if the file is shorter or missing)."""
+    digest = hashlib.sha256()
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            while size > 0 and (chunk := fh.read(min(size, 1 << 20))):
+                digest.update(chunk)
+                size -= len(chunk)
+    return digest
 
 
 # ---------------------------------------------------------------------------
 # the run itself
 
-def _certificate_job(
-    args: tuple[int, int, int, int, tuple[Window, ...], int]
-) -> tuple[int, list]:
+def _certificate_job(args: tuple[int, int, int, tuple[Window, ...], int]) -> list:
     """One segment: sieve gap events and attack each in every window."""
-    idx, slo, shi, gap_min, windows, bound = args
+    slo, shi, gap_min, windows, bound = args
     ps, gaps = _segment_gap_events(slo, shi, gap_min)
     out = []
     for q, gap in zip(ps.tolist(), gaps.tolist()):
@@ -262,7 +267,7 @@ def _certificate_job(
             r = refute_window(q, w, bound)
             hits.append(None if r is None else (r.witness_offset, r.witness_prime))
         out.append((q, gap, hits))
-    return idx, out
+    return out
 
 
 def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) -> CertificateReport:
@@ -273,6 +278,10 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     the checkpoint finishes it with output identical to an uninterrupted run.
     """
     started = time.monotonic()
+    if stop_after_segments is not None and stop_after_segments < 0:
+        raise ValueError(
+            f"certificate: stop_after_segments must be >= 0, got {stop_after_segments}"
+        )
     cov = coverage_check(config.gap_cap, config.window_len, config.windows)
     if not cov.ok:
         uncovered = [s for s, w in cov.placements.items() if w is None]
@@ -291,16 +300,20 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             )
 
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
-    boundaries = {2} | {shi for _, _, shi in jobs}
-    if state["completed_hi"] not in boundaries:
+    if state["completed_hi"] not in {2} | {shi for _, _, shi in jobs}:
         raise ValueError(
             f"checkpoint field completed_hi = {state['completed_hi']} does not align with segmentation"
         )
-    pending = [j for j in jobs if j[1] >= state["completed_hi"]]
-    if stop_after_segments is not None:
-        pending = pending[:stop_after_segments]
+    pending = [(slo, shi) for _, slo, shi in jobs if slo >= state["completed_hi"]]
+    pending = pending[:stop_after_segments]
+    results = ordered_map(
+        _certificate_job,
+        [(slo, shi, config.gap_min, config.windows, config.smooth_bound) for slo, shi in pending],
+        config.workers,
+    )
 
     witness_fh = None
+    digest = hashlib.sha256()
     if config.witness_path:
         path, kept = config.witness_path, state["witness_bytes"]
         unwitnessed = 0 if kept else sum(state["refuted"].values())
@@ -309,77 +322,51 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
                 f"the checkpoint holds {unwitnessed} refutations written "
                 f"without a witness stream, so {path} would miss their lines; refusing to resume"
             )
-        if kept and (not os.path.exists(path) or os.path.getsize(path) < kept):
-            # truncate() would NUL-pad a short file into a corrupt witness stream
+        digest = _prefix_sha256(path, kept)
+        if digest.hexdigest() != state["witness_sha256"]:
             raise ValueError(
-                f"witness file {path} is missing or shorter than the {kept} bytes "
-                "the checkpoint recorded; refusing to resume"
+                f"the first {kept} bytes of witness file {path} do not match "
+                "the sha256 the checkpoint recorded; refusing to resume"
             )
-        witness_fh = open(path, "r+" if kept else "w", encoding="utf-8")
+        witness_fh = open(path, "r+b" if kept else "wb")
         if kept:
             witness_fh.truncate(kept)
             witness_fh.seek(kept)
 
-    refuted: dict[str, int] = dict(state["refuted"])
-    for w in config.windows:
-        refuted.setdefault(_window_key(w), 0)
-    failures: list[tuple[int, Window]] = [(q, tuple(w)) for q, w in state["failures"]]
-    violations: list[tuple[int, int]] = [tuple(v) for v in state["gap_cap_violations"]]
-    gap_prime_count = state["gap_prime_count"]
-    segments_done = state["segments_done"]
-
-    job_args = [
-        (idx, slo, shi, config.gap_min, config.windows, config.smooth_bound)
-        for idx, slo, shi in pending
-    ]
-
-    def handle(result: tuple[int, list], shi: int) -> None:
-        nonlocal gap_prime_count, segments_done
-        _, events = result
-        for q, gap, hits in events:
-            gap_prime_count += 1
-            if gap > config.gap_cap:
-                violations.append((q, gap))
-            for w, hit in zip(config.windows, hits):
-                if hit is None:
-                    failures.append((q, w))
-                else:
-                    refuted[_window_key(w)] += 1
-                    if witness_fh is not None:
-                        witness_fh.write(
-                            json.dumps(
-                                {
-                                    "q": q,
-                                    "window": _window_key(w),
-                                    "offset": hit[0],
-                                    "prime": hit[1],
-                                },
-                                separators=(",", ":"),
-                            )
-                            + "\n"
-                        )
-        segments_done += 1
-        if witness_fh is not None:
-            witness_fh.flush()
-        if config.checkpoint_path:
-            checkpoint_save(
-                config.checkpoint_path,
-                {
-                    "config_hash": cfg_hash,
-                    "completed_hi": shi,
-                    "gap_prime_count": gap_prime_count,
-                    "failures": [[q, list(w)] for q, w in failures],
-                    "segments_done": segments_done,
-                    "refuted": refuted,
-                    "gap_cap_violations": [list(v) for v in violations],
-                    "witness_bytes": witness_fh.tell() if witness_fh else 0,
-                },
-            )
-
+    refuted = state["refuted"]
+    keys = [_window_key(w) for w in config.windows]
+    for key in keys:
+        refuted.setdefault(key, 0)
     try:
-        results = ordered_map(_certificate_job, job_args, config.workers)
-        for result, (_, _, shi) in zip(results, pending):
-            handle(result, shi)
+        for (_, shi), events in zip(pending, results):
+            for q, gap, hits in events:
+                state["gap_prime_count"] += 1
+                if gap > config.gap_cap:
+                    state["gap_cap_violations"].append([q, gap])
+                for w, key, hit in zip(config.windows, keys, hits):
+                    if hit is None:
+                        state["failures"].append([q, list(w)])
+                        continue
+                    refuted[key] += 1
+                    if witness_fh is not None:
+                        line = json.dumps(
+                            {"q": q, "window": key, "offset": hit[0], "prime": hit[1]},
+                            separators=(",", ":"),
+                        ).encode() + b"\n"
+                        witness_fh.write(line)
+                        digest.update(line)
+            state["segments_done"] += 1
+            state["completed_hi"] = shi
+            # a leg without a witness stream saves 0 bytes, so a later witnessed
+            # resume is refused instead of losing this leg's lines
+            state["witness_bytes"] = witness_fh.tell() if witness_fh else 0
+            state["witness_sha256"] = digest.hexdigest()
+            if witness_fh is not None:
+                # the lines are on disk before a checkpoint counts them
+                witness_fh.flush()
+                os.fsync(witness_fh.fileno())
+            if config.checkpoint_path:
+                checkpoint_save(config.checkpoint_path, state)
     finally:
         if witness_fh is not None:
             witness_fh.close()
@@ -387,12 +374,12 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     return CertificateReport(
         config=config,
         coverage_ok=True,
-        gap_prime_count=gap_prime_count,
+        gap_prime_count=state["gap_prime_count"],
         refuted=refuted,
-        failures=tuple(failures),
-        gap_cap_violations=tuple(violations),
-        segments_done=segments_done,
+        failures=tuple((q, tuple(w)) for q, w in state["failures"]),
+        gap_cap_violations=tuple(tuple(v) for v in state["gap_cap_violations"]),
+        segments_done=state["segments_done"],
         segments_total=len(jobs),
-        complete=segments_done == len(jobs),
+        complete=state["segments_done"] == len(jobs),
         wall_time=time.monotonic() - started,
     )

@@ -134,12 +134,6 @@ class IntervalValue:
         fr = Fraction(x)
         return Fraction(self.lo) <= fr <= Fraction(self.hi)
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0.0
-
     # -- ring operations (one outward step: IEEE round-nearest is 0.5 ulp) --
 
     def __add__(self, other: Coercible) -> "IntervalValue":
@@ -253,8 +247,6 @@ def compare_less(lhs: IntervalValue, rhs: IntervalValue, strict: bool = True) ->
 class FloatContext:
     """Binary64 evaluation context: everything is an IntervalValue."""
 
-    name = "binary64"
-
     _decimal_cache: dict[str, IntervalValue] = {}
 
     def decimal(self, text: str) -> IntervalValue:
@@ -292,8 +284,6 @@ class FloatContext:
 
 class PreciseContext:
     """mpmath interval context at PRECISE_DIGITS significant digits."""
-
-    name = f"mp-interval-{PRECISE_DIGITS}"
 
     def __init__(self) -> None:
         from mpmath import iv

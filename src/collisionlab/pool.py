@@ -19,13 +19,20 @@ R = TypeVar("R")
 def ordered_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
     """Yield fn(job) for every job, in job order.
 
-    workers == 0 means one worker per CPU.  With more than one worker and
-    more than one job, a process pool of min(workers, len(jobs)) runs the
-    jobs, and each result is yielded as soon as it and all earlier ones are
-    in, so the caller can act on it (write a checkpoint, say) while later
-    jobs still run.  Otherwise the jobs run one by one in this process.
-    fn must be a module-level function, since the pool pickles it.
+    workers == 0 means one worker per CPU; a negative count is refused here,
+    at the call, before any job runs.  With more than one worker and more
+    than one job, a process pool of min(workers, len(jobs)) runs the jobs,
+    and each result is yielded as soon as it and all earlier ones are in, so
+    the caller can act on it (write a checkpoint, say) while later jobs
+    still run.  Otherwise the jobs run one by one in this process.  fn must
+    be a module-level function, since the pool pickles it.
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 means one per CPU), got {workers}")
+    return _ordered(fn, jobs, workers)
+
+
+def _ordered(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
     if workers != 1 and len(jobs) > 1:
         # imported here so that the serial path, and every import of the
         # package, stay clear of multiprocessing's start-up cost

@@ -251,7 +251,7 @@ class SegmentPlan:
         return out
 
 
-def primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_ODDS) -> Iterator[int]:
+def primes_in(lo: int, hi: int) -> Iterator[int]:
     """All primes in the closed range [lo, hi], ascending, each once."""
     if lo > hi:
         raise ValueError(f"primes_in: lo > hi ({lo} > {hi})")
@@ -259,17 +259,17 @@ def primes_in(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_ODDS) -> Ite
         raise ValueError(f"primes_in: lo must be >= 2, got {lo}")
     if hi > _MAX_SIEVE_POINT:
         raise ValueError(f"primes_in: hi exceeds 63-bit sieve range: {hi}")
-    for _, slo, shi in SegmentPlan(lo, hi + 1, segment_size).jobs():
+    for _, slo, shi in SegmentPlan(lo, hi + 1).jobs():
         for p in _primes_array(slo, shi).tolist():
             yield p
 
 
-def prime_count(x: int, segment_size: int = DEFAULT_SEGMENT_ODDS) -> int:
+def prime_count(x: int) -> int:
     """Exact pi(x) by segmented counting."""
     if x < 2:
         return 0
     total = 0
-    for _, slo, shi in SegmentPlan(2, x + 1, segment_size).jobs():
+    for _, slo, shi in SegmentPlan(2, x + 1).jobs():
         total += int(_odd_prime_mask(slo | 1, shi).sum()) if slo > 2 else len(
             _primes_array(slo, shi)
         )
@@ -366,10 +366,9 @@ def _segment_gap_events(slo: int, shi: int, min_gap: int) -> tuple[np.ndarray, n
     return np.concatenate(ps), np.concatenate(gaps)
 
 
-def _gap_job(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, int]]]:
-    idx, slo, shi, min_gap = args
-    ps, gaps = _segment_gap_events(slo, shi, min_gap)
-    return idx, list(zip(ps.tolist(), gaps.tolist()))
+def _gap_job(args: tuple[int, int, int]) -> list[tuple[int, int]]:
+    ps, gaps = _segment_gap_events(*args)
+    return list(zip(ps.tolist(), gaps.tolist()))
 
 
 def gap_scan(
@@ -388,8 +387,8 @@ def gap_scan(
         raise ValueError(f"gap_scan: need 2 <= lo < hi, got [{lo}, {hi})")
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
-    jobs = [(idx, slo, shi, min_gap) for idx, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
-    for _, events in ordered_map(_gap_job, jobs, workers):
+    jobs = [(slo, shi, min_gap) for _, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
+    for events in ordered_map(_gap_job, jobs, workers):
         for p, g in events:
             yield GapEvent(p, g)
 
@@ -401,23 +400,19 @@ class ChebyshevValues:
     psi: float
 
 
-def chebyshev_exact(
-    x: int,
-    limit: int = EXACT_SUM_LIMIT,
-    segment_size: int = DEFAULT_SEGMENT_ODDS,
-) -> ChebyshevValues:
+def chebyshev_exact(x: int) -> ChebyshevValues:
     """Exact pi(x), theta(x) = sum log p, psi(x) = sum over p^e <= x of log p.
 
     Direct summation over sieve output; see the module docstring for the
-    error budget (comfortably below 1e-6 absolute up to the limit).
+    error budget (comfortably below 1e-6 absolute up to EXACT_SUM_LIMIT).
     """
     if x < 2:
         raise ValueError(f"chebyshev_exact: x must be >= 2, got {x}")
-    if x > limit:
-        raise ValueError(f"chebyshev_exact: x={x} beyond exact summation limit {limit}")
+    if x > EXACT_SUM_LIMIT:
+        raise ValueError(f"chebyshev_exact: x={x} beyond exact summation limit {EXACT_SUM_LIMIT}")
     pi = 0
     partials: list[float] = []
-    for _, slo, shi in SegmentPlan(2, x + 1, segment_size).jobs():
+    for _, slo, shi in SegmentPlan(2, x + 1).jobs():
         ps = _primes_array(slo, shi)
         pi += len(ps)
         if len(ps):

@@ -1,6 +1,7 @@
 """Certificate scan: coverage, refutation, checkpointing, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -262,3 +263,82 @@ def test_resume_refuses_missing_witness_file(tmp_path):
     with pytest.raises(ValueError, match="refusing to resume"):
         run(cfg)
     assert not wit.exists()
+
+
+PINNED_CHECKPOINT = (
+    '{"config_hash":"85a2b743ee1c5eeb6b87121843652ca6fffebefe91726d0ff3b0c82dcbb7a740",'
+    '"completed_hi":30000001,"gap_prime_count":4,"failures":[],"segments_done":8,'
+    '"refuted":{"152-156":4,"303-308":4},"gap_cap_violations":[],"witness_bytes":491,'
+    '"witness_sha256":"6182aaeb042fae0f238e166a2e0c2701b261e88ce97e2189f62b5db6bcd315c8"}'
+)
+
+
+def test_checkpoint_after_resume_is_byte_equal_and_pinned(tmp_path):
+    def config(name):
+        return small_config(
+            checkpoint_path=str(tmp_path / f"{name}.json"),
+            witness_path=str(tmp_path / f"{name}.jsonl"),
+        )
+
+    run(config("a"))
+    run(config("b"), stop_after_segments=4)
+    run(config("b"))
+    a = (tmp_path / "a.json").read_text(encoding="utf-8")
+    assert (tmp_path / "b.json").read_text(encoding="utf-8") == a == PINNED_CHECKPOINT
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
+def test_resume_keeps_failures_and_violations(tmp_path):
+    # every window element is 10**8-smooth, and every gap exceeds the cap
+    params = {"gap_cap": 157, "windows": ((1, 156),), "smooth_bound": 10**8}
+    reference = run(small_config(checkpoint_path=str(tmp_path / "a.json"), **params))
+    cfg = small_config(checkpoint_path=str(tmp_path / "b.json"), **params)
+    run(cfg, stop_after_segments=5)
+    resumed = run(cfg)
+    assert resumed.failures == reference.failures
+    assert resumed.failures[0] == (17051707, (1, 156))
+    assert resumed.gap_cap_violations == reference.gap_cap_violations
+    assert resumed.gap_cap_violations[0] == (17051707, 180)
+    assert resumed.to_json() == reference.to_json()
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+    state = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
+    assert state["failures"][0] == [17051707, [1, 156]]
+    assert state["gap_cap_violations"][0] == [17051707, 180]
+
+
+def test_leg_without_witness_resets_witness_bytes(tmp_path):
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    run(small_config(checkpoint_path=ck, witness_path=str(wit)), stop_after_segments=5)
+    assert certificate.checkpoint_load(ck)["witness_bytes"] > 0
+    run(small_config(checkpoint_path=ck), stop_after_segments=1)
+    state = certificate.checkpoint_load(ck)
+    assert state["witness_bytes"] == 0
+    assert state["witness_sha256"] == certificate._fresh_state("")["witness_sha256"]
+    before = wit.read_bytes()
+    # the middle leg's lines are not in the file, so extending it would lose them
+    with pytest.raises(ValueError, match="refusing to resume"):
+        run(small_config(checkpoint_path=ck, witness_path=str(wit)))
+    assert wit.read_bytes() == before
+
+
+def test_witness_reaches_disk_before_each_checkpoint(tmp_path, monkeypatch):
+    ck = str(tmp_path / "ck.json")
+    wit = str(tmp_path / "wit.jsonl")
+    events = []
+    real_fsync, real_save = certificate.os.fsync, certificate.checkpoint_save
+
+    def fsync(fd):
+        if os.path.exists(wit) and os.path.samestat(os.fstat(fd), os.stat(wit)):
+            events.append("witness")
+        real_fsync(fd)
+
+    def save(path, state):
+        events.append("checkpoint")
+        real_save(path, state)
+
+    monkeypatch.setattr(certificate.os, "fsync", fsync)
+    monkeypatch.setattr(certificate, "checkpoint_save", save)
+    run(small_config(checkpoint_path=ck, witness_path=wit))
+    assert events == ["witness", "checkpoint"] * 8
+

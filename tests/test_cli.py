@@ -410,6 +410,51 @@ def test_certify_resume_refuses_witness_started_late(capsys, tmp_path):
     assert json.loads(out)["complete"] is True
 
 
+def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", ck, "--witness", str(wit)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "6"])
+    assert code == 0
+    # 4211 does not divide 17051707 + 152; the file keeps its length
+    edited = wit.read_bytes().replace(b'"prime":4201', b'"prime":4211', 1)
+    assert edited != wit.read_bytes() and len(edited) == wit.stat().st_size
+    wit.write_bytes(edited)
+    code, out, err = run_cli(capsys, base)
+    assert code == 3
+    assert out == ""
+    assert "refusing to resume" in err
+    assert wit.read_bytes() == edited
+
+
+def test_certify_refuses_negative_stop_after(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    code, out, err = run_cli(
+        capsys, ["certify", "--qmax", "30000000", "--checkpoint", str(ck), "--stop-after", "-1"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "stop_after_segments must be >= 0" in err
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--qmax", "30000000"],
+        ["sieve", "gaps", "--lo", "2", "--hi", "1000000", "--min-gap", "80"],
+        ["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
+         "--l-samples", "4"],
+    ],
+    ids=["certify", "sieve-gaps", "nmax31"],
+)
+def test_negative_threads_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--threads", "-2"])
+    assert code == 3
+    assert out == ""
+    assert "workers must be >= 0" in err
+
+
 def test_certify_bad_windows_text(capsys):
     code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", "152:156"])
     assert code == 3

@@ -39,3 +39,10 @@ def test_ordered_map_is_lazy():
     assert calls == []
     next(results)
     assert calls == [1]
+
+
+def test_ordered_map_refuses_negative_workers_at_the_call():
+    calls = []
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        ordered_map(calls.append, [1, 2, 3], -2)
+    assert calls == []
