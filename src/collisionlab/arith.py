@@ -30,6 +30,7 @@ __all__ = [
     "is_prime",
     "SmoothFactorization",
     "smooth_split",
+    "least_prime_above",
     "largest_prime_factor",
     "prime_factor_above",
     "legendre_valuation",
@@ -133,29 +134,40 @@ class SmoothFactorization:
 
     @property
     def least_prime_above(self) -> int | None:
-        """Smallest prime factor of the cofactor (so above the bound), or None.
+        """Smallest prime factor of the cofactor (so above the bound), or None."""
+        return least_prime_above(self.cofactor, self.bound)
 
-        A composite cofactor has one below its square root, and every prime
-        up to the bound is already divided out, so only primes above it are
-        tried, in windows that double: the prime table grows to about twice
-        the factor found, not to the square root of the cofactor.
-        """
-        cof = self.cofactor
-        if cof == 1:
-            return None
-        if is_prime(cof):
-            return cof
-        from . import sieve
 
-        root, lo = math.isqrt(cof), self.bound
-        while lo < root:
-            hi = min(root, max(2 * lo, 1 << 16))
-            primes = sieve.base_primes(hi)
-            for p in map(int, primes[int(np.searchsorted(primes, lo, side="right")) :]):
-                if cof % p == 0:
-                    return p
-            lo = hi
-        raise AssertionError(f"composite cofactor {cof} has no prime factor below its root")
+_INT64_MAX = 2**63 - 1
+
+
+def least_prime_above(cofactor: int, bound: int) -> int | None:
+    """Smallest prime factor of a cofactor that has none <= bound; None for 1.
+
+    A prime cofactor is its own answer.  A composite one has a factor below
+    its square root, so the primes above the bound are tried in windows that
+    double, each with one vector test `cofactor % window == 0`: the prime
+    table grows to about twice the factor found, not to the square root of
+    the cofactor.
+    """
+    if cofactor == 1:
+        return None
+    if is_prime(cofactor):
+        return cofactor
+    from . import sieve
+
+    root, lo = math.isqrt(cofactor), bound
+    while lo < root:
+        hi = min(root, max(2 * lo, 1 << 16))
+        primes = sieve.base_primes(hi)
+        primes = primes[int(np.searchsorted(primes, lo, side="right")) :]
+        if cofactor > _INT64_MAX:  # numpy's int64 cannot hold it; Python ints can
+            primes = primes.astype(object)
+        hits = np.flatnonzero(cofactor % primes == 0)
+        if len(hits):
+            return int(primes[hits[0]])
+        lo = hi
+    raise AssertionError(f"composite cofactor {cofactor} has no prime factor below its root")
 
 
 def smooth_split(value: int, bound: int) -> SmoothFactorization:

@@ -11,7 +11,11 @@ Structure of a run:
   1. coverage_check proves the configured windows cover every placement a
      smooth run could occupy inside a maximal gap (refuses to run otherwise);
   2. the segmented sieve streams GapEvents in ascending order;
-  3. each event is attacked by trial division in every window;
+  3. each segment's events are attacked in every window in one batch: the
+     element at each window's current offset is tested against every prime
+     <= the bound at once, and only windows whose element was smooth move
+     on to their next offset (refute_window is the same search, one window
+     at a time);
   4. the checkpoint record is the run's state: each segment folds into it,
      it is saved atomically after every segment (with the length and the
      sha256 of the witness stream so far), and the report is read from it,
@@ -27,14 +31,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import arith
 from .pool import ordered_map
-from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events
+from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events, base_primes
 
 __all__ = [
     "CertificateConfig",
@@ -76,6 +83,13 @@ class CertificateConfig:
         for a, b in self.windows:
             if not 1 <= a <= b:
                 raise ValueError(f"certificate: malformed window [{a}, {b}]")
+        # every window element q + b is an int64 in the refutation batch (and
+        # the sieve stops at 2**63 - 1 anyway)
+        reach = max(b for _, b in self.windows)
+        if self.q_max > 2**63 - 1 - reach:
+            raise ValueError(
+                f"certificate: q_max + {reach} (the last window offset) exceeds 2**63 - 1, got q_max = {self.q_max}"
+            )
         if self.smooth_bound < 2:
             raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
         if self.gap_min < 1:
@@ -148,6 +162,8 @@ def refute_window(q: int, window: Window, bound: int) -> Optional[WindowRefutati
     Each element is trial-divided once; the witness is the smallest prime
     factor above the bound, read from that split.  It is re-verified on
     emission: it must divide its element, be prime, and exceed the bound.
+    The certificate run finds the same witnesses in batches (_refute_events);
+    this is their scalar reference.
     """
     a, b = window
     for offset in range(a, b + 1):
@@ -256,18 +272,60 @@ def _prefix_sha256(path: str, size: int):
 # ---------------------------------------------------------------------------
 # the run itself
 
+def _cofactors(values: np.ndarray, bound: int) -> np.ndarray:
+    """values (int64, each >= 2) with every prime factor <= bound divided out."""
+    primes = base_primes(min(bound, math.isqrt(int(values.max()))))
+    rows, cols = np.nonzero(values[:, None] % primes == 0)
+    p = primes[cols]
+    power = p.copy()  # grows to the full power of p in values[rows]
+    grow = np.arange(len(p))
+    while len(grow):
+        grow = grow[values[rows[grow]] // power[grow] % p[grow] == 0]
+        power[grow] *= p[grow]
+    cof = values.copy()
+    np.floor_divide.at(cof, rows, power)
+    # every prime <= isqrt(value) is out, so a remainder <= bound is 1 or a
+    # prime <= bound (possible only when bound > isqrt(value)): smooth
+    cof[cof <= bound] = 1
+    return cof
+
+
+def _refute_events(qs: np.ndarray, windows: tuple[Window, ...], bound: int) -> list[list]:
+    """refute_window's witness, as (offset, prime) or None, for every q and window, in one batch.
+
+    Row r is the pair (qs[r // len(windows)], windows[r % len(windows)]).
+    All live rows are tested at their current offset together; a row whose
+    element has a cofactor > 1 is refuted there, and only rows whose element
+    was smooth advance, until their window ends (None: not refuted).  Each
+    witness is re-verified as it is emitted, as in refute_window.
+    """
+    offset = np.tile(np.array([a for a, _ in windows], dtype=np.int64), len(qs))
+    end = np.tile(np.array([b for _, b in windows], dtype=np.int64), len(qs))
+    row_q = np.repeat(qs, len(windows))
+    hits: list = [None] * len(offset)
+    live = np.arange(len(offset))
+    while len(live):
+        values = row_q[live] + offset[live]
+        cof = _cofactors(values, bound)
+        done = cof > 1
+        for r, off, value, c in zip(
+            live[done].tolist(), offset[live[done]].tolist(), values[done].tolist(), cof[done].tolist()
+        ):
+            prime = arith.least_prime_above(c, bound)
+            if value % prime or prime <= bound or not arith.is_prime(prime):
+                raise AssertionError(f"witness extraction failed for {value}")
+            hits[r] = (off, prime)
+        live = live[~done]
+        offset[live] += 1
+        live = live[offset[live] <= end[live]]
+    return [hits[i : i + len(windows)] for i in range(0, len(hits), len(windows))]
+
+
 def _certificate_job(args: tuple[int, int, int, tuple[Window, ...], int]) -> list:
-    """One segment: sieve gap events and attack each in every window."""
+    """One segment: sieve gap events and attack them in every window."""
     slo, shi, gap_min, windows, bound = args
     ps, gaps = _segment_gap_events(slo, shi, gap_min)
-    out = []
-    for q, gap in zip(ps.tolist(), gaps.tolist()):
-        hits = []
-        for w in windows:
-            r = refute_window(q, w, bound)
-            hits.append(None if r is None else (r.witness_offset, r.witness_prime))
-        out.append((q, gap, hits))
-    return out
+    return list(zip(ps.tolist(), gaps.tolist(), _refute_events(ps, windows, bound)))
 
 
 def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) -> CertificateReport:
@@ -349,10 +407,8 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
                         continue
                     refuted[key] += 1
                     if witness_fh is not None:
-                        line = json.dumps(
-                            {"q": q, "window": key, "offset": hit[0], "prime": hit[1]},
-                            separators=(",", ":"),
-                        ).encode() + b"\n"
+                        # the bytes of json.dumps(..., separators=(",", ":")) of the record
+                        line = f'{{"q":{q},"window":"{key}","offset":{hit[0]},"prime":{hit[1]}}}\n'.encode()
                         witness_fh.write(line)
                         digest.update(line)
             state["segments_done"] += 1

@@ -13,7 +13,9 @@ Segment mask: a segment starts as a slice (or np.tile) of one constant
 pattern that already strikes the multiples of 3..17; its period is 255255
 odd entries.  The first odd multiple >= max(lo, p^2) of every other base
 prime comes from one numpy expression, and the only Python loop left is
-one strided store per prime.
+one strided store per prime.  A prime below _STRIDE3_CUT, whose stores are
+many, skips its odd multiples that are also multiples of 3 (the pattern
+struck them already): two stores at stride 3p write two thirds as much.
 
 Gap events: the mask is read in blocks of B odd entries (B a power of two,
 2B <= min_gap, at most 32) with one flag per block, so no gap of interest
@@ -182,6 +184,13 @@ def _first_odd_multiple_offsets(lo: int, ps: np.ndarray) -> np.ndarray:
     return np.where(sq >= lo, (sq - lo) // 2, r // 2)
 
 
+# base primes below this cut strike two stores at stride 3p (see the
+# module docstring); above it, one store per prime costs less overhead
+_STRIDE3_CUT = 4096
+# a 0-d array stores faster than the Python False, which numpy converts on every store
+_FALSE = np.zeros((), dtype=bool)
+
+
 def _odd_prime_mask(lo: int, hi: int) -> np.ndarray:
     """Primality mask for the odd numbers lo, lo+2, ..., < hi (lo odd, >= 1)."""
     count = (hi - lo + 1) // 2
@@ -200,9 +209,20 @@ def _odd_prime_mask(lo: int, hi: int) -> np.ndarray:
         mask[0] = False
     ps = base_primes(math.isqrt(hi - 1))[1 + len(_PRESIEVE_PRIMES) :]
     starts = _first_odd_multiple_offsets(lo, ps)
-    hit = starts < count
-    for p, start in zip(ps[hit].tolist(), starts[hit].tolist()):
-        mask[start::p] = False
+    small = int(np.searchsorted(ps, _STRIDE3_CUT))
+    ps3, starts3 = ps[:small], starts[:small]
+    # entry start + k*p holds (m + 2k)*p, where m*p = lo + 2*start; m + 2k is
+    # a multiple of 3 (struck already) for k = m % 3 = (lo + 2*start) * p % 3,
+    # as p * p = 1 (mod 3); the other two k in 0, 1, 2 are stored
+    skip = (lo % 3 + 2 * starts3) * ps3 % 3
+    first = starts3 + ps3 * (skip == 0)
+    second = starts3 + ps3 * (2 - (skip == 2))
+    for p3, a, b in zip((3 * ps3).tolist(), first.tolist(), second.tolist()):
+        mask[a::p3] = _FALSE
+        mask[b::p3] = _FALSE
+    hit = starts[small:] < count
+    for p, start in zip(ps[small:][hit].tolist(), starts[small:][hit].tolist()):
+        mask[start::p] = _FALSE
     return mask
 
 
@@ -339,10 +359,9 @@ def _segment_gap_events(slo: int, shi: int, min_gap: int) -> tuple[np.ndarray, n
     if len(mask) % b:
         mask = np.concatenate((mask, np.zeros(b - len(mask) % b, dtype=bool)))
     blocks = mask.reshape(-1, b)
-    words = blocks.view(np.uint64 if b >= 8 else np.dtype(f"u{b}"))
-    flags = words[:, 0].copy()
-    for col in range(1, words.shape[1]):  # OR of the block's words, column by column
-        flags |= words[:, col]
+    flags = mask.view(f"u{min(b, 8)}")  # one word per block, or per 8 entries
+    if b > 8:
+        flags = (flags != 0).view(f"u{b // 8}")
     full = np.flatnonzero(flags)
     if len(full) == 0:
         return np.concatenate(ps), np.concatenate(gaps)
@@ -381,16 +400,16 @@ def gap_scan(
     """All GapEvents with p in [lo, hi) and gap >= min_gap, ascending in p.
 
     The event stream is a pure function of (lo, hi, min_gap): neither the
-    segment size nor the worker count can change it.
+    segment size nor the worker count can change it.  The arguments are
+    checked here, at the call, before any segment is sieved.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"gap_scan: need 2 <= lo < hi, got [{lo}, {hi})")
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
     jobs = [(slo, shi, min_gap) for _, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
-    for events in ordered_map(_gap_job, jobs, workers):
-        for p, g in events:
-            yield GapEvent(p, g)
+    results = ordered_map(_gap_job, jobs, workers)
+    return (GapEvent(p, g) for events in results for p, g in events)
 
 
 @dataclass(frozen=True, slots=True)

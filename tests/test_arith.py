@@ -132,6 +132,34 @@ def test_prime_factor_above_composite_cofactor(p, q, smooth, power):
     assert arith.prime_factor_above(value, 3427) == min(p, q)
 
 
+_PRIMES_PAST_FIRST_WINDOW = [p for p in base_primes(140_000).tolist() if p > 65_536][:200]
+
+
+@given(
+    st.sampled_from(_PRIMES_ABOVE_3427 + _PRIMES_PAST_FIRST_WINDOW),
+    st.sampled_from(_PRIMES_ABOVE_3427 + _PRIMES_PAST_FIRST_WINDOW),
+    st.sampled_from([1, 2, 3, 3000, 3427]),
+    st.booleans(),
+)
+@settings(max_examples=200)
+def test_least_prime_above_matches_brute_force(p, q, bound, composite):
+    # a cofactor: every prime factor exceeds the bound
+    cofactor = p * q if composite else p
+    assert arith.least_prime_above(cofactor, bound) == min(_prime_factors(cofactor))
+
+
+def test_least_prime_above_edges():
+    assert arith.least_prime_above(1, 3427) is None
+    assert arith.least_prime_above(4201, 3427) == 4201
+    # 65537 * 65539: the first window (3427, 65536] holds no factor
+    assert arith.least_prime_above(65537 * 65539, 3427) == 65537
+    # 131101 * 131111 lies past the second window too, and far past 2**16
+    assert arith.least_prime_above(131101 * 131111, 3427) == 131101
+    # a cofactor above 2**63 - 1 (about 1e24): Python-int remainders
+    assert arith.least_prime_above(1_000_003 * 999_999_937**2, 3427) == 1_000_003
+    assert arith.SmoothFactorization(65537 * 65539, 3427, (), 65537 * 65539).least_prime_above == 65537
+
+
 def test_prime_factor_above_large_cofactor_stays_near_its_factor():
     # cofactor ~1e24: the walk stops near 1e6, far below its root ~1e12
     p, q, r = 1_000_003, 1_000_033, 999_999_937

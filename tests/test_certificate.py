@@ -3,7 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisionlab import certificate
 from collisionlab.certificate import (
@@ -38,6 +41,15 @@ def test_config_validation():
         CertificateConfig(q_max=100, smooth_bound=1)
     with pytest.raises(ValueError):
         CertificateConfig(q_max=100, gap_min=0)
+
+
+def test_config_refuses_window_elements_past_int64():
+    # the largest window end (308) must keep q_max + 308 within 2**63 - 1
+    assert CertificateConfig(q_max=2**63 - 1 - 308).q_max == 2**63 - 309
+    with pytest.raises(ValueError, match="exceeds 2\\*\\*63 - 1"):
+        CertificateConfig(q_max=2**63 - 308)
+    with pytest.raises(ValueError):
+        CertificateConfig(q_max=2**63 - 5, windows=((1, 5),))
 
 
 def test_config_hash_ignores_operational_fields():
@@ -102,6 +114,68 @@ def test_refute_window_known_gap_prime():
     assert (r2.witness_offset, r2.witness_prime) == (303, 9421)
     assert (17051707 + 152) % 4201 == 0
     assert (17051707 + 303) % 9421 == 0
+
+
+def _scalar_hits(qs, windows, bound):
+    """refute_window on each (q, window), in the batch's output layout."""
+    return [
+        [None if (r := refute_window(q, w, bound)) is None else (r.witness_offset, r.witness_prime)
+         for w in windows]
+        for q in qs
+    ]
+
+
+_windows = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=400).map(lambda a: (a, a)),  # single offset
+        st.tuples(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=12)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+).map(tuple)
+_bounds = st.one_of(st.sampled_from([2, 3, 3427]), st.integers(min_value=2, max_value=10**4))
+_qs = st.one_of(
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=31_000_000_000, max_value=32_000_000_000),
+    # q + a = 3433 * 3449 * m: a composite cofactor above 3427 at offset a
+    st.builds(lambda m, a: 3433 * 3449 * m - a, st.integers(1, 2600), st.integers(1, 400)).filter(
+        lambda q: q >= 2
+    ),
+)
+
+
+@given(st.lists(_qs, max_size=40), _windows, _bounds)
+@settings(max_examples=200, deadline=None)
+def test_refute_events_match_refute_window(qs, windows, bound):
+    got = certificate._refute_events(np.array(qs, dtype=np.int64), windows, bound)
+    assert got == _scalar_hits(qs, windows, bound)
+
+
+def test_refute_events_composite_cofactors_and_smooth_windows():
+    windows = ((152, 156), (303, 308))
+    # the first element of the first window is 3433 * 3449 * m with 3427-smooth m
+    composite = [3433 * 3449 * m - 152 for m in (1, 2, 3427, 2**20)]
+    composite += [3433 * 3449 * 3457 - 303]
+    # windows in which every element is smooth: 4374 = 2 * 3**7, 4375 = 5**4 * 7
+    smooth = [(4373, ((1, 2),), 7), (2**34 - 5, ((5, 5),), 2), (1, ((1, 3000),), 3427)]
+    got = certificate._refute_events(np.array(composite, dtype=np.int64), windows, 3427)
+    assert got == _scalar_hits(composite, windows, 3427)
+    assert [hits[0] for hits in got[:4]] == [(152, 3433)] * 4
+    assert got[4][1] == (303, 3433)
+    for q, w, bound in smooth:
+        assert certificate._refute_events(np.array([q], dtype=np.int64), w, bound) == [[None]]
+        assert refute_window(q, w[0], bound) is None
+    assert certificate._refute_events(np.empty(0, dtype=np.int64), windows, 3427) == []
+
+
+def test_certificate_job_near_top_of_range_matches_scalar():
+    config = CertificateConfig(q_max=31_754_673_611)
+    slo = config.q_max - 4 * config.segment_size
+    events = certificate._certificate_job((slo, slo + 2 * config.segment_size, 158, config.windows, 3427))
+    assert len(events) > 50
+    assert [hits for _, _, hits in events] == _scalar_hits([q for q, _, _ in events], config.windows, 3427)
 
 
 # ---------------------------------------------------------------------------

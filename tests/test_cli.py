@@ -276,6 +276,16 @@ def test_sieve_gaps_out_file(capsys, tmp_path):
     assert path.read_text().splitlines()
 
 
+def test_sieve_gaps_refused_run_keeps_out_file(capsys, tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b'{"p":2,"gap":1}\n')
+    argv = ["sieve", "gaps", "--lo", "5", "--hi", "3", "--min-gap", "2", "--out", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert "need 2 <= lo < hi" in err
+    assert path.read_bytes() == b'{"p":2,"gap":1}\n'
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -453,6 +463,13 @@ def test_negative_threads_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "workers must be >= 0" in err
+
+
+def test_certify_refuses_qmax_past_int64(capsys):
+    code, out, err = run_cli(capsys, ["certify", "--qmax", str(2**63 - 308)])
+    assert code == 3
+    assert out == ""
+    assert "exceeds 2**63 - 1" in err
 
 
 def test_certify_bad_windows_text(capsys):

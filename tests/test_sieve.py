@@ -131,6 +131,22 @@ def test_odd_prime_mask_matches_reference(lo, width):
     assert np.array_equal(sieve._odd_prime_mask(olo, hi), _reference_odd_prime_mask(olo, hi))
 
 
+@pytest.mark.parametrize("residue", [0, 1, 2])
+@pytest.mark.parametrize(
+    "near, width, square_inside",
+    [
+        (1_000_000, 300_000, True),  # only primes below the cut; those past 1000 have p * p > lo
+        (sieve._STRIDE3_CUT**2 - 150_000, 300_000, True),  # 4093 and 4099, squares > lo
+        (10**9, 200_000, False),  # primes up to 31,607 on both sides of the cut, squares < lo
+    ],
+)
+def test_odd_prime_mask_stride3_stores_match_reference(residue, near, width, square_inside):
+    lo = near + next(d for d in range(6) if (near + d) % 2 == 1 and (near + d) % 3 == residue)
+    ps = sieve.base_primes(math.isqrt(lo + width - 1))
+    assert (int(ps[-1]) ** 2 > lo) == square_inside
+    assert np.array_equal(sieve._odd_prime_mask(lo, lo + width), _reference_odd_prime_mask(lo, lo + width))
+
+
 @given(_lows, _widths, st.one_of(st.sampled_from(_GAP_EDGES), st.integers(min_value=1, max_value=300)))
 @settings(max_examples=150, deadline=None)
 def test_segment_gap_events_match_brute_force(lo, width, min_gap):
