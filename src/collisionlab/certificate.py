@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
+from .lemma import CLAIMED_N_BOUND
 from .pool import ordered_map
 from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events, base_primes
 
@@ -64,7 +65,7 @@ def _window_key(window: Window) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CertificateConfig:
-    q_max: int
+    q_max: int = CLAIMED_N_BOUND
     gap_min: int = 158
     windows: tuple[Window, ...] = ((152, 156), (303, 308))
     smooth_bound: int = 3427
@@ -192,8 +193,8 @@ class CertificateReport:
     complete: bool
     wall_time: float
 
-    def to_json(self, include_timing: bool = False, version: Optional[str] = None) -> str:
-        """Canonical JSON. Timing is opt-in so reruns stay byte-identical."""
+    def to_json(self, version: Optional[str] = None) -> str:
+        """Canonical JSON; wall_time stays out so reruns are byte-identical."""
         payload: dict = {}
         if version is not None:
             payload["version"] = version
@@ -211,8 +212,6 @@ class CertificateReport:
                 "complete": self.complete,
             }
         )
-        if include_timing:
-            payload["wall_time_s"] = round(self.wall_time, 3)
         return json.dumps(payload, separators=(",", ":"))
 
 

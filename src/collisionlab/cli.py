@@ -4,7 +4,9 @@ Layout of every subcommand: data on stdout (or --out), diagnostics and the
 resolved-configuration echo on stderr, so stdout is byte-identical across
 reruns and worker counts.  Single-document outputs are compact JSON with a
 version field; streaming outputs are JSONL with schemas owned by the library
-modules.
+modules.  Run defaults live in CertificateConfig and GridConfig: certify and
+lemma nmax31 pass on only the flags given, and each key=value line of a
+certify --config file is parsed as the flag --key=value by the same parser.
 
 Exit codes: 0 success or certified HOLDS, 1 certified FAILS or certificate
 failure, 2 usage error (argparse), 3 capability or runtime error.
@@ -13,6 +15,7 @@ failure, 2 usage error (argparse), 3 capability or runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -198,34 +201,12 @@ def _cmd_lemma_threshold32(args) -> int:
 
 
 def _cmd_lemma_nmax31(args) -> int:
-    grid = lemma.GridConfig(
-        k_min=args.k_min,
-        k_max=args.k_max,
-        dense_until=args.dense_until,
-        growth=args.growth,
-        l_samples=args.l_samples,
-        pi_mode=args.pi_mode,
-        workers=args.threads,
-    )
-    cfg = {
-        "k_min": grid.k_min,
-        "k_max": grid.k_max,
-        "dense_until": grid.dense_until,
-        "growth": grid.growth,
-        "l_samples": grid.l_samples,
-        "pi_mode": grid.pi_mode,
-    }
-    _echo("lemma nmax31", cfg | {"threads": args.threads})
-    rep = lemma.nmax_lemma31(grid)
-    body = {
-        "n_max": rep.n_max,
-        "log_n_max": rep.log_n_max,
-        "argmax_k": rep.argmax_k,
-        "argmax_l": rep.argmax_l,
-        "points": rep.points,
-        "skipped": rep.skipped,
-        "claimed_bound": rep.claimed_bound,
-    }
+    grid = lemma.GridConfig(**_given(args, lemma.GridConfig))
+    cfg = dataclasses.asdict(grid)
+    _echo("lemma nmax31", cfg)
+    del cfg["workers"]  # stdout never depends on the worker count
+    body = dataclasses.asdict(lemma.nmax_lemma31(grid))
+    del body["pi_mode"]  # already in the config
     print(_json_doc(cfg, body))
     return EXIT_OK
 
@@ -313,7 +294,7 @@ def _cmd_sieve_neighbors(args) -> int:
 # certify
 
 def _parse_windows(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse "152-156,303-308" into ((152, 156), (303, 308))."""
+    """Parse "1-5,10-12" into ((1, 5), (10, 12))."""
     windows = []
     for part in text.split(","):
         piece = part.strip()
@@ -328,9 +309,23 @@ def _parse_windows(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
+def _certify_values() -> argparse.ArgumentParser:
+    """The certify flags a --config file may set, each kept under its field only if given."""
+    p = _Parser(add_help=False, argument_default=argparse.SUPPRESS, exit_on_error=False)
+    p.add_argument("--qmax", type=int, dest="q_max")
+    p.add_argument("--gap-min", type=int)
+    p.add_argument("--windows")
+    p.add_argument("--smooth-bound", type=int)
+    p.add_argument("--gap-cap", type=int)
+    p.add_argument("--window-len", type=int)
+    p.add_argument("--segment-size", type=int)
+    p.add_argument("--threads", type=int, dest="workers")
+    return p
+
+
+def _read_config_file(path: str) -> dict:
+    """key=value lines, each parsed as the flag --key=value; blank lines and # comments ignored."""
+    lines = []  # (flag, key)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -339,72 +334,42 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+            key = key.strip()
+            lines.append((f"--{key.replace('_', '-')}={value.strip()}", key))
+    try:
+        values, extra = _certify_values().parse_known_args([flag for flag, _ in lines])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    unknown = sorted({key for flag, key in lines if flag in extra or "-" in key})  # gap-min is no key
+    if unknown:
+        raise ValueError(f"certify: unknown config keys: {', '.join(unknown)}")
+    return vars(values)
 
 
-_CERTIFY_DEFAULTS = {
-    "qmax": 31754673611,
-    "gap_min": 158,
-    "windows": "152-156,303-308",
-    "smooth_bound": 3427,
-    "gap_cap": 456,
-    "window_len": 156,
-    "segment_size": sieve.DEFAULT_SEGMENT_ODDS,
-    "threads": 1,
-}
-
-_CERTIFY_INT_KEYS = {"qmax", "gap_min", "smooth_bound", "gap_cap", "window_len", "segment_size", "threads"}
-
-
-def _resolve_certify(args) -> dict:
-    """Defaults, then config file, then explicit flags."""
-    resolved = dict(_CERTIFY_DEFAULTS)
-    if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_CERTIFY_DEFAULTS)
-        if unknown:
-            raise ValueError(f"certify: unknown config keys: {', '.join(sorted(unknown))}")
-        for key, value in file_values.items():
-            resolved[key] = int(value) if key in _CERTIFY_INT_KEYS else value
-    for key in _CERTIFY_DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-    return resolved
+def _given(args, cls) -> dict:
+    """The flags the user gave that name fields of the dataclass cls."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
 
 
 def _cmd_certify(args) -> int:
-    resolved = _resolve_certify(args)
-    windows = _parse_windows(resolved["windows"])
-    config = certificate.CertificateConfig(
-        q_max=resolved["qmax"],
-        gap_min=resolved["gap_min"],
-        windows=windows,
-        smooth_bound=resolved["smooth_bound"],
-        gap_cap=resolved["gap_cap"],
-        window_len=resolved["window_len"],
-        segment_size=resolved["segment_size"],
-        checkpoint_path=args.checkpoint,
-        witness_path=args.witness,
-        workers=resolved["threads"],
-    )
-    _echo("certify", resolved | {"checkpoint": args.checkpoint, "witness": args.witness})
+    """Defaults from CertificateConfig, then the config file, then explicit flags."""
+    given = _read_config_file(args.config) if args.config else {}
+    given |= _given(args, certificate.CertificateConfig)
+    if "windows" in given:
+        given["windows"] = _parse_windows(given["windows"])
+    config = certificate.CertificateConfig(**given)
+    _echo("certify", dataclasses.asdict(config))
 
     cov = certificate.coverage_check(config.gap_cap, config.window_len, config.windows)
     if not cov.ok:
         uncovered = sorted(s for s, w in cov.placements.items() if w is None)
-        print(
-            _json_doc(
-                {"gap_cap": config.gap_cap, "window_len": config.window_len,
-                 "windows": [list(w) for w in config.windows]},
-                {"coverage_ok": False, "uncovered_placements": uncovered},
-            )
-        )
+        fields = config.output_fields()
+        cfg = {key: fields[key] for key in ("gap_cap", "window_len", "windows")}
+        print(_json_doc(cfg, {"coverage_ok": False, "uncovered_placements": uncovered}))
         return EXIT_FAILS
 
     report = certificate.run(config, stop_after_segments=args.stop_after)
-    print(report.to_json(include_timing=args.timing, version=__version__))
+    print(report.to_json(version=__version__))
     if args.timing:
         print(f"certify: {report.wall_time:.1f}s wall", file=sys.stderr)
     return EXIT_FAILS if report.failures or report.gap_cap_violations else EXIT_OK
@@ -502,14 +467,17 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--hi", type=int, default=10**7)
     l.set_defaults(func=_cmd_lemma_threshold32)
 
-    l = lsub.add_parser("nmax31", help="maximize the n-bound over the (k, l) grid")
-    l.add_argument("--k-min", type=int, default=588)
-    l.add_argument("--k-max", type=int, default=871155)
-    l.add_argument("--dense-until", type=int, default=4000)
-    l.add_argument("--growth", type=float, default=1.01)
-    l.add_argument("--l-samples", type=int, default=64)
-    l.add_argument("--pi-mode", choices=("exact", "dusart"), default="dusart")
-    l.add_argument("--threads", type=int, default=1)
+    l = lsub.add_parser(
+        "nmax31", help="maximize the n-bound over the (k, l) grid",
+        argument_default=argparse.SUPPRESS,
+    )
+    l.add_argument("--k-min", type=int)
+    l.add_argument("--k-max", type=int)
+    l.add_argument("--dense-until", type=int)
+    l.add_argument("--growth", type=float)
+    l.add_argument("--l-samples", type=int)
+    l.add_argument("--pi-mode", choices=("exact", "dusart"))
+    l.add_argument("--threads", type=int, dest="workers")
     l.set_defaults(func=_cmd_lemma_nmax31)
 
     l = lsub.add_parser("section4", help="incompatible growth bounds for large k")
@@ -547,18 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=int, required=True)
     s.set_defaults(func=_cmd_sieve_neighbors)
 
-    p = sub.add_parser("certify", help="run the prime-gap smoothness certificate")
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--gap-min", type=int, default=None, dest="gap_min")
-    p.add_argument("--windows", type=str, default=None)
-    p.add_argument("--smooth-bound", type=int, default=None, dest="smooth_bound")
-    p.add_argument("--gap-cap", type=int, default=None, dest="gap_cap")
-    p.add_argument("--window-len", type=int, default=None, dest="window_len")
-    p.add_argument("--segment-size", type=int, default=None, dest="segment_size")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--witness", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--stop-after", type=int, default=None, dest="stop_after")
+    p = sub.add_parser(
+        "certify", help="run the prime-gap smoothness certificate", parents=[_certify_values()]
+    )
+    p.add_argument("--checkpoint", dest="checkpoint_path")
+    p.add_argument("--witness", dest="witness_path")
+    p.add_argument("--stop-after", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_certify)

@@ -70,6 +70,7 @@ __all__ = [
     "threshold_lemma32",
     "Lemma32Threshold",
     "GridConfig",
+    "CLAIMED_N_BOUND",
     "NmaxReport",
     "nmax_lemma31",
     "section4_check",
@@ -79,6 +80,8 @@ __all__ = [
     "Section5Report",
 ]
 
+# Lemma 3.1: every collision has n <= CLAIMED_N_BOUND (the certificate's default q_max)
+CLAIMED_N_BOUND = 31754673611
 _ZERO = IntervalValue.point(0.0)
 
 
@@ -448,7 +451,7 @@ class NmaxReport:
     points: int
     skipped: int
     pi_mode: str
-    claimed_bound: int = 31754673611
+    claimed_bound: int = CLAIMED_N_BOUND
 
 
 def _nmax_point(k: int, l: int, pi_iv: IntervalValue) -> Optional[float]:

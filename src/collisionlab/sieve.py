@@ -286,6 +286,8 @@ def primes_in(lo: int, hi: int) -> Iterator[int]:
 
 def prime_count(x: int) -> int:
     """Exact pi(x) by segmented counting."""
+    if x > _MAX_SIEVE_POINT:
+        raise ValueError(f"prime_count: x exceeds 63-bit sieve range: {x}")
     if x < 2:
         return 0
     total = 0
@@ -407,6 +409,8 @@ def gap_scan(
         raise ValueError(f"gap_scan: need 2 <= lo < hi, got [{lo}, {hi})")
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
+    if hi > _MAX_SIEVE_POINT + 1:
+        raise ValueError(f"gap_scan: hi exceeds 63-bit sieve range: {hi} > 2**63")
     jobs = [(slo, shi, min_gap) for _, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
     results = ordered_map(_gap_job, jobs, workers)
     return (GapEvent(p, g) for events in results for p, g in events)

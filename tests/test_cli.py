@@ -2,11 +2,15 @@
 
 import json
 import math
+import re
 
 import pytest
 
+from collisionlab import sieve
 from collisionlab.arith import is_prime
+from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
+from collisionlab.lemma import GridConfig
 
 
 def run_cli(capsys, argv):
@@ -191,6 +195,27 @@ def test_lemma_nmax31_small_grid(capsys):
     assert doc["claimed_bound"] == 31754673611
 
 
+def test_lemma_nmax31_defaults_are_the_grid_defaults(capsys):
+    code, out, err = run_cli(capsys, ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"])
+    assert code == 0
+    doc = json.loads(out)
+    grid = GridConfig()
+    assert doc["config"] == {
+        "k_min": grid.k_min, "k_max": 700, "dense_until": 700,
+        "growth": grid.growth, "l_samples": grid.l_samples, "pi_mode": grid.pi_mode,
+    }
+    assert doc["config"] == {
+        "k_min": 588, "k_max": 700, "dense_until": 700,
+        "growth": 1.01, "l_samples": 64, "pi_mode": "dusart",
+    }
+    assert list(doc) == [
+        "version", "config", "n_max", "log_n_max", "argmax_k", "argmax_l",
+        "points", "skipped", "claimed_bound",
+    ]
+    assert (doc["points"], doc["skipped"]) == (113, 0)
+    assert '"workers":1' in err
+
+
 def test_lemma_section4_k_only(capsys):
     code, out, err = run_cli(capsys, ["lemma", "section4", "--k", "588"])
     assert code == 0
@@ -276,6 +301,21 @@ def test_sieve_gaps_out_file(capsys, tmp_path):
     assert path.read_text().splitlines()
 
 
+def test_sieve_pi_and_gaps_refuse_points_above_63_bits(capsys, monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("SegmentPlan built")
+
+    monkeypatch.setattr(sieve, "SegmentPlan", no_plan)
+    for argv in (
+        ["sieve", "pi", "--x", str(2**63)],
+        ["sieve", "gaps", "--lo", str(2**63 - 100), "--hi", str(2**63 + 1), "--min-gap", "2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "63-bit" in err
+
+
 def test_sieve_gaps_refused_run_keeps_out_file(capsys, tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b'{"p":2,"gap":1}\n')
@@ -348,12 +388,67 @@ def test_certify_config_file_resolution(capsys, tmp_path):
 
 
 def test_certify_timing_flag(capsys):
-    code, out, err = run_cli(
-        capsys, ["certify", "--qmax", "1000000", "--gap-min", "500", "--timing"]
-    )
+    argv = ["certify", "--qmax", "1000000", "--gap-min", "500"]
+    code, untimed, err = run_cli(capsys, argv)
+    assert code == 0 and "s wall" not in err
+    code, timed, err = run_cli(capsys, argv + ["--timing"])
     assert code == 0
-    assert "wall_time_s" in json.loads(out)
-    assert "s wall" in err
+    assert timed == untimed
+    assert re.search(r"^certify: \d+\.\ds wall$", err, re.MULTILINE)
+
+
+def test_certify_defaults_are_the_config_defaults(capsys):
+    code, out, err = run_cli(capsys, ["certify", "--stop-after", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == CertificateConfig().output_fields()
+    assert doc["config"] == {
+        "q_max": 31754673611, "gap_min": 158, "windows": [[152, 156], [303, 308]],
+        "smooth_bound": 3427, "gap_cap": 456, "window_len": 156, "segment_size": 2097152,
+    }
+    assert doc["config_hash"].startswith("1799b4ee")
+    assert (doc["segments_done"], doc["segments_total"]) == (0, 7571)
+
+
+def test_certify_config_file_sets_every_flag(capsys, tmp_path):
+    values = {
+        "qmax": "20000000", "gap_min": "170", "windows": "150-157,300-306",
+        "smooth_bound": "3500", "gap_cap": "455", "window_len": "157",
+        "segment_size": "131072", "threads": "2",
+    }
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
+    code, by_flags, flags_err = run_cli(capsys, ["certify"] + flags)
+    assert code == 0
+    code, by_file, file_err = run_cli(capsys, ["certify", "--config", str(cfg)])
+    assert code == 0
+    assert by_file == by_flags
+    assert file_err == flags_err
+    doc = json.loads(by_file)
+    assert doc["config"]["windows"] == [[150, 157], [300, 306]]
+    assert doc["config"]["segment_size"] == 131072
+    assert doc["gap_prime_count"] == 1 and doc["complete"] is True
+    assert '"workers":2' in file_err
+
+
+def test_certify_config_file_malformed_value_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "certify.cfg"
+    for text in ("qmax=abc\n", "qmax=1000000\nthreads=\n", "qmax=1000000\ngap_cap=4.5\n"):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
+        assert code == 3, text
+        assert out == ""
+        assert "collisionlab: error:" in err
+
+
+def test_certify_config_keys_are_spelled_with_underscores(capsys, tmp_path):
+    cfg = tmp_path / "certify.cfg"
+    for key in ("gap-min", "q_max", "checkpoint", "timing"):
+        cfg.write_text(f"qmax=1000000\n{key}=1\n")
+        code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
+        assert code == 3, key
+        assert f"unknown config keys: {key}" in err
 
 
 def test_certify_resume_via_cli(capsys, tmp_path):

@@ -268,6 +268,24 @@ def test_prime_neighbors_refuse_above_63_bits():
             fn(2**63)
 
 
+def test_prime_count_and_gap_scan_refuse_above_63_bits(monkeypatch):
+    # planning [2, 2**63] alone would list ~2.2e12 segments; the refusal must
+    # come first, so a plan that is ever built fails the test at once
+    def no_plan(*args, **kwargs):
+        raise AssertionError("SegmentPlan built")
+
+    monkeypatch.setattr(sieve, "SegmentPlan", no_plan)
+    with pytest.raises(ValueError, match="63-bit"):
+        sieve.prime_count(2**63)
+    with pytest.raises(ValueError, match="63-bit"):
+        sieve.gap_scan(2**63 - 100, 2**63 + 1, 2)
+    # the last points of the range still get as far as planning
+    with pytest.raises(AssertionError, match="SegmentPlan built"):
+        sieve.prime_count(2**63 - 1)
+    with pytest.raises(AssertionError, match="SegmentPlan built"):
+        sieve.gap_scan(2**63 - 100, 2**63, 2)
+
+
 def test_gap_scan_events_below_1e8():
     events = list(sieve.gap_scan(2, 10**8, 158))
     assert len(events) == 73
