@@ -14,8 +14,8 @@ Structure of a run:
   3. each segment's events are attacked in every window in one batch: the
      element at each window's current offset is tested against every prime
      <= the bound at once, and only windows whose element was smooth move
-     on to their next offset (refute_window is the same search, one window
-     at a time);
+     on to their next offset (refute_window is one row of that batch; the
+     independent trial-division reference lives in tests/oracles.py);
   4. the checkpoint record is the run's state: each segment folds into it,
      it is saved atomically after every segment (with the length and the
      sha256 of the witness stream so far), and the report is read from it,
@@ -46,8 +46,6 @@ from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events, base_
 
 __all__ = [
     "CertificateConfig",
-    "CoverageResult",
-    "WindowRefutation",
     "CertificateReport",
     "coverage_check",
     "refute_window",
@@ -118,66 +116,37 @@ class CertificateConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageResult:
-    ok: bool
-    placements: dict[int, Optional[Window]]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def coverage_check(
     gap_cap: int, window_len: int, windows: tuple[Window, ...]
-) -> CoverageResult:
-    """Do the windows rule out every placement of a smooth run inside a gap?
+) -> list[int]:
+    """The placements of a smooth run inside a gap that no window rules out, ascending.
 
     A hypothetical run of window_len consecutive smooth integers starts at
     z + 1 where z - q ranges over [0, gap_cap - window_len - 1] for the gap
     prime q.  Placement s is covered by window [a, b] when the window sits
-    inside the run: a >= s + 1 and b <= s + window_len.
+    inside the run: a >= s + 1 and b <= s + window_len.  An empty list
+    means the windows cover every placement.
     """
-    placements: dict[int, Optional[Window]] = {}
-    ok = True
-    for s in range(0, gap_cap - window_len):
-        hit = next(
-            (w for w in windows if w[0] >= s + 1 and w[1] <= s + window_len), None
-        )
-        placements[s] = hit
-        if hit is None:
-            ok = False
-    return CoverageResult(ok, placements)
+    return [
+        s
+        for s in range(0, gap_cap - window_len)
+        if not any(a >= s + 1 and b <= s + window_len for a, b in windows)
+    ]
 
 
-@dataclass(frozen=True, slots=True)
-class WindowRefutation:
-    q: int
-    window: Window
-    witness_offset: int
-    witness_prime: int
+def refute_window(q: int, window: Window, bound: int) -> Optional[tuple[int, int]]:
+    """(offset, prime) for the first element of q+a .. q+b with a prime factor above bound, or None.
 
-
-def refute_window(q: int, window: Window, bound: int) -> Optional[WindowRefutation]:
-    """First element of q+a .. q+b with a prime factor above bound, or None.
-
-    Each element is trial-divided once; the witness is the smallest prime
-    factor above the bound, read from that split.  It is re-verified on
-    emission: it must divide its element, be prime, and exceed the bound.
-    The certificate run finds the same witnesses in batches (_refute_events);
-    this is their scalar reference.
+    One row of the certificate's batch (_refute_events), so the witness is
+    the smallest prime factor above the bound of that element, re-verified
+    as it is emitted.  Every element must be an int64 of at least 2.
     """
     a, b = window
-    for offset in range(a, b + 1):
-        value = q + offset
-        if value < 2:
-            continue
-        split = arith.smooth_split(value, bound)
-        if split.cofactor > 1:
-            prime = split.least_prime_above
-            if prime is None or value % prime or prime <= bound or not arith.is_prime(prime):
-                raise AssertionError(f"witness extraction failed for {value}")
-            return WindowRefutation(q, window, offset, prime)
-    return None
+    if q + a < 2 or a > b or q + b > 2**63 - 1:
+        raise ValueError(
+            f"refute_window: need 2 <= q + a <= q + b <= 2**63 - 1, got q = {q}, window [{a}, {b}]"
+        )
+    return _refute_events(np.array([q], dtype=np.int64), (window,), bound)[0][0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,13 +259,14 @@ def _cofactors(values: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _refute_events(qs: np.ndarray, windows: tuple[Window, ...], bound: int) -> list[list]:
-    """refute_window's witness, as (offset, prime) or None, for every q and window, in one batch.
+    """The first witness (offset, prime), or None, of every q in every window, in one batch.
 
     Row r is the pair (qs[r // len(windows)], windows[r % len(windows)]).
     All live rows are tested at their current offset together; a row whose
     element has a cofactor > 1 is refuted there, and only rows whose element
     was smooth advance, until their window ends (None: not refuted).  Each
-    witness is re-verified as it is emitted, as in refute_window.
+    witness is re-verified as it is emitted: it divides its element, exceeds
+    the bound and is prime.
     """
     offset = np.tile(np.array([a for a, _ in windows], dtype=np.int64), len(qs))
     end = np.tile(np.array([b for _, b in windows], dtype=np.int64), len(qs))
@@ -339,9 +309,8 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
         raise ValueError(
             f"certificate: stop_after_segments must be >= 0, got {stop_after_segments}"
         )
-    cov = coverage_check(config.gap_cap, config.window_len, config.windows)
-    if not cov.ok:
-        uncovered = [s for s, w in cov.placements.items() if w is None]
+    uncovered = coverage_check(config.gap_cap, config.window_len, config.windows)
+    if uncovered:
         raise ValueError(
             f"certificate: windows leave placements uncovered (first: {uncovered[0]}); refusing to run"
         )
@@ -357,15 +326,17 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             )
 
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
-    if state["completed_hi"] not in {2} | {shi for _, _, shi in jobs}:
+    done_hi, span = state["completed_hi"], 2 * config.segment_size
+    # a segment end is 2 + k * span below q_max + 1, after k segments (2 is the
+    # fresh state), or q_max + 1 itself, the end of the last, perhaps short, one
+    if done_hi != config.q_max + 1 and done_hi not in range(2, config.q_max + 1, span):
         raise ValueError(
-            f"checkpoint field completed_hi = {state['completed_hi']} does not align with segmentation"
+            f"checkpoint field completed_hi = {done_hi} does not align with segmentation"
         )
-    pending = [(slo, shi) for _, slo, shi in jobs if slo >= state["completed_hi"]]
-    pending = pending[:stop_after_segments]
+    pending = jobs[-(-(done_hi - 2) // span) :][:stop_after_segments]  # ceil: segments done
     results = ordered_map(
         _certificate_job,
-        [(slo, shi, config.gap_min, config.windows, config.smooth_bound) for slo, shi in pending],
+        [(slo, shi, config.gap_min, config.windows, config.smooth_bound) for _, slo, shi in pending],
         config.workers,
     )
 
@@ -395,7 +366,7 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     for key in keys:
         refuted.setdefault(key, 0)
     try:
-        for (_, shi), events in zip(pending, results):
+        for (_, _, shi), events in zip(pending, results):
             for q, gap, hits in events:
                 state["gap_prime_count"] += 1
                 if gap > config.gap_cap:

@@ -360,9 +360,8 @@ def _cmd_certify(args) -> int:
     config = certificate.CertificateConfig(**given)
     _echo("certify", dataclasses.asdict(config))
 
-    cov = certificate.coverage_check(config.gap_cap, config.window_len, config.windows)
-    if not cov.ok:
-        uncovered = sorted(s for s, w in cov.placements.items() if w is None)
+    uncovered = certificate.coverage_check(config.gap_cap, config.window_len, config.windows)
+    if uncovered:
         fields = config.output_fields()
         cfg = {key: fields[key] for key in ("gap_cap", "window_len", "windows")}
         print(_json_doc(cfg, {"coverage_ok": False, "uncovered_placements": uncovered}))

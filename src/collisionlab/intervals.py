@@ -10,7 +10,7 @@ When the two intervals overlap, the comparison is INDETERMINATE and can be
 retried through `evaluate(..., precise=True)`, which re-runs the same
 expression under mpmath's interval type at 55 significant digits.  Both
 evaluation contexts expose the same constructor surface (`decimal`,
-`integer`, `real`, `log`, `exp`, `sqrt`, `power`), so each formula is
+`integer`, `fraction`, `real`, `log`, `power`, `pi`), so each formula is
 written exactly once.
 
 Decimal constants must enter through `decimal("...")`: the literal 1.3132
@@ -268,12 +268,6 @@ class FloatContext:
     def log(self, v):
         return IntervalValue.of(v).log()
 
-    def exp(self, v):
-        return IntervalValue.of(v).exp()
-
-    def sqrt(self, v):
-        return IntervalValue.of(v).sqrt()
-
     def power(self, v, exponent):
         return IntervalValue.of(v).power(exponent)
 
@@ -304,12 +298,6 @@ class PreciseContext:
 
     def log(self, v):
         return self.iv.log(v)
-
-    def exp(self, v):
-        return self.iv.exp(v)
-
-    def sqrt(self, v):
-        return self.iv.sqrt(v)
 
     def power(self, v, exponent):
         if isinstance(exponent, int):

@@ -43,6 +43,7 @@ within the 1e-6 contract.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -258,17 +259,29 @@ class SegmentPlan:
         if self.segment_size < 1024:
             raise ValueError(f"SegmentPlan: segment_size too small: {self.segment_size}")
 
-    def jobs(self) -> list[tuple[int, int, int]]:
+    def jobs(self) -> Sequence[tuple[int, int, int]]:
+        """(index, lo, hi) of every segment, ascending, each made when it is read."""
+        return _SegmentJobs(self, range(self.lo, self.hi, 2 * self.segment_size))
+
+    def _job(self, start: int) -> tuple[int, int, int]:
         span = 2 * self.segment_size
-        out = []
-        x = self.lo
-        idx = 0
-        while x < self.hi:
-            y = min(x + span, self.hi)
-            out.append((idx, x, y))
-            idx += 1
-            x = y
-        return out
+        return (start - self.lo) // span, start, min(start + span, self.hi)
+
+
+class _SegmentJobs(Sequence):
+    """The jobs of a SegmentPlan whose segments start in `starts`."""
+
+    def __init__(self, plan: SegmentPlan, starts: range) -> None:
+        self._plan = plan
+        self._starts = starts
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _SegmentJobs(self._plan, self._starts[i])
+        return self._plan._job(self._starts[i])
 
 
 def primes_in(lo: int, hi: int) -> Iterator[int]:
@@ -292,9 +305,7 @@ def prime_count(x: int) -> int:
         return 0
     total = 0
     for _, slo, shi in SegmentPlan(2, x + 1).jobs():
-        total += int(_odd_prime_mask(slo | 1, shi).sum()) if slo > 2 else len(
-            _primes_array(slo, shi)
-        )
+        total += int(_odd_prime_mask(slo | 1, shi).sum()) + (slo == 2)
     return total
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from collisionlab import certificate
 from collisionlab.certificate import (
     CertificateConfig,
@@ -72,35 +73,28 @@ def test_config_hash_pinned():
 # coverage
 
 def test_coverage_default_geometry():
-    cov = coverage_check(456, 156, ((152, 156), (303, 308)))
-    assert cov.ok and bool(cov)
-    assert len(cov.placements) == 300
-    assert all(w is not None for w in cov.placements.values())
-    # the first window handles early placements, the second takes over later
-    assert cov.placements[0] == (152, 156)
-    assert cov.placements[299] == (303, 308)
+    assert coverage_check(456, 156, ((152, 156), (303, 308))) == []
+    # the first window handles the early placements 0..151, the second the
+    # later ones 152..299; each alone leaves the other's placements open
+    assert coverage_check(456, 156, ((152, 156),)) == list(range(152, 300))
+    assert coverage_check(456, 156, ((303, 308),)) == list(range(152))
 
 
 def test_coverage_single_placement():
-    cov = coverage_check(157, 156, ((152, 156), (303, 308)))
-    assert cov.ok
-    assert list(cov.placements) == [0]
+    assert coverage_check(157, 156, ((152, 156), (303, 308))) == []
+    assert coverage_check(157, 156, ((303, 308),)) == [0]
 
 
 def test_coverage_detects_hole():
-    cov = coverage_check(456, 156, ((303, 308),))
-    assert not cov.ok
-    assert cov.placements[0] is None
-    assert cov.placements[152] == (303, 308)
+    # [310, 315] covers placements 159..309 only, so 152..158 stay open
+    assert coverage_check(456, 156, ((152, 156), (310, 315))) == list(range(152, 159))
 
 
 # ---------------------------------------------------------------------------
 # single-window refutation
 
 def test_refute_window_finds_first_witness():
-    r = refute_window(3, (1, 2), 3)
-    assert r is not None
-    assert (r.q, r.window, r.witness_offset, r.witness_prime) == (3, (1, 2), 2, 5)
+    assert refute_window(3, (1, 2), 3) == (2, 5)
 
 
 def test_refute_window_none_when_smooth():
@@ -108,21 +102,24 @@ def test_refute_window_none_when_smooth():
 
 
 def test_refute_window_known_gap_prime():
-    r1 = refute_window(17051707, (152, 156), 3427)
-    assert (r1.witness_offset, r1.witness_prime) == (152, 4201)
-    r2 = refute_window(17051707, (303, 308), 3427)
-    assert (r2.witness_offset, r2.witness_prime) == (303, 9421)
+    assert refute_window(17051707, (152, 156), 3427) == (152, 4201)
+    assert refute_window(17051707, (303, 308), 3427) == (303, 9421)
     assert (17051707 + 152) % 4201 == 0
     assert (17051707 + 303) % 9421 == 0
 
 
+def test_refute_window_refuses_elements_outside_the_batch():
+    # every element of the window must be an int64 of at least 2
+    assert refute_window(1, (1, 2), 3) is None  # 2 and 3 are both 3-smooth
+    assert refute_window(2**63 - 9, (1, 8), 3427) == oracles.refute_window(2**63 - 9, (1, 8), 3427)
+    for q, window in ((0, (1, 3)), (-5, (6, 8)), (2**63 - 8, (1, 8)), (100, (5, 4))):
+        with pytest.raises(ValueError, match="refute_window"):
+            refute_window(q, window, 3427)
+
+
 def _scalar_hits(qs, windows, bound):
-    """refute_window on each (q, window), in the batch's output layout."""
-    return [
-        [None if (r := refute_window(q, w, bound)) is None else (r.witness_offset, r.witness_prime)
-         for w in windows]
-        for q in qs
-    ]
+    """The trial-division reference on each (q, window), in the batch's output layout."""
+    return [[oracles.refute_window(q, w, bound) for w in windows] for q in qs]
 
 
 _windows = st.lists(
@@ -166,7 +163,7 @@ def test_refute_events_composite_cofactors_and_smooth_windows():
     assert got[4][1] == (303, 3433)
     for q, w, bound in smooth:
         assert certificate._refute_events(np.array([q], dtype=np.int64), w, bound) == [[None]]
-        assert refute_window(q, w[0], bound) is None
+        assert oracles.refute_window(q, w[0], bound) is None
     assert certificate._refute_events(np.empty(0, dtype=np.int64), windows, 3427) == []
 
 
@@ -285,6 +282,36 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert open(wit, "rb").read() == open(wit_ref, "rb").read()
 
 
+def test_witnessed_resume_drops_lines_past_the_checkpoint(tmp_path):
+    # a leg can write witness lines after its last checkpoint; the resume cuts
+    # the file back to the recorded length and appends from there
+    ck = str(tmp_path / "ck.json")
+    wit = tmp_path / "wit.jsonl"
+    cfg = small_config(checkpoint_path=ck, witness_path=str(wit))
+    run(cfg, stop_after_segments=5)
+    assert certificate.checkpoint_load(ck)["witness_bytes"] == wit.stat().st_size == 370
+    # longer than the 121 bytes the resume writes, so only a truncation removes it
+    junk = b'{"q":1,"window":"152-156","offset":152,"prime":3433,"note":"' + b"x" * 100 + b'"}\n'
+    with open(wit, "ab") as fh:
+        fh.write(junk)
+    resumed = run(cfg)
+
+    wit_ref = tmp_path / "wit_ref.jsonl"
+    reference = run(small_config(witness_path=str(wit_ref)))
+    assert resumed.to_json() == reference.to_json()
+    assert wit.read_bytes() == wit_ref.read_bytes()
+
+
+def test_rerun_of_finished_checkpoint_is_a_no_op(tmp_path):
+    ck = str(tmp_path / "ck.json")
+    cfg = small_config(checkpoint_path=ck)
+    first = run(cfg)
+    assert certificate.checkpoint_load(ck)["completed_hi"] == Q_SMALL + 1
+    again = run(cfg)
+    assert again.to_json() == first.to_json()
+    assert again.segments_done == again.segments_total == 8
+
+
 def test_checkpoint_rejects_other_config(tmp_path):
     ck = str(tmp_path / "ck.json")
     run(CertificateConfig(q_max=10**6, gap_min=500, checkpoint_path=ck))
@@ -295,12 +322,20 @@ def test_checkpoint_rejects_other_config(tmp_path):
 
 def test_checkpoint_rejects_misaligned_progress(tmp_path):
     ck = str(tmp_path / "ck.json")
-    cfg = CertificateConfig(q_max=10**6, gap_min=500, checkpoint_path=ck)
+    cfg = CertificateConfig(q_max=10**6, gap_min=500, checkpoint_path=ck, segment_size=1 << 16)
     state = certificate._fresh_state(cfg.config_hash())
-    state["completed_hi"] = 999  # not a segment boundary
+    span = 2 * cfg.segment_size
+    # not segment ends: inside the first segment, one past the first end,
+    # below the range, past its end, and where an end would be past the range
+    for done_hi in (999, 3 + span, 1, cfg.q_max + 2, 2 + 8 * span):
+        state["completed_hi"] = done_hi
+        certificate.checkpoint_save(ck, state)
+        with pytest.raises(ValueError, match="does not align"):
+            run(cfg)
+    state["completed_hi"] = 2 + span  # the first segment's end: the rest runs
     certificate.checkpoint_save(ck, state)
-    with pytest.raises(ValueError, match="does not align"):
-        run(cfg)
+    report = run(cfg)
+    assert (report.segments_done, report.segments_total) == (7, 8)
 
 
 def test_checkpoint_load_validates_schema(tmp_path):

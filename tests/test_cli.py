@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from collisionlab import sieve
+from collisionlab import __version__, sieve
 from collisionlab.arith import is_prime
 from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
@@ -39,6 +42,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("collisionlab ")
+
+
+def test_module_entry_point_prints_version():
+    src_dir = os.path.dirname(os.path.dirname(sieve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "collisionlab", "--version"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0
+    assert done.stdout == f"collisionlab {__version__}\n"
 
 
 def test_stderr_carries_config_echo(capsys):
@@ -228,6 +241,28 @@ def test_lemma_section4_partial_tuple_rejected(capsys):
     code, out, err = run_cli(capsys, ["lemma", "section4", "--k", "588", "--n", "100"])
     assert code == 3
     assert "--k alone" in err
+    # four of the five tuple flags: refused, nothing on stdout
+    argv = ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "--k alone" in err
+
+
+def test_lemma_section4_full_tuple(capsys):
+    argv = ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "section4: INDETERMINATE (margin 0)"
+    assert "hypotheses not met: l_small, scale" in out
+    assert '{"delta":0,"k":2,"l":1,"m":1,"n":7}' in err
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["version", "config", "report"]
+    assert doc["config"] == {"delta": 0, "n": 7, "m": 1, "k": 2, "l": 1}
+    assert doc["report"]["lemma"] == "section4"
+    assert doc["report"]["verdict"] == "INDETERMINATE"
+    assert doc["report"]["hypotheses"]["l_small"] is False
 
 
 def test_lemma_section5(capsys):
@@ -238,6 +273,11 @@ def test_lemma_section5(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "HOLDS"
     assert doc["l0"] == doc["l0"]  # finite
+    code, out, err = run_cli(capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.68"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("section5: HOLDS (margin ")
+    assert [line.split()[0] for line in lines[1:]] == ["l0", "lhs", "rhs"]
     code, out, err = run_cli(
         capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.9"]
     )

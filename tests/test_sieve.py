@@ -205,6 +205,25 @@ def test_segment_plan_covers_range():
     for (_, _, prev_hi), (_, lo, _) in zip(jobs, jobs[1:]):
         assert lo == prev_hi
     assert [idx for idx, _, _ in jobs] == list(range(len(jobs)))
+    assert list(jobs[-2:]) == [jobs[len(jobs) - 2], jobs[len(jobs) - 1]]
+    assert jobs[3:5][0] == jobs[3] and len(jobs[3:5]) == 2
+    with pytest.raises(IndexError):
+        jobs[len(jobs)]
+
+
+def test_segment_plan_jobs_are_lazy():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        jobs = sieve.SegmentPlan(2, 10**12).jobs()
+        count = len(jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 238419
+    assert peak < 1 << 20
+    assert jobs[-1] == (count - 1, 2 + (count - 1) * (1 << 22), 10**12)
 
 
 def test_segment_plan_validation():
@@ -218,6 +237,12 @@ def test_prime_count_pinned():
     assert sieve.prime_count(10**6) == PI_1E6
     assert sieve.prime_count(100) == 25
     assert sieve.prime_count(2) == 1
+    assert [sieve.prime_count(x) for x in (3, 4)] == [2, 2]
+    # the first segment is [2, 4194306): 4194301 and 4194319 are the primes around its end
+    first_end = 2 + 2 * sieve.DEFAULT_SEGMENT_ODDS
+    assert [sieve.prime_count(x) for x in (4194300, 4194301, first_end - 1, first_end, 4194319)] == [
+        295946, 295947, 295947, 295947, 295948
+    ]
 
 
 def test_prime_count_1e8_pinned():
