@@ -6,14 +6,14 @@ here is computed without rounding.  On top of that this module provides:
   * big binomial coefficients and Fibonacci numbers,
   * deterministic Miller-Rabin primality testing,
   * smoothness splitting (B-smooth part vs cofactor) by trial division,
-  * exact largest prime factor for trial-division-reachable inputs,
-  * Legendre valuations v_p(nu!),
-  * high-precision log(nu!) and log C(N, r) oracles used to test the
-    analytic bounds elsewhere in the package.
+    and the least prime factor of a cofactor above the bound,
+  * high-precision log(nu!) and log C(N, r) values: check31 sums its
+    factorials with the first and section4 reports the exact log product
+    with the second.
 
-The log oracles run on mpmath at a caller-chosen number of significant
-decimals and deliberately use direct summation (not Stirling) so they
-stay independent of the formulas they are used to check.
+Both logs run on mpmath at a caller-chosen number of significant
+decimals and deliberately use direct summation (not Stirling), so they
+stay independent of the Stirling brackets in bounds.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ __all__ = [
     "SmoothFactorization",
     "smooth_split",
     "least_prime_above",
-    "largest_prime_factor",
     "prime_factor_above",
-    "legendre_valuation",
     "log_factorial_exact",
-    "log_factorial_table",
     "log_binomial_exact",
 ]
 
@@ -126,13 +123,6 @@ class SmoothFactorization:
         return self.cofactor == 1
 
     @property
-    def smooth_part(self) -> int:
-        part = 1
-        for p, e in self.factors:
-            part *= p**e
-        return part
-
-    @property
     def least_prime_above(self) -> int | None:
         """Smallest prime factor of the cofactor (so above the bound), or None."""
         return least_prime_above(self.cofactor, self.bound)
@@ -201,40 +191,9 @@ def smooth_split(value: int, bound: int) -> SmoothFactorization:
     return SmoothFactorization(value, bound, tuple(factors), rem)
 
 
-def largest_prime_factor(value: int) -> int:
-    """Exact P(value): strip smallest prime factors until one is left.
-
-    Intended for inputs whose factors are reachable by trial division
-    (everything the certificate and the small oracles produce, 128-bit
-    scale); cryptographic semiprimes are out of scope.
-    """
-    if value < 2:
-        raise ValueError(f"largest_prime_factor: value must be >= 2, got {value}")
-    while True:
-        p = smooth_split(value, 1).least_prime_above
-        while value % p == 0:
-            value //= p
-        if value == 1:
-            return p
-
-
 def prime_factor_above(value: int, bound: int) -> int | None:
     """The smallest prime factor of `value` exceeding `bound`, or None."""
     return smooth_split(value, bound).least_prime_above if value >= 2 else None
-
-
-def legendre_valuation(p: int, nu: int) -> int:
-    """v_p(nu!) = sum over a >= 1 of floor(nu / p^a)."""
-    if not is_prime(p):
-        raise ValueError(f"legendre_valuation: p must be prime, got {p}")
-    if nu < 0:
-        raise ValueError(f"legendre_valuation: nu must be >= 0, got {nu}")
-    total = 0
-    q = p
-    while q <= nu:
-        total += nu // q
-        q *= p
-    return total
 
 
 def _work_dps(digits: int, magnitude_hint: int) -> int:
@@ -255,19 +214,6 @@ def log_factorial_exact(nu: int, digits: int = 30) -> mpmath.mpf:
     with mpmath.workdps(_work_dps(digits, nu)):
         total = mpmath.fsum(mpmath.log(i) for i in range(2, nu + 1))
         return +total
-
-
-def log_factorial_table(n_max: int, digits: int = 30) -> list[mpmath.mpf]:
-    """Cumulative [log 0!, log 1!, ..., log n_max!] by one summation pass."""
-    if n_max < 0:
-        raise ValueError(f"log_factorial_table: n_max must be >= 0, got {n_max}")
-    with mpmath.workdps(_work_dps(digits, n_max)):
-        out = [mpmath.mpf(0)] * (n_max + 1)
-        acc = mpmath.mpf(0)
-        for i in range(2, n_max + 1):
-            acc += mpmath.log(i)
-            out[i] = +acc
-        return out
 
 
 def log_binomial_exact(n: int, r: int, digits: int = 30) -> mpmath.mpf:

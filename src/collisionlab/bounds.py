@@ -49,6 +49,7 @@ __all__ = [
     "section5_thresholds",
     "dusart_interval",
     "central_binom_lower",
+    "central_binom_lower_expr",
     "central_binom_constant_check",
     "entropy_gap",
 ]
@@ -276,12 +277,12 @@ def central_binom_lower(n: int) -> IntervalValue:
     """
     if n < 500000:
         raise ValueError(f"central_binom_lower: n must be >= 500000, got {n}")
+    return evaluate(lambda cx: central_binom_lower_expr(cx, cx.integer(n)))
 
-    def build(cx):
-        nv = cx.integer(n)
-        return cx.decimal("1.3132") * nv - cx.log(nv) / 2 - cx.decimal("0.5359")
 
-    return evaluate(build)
+def central_binom_lower_expr(cx, v):
+    """The central_binom_lower expression at v, built in evaluation context cx."""
+    return cx.decimal("1.3132") * v - cx.log(v) / 2 - cx.decimal("0.5359")
 
 
 def central_binom_constant_check() -> Verdict:

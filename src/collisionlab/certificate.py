@@ -29,6 +29,7 @@ this at three worker counts).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -290,9 +291,11 @@ def _refute_events(qs: np.ndarray, windows: tuple[Window, ...], bound: int) -> l
     return [hits[i : i + len(windows)] for i in range(0, len(hits), len(windows))]
 
 
-def _certificate_job(args: tuple[int, int, int, tuple[Window, ...], int]) -> list:
-    """One segment: sieve gap events and attack them in every window."""
-    slo, shi, gap_min, windows, bound = args
+def _certificate_job(
+    job: tuple[int, int, int], gap_min: int, windows: tuple[Window, ...], bound: int
+) -> list:
+    """One segment (index, lo, hi): sieve gap events and attack them in every window."""
+    _, slo, shi = job
     ps, gaps = _segment_gap_events(slo, shi, gap_min)
     return list(zip(ps.tolist(), gaps.tolist(), _refute_events(ps, windows, bound)))
 
@@ -334,11 +337,10 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             f"checkpoint field completed_hi = {done_hi} does not align with segmentation"
         )
     pending = jobs[-(-(done_hi - 2) // span) :][:stop_after_segments]  # ceil: segments done
-    results = ordered_map(
-        _certificate_job,
-        [(slo, shi, config.gap_min, config.windows, config.smooth_bound) for _, slo, shi in pending],
-        config.workers,
+    segment_job = functools.partial(
+        _certificate_job, gap_min=config.gap_min, windows=config.windows, bound=config.smooth_bound
     )
+    results = ordered_map(segment_job, pending, config.workers)
 
     witness_fh = None
     digest = hashlib.sha256()

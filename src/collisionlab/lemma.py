@@ -15,7 +15,9 @@ on the true collision C(15,5) = C(14,6).  The same shift propagates into the
 second ratio inequality, whose right side must carry (k+m+delta), not
 (k+m+delta+1); check_lemma21 evaluates the shifted variant too, for
 reference, but gives it no verdict.  check_lemma23_smooth likewise checks
-both window conventions and attaches its verdict to the corrected one.
+both window conventions and attaches its verdict to the corrected one;
+index_windows gives each window as its range of offsets i, and the window
+holds n - i (S1) or n + i (S2).
 
 The two threshold computations live here as well: threshold_lemma32 locates
 the sign change that caps k+l, and nmax_lemma31 maximizes the implied bound
@@ -36,6 +38,7 @@ import numpy as np
 from . import arith, sieve
 from .bounds import (
     Section5Thresholds,
+    central_binom_lower_expr,
     f_stirling,
     log_g_upper_expr,
     pi_upper_dusart,
@@ -58,7 +61,6 @@ from .pool import ordered_map
 
 __all__ = [
     "LemmaReport",
-    "IndexWindow",
     "index_windows",
     "product_identity_check",
     "check_lemma21",
@@ -126,31 +128,15 @@ def _gated(lemma: str, hyp: dict[str, bool], lhs=_ZERO, rhs=_ZERO, extra="") -> 
     return LemmaReport(lemma, hyp, lhs, rhs, Verdict(INDETERMINATE, 0.0), notes)
 
 
-@dataclass(frozen=True, slots=True)
-class IndexWindow:
-    """One of the two integer windows whose product the collision divides.
+def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[range, range]:
+    """The offsets i of the two windows whose product the collision divides.
 
-    side S1 holds values n - i over the offsets; side S2 holds n + i.
+    S1 holds the values n - i, S2 holds n + i; shifted_s1 selects the
+    variant of S1 starting at m+1.
     """
-
-    side: str
-    offsets: range
-
-    def __post_init__(self) -> None:
-        if self.side not in ("S1", "S2"):
-            raise ValueError(f"IndexWindow side must be 'S1' or 'S2', got {self.side!r}")
-
-    def elements(self, t: ParamTuple) -> list[int]:
-        if self.side == "S1":
-            return [t.n - i for i in self.offsets]
-        return [t.n + i for i in self.offsets]
-
-
-def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[IndexWindow, IndexWindow]:
-    """The S1/S2 windows for t; shifted_s1 selects the variant starting at m+1."""
     s1 = range(t.m + 1, t.k + 1) if shifted_s1 else range(t.m, t.k)
     s2 = range(t.m0 + 1, t.k + t.l + 1)
-    return IndexWindow("S1", s1), IndexWindow("S2", s2)
+    return s1, s2
 
 
 def product_identity_check(t: ParamTuple) -> bool:
@@ -254,7 +240,7 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     k0 = t.k0
     s1, s2 = index_windows(t)
     s1_shifted, _ = index_windows(t, shifted_s1=True)
-    elements = s1.elements(t) + s2.elements(t)
+    elements = [t.n - i for i in s1] + [t.n + i for i in s2]
     if any(v < 1 for v in elements):
         raise ValueError(f"lemma23: window contains a nonpositive element for {t}")
 
@@ -282,10 +268,10 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
 
-    shifted_all = all(v == 1 or split(v).is_smooth for v in s1_shifted.elements(t) if v >= 1)
+    shifted_all = all(v == 1 or split(v).is_smooth for v in (t.n - i for i in s1_shifted) if v >= 1)
     notes = (
-        f"{detail}; S1 offsets {s1.offsets.start}..{s1.offsets.stop - 1}, "
-        f"S2 offsets {s2.offsets.start}..{s2.offsets.stop - 1}; "
+        f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, "
+        f"S2 offsets {s2.start}..{s2.stop - 1}; "
         f"shifted S1 window also smooth: {'yes' if shifted_all else 'no'}"
     )
     return LemmaReport("lemma23", hyp, lhs, rhs, verdict, notes)
@@ -418,8 +404,14 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not 3 <= self.k_min <= self.k_max:
             raise ValueError(f"GridConfig: bad k range [{self.k_min}, {self.k_max}]")
+        if self.dense_until < self.k_min:
+            raise ValueError(
+                f"GridConfig: dense_until must be >= k_min, got {self.dense_until} < {self.k_min}"
+            )
         if self.growth <= 1.0:
             raise ValueError(f"GridConfig: growth must exceed 1, got {self.growth}")
+        if self.l_samples < 1:
+            raise ValueError(f"GridConfig: l_samples must be >= 1, got {self.l_samples}")
         if self.pi_mode not in ("exact", "dusart"):
             raise ValueError(f"GridConfig: bad pi_mode {self.pi_mode!r}")
 
@@ -473,6 +465,12 @@ def _nmax_point(k: int, l: int, pi_iv: IntervalValue) -> Optional[float]:
 _NMAX_STRIPES = 32
 
 
+def _rank(cand: tuple[float, int, int]) -> tuple[float, int, int]:
+    """Order of grid maxima (ratio, k, l): larger ratio first, ties to the smaller (k, l)."""
+    ratio, k, l = cand
+    return ratio, -k, -l
+
+
 def _nmax_chunk(args: tuple) -> tuple[Optional[tuple[float, int, int]], int, int]:
     ks, cfg = args
     best: Optional[tuple[float, int, int]] = None
@@ -496,8 +494,9 @@ def _nmax_chunk(args: tuple) -> tuple[Optional[tuple[float, int, int]], int, int
             if ratio is None:
                 skipped += 1
                 continue
-            if best is None or ratio > best[0] or (ratio == best[0] and (k, l) < best[1:]):
-                best = (ratio, k, l)
+            cand = (ratio, k, l)
+            if best is None or _rank(cand) > _rank(best):
+                best = cand
     return best, points, skipped
 
 
@@ -515,26 +514,18 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     stripe = -(-len(ks) // _NMAX_STRIPES)
     chunks = [(ks[i : i + stripe], grid) for i in range(0, len(ks), stripe)]
 
-    best: Optional[tuple[float, int, int]] = None
-    points = 0
-    skipped = 0
-    for cand, pts, skp in ordered_map(_nmax_chunk, chunks, grid.workers):
-        points += pts
-        skipped += skp
-        if cand is None:
-            continue
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
-            best = cand
-    if best is None:
+    results = list(ordered_map(_nmax_chunk, chunks, grid.workers))
+    cands = [cand for cand, _, _ in results if cand is not None]
+    if not cands:
         raise ArithmeticError("nmax_lemma31: every grid point had a nonpositive denominator")
-    log_bound, k_at, l_at = best
+    log_bound, k_at, l_at = max(cands, key=_rank)
     return NmaxReport(
         n_max=math.exp(log_bound),
         log_n_max=log_bound,
         argmax_k=k_at,
         argmax_l=l_at,
-        points=points,
-        skipped=skipped,
+        points=sum(pts for _, pts, _ in results),
+        skipped=sum(skp for _, _, skp in results),
         pi_mode=grid.pi_mode,
     )
 
@@ -619,10 +610,11 @@ def section5_check(n: int, c: float) -> Section5Report:
     """Certify that any collision at this n must have l above (cn/log n)^(40/21).
 
     With l0 = (cn/log n)^(40/21), checks
-    (2n+l0)^(21/40) log(2n+l0) < 1.3132 n - log(n)/2 - 0.5359; the left side
-    increases in l, so a certified HOLDS here excludes every l <= l0.  l0 is
-    enclosed inside each evaluation context, so HOLDS covers the exact l0;
-    the report's l0 is the binary64 t_pow, for display.
+    (2n+l0)^(21/40) log(2n+l0) < 1.3132 n - log(n)/2 - 0.5359, whose right
+    side is the central_binom_lower floor; the left side increases in l, so
+    a certified HOLDS here excludes every l <= l0.  l0 is enclosed inside
+    each evaluation context, so HOLDS covers the exact l0; the report's l0
+    is the binary64 t_pow, for display.
     """
     thresholds = section5_thresholds(n, c)
     if not c < thresholds.c_star:
@@ -634,9 +626,6 @@ def section5_check(n: int, c: float) -> Section5Report:
         return cx.power(base, Fraction(21, 40)) * cx.log(base)
 
     verdict, lhs, rhs = certified_less(
-        lhs_build,
-        lambda cx: cx.decimal("1.3132") * cx.integer(n)
-        - cx.log(cx.integer(n)) / 2
-        - cx.decimal("0.5359"),
+        lhs_build, lambda cx: central_binom_lower_expr(cx, cx.integer(n))
     )
     return Section5Report(n, c, thresholds, thresholds.t_pow, lhs, rhs, verdict)

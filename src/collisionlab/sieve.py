@@ -1,13 +1,12 @@
-"""Segmented sieve of Eratosthenes with prime gaps and exact Chebyshev sums.
+"""Segmented sieve of Eratosthenes: prime counts, gap events, prime neighbours.
 
 The sieve works on odd numbers only, one numpy byte per odd entry, with a
 base prime table up to sqrt(hi).  Everything downstream is expressed over
 segments so ranges up to a few times 1e10 stay within desk memory:
 
-  * primes_in / prime_count         prime streams and exact pi(x)
+  * prime_count                     exact pi(x)
   * gap_scan                        events (p, d(p)) with d(p) >= min_gap
   * prime_neighbors                 nearest primes around a point
-  * chebyshev_exact / _tables       exact pi, theta, psi summations
 
 Segment mask: a segment starts as a slice (or np.tile) of one constant
 pattern that already strikes the multiples of 3..17; its period is 255255
@@ -32,16 +31,11 @@ Memory: the base prime table is seeded by a plain sieve up to 2^16 and
 grown one segment at a time, so building it never needs a byte per
 integer.  The int64 table itself remains: pi(sqrt(hi)) * 8 bytes, about
 0.4 GB at hi = 1e18 and 1.2 GB at hi = 2^63.
-
-Accuracy of theta/psi: per segment the prime logarithms are summed with
-math.fsum (correctly rounded), and the per-segment partials are fsum-ed
-again.  The only surviving error is the per-element rounding of log and
-the final rounding of each partial, bounded by ~5e-7 absolute at x = 1e9,
-within the 1e-6 contract.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,25 +49,17 @@ from .pool import ordered_map
 __all__ = [
     "GapEvent",
     "SegmentPlan",
-    "ChebyshevValues",
     "DEFAULT_SEGMENT_ODDS",
-    "EXACT_SUM_LIMIT",
     "base_primes",
     "prime_list",
     "primes_unbounded",
-    "primes_in",
     "prime_count",
     "prime_neighbors",
     "gap_scan",
-    "chebyshev_exact",
-    "chebyshev_tables",
 ]
 
 # odd entries per segment chunk (one numpy byte each); span is twice this
 DEFAULT_SEGMENT_ODDS = 1 << 21
-
-# directly-summed theta/psi are only offered up to this point
-EXACT_SUM_LIMIT = 10**9
 
 _MAX_SIEVE_POINT = 2**63 - 1
 
@@ -227,24 +213,6 @@ def _odd_prime_mask(lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def _primes_array(lo: int, hi: int) -> np.ndarray:
-    """Primes in the half-open range [lo, hi) as an int64 array."""
-    if hi <= lo or hi <= 2:
-        return np.empty(0, dtype=np.int64)
-    parts = []
-    if lo <= 2 < hi:
-        parts.append(np.array([2], dtype=np.int64))
-    olo = max(lo, 3)
-    if olo % 2 == 0:
-        olo += 1
-    if olo < hi:
-        mask = _odd_prime_mask(olo, hi)
-        parts.append(olo + 2 * np.flatnonzero(mask).astype(np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 @dataclass(frozen=True, slots=True)
 class SegmentPlan:
     """Tiling of [lo, hi) into fixed-span sieve segments."""
@@ -282,19 +250,6 @@ class _SegmentJobs(Sequence):
         if isinstance(i, slice):
             return _SegmentJobs(self._plan, self._starts[i])
         return self._plan._job(self._starts[i])
-
-
-def primes_in(lo: int, hi: int) -> Iterator[int]:
-    """All primes in the closed range [lo, hi], ascending, each once."""
-    if lo > hi:
-        raise ValueError(f"primes_in: lo > hi ({lo} > {hi})")
-    if lo < 2:
-        raise ValueError(f"primes_in: lo must be >= 2, got {lo}")
-    if hi > _MAX_SIEVE_POINT:
-        raise ValueError(f"primes_in: hi exceeds 63-bit sieve range: {hi}")
-    for _, slo, shi in SegmentPlan(lo, hi + 1).jobs():
-        for p in _primes_array(slo, shi).tolist():
-            yield p
 
 
 def prime_count(x: int) -> int:
@@ -398,8 +353,9 @@ def _segment_gap_events(slo: int, shi: int, min_gap: int) -> tuple[np.ndarray, n
     return np.concatenate(ps), np.concatenate(gaps)
 
 
-def _gap_job(args: tuple[int, int, int]) -> list[tuple[int, int]]:
-    ps, gaps = _segment_gap_events(*args)
+def _gap_job(job: tuple[int, int, int], min_gap: int) -> list[tuple[int, int]]:
+    _, slo, shi = job
+    ps, gaps = _segment_gap_events(slo, shi, min_gap)
     return list(zip(ps.tolist(), gaps.tolist()))
 
 
@@ -422,70 +378,6 @@ def gap_scan(
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
     if hi > _MAX_SIEVE_POINT + 1:
         raise ValueError(f"gap_scan: hi exceeds 63-bit sieve range: {hi} > 2**63")
-    jobs = [(slo, shi, min_gap) for _, slo, shi in SegmentPlan(lo, hi, segment_size).jobs()]
-    results = ordered_map(_gap_job, jobs, workers)
+    jobs = SegmentPlan(lo, hi, segment_size).jobs()
+    results = ordered_map(functools.partial(_gap_job, min_gap=min_gap), jobs, workers)
     return (GapEvent(p, g) for events in results for p, g in events)
-
-
-@dataclass(frozen=True, slots=True)
-class ChebyshevValues:
-    pi: int
-    theta: float
-    psi: float
-
-
-def chebyshev_exact(x: int) -> ChebyshevValues:
-    """Exact pi(x), theta(x) = sum log p, psi(x) = sum over p^e <= x of log p.
-
-    Direct summation over sieve output; see the module docstring for the
-    error budget (comfortably below 1e-6 absolute up to EXACT_SUM_LIMIT).
-    """
-    if x < 2:
-        raise ValueError(f"chebyshev_exact: x must be >= 2, got {x}")
-    if x > EXACT_SUM_LIMIT:
-        raise ValueError(f"chebyshev_exact: x={x} beyond exact summation limit {EXACT_SUM_LIMIT}")
-    pi = 0
-    partials: list[float] = []
-    for _, slo, shi in SegmentPlan(2, x + 1).jobs():
-        ps = _primes_array(slo, shi)
-        pi += len(ps)
-        if len(ps):
-            partials.append(math.fsum(np.log(ps.astype(np.float64)).tolist()))
-    theta = math.fsum(partials)
-    # prime powers p^e with e >= 2 only involve p <= sqrt(x)
-    power_terms: list[float] = []
-    for p in prime_list(math.isqrt(x)):
-        q = p * p
-        lp = math.log(p)
-        while q <= x:
-            power_terms.append(lp)
-            q *= p
-    psi = math.fsum(partials + power_terms)
-    return ChebyshevValues(pi, theta, psi)
-
-
-def chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays pi[0..n], theta[0..n], psi[0..n] for sweep-style checks.
-
-    Cumulative-sum float64 variant of chebyshev_exact: absolute error
-    stays below ~1e-4 at n = 1e7, which the sweeping property tests
-    account for with an explicit slack.  Memory guard at n <= 2e7.
-    """
-    if not 2 <= n <= 2 * 10**7:
-        raise ValueError(f"chebyshev_tables: n out of supported range: {n}")
-    ps = base_primes(n)
-    ind = np.zeros(n + 1, dtype=np.int64)
-    ind[ps] = 1
-    pi_t = np.cumsum(ind)
-    contrib = np.zeros(n + 1, dtype=np.float64)
-    logs = np.log(ps.astype(np.float64))
-    contrib[ps] = logs
-    theta_t = np.cumsum(contrib)
-    for p in prime_list(math.isqrt(n)):
-        lp = math.log(p)
-        q = p * p
-        while q <= n:
-            contrib[q] += lp
-            q *= p
-    psi_t = np.cumsum(contrib)
-    return pi_t, theta_t, psi_t

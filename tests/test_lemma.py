@@ -23,15 +23,11 @@ SATISFYING = [ParamTuple(0, 7, 1, 2, 1), ParamTuple(1, 51, 11, 12, 2)]
 def test_index_windows_elements():
     t = ParamTuple(0, 7, 1, 2, 1)
     s1, s2 = lemma.index_windows(t)
-    assert s1.elements(t) == [6]
-    assert s2.elements(t) == [9, 10]
+    assert (s1, s2) == (range(1, 2), range(2, 4))
+    assert [t.n - i for i in s1] == [6]
+    assert [t.n + i for i in s2] == [9, 10]
     s1_shifted, _ = lemma.index_windows(t, shifted_s1=True)
-    assert s1_shifted.elements(t) == [5]
-
-
-def test_index_window_side_validated():
-    with pytest.raises(ValueError):
-        lemma.IndexWindow("S3", range(1, 2))
+    assert [t.n - i for i in s1_shifted] == [5]
 
 
 def test_product_identity_pinned():
@@ -167,7 +163,7 @@ def test_check23_k0_below_two_sweep():
         if t.k0 >= 2 or not check_eq12(t):
             continue
         s1, s2 = lemma.index_windows(t)
-        elements = s1.elements(t) + s2.elements(t)
+        elements = [t.n - i for i in s1] + [t.n + i for i in s2]
         big = [v for v in elements if v >= 2]
         if not big or min(elements) < 1:
             continue
@@ -250,6 +246,23 @@ def test_gridconfig_validation():
         lemma.GridConfig(growth=1.0)
     with pytest.raises(ValueError):
         lemma.GridConfig(pi_mode="estimate")
+
+
+def test_gridconfig_refuses_grids_that_leave_their_range():
+    # the geometric band would start at dense_until = 600, below k_min
+    with pytest.raises(ValueError, match="dense_until"):
+        lemma.GridConfig(k_min=700, k_max=800, dense_until=600, l_samples=4)
+    # no l values at all: every point would vanish from the grid
+    with pytest.raises(ValueError, match="l_samples"):
+        lemma.GridConfig(l_samples=0)
+    g = lemma.GridConfig(k_min=700, k_max=800, dense_until=700, l_samples=1)
+    assert g.k_values()[0] == 700
+    assert g.l_values(800000) == [1]
+
+
+def test_nmax31_ties_go_to_the_smallest_k_l():
+    cands = [(1.5, 600, 2), (1.5, 588, 3), (1.5, 588, 4), (0.5, 1, 1)]
+    assert max(cands, key=lemma._rank) == (1.5, 588, 3)
 
 
 def test_gridconfig_k_values_cover_band():

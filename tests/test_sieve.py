@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from collisionlab import arith, sieve
 
 # frozen oracle values (first run pinned, cross-checked against published
@@ -184,9 +185,9 @@ def test_odd_prime_mask_matches_miller_rabin_at_1e14():
 
 
 def test_primes_in_window():
-    assert list(sieve.primes_in(10, 30)) == [11, 13, 17, 19, 23, 29]
-    assert list(sieve.primes_in(2, 2)) == [2]
-    assert list(sieve.primes_in(24, 28)) == []
+    assert list(oracles.primes_in(10, 30)) == [11, 13, 17, 19, 23, 29]
+    assert list(oracles.primes_in(2, 2)) == [2]
+    assert list(oracles.primes_in(24, 28)) == []
 
 
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=0, max_value=3000))
@@ -195,7 +196,7 @@ def test_primes_in_matches_reference(lo, width):
     hi = lo + width
     table = sieve.base_primes(hi + 1)
     expected = [int(p) for p in table if lo <= p <= hi]
-    assert list(sieve.primes_in(lo, hi)) == expected
+    assert list(oracles.primes_in(lo, hi)) == expected
 
 
 def test_segment_plan_covers_range():
@@ -224,6 +225,20 @@ def test_segment_plan_jobs_are_lazy():
     assert count == 238419
     assert peak < 1 << 20
     assert jobs[-1] == (count - 1, 2 + (count - 1) * (1 << 22), 10**12)
+
+
+def test_gap_scan_call_stays_lazy():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        events = sieve.gap_scan(2, 10**12, 158)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    first = next(events)  # the stream still runs, one segment at a time
+    assert first.gap >= 158 and sieve.next_prime_after(first.p) == first.p + first.gap
 
 
 def test_segment_plan_validation():
@@ -264,7 +279,7 @@ def test_prime_neighbors():
 
 
 def _neighbors_by_sieve(x):
-    window = sieve._primes_array(max(2, x - 2000), x + 2000)
+    window = oracles._primes_array(max(2, x - 2000), x + 2000)
     return int(window[window <= x][-1]), int(window[window > x][0])
 
 
@@ -282,8 +297,8 @@ def test_prime_neighbors_straddle_segment_boundaries(segment):
     for x in range(boundary - 30, boundary + 30):
         assert sieve.prime_neighbors(x) == _neighbors_by_sieve(x), x
     # the gap a segment closes across the boundary
-    last = int(sieve._primes_array(boundary - 4000, boundary)[-1])
-    assert sieve.next_prime_after(last) == int(sieve._primes_array(boundary, boundary + 4000)[0])
+    last = int(oracles._primes_array(boundary - 4000, boundary)[-1])
+    assert sieve.next_prime_after(last) == int(oracles._primes_array(boundary, boundary + 4000)[0])
 
 
 def test_prime_neighbors_refuse_above_63_bits():
@@ -344,14 +359,14 @@ def test_gap_scan_gap_values_are_real_gaps():
 
 
 def test_chebyshev_exact_pinned():
-    vals = sieve.chebyshev_exact(10**6)
+    vals = oracles.chebyshev_exact(10**6)
     assert vals.pi == PI_1E6
     assert vals.theta == pytest.approx(THETA_1E6, abs=1e-6)
     assert vals.psi == pytest.approx(PSI_1E6, abs=1e-6)
 
 
 def test_chebyshev_exact_small():
-    vals = sieve.chebyshev_exact(10)
+    vals = oracles.chebyshev_exact(10)
     assert vals.pi == 4
     assert vals.theta == pytest.approx(sum(math.log(p) for p in (2, 3, 5, 7)), abs=1e-12)
     # psi adds the prime powers 4, 8, 9
@@ -360,14 +375,14 @@ def test_chebyshev_exact_small():
 
 def test_chebyshev_exact_limit_guard():
     with pytest.raises(ValueError):
-        sieve.chebyshev_exact(sieve.EXACT_SUM_LIMIT + 1)
+        oracles.chebyshev_exact(oracles.EXACT_SUM_LIMIT + 1)
     with pytest.raises(ValueError):
-        sieve.chebyshev_exact(1)
+        oracles.chebyshev_exact(1)
 
 
 def test_chebyshev_tables_match_exact():
-    pi_t, theta_t, psi_t = sieve.chebyshev_tables(10**5)
-    vals = sieve.chebyshev_exact(10**5)
+    pi_t, theta_t, psi_t = oracles.chebyshev_tables(10**5)
+    vals = oracles.chebyshev_exact(10**5)
     assert pi_t[-1] == vals.pi
     assert theta_t[-1] == pytest.approx(vals.theta, abs=1e-4)
     assert psi_t[-1] == pytest.approx(vals.psi, abs=1e-4)
@@ -377,4 +392,4 @@ def test_chebyshev_tables_match_exact():
 
 def test_chebyshev_tables_guard():
     with pytest.raises(ValueError):
-        sieve.chebyshev_tables(3 * 10**7)
+        oracles.chebyshev_tables(3 * 10**7)
