@@ -6,7 +6,6 @@ from .collision import (
     Representation,
     enumerate_collisions,
     fib_identity,
-    from_param,
     to_param,
 )
 from .intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict
@@ -20,7 +19,6 @@ __all__ = [
     "Representation",
     "enumerate_collisions",
     "fib_identity",
-    "from_param",
     "to_param",
     "IntervalValue",
     "Verdict",

@@ -290,7 +290,7 @@ def central_binom_constant_check() -> Verdict:
 
     def rate(cx):
         r = 2 / cx.decimal("0.735")
-        return cx.log(r * r / cx.power(r - 1, "1.265"))
+        return cx.log(r * r / cx.power(r - 1, cx.decimal("1.265")))
 
     verdict, _, _ = certified_less(lambda cx: cx.decimal("1.3132"), rate, strict=False)
     return verdict

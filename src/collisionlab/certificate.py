@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,7 +152,6 @@ def refute_window(q: int, window: Window, bound: int) -> Optional[tuple[int, int
 @dataclass(frozen=True, slots=True)
 class CertificateReport:
     config: CertificateConfig
-    coverage_ok: bool
     gap_prime_count: int
     refuted: dict[str, int]
     failures: tuple[tuple[int, Window], ...]
@@ -161,10 +159,9 @@ class CertificateReport:
     segments_done: int
     segments_total: int
     complete: bool
-    wall_time: float
 
     def to_json(self, version: Optional[str] = None) -> str:
-        """Canonical JSON; wall_time stays out so reruns are byte-identical."""
+        """Canonical JSON; run() refuses uncovered windows, so coverage_ok is always true."""
         payload: dict = {}
         if version is not None:
             payload["version"] = version
@@ -172,7 +169,7 @@ class CertificateReport:
             {
                 "config": self.config.output_fields(),
                 "config_hash": self.config.config_hash(),
-                "coverage_ok": self.coverage_ok,
+                "coverage_ok": True,
                 "gap_prime_count": self.gap_prime_count,
                 "refuted": self.refuted,
                 "failures": [[q, list(w)] for q, w in self.failures],
@@ -307,7 +304,6 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     babysitting) that ends the run early with complete=False; resuming from
     the checkpoint finishes it with output identical to an uninterrupted run.
     """
-    started = time.monotonic()
     if stop_after_segments is not None and stop_after_segments < 0:
         raise ValueError(
             f"certificate: stop_after_segments must be >= 0, got {stop_after_segments}"
@@ -401,7 +397,6 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
 
     return CertificateReport(
         config=config,
-        coverage_ok=True,
         gap_prime_count=state["gap_prime_count"],
         refuted=refuted,
         failures=tuple((q, tuple(w)) for q, w in state["failures"]),
@@ -409,5 +404,4 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
         segments_done=state["segments_done"],
         segments_total=len(jobs),
         complete=state["segments_done"] == len(jobs),
-        wall_time=time.monotonic() - started,
     )

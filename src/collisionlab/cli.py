@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from typing import Optional
 
 from . import __version__, bounds, certificate, collision, lemma, sieve
@@ -367,10 +368,11 @@ def _cmd_certify(args) -> int:
         print(_json_doc(cfg, {"coverage_ok": False, "uncovered_placements": uncovered}))
         return EXIT_FAILS
 
+    started = time.monotonic()
     report = certificate.run(config, stop_after_segments=args.stop_after)
     print(report.to_json(version=__version__))
     if args.timing:
-        print(f"certify: {report.wall_time:.1f}s wall", file=sys.stderr)
+        print(f"certify: {time.monotonic() - started:.1f}s wall", file=sys.stderr)
     return EXIT_FAILS if report.failures or report.gap_cap_violations else EXIT_OK
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_collisions",
     "fib_identity",
     "to_param",
-    "from_param",
     "check_eq12",
     "record_json_line",
     "records_jsonl",
@@ -179,11 +178,6 @@ def to_param(x: int, a: int, y: int, b: int) -> ParamTuple:
     delta = y % 2
     n = (y - delta) // 2
     return ParamTuple(delta=delta, n=n, m=n - b, k=n - a, l=x - 2 * n)
-
-
-def from_param(t: ParamTuple) -> tuple[int, int, int, int]:
-    """Inverse of to_param: (x, a, y, b)."""
-    return 2 * t.n + t.l, t.n - t.k, 2 * t.n + t.delta, t.n - t.m
 
 
 def check_eq12(t: ParamTuple) -> bool:

@@ -11,7 +11,9 @@ retried through `evaluate(..., precise=True)`, which re-runs the same
 expression under mpmath's interval type at 55 significant digits.  Both
 evaluation contexts expose the same constructor surface (`decimal`,
 `integer`, `fraction`, `real`, `log`, `power`, `pi`), so each formula is
-written exactly once.
+written exactly once.  `power(v, e)` is exp(e log v) for a positive v, and
+its exponent e is itself a context value (`decimal(...)` or `fraction(...)`),
+so both contexts take the same path.
 
 Decimal constants must enter through `decimal("...")`: the literal 1.3132
 has no exact binary64 representation, and only the string constructor
@@ -103,10 +105,6 @@ class IntervalValue:
         return cls(_float_below(fr), _float_above(fr))
 
     @classmethod
-    def from_decimal(cls, text: str) -> "IntervalValue":
-        return cls.from_fraction(Fraction(text))
-
-    @classmethod
     def of(cls, value: Coercible) -> "IntervalValue":
         if isinstance(value, IntervalValue):
             return value
@@ -119,20 +117,6 @@ class IntervalValue:
         if isinstance(value, (str, Fraction)):
             return cls.from_fraction(Fraction(value))
         raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
-
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: Union[int, float, Fraction]) -> bool:
-        fr = Fraction(x)
-        return Fraction(self.lo) <= fr <= Fraction(self.hi)
 
     # -- ring operations (one outward step: IEEE round-nearest is 0.5 ulp) --
 
@@ -182,18 +166,6 @@ class IntervalValue:
 
     def exp(self) -> "IntervalValue":
         return IntervalValue(_dn(math.exp(self.lo), 2), _up(math.exp(self.hi), 2))
-
-    def sqrt(self) -> "IntervalValue":
-        if self.lo < 0.0:
-            raise ValueError(f"interval sqrt needs a nonnegative argument, got lo={self.lo}")
-        return IntervalValue(_dn(math.sqrt(self.lo), 1), _up(math.sqrt(self.hi), 1))
-
-    def power(self, exponent: Coercible) -> "IntervalValue":
-        """self**exponent for strictly positive self, via exp(e log self)."""
-        return (IntervalValue.of(exponent) * self.log()).exp()
-
-    def __repr__(self) -> str:
-        return f"IntervalValue({self.lo!r}, {self.hi!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,7 +224,7 @@ class FloatContext:
     def decimal(self, text: str) -> IntervalValue:
         got = self._decimal_cache.get(text)
         if got is None:
-            got = IntervalValue.from_decimal(text)
+            got = IntervalValue.of(text)
             self._decimal_cache[text] = got
         return got
 
@@ -269,7 +241,7 @@ class FloatContext:
         return IntervalValue.of(v).log()
 
     def power(self, v, exponent):
-        return IntervalValue.of(v).power(exponent)
+        return (exponent * self.log(v)).exp()
 
     def pi(self) -> IntervalValue:
         # math.pi is the correctly rounded double, so one ulp out each way encloses
@@ -300,13 +272,7 @@ class PreciseContext:
         return self.iv.log(v)
 
     def power(self, v, exponent):
-        if isinstance(exponent, int):
-            return v ** exponent
-        if isinstance(exponent, str):
-            exponent = self.iv.mpf(exponent)
-        elif isinstance(exponent, Fraction):
-            exponent = self.fraction(exponent)
-        return self.iv.exp(exponent * self.iv.log(v))
+        return self.iv.exp(exponent * self.log(v))
 
     def pi(self):
         return self.iv.pi

@@ -65,7 +65,6 @@ __all__ = [
     "product_identity_check",
     "check_lemma21",
     "check_lemma22",
-    "lemma22_conclusions",
     "check_lemma23_smooth",
     "check_lemma31",
     "lemma32_expression",
@@ -218,15 +217,6 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
     return LemmaReport("lemma22", hyp, lhs, rhs, verdict, notes)
 
 
-def lemma22_conclusions(t: ParamTuple) -> dict[str, bool]:
-    """The stated conclusions as exact predicates: 588 <= k < 0.00151 n, l < 0.00271 k."""
-    return {
-        "k_min": t.k >= 588,
-        "k_upper": 100000 * t.k < 151 * t.n,
-        "l_upper": 100000 * t.l < 271 * t.k,
-    }
-
-
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     """Every element of S1 and S2 must be k0-smooth.
 
@@ -325,7 +315,7 @@ def _lemma32(cx, F: int):
     fb = log_g_upper_expr(cx, cx.fraction(F - Fraction(147, 200) * (F - 1)))
     head = pi_bar * cx.log(cx.integer(2 * F - 1))
     count = cx.decimal("0.53") * (F - 1) - pi_bar
-    inner = cx.power(cx.integer(2 * F - 2), 1.5) - (2 * F - 1)
+    inner = cx.power(cx.integer(2 * F - 2), cx.decimal("1.5")) - (2 * F - 1)
     return head + fa + fb - count * cx.log(inner)
 
 
@@ -554,7 +544,8 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         cx.decimal("4.6623") * cx.integer(k) - cx.decimal("2.879") - cx.log(cx.integer(k))
     )
     upper_build = lambda cx: (
-        (cx.integer(k0) + 3 * cx.power(cx.integer(k0), 0.75)) * cx.log(cx.decimal("2.83"))
+        (cx.integer(k0) + 3 * cx.power(cx.integer(k0), cx.decimal("0.75")))
+        * cx.log(cx.decimal("2.83"))
     )
 
     exact_note = ""
@@ -621,9 +612,10 @@ def section5_check(n: int, c: float) -> Section5Report:
         raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
 
     def lhs_build(cx):
-        l0 = cx.power(cx.real(c) * cx.integer(n) / cx.log(cx.integer(n)), Fraction(40, 21))
+        ratio = cx.real(c) * cx.integer(n) / cx.log(cx.integer(n))
+        l0 = cx.power(ratio, cx.fraction(Fraction(40, 21)))
         base = 2 * cx.integer(n) + l0
-        return cx.power(base, Fraction(21, 40)) * cx.log(base)
+        return cx.power(base, cx.fraction(Fraction(21, 40))) * cx.log(base)
 
     verdict, lhs, rhs = certified_less(
         lhs_build, lambda cx: central_binom_lower_expr(cx, cx.integer(n))

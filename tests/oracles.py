@@ -9,6 +9,7 @@ x = 1e9, within the 1e-6 contract.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
@@ -17,6 +18,19 @@ from collisionlab import arith, sieve
 
 # directly-summed theta/psi are only offered up to this point
 EXACT_SUM_LIMIT = 10**9
+
+
+def width(iv) -> float:
+    return iv.hi - iv.lo
+
+
+def mid(iv) -> float:
+    return 0.5 * (iv.lo + iv.hi)
+
+
+def contains(iv, x) -> bool:
+    """Whether the exact value of x (int, float or Fraction) lies in iv."""
+    return Fraction(iv.lo) <= Fraction(x) <= Fraction(iv.hi)
 
 
 def pi_upper_dusart_floor(xs: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_certificate_job_near_top_of_range_matches_scalar():
 
 def test_run_pinned_small():
     report = run(small_config())
-    assert report.coverage_ok
+    assert json.loads(report.to_json())["coverage_ok"] is True
     assert report.gap_prime_count == 4
     assert report.refuted == {"152-156": 4, "303-308": 4}
     assert report.failures == ()

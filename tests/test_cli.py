@@ -446,7 +446,8 @@ def test_certify_stdout_deterministic(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     _, out3, _ = run_cli(capsys, argv + ["--threads", "2"])
-    assert out1 == out2 == out3
+    _, out4, _ = run_cli(capsys, argv + ["--windows", "152-156,,303-308"])  # empty pieces are skipped
+    assert out1 == out2 == out3 == out4
 
 
 def test_certify_coverage_failure(capsys):
@@ -669,6 +670,8 @@ def test_certify_refuses_qmax_past_int64(capsys):
 
 
 def test_certify_bad_windows_text(capsys):
-    code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", "152:156"])
-    assert code == 3
-    assert "expected A-B" in err
+    for text, message in (("152:156", "expected A-B"), (",", "empty window list")):
+        code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", text])
+        assert code == 3
+        assert out == ""
+        assert message in err

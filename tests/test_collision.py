@@ -95,7 +95,7 @@ def test_param_round_trip(records_25k):
                 if x <= y:
                     continue
                 t = collision.to_param(x, a, y, b)
-                assert collision.from_param(t) == (x, a, y, b)
+                assert (2 * t.n + t.l, t.n - t.k, 2 * t.n + t.delta, t.n - t.m) == (x, a, y, b)
                 assert collision.check_eq12(t)
 
 

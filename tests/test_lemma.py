@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import lemma
+from collisionlab import bounds, lemma
 from collisionlab.collision import ParamTuple, check_eq12
-from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE
+from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, evaluate
+from oracles import contains, mid, width
 
 # the two tuples from exhaustive small-n enumeration that satisfy every
 # hypothesis of the two-sided ratio test
@@ -65,8 +66,8 @@ def test_check21_holds_on_satisfying_tuples():
 def test_check21_pinned_values():
     report = lemma.check_lemma21(ParamTuple(0, 7, 1, 2, 1))
     # first inequality: log(15/10) vs 4/5; report carries that pair
-    assert report.lhs.mid == pytest.approx(math.log(1.5), abs=1e-12)
-    assert report.rhs.contains(0.8)
+    assert mid(report.lhs) == pytest.approx(math.log(1.5), abs=1e-12)
+    assert contains(report.rhs, 0.8)
     assert report.verdict.margin == pytest.approx(0.108499, abs=1e-5)
     assert "shifted-numerator variant" in report.notes
 
@@ -113,16 +114,6 @@ def test_check22_gating():
     assert not report.hypotheses["scale"]
     report2 = lemma.check_lemma22(500000, 0)
     assert not report2.hypotheses["k_range"]
-
-
-def test_lemma22_conclusions_predicates():
-    t = ParamTuple(0, 10**6, 100, 1000, 2)
-    conc = lemma.lemma22_conclusions(t)
-    assert conc == {"k_min": True, "k_upper": True, "l_upper": True}
-    t2 = ParamTuple(0, 10**6, 100, 587, 2)
-    assert not lemma.lemma22_conclusions(t2)["k_min"]
-    t3 = ParamTuple(0, 10**6, 100, 1000, 3)
-    assert not lemma.lemma22_conclusions(t3)["l_upper"]
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +180,22 @@ def test_check31_dusart_mode():
     assert report.verdict.state == HOLDS
 
 
+@pytest.mark.parametrize(
+    "check, t, state, note",
+    [
+        (lemma.check_lemma31, ParamTuple(0, 5, 0, 5, 1), INDETERMINATE, "hypotheses not met: n_gt_k"),
+        (lemma.check_lemma31, ParamTuple(0, 10, 0, 1, 0), FAILS, "pi(k0) = 0 (k0 < 2)"),
+        (lemma.section4_check, ParamTuple(0, 10, 0, 0, 0), INDETERMINATE,
+         "hypotheses not met: ordering, scale, cube, k_positive"),
+    ],
+    ids=["check31-n-not-above-k", "check31-k0-below-two", "section4-k-zero"],
+)
+def test_checker_edge_branches(check, t, state, note):
+    report = check(t)
+    assert report.verdict.state == state
+    assert note in report.notes
+
+
 def test_check31_rejects_unknown_mode():
     with pytest.raises(ValueError):
         lemma.check_lemma31(ParamTuple(0, 7, 1, 2, 1), pi_mode="table")
@@ -214,9 +221,9 @@ def test_lemma32_expression_signs():
 def test_lemma32_expression_precise_path():
     f64 = lemma.lemma32_expression(871155)
     mp = lemma.lemma32_expression(871155, precise=True)
-    assert mp.width < f64.width
+    assert width(mp) < width(f64)
     # the whole expression is re-evaluated in mpmath, not only its pieces
-    assert mp.width < 1e-12
+    assert width(mp) < 1e-12
     assert f64.lo <= mp.lo <= mp.hi <= f64.hi
 
 
@@ -352,17 +359,22 @@ def test_section5_pinned():
     assert rep.verdict.state == HOLDS
     assert rep.l0 == rep.thresholds.t_pow
     assert rep.lhs.hi < rep.rhs.lo
-    assert rep.lhs.mid == pytest.approx(1.081e9, rel=1e-3)
-    assert rep.rhs.mid == pytest.approx(1.3132e9, rel=1e-3)
+    assert mid(rep.lhs) == pytest.approx(1.081e9, rel=1e-3)
+    assert mid(rep.rhs) == pytest.approx(1.3132e9, rel=1e-3)
+
+
+def _section5_lhs(n, c):
+    """(2n + l0)^(21/40) log(2n + l0) at the exact l0 = (cn/log n)^(40/21)."""
+    l0 = (mpmath.mpf(c) * n / mpmath.log(n)) ** (mpmath.mpf(40) / 21)
+    base = 2 * n + l0
+    return base ** (mpmath.mpf(21) / 40) * mpmath.log(base)
 
 
 def test_section5_lhs_encloses_value_at_exact_l0():
     n, c = 10**9, 0.68
     rep = lemma.section5_check(n, c)
     with mpmath.workdps(50):
-        l0 = (mpmath.mpf(c) * n / mpmath.log(n)) ** (mpmath.mpf(40) / 21)
-        base = 2 * n + l0
-        exact = base ** (mpmath.mpf(21) / 40) * mpmath.log(base)
+        exact = _section5_lhs(n, c)
         assert rep.lhs.lo <= exact <= rep.lhs.hi
     assert rep.l0 == rep.thresholds.t_pow
 
@@ -372,6 +384,50 @@ def test_section5_rejects_c_at_or_above_star():
         lemma.section5_check(10**9, 0.69)
     with pytest.raises(ValueError):
         lemma.section5_check(10**9, 0.68943)
+
+
+# ---------------------------------------------------------------------------
+# the power builders in the mpmath context
+
+def _central_binom_rate():
+    r = 2 / mpmath.mpf("0.735")
+    return mpmath.log(r * r / (r - 1) ** mpmath.mpf("1.265"))
+
+
+def _section4_upper(k0):
+    return (k0 + 3 * mpmath.mpf(k0) ** mpmath.mpf("0.75")) * mpmath.log(mpmath.mpf("2.83"))
+
+
+_SECTION4_TUPLE = ParamTuple(0, 10**6, 7000, 10000, 2)
+
+
+@pytest.mark.parametrize(
+    "module, call, side, exact",
+    [
+        (lemma, lambda: lemma.section5_check(10**9, 0.68), 0, lambda: _section5_lhs(10**9, 0.68)),
+        (lemma, lambda: lemma.section5_check(123456789, 0.6), 0, lambda: _section5_lhs(123456789, 0.6)),
+        (bounds, bounds.central_binom_constant_check, 1, _central_binom_rate),
+        (lemma, lambda: lemma.section4_check(_SECTION4_TUPLE), 1, lambda: _section4_upper(_SECTION4_TUPLE.k0)),
+    ],
+    ids=["section5-lhs-1e9", "section5-lhs-123456789", "central-binom-rate", "section4-upper"],
+)
+def test_power_builders_precise_enclose_mpmath(monkeypatch, module, call, side, exact):
+    # each builder raises a context value to a context exponent; take it from
+    # the checker's certified_less call and run it in the mpmath context
+    builders = []
+    plain = module.certified_less
+
+    def spy(lhs, rhs, strict=True):
+        builders.append((lhs, rhs))
+        return plain(lhs, rhs, strict)
+
+    monkeypatch.setattr(module, "certified_less", spy)
+    call()
+    iv = evaluate(builders[0][side], precise=True)
+    with mpmath.workdps(80):
+        value = exact()
+        assert mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)
+    assert width(iv) <= 1e-12 * abs(mid(iv))
 
 
 # ---------------------------------------------------------------------------

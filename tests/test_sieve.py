@@ -251,8 +251,7 @@ def test_segment_plan_validation():
 def test_prime_count_pinned():
     assert sieve.prime_count(10**6) == PI_1E6
     assert sieve.prime_count(100) == 25
-    assert sieve.prime_count(2) == 1
-    assert [sieve.prime_count(x) for x in (3, 4)] == [2, 2]
+    assert [sieve.prime_count(x) for x in (0, 1, 2, 3, 4)] == [0, 0, 1, 2, 2]
     # the first segment is [2, 4194306): 4194301 and 4194319 are the primes around its end
     first_end = 2 + 2 * sieve.DEFAULT_SEGMENT_ODDS
     assert [sieve.prime_count(x) for x in (4194300, 4194301, first_end - 1, first_end, 4194319)] == [
@@ -319,6 +318,8 @@ def test_prime_count_and_gap_scan_refuse_above_63_bits(monkeypatch):
         sieve.prime_count(2**63)
     with pytest.raises(ValueError, match="63-bit"):
         sieve.gap_scan(2**63 - 100, 2**63 + 1, 2)
+    with pytest.raises(ValueError, match="min_gap must be >= 1"):
+        sieve.gap_scan(2, 100, 0)
     # the last points of the range still get as far as planning
     with pytest.raises(AssertionError, match="SegmentPlan built"):
         sieve.prime_count(2**63 - 1)
