@@ -242,8 +242,8 @@ def section5_thresholds(n: int, c: float) -> Section5Thresholds:
     """
     if n < 500000:
         raise ValueError(f"section5_thresholds: n must be >= 500000, got {n}")
-    if c <= 0:
-        raise ValueError(f"section5_thresholds: c must be positive, got {c}")
+    if not 0 < c < math.inf:  # also refuses NaN
+        raise ValueError(f"section5_thresholds: c must be positive and finite, got {c}")
     t_log2 = n * (1.3132 * math.log(2 * n) ** 2 - 2.00271)
     t_pow = (c * n / math.log(n)) ** (40 / 21)
     c_star = float(Fraction("1.3132") * 21 / 40)

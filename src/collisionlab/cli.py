@@ -2,10 +2,12 @@
 
 Layout of every subcommand: data on stdout (or --out), diagnostics and the
 resolved-configuration echo on stderr, so stdout is byte-identical across
-reruns and worker counts.  Single-document outputs are compact JSON with a
-version field; streaming outputs are JSONL with schemas owned by the library
-modules.  Run defaults live in CertificateConfig and GridConfig: certify and
-lemma nmax31 pass on only the flags given, and each key=value line of a
+reruns and worker counts.  A run's config is its flags as parsed, less
+--json and the flags left unset, and the echo is that config.  Single-document
+outputs are compact JSON with a version field, written by _json_doc; streaming
+outputs are JSONL with schemas owned by the library modules.  Run defaults live
+in CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
+flags given and echo the resolved dataclass, and each key=value line of a
 certify --config file is parsed as the flag --key=value by the same parser.
 
 Exit codes: 0 success or certified HOLDS, 1 certified FAILS or certificate
@@ -31,11 +33,23 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _echo(subcommand: str, resolved: dict) -> None:
+def _echo(args, resolved: dict) -> None:
+    subcommand = " ".join(value for key, value in vars(args).items() if key.endswith("command"))
     line = f"collisionlab {__version__} {subcommand} " + json.dumps(
         resolved, separators=(",", ":"), sort_keys=True, default=str
     )
     print(line, file=sys.stderr)
+
+
+def _echo_config(args) -> dict:
+    """The run's config, its flags in parser order less --json and unset ones, echoed."""
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("func", "check", "json") and not key.endswith("command")
+    }
+    _echo(args, config)
+    return config
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -49,7 +63,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _json_doc(config: dict, body: dict) -> str:
     doc: dict = {"version": __version__, "config": config}
     doc.update(body)
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def _iv_pair(iv) -> list[float]:
@@ -60,9 +74,8 @@ def _iv_pair(iv) -> list[float]:
 # collision subcommands
 
 def _cmd_search(args) -> int:
-    cfg = {"max_value": args.max_value, "out": args.out}
     records = collision.enumerate_collisions(args.max_value)
-    _echo("search", cfg | {"records": len(records)})
+    _echo_config(args)
     _emit(collision.records_jsonl(records), args.out)
     return EXIT_OK
 
@@ -77,8 +90,7 @@ def _cmd_fib_family(args) -> int:
             "fib-family: members beyond i = 6 are too large to verify exactly here; "
             "use collision.fib_identity directly if you want to wait"
         )
-    cfg = {"count": args.count, "out": args.out}
-    _echo("fib-family", cfg)
+    _echo_config(args)
     lines = []
     for i in range(args.count):
         mem = collision.fib_identity(i)
@@ -93,9 +105,8 @@ def _cmd_fib_family(args) -> int:
 
 
 def _cmd_param(args) -> int:
-    cfg = {"x": args.x, "a": args.a, "y": args.y, "b": args.b}
     t = collision.to_param(args.x, args.a, args.y, args.b)
-    _echo("param", cfg)
+    cfg = _echo_config(args)
     body = {
         "tuple": {"delta": t.delta, "n": t.n, "m": t.m, "k": t.k, "l": t.l},
         "k0": t.k0,
@@ -111,17 +122,15 @@ def _cmd_param(args) -> int:
 # bounds subcommands
 
 def _cmd_bounds_pi_upper(args) -> int:
-    cfg = {"x": args.x, "precise": args.precise}
     iv = bounds.pi_upper_dusart(args.x, precise=args.precise)
-    _echo("bounds pi-upper", cfg)
+    cfg = _echo_config(args)
     print(_json_doc(cfg, {"lo": iv.lo, "hi": iv.hi}))
     return EXIT_OK
 
 
 def _cmd_bounds_stirling(args) -> int:
-    cfg = {"nu": args.nu, "precise": args.precise}
     lower, upper, f_val = bounds.stirling_log_bounds(args.nu, precise=args.precise)
-    _echo("bounds stirling", cfg)
+    cfg = _echo_config(args)
     body = {
         "log_g_lower": _iv_pair(lower),
         "log_g_upper": _iv_pair(upper),
@@ -132,9 +141,8 @@ def _cmd_bounds_stirling(args) -> int:
 
 
 def _cmd_bounds_thresholds(args) -> int:
-    cfg = {"n": args.n, "c": args.c}
     th = bounds.section5_thresholds(args.n, args.c)
-    _echo("bounds thresholds", cfg)
+    cfg = _echo_config(args)
     print(_json_doc(cfg, {"t_log2": th.t_log2, "t_pow": th.t_pow, "c_star": th.c_star}))
     return EXIT_OK
 
@@ -142,55 +150,31 @@ def _cmd_bounds_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 # lemma subcommands
 
-def _param_tuple(args) -> ParamTuple:
-    return ParamTuple(args.delta, args.n, args.m, args.k, args.l)
-
-
-def _tuple_cfg(args) -> dict:
-    return {"delta": args.delta, "n": args.n, "m": args.m, "k": args.k, "l": args.l}
-
-
-def _print_lemma(report: lemma.LemmaReport, as_json: bool, cfg: dict) -> int:
-    if as_json:
-        doc = {
-            "version": __version__,
-            "config": cfg,
-            "report": json.loads(report.to_json()),
+def _cmd_lemma_report(args) -> int:
+    """Run the checker that set_defaults chose on the flags; one LemmaReport as text or JSON."""
+    cfg = _echo_config(args)
+    if "delta" in cfg:  # a tuple checker: the five tuple flags make its ParamTuple
+        extra = {key: value for key, value in cfg.items() if key not in ("delta", "n", "m", "k", "l")}
+        report = args.check(ParamTuple(args.delta, args.n, args.m, args.k, args.l), **extra)
+    else:
+        report = args.check(**cfg)
+    if args.json:
+        body = {
+            "lemma": report.lemma,
+            "hypotheses": report.hypotheses,
+            "lhs": _iv_pair(report.lhs),
+            "rhs": _iv_pair(report.rhs),
+            "verdict": report.verdict.state,
+            "notes": report.notes,
         }
-        print(json.dumps(doc, separators=(",", ":")))
+        print(_json_doc(cfg, {"report": body}))
     else:
         print(report.to_text())
     return EXIT_FAILS if report.verdict.state == FAILS else EXIT_OK
 
 
-def _cmd_lemma_check21(args) -> int:
-    cfg = _tuple_cfg(args)
-    _echo("lemma check21", cfg)
-    return _print_lemma(lemma.check_lemma21(_param_tuple(args)), args.json, cfg)
-
-
-def _cmd_lemma_check22(args) -> int:
-    cfg = {"n": args.n, "k": args.k}
-    _echo("lemma check22", cfg)
-    return _print_lemma(lemma.check_lemma22(args.n, args.k), args.json, cfg)
-
-
-def _cmd_lemma_check23(args) -> int:
-    cfg = _tuple_cfg(args)
-    _echo("lemma check23", cfg)
-    return _print_lemma(lemma.check_lemma23_smooth(_param_tuple(args)), args.json, cfg)
-
-
-def _cmd_lemma_check31(args) -> int:
-    cfg = _tuple_cfg(args) | {"pi_mode": args.pi_mode}
-    _echo("lemma check31", cfg)
-    report = lemma.check_lemma31(_param_tuple(args), pi_mode=args.pi_mode)
-    return _print_lemma(report, args.json, cfg)
-
-
 def _cmd_lemma_threshold32(args) -> int:
-    cfg = {"lo": args.lo, "hi": args.hi}
-    _echo("lemma threshold32", cfg)
+    cfg = _echo_config(args)
     res = lemma.threshold_lemma32(args.lo, args.hi)
     body = {
         "f_star": res.f_star,
@@ -204,7 +188,7 @@ def _cmd_lemma_threshold32(args) -> int:
 def _cmd_lemma_nmax31(args) -> int:
     grid = lemma.GridConfig(**_given(args, lemma.GridConfig))
     cfg = dataclasses.asdict(grid)
-    _echo("lemma nmax31", cfg)
+    _echo(args, cfg)
     del cfg["workers"]  # stdout never depends on the worker count
     body = dataclasses.asdict(lemma.nmax_lemma31(grid))
     del body["pi_mode"]  # already in the config
@@ -217,19 +201,15 @@ def _cmd_lemma_section4(args) -> int:
     if any(v is not None for v in tuple_flags):
         if any(v is None for v in tuple_flags):
             raise ValueError("lemma section4: give all of --delta --n --m --k --l, or --k alone")
-        cfg = _tuple_cfg(args)
-        _echo("lemma section4", cfg)
-        return _print_lemma(lemma.section4_check(_param_tuple(args)), args.json, cfg)
-    cfg = {"k": args.k}
-    _echo("lemma section4", cfg)
+        return _cmd_lemma_report(args)
+    cfg = _echo_config(args)
     res = lemma.section4_contradiction(args.k)
     print(_json_doc(cfg, {"lhs": res.lhs, "rhs": res.rhs, "contradiction": res.contradiction}))
     return EXIT_OK
 
 
 def _cmd_lemma_section5(args) -> int:
-    cfg = {"n": args.n, "c": args.c}
-    _echo("lemma section5", cfg)
+    cfg = _echo_config(args)
     rep = lemma.section5_check(args.n, args.c)
     if args.json:
         body = {
@@ -253,14 +233,7 @@ def _cmd_lemma_section5(args) -> int:
 # sieve subcommands
 
 def _cmd_sieve_gaps(args) -> int:
-    cfg = {
-        "lo": args.lo,
-        "hi": args.hi,
-        "min_gap": args.min_gap,
-        "segment_size": args.segment_size,
-        "threads": args.threads,
-    }
-    _echo("sieve gaps", cfg)
+    _echo_config(args)
     lines = (
         json.dumps({"p": ev.p, "gap": ev.gap}, separators=(",", ":")) + "\n"
         for ev in sieve.gap_scan(
@@ -277,15 +250,13 @@ def _cmd_sieve_gaps(args) -> int:
 
 
 def _cmd_sieve_pi(args) -> int:
-    cfg = {"x": args.x}
-    _echo("sieve pi", cfg)
+    cfg = _echo_config(args)
     print(_json_doc(cfg, {"pi": sieve.prime_count(args.x)}))
     return EXIT_OK
 
 
 def _cmd_sieve_neighbors(args) -> int:
-    cfg = {"x": args.x}
-    _echo("sieve neighbors", cfg)
+    cfg = _echo_config(args)
     prev_p, next_p = sieve.prime_neighbors(args.x)
     print(_json_doc(cfg, {"prev": prev_p, "next": next_p, "gap": next_p - prev_p}))
     return EXIT_OK
@@ -359,7 +330,7 @@ def _cmd_certify(args) -> int:
     if "windows" in given:
         given["windows"] = _parse_windows(given["windows"])
     config = certificate.CertificateConfig(**given)
-    _echo("certify", dataclasses.asdict(config))
+    _echo(args, dataclasses.asdict(config))
 
     uncovered = certificate.coverage_check(config.gap_cap, config.window_len, config.windows)
     if uncovered:
@@ -444,24 +415,24 @@ def build_parser() -> argparse.ArgumentParser:
     l = lsub.add_parser("check21", help="two-sided log-ratio test on a parameter tuple")
     _add_tuple_flags(l)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_check21)
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma21)
 
     l = lsub.add_parser("check22", help="does this (n, k) force l = delta")
     l.add_argument("--n", type=int, required=True)
     l.add_argument("--k", type=int, required=True)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_check22)
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma22)
 
     l = lsub.add_parser("check23", help="smoothness of the window products")
     _add_tuple_flags(l)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_check23)
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma23_smooth)
 
     l = lsub.add_parser("check31", help="prime-factorization size bound")
     _add_tuple_flags(l)
     l.add_argument("--pi-mode", choices=("exact", "dusart"), default="exact")
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_check31)
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma31)
 
     l = lsub.add_parser("threshold32", help="crossover F* of the window-size expression")
     l.add_argument("--lo", type=int, default=10**4)
@@ -488,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--k", type=int, required=True)
     l.add_argument("--l", type=int, default=None)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_section4)
+    l.set_defaults(func=_cmd_lemma_section4, check=lemma.section4_check)
 
     l = lsub.add_parser("section5", help="central-binomial exclusion of small l at large n")
     l.add_argument("--n", type=int, required=True)

@@ -27,7 +27,6 @@ for n over a (k, l) grid.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,17 +93,6 @@ class LemmaReport:
     rhs: IntervalValue
     verdict: Verdict
     notes: str
-
-    def to_json(self) -> str:
-        payload = {
-            "lemma": self.lemma,
-            "hypotheses": self.hypotheses,
-            "lhs": [self.lhs.lo, self.lhs.hi],
-            "rhs": [self.rhs.lo, self.rhs.hi],
-            "verdict": self.verdict.state,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, separators=(",", ":"))
 
     def to_text(self) -> str:
         hyp = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in self.hypotheses.items())

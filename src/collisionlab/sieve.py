@@ -92,14 +92,11 @@ def _extend_base(old: np.ndarray, old_limit: int, limit: int) -> np.ndarray:
     out = np.empty(max(_pi_upper(limit), len(old)), dtype=np.int64)
     n = len(old)
     out[:n] = old
-    lo = (old_limit + 1) | 1
-    while lo <= limit:
-        hi = min(lo + 2 * DEFAULT_SEGMENT_ODDS, limit + 1)
+    for _, lo, hi in SegmentPlan((old_limit + 1) | 1, limit + 1).jobs():
         found = np.flatnonzero(_odd_prime_mask(lo, hi))
         np.multiply(found, 2, out=out[n : n + len(found)])
         out[n : n + len(found)] += lo
         n += len(found)
-        lo = hi
     out.resize(n, refcheck=False)  # in place; no view of `out` is alive
     return out
 

@@ -4,6 +4,7 @@ The per-criterion lines print outside pytest's capture, so they show up in
 any run; the test names carry the same numbering.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -241,6 +242,45 @@ CRITERION_13_THREADED = [
     ["certify", "--qmax", "30000000"],
 ]
 
+_TUPLE = ["--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"]
+
+# the full sha256 of each case's stdout and its exit code: a rerun only shows
+# that a run is stable, a pin shows that a change to the CLI kept every byte
+CRITERION_13_PINNED = [
+    *zip(CRITERION_13_CASES, [
+        "c4d457f880a448542333e781fa71afcb455ba9ab082a56c2c46f6aadb09ff59f",
+        "13d349c052b66fd952599b4bc4e2dc80355307b0c30169061d872217fed033fe",
+        "fe6af5a6ec999bbe99110d9990b63f990f827cb7d679083d20aa33cb1761ccf9",
+        "9565fe22b0fcba44119a6c435ad131aadea49205da75143d1dc9ecb6c1a03f88",
+        "f692718300d1afce4fde1b0342e1c937bc24e1689e613ea9d7ac995700bface5",
+        "600d57c6b3163615ae81fb57c1567f56fa9c10602b80363f6b8f268893ddc583",
+        "16619973b8128c2d2577c5d9f0062f1b293ff764e09a21e8bc78961166dcd532",
+        "1deb03fb67a434cadede2e276c10dc93e9ab18c4c2fb333d9b917926df1031f7",
+        "c5f9a707a4ed209896d3c17b2f832ad809bfbc4b6dfa9d35b4e4f5718b6d2520",
+        "4b620c5812816ca958970024333d6991775457bfa70c2cadcf606abeacec0fed",
+        "34ac0844c9c41f93275365d9507f56c9a52e6a7c42f380c9cdf449d1c48a5cc5",
+        "a1e58576e5da6c3064fbe2e1b6d669f8e5e5435987cf3472a80ec4a6be33c591",
+        "3c95a51ac8bcec01e57ba581fd6cebba98e39f3b42c9fc4b78ea264e1cb431f4",
+        "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",
+        "e70a6b94e45ba5ac4b72e7fce93967c286955c4120f65f46645a21a78b2053d3",
+        "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
+    ], [0] * len(CRITERION_13_CASES)),
+    (["lemma", "check21"] + _TUPLE,
+     "800b923a4fb4804de3bf34c6ded82dd6cd8074dbcc10e291b6b991a9f25ee54d", 0),
+    (["lemma", "check22", "--n", "500000", "--k", "587"],
+     "90e11877ada2da61e1b664dffdd5c4eb4c685bbab2cd5e29d373fcd1119c08aa", 0),
+    (["lemma", "check23"] + _TUPLE,
+     "10810eb831a3a665fca02f1974fc4ff083768418eb7e2f82191cd03e469b1786", 0),
+    (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"],
+     "14e03067f73f752a72b2e6328a36d7aa2323d48e75f7553c85cb52562534b3d8", 0),
+    (["lemma", "section4"] + _TUPLE,
+     "8825d19f800adc42111d418073b4964849d3260fbc087101c6d84e8541c2ad86", 0),
+    (["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
+     "ca92e7c66c36d52fe42977ee381f7f76ec6f39a0f638fdf8d4ddab12363f7bf0", 0),
+    (["certify", "--qmax", "30000000", "--windows", "303-308"],
+     "eb8784327ddeea57c211f8f7e4029566e4916a10a2b33d88d8e192734f18a9d6", 1),
+]
+
 
 def test_criterion_13_determinism(capsys):
     for argv in CRITERION_13_CASES:
@@ -255,5 +295,9 @@ def test_criterion_13_determinism(capsys):
         assert main(argv + ["--threads", "2"]) == 0
         threaded = capsys.readouterr().out
         assert serial == threaded, argv
+    for argv, digest, code in CRITERION_13_PINNED:
+        assert main(argv) == code, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
     _ok(13, f"{len(CRITERION_13_CASES)} subcommands byte-stable across reruns, "
-           f"{len(CRITERION_13_THREADED)} across thread counts")
+           f"{len(CRITERION_13_THREADED)} across thread counts, "
+           f"{len(CRITERION_13_PINNED)} stdout digests as pinned")

@@ -150,6 +150,12 @@ def test_section5_thresholds_pinned():
     assert th.t_pow == pytest.approx((0.68 * n / math.log(n)) ** (40 / 21), rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_section5_thresholds_refuses_c_not_positive_and_finite(c):
+    with pytest.raises(ValueError, match="positive and finite"):
+        bounds.section5_thresholds(10**9, c)
+
+
 def test_dusart_interval():
     x, hi = bounds.dusart_interval(10**6)
     assert x == 10**6

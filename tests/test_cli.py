@@ -1,5 +1,6 @@
 """CLI layer: argument handling, stream separation, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -55,12 +56,42 @@ def test_module_entry_point_prints_version():
     assert done.stdout == f"collisionlab {__version__}\n"
 
 
+# one run of every subcommand whose stdout is one JSON document with a config
+JSON_DOC_CASES = [
+    ["param", "--x", "15", "--a", "5", "--y", "14", "--b", "6"],
+    ["bounds", "pi-upper", "--x", "1742310", "--precise"],
+    ["bounds", "stirling", "--nu", "100"],
+    ["bounds", "thresholds", "--n", "1000000000", "--c", "0.68"],
+    ["lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
+    ["lemma", "check22", "--n", "500000", "--k", "588", "--json"],
+    ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
+    ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
+     "--pi-mode", "dusart", "--json"],
+    ["lemma", "threshold32", "--lo", "10000", "--hi", "1000000"],
+    ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4",
+     "--threads", "1"],
+    ["lemma", "section4", "--k", "588", "--json"],
+    ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
+    ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
+    ["sieve", "pi", "--x", "1000"],
+    ["sieve", "neighbors", "--x", "1000"],
+]
+
+# flags that choose where output goes, its format or the worker count, never its content
+_NOT_CONFIG = {"json", "out", "threads", "workers"}
+
+
 def test_stderr_carries_config_echo(capsys):
-    code, out, err = run_cli(capsys, ["sieve", "pi", "--x", "1000"])
-    assert code == 0
-    assert err.startswith("collisionlab ")
-    assert '"x":1000' in err
-    json.loads(out)  # stdout is pure data
+    for argv in JSON_DOC_CASES:
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 1), argv
+        subcommand = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+        assert err.startswith(f"collisionlab {__version__} {subcommand} {{"), argv
+        assert err.count("\n") == 1, argv
+        echo = json.loads(err[err.index("{"):])
+        config = json.loads(out)["config"]  # stdout is pure data
+        assert {key: echo[key] for key in config} == config, argv
+        assert set(echo) - set(config) <= _NOT_CONFIG, argv
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +204,22 @@ def test_bounds_thresholds(capsys):
     doc = json.loads(out)
     assert round(doc["c_star"], 5) == 0.68943
     assert doc["t_pow"] > doc["t_log2"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "thresholds", "--n", "1000000", "--c", "nan"], "positive and finite"),
+        (["bounds", "thresholds", "--n", "1000000", "--c", "inf"], "positive and finite"),
+        (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "not JSON compliant"),
+        (["lemma", "section4", "--k", str(10**308)], "not JSON compliant"),
+    ],
+    ids=["c-nan", "c-inf", "t_pow-overflows", "section4-lhs-overflows"],
+)
+def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

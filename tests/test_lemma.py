@@ -433,11 +433,13 @@ def test_power_builders_precise_enclose_mpmath(monkeypatch, module, call, side, 
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def test_lemma_report_json_shape():
+def test_lemma_report_json_shape(capsys):
     import json
 
-    report = lemma.check_lemma22(500000, 587)
-    payload = json.loads(report.to_json())
+    from collisionlab.cli import main
+
+    assert main(["lemma", "check22", "--n", "500000", "--k", "587", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["report"]
     assert list(payload) == ["lemma", "hypotheses", "lhs", "rhs", "verdict", "notes"]
     assert payload["verdict"] == "HOLDS"
     assert payload["lhs"][0] <= payload["lhs"][1]
