@@ -10,11 +10,20 @@ which is the form every checker in the lemma module consumes.  ParamTuple
 carries those five coordinates plus the derived smoothness bound
 k0 = 2(k + l) - delta - 1 and window trim m0 = max(m + delta, floor(l/2)),
 recomputed on the fly, never stored.
+
+check_eq12 decides that equation exactly.  Outside 0 <= r <= N on either
+side it is false (a zero binomial is no collision).  Inside, it first
+compares v_p of both sides for p = 2, 3, 5, 7, each read as a carry count
+by Kummer's theorem: v_p(C(N, r)) is the number of carries when r and N - r
+are added in base p.  A mismatch proves the binomials unequal without
+computing either; otherwise it falls through to big-integer equality, so
+every collision it reports is proved by the exact comparison.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -180,11 +189,38 @@ def to_param(x: int, a: int, y: int, b: int) -> ParamTuple:
     return ParamTuple(delta=delta, n=n, m=n - b, k=n - a, l=x - 2 * n)
 
 
+# small primes: v_p varies most there, and one mismatch settles a pair
+_KUMMER_PRIMES = (2, 3, 5, 7)
+
+
+def _carries(a: int, b: int, p: int) -> int:
+    """Carries when a, b >= 0 are added in base p: v_p(C(a + b, a)) by Kummer."""
+    count = carry = 0
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        carry = da + db + carry >= p
+        count += carry
+    return count
+
+
 def check_eq12(t: ParamTuple) -> bool:
-    """Exact test of C(2n+delta, n-m) = C(2n+l, n-k)."""
-    if t.n - t.m < 0 or t.n - t.k < 0:
+    """Exact test of C(2n+delta, n-m) = C(2n+l, n-k) as a collision.
+
+    False unless 0 <= r <= N holds on both sides, so two zero binomials are
+    not a collision.  Before the big-integer comparison, v_p of the two
+    sides is compared for each p in _KUMMER_PRIMES by carry counting; the
+    first mismatch returns False.  When all agree, the result is the exact
+    equality of the two binomials.
+    """
+    N1, r1 = 2 * t.n + t.delta, t.n - t.m
+    N2, r2 = 2 * t.n + t.l, t.n - t.k
+    if not (0 <= r1 <= N1 and 0 <= r2 <= N2):
         return False
-    return binomial(2 * t.n + t.delta, t.n - t.m) == binomial(2 * t.n + t.l, t.n - t.k)
+    for p in _KUMMER_PRIMES:
+        if _carries(r1, N1 - r1, p) != _carries(r2, N2 - r2, p):
+            return False
+    return math.comb(N1, r1) == math.comb(N2, r2)
 
 
 def record_json_line(record: CollisionRecord) -> str:

@@ -106,7 +106,7 @@ class IntervalValue:
 
     @classmethod
     def of(cls, value: Coercible) -> "IntervalValue":
-        if isinstance(value, IntervalValue):
+        if type(value) is IntervalValue:
             return value
         if isinstance(value, bool):
             raise TypeError("IntervalValue.of does not accept bool")
@@ -122,7 +122,9 @@ class IntervalValue:
 
     def __add__(self, other: Coercible) -> "IntervalValue":
         o = IntervalValue.of(other)
-        return IntervalValue(_dn(self.lo + o.lo, 1), _up(self.hi + o.hi, 1))
+        return IntervalValue(
+            math.nextafter(self.lo + o.lo, -_INF), math.nextafter(self.hi + o.hi, _INF)
+        )
 
     __radd__ = __add__
 
@@ -130,7 +132,10 @@ class IntervalValue:
         return IntervalValue(-self.hi, -self.lo)
 
     def __sub__(self, other: Coercible) -> "IntervalValue":
-        return self + (-IntervalValue.of(other))
+        o = IntervalValue.of(other)
+        return IntervalValue(
+            math.nextafter(self.lo - o.hi, -_INF), math.nextafter(self.hi - o.lo, _INF)
+        )
 
     def __rsub__(self, other: Coercible) -> "IntervalValue":
         return (-self) + IntervalValue.of(other)
@@ -143,7 +148,9 @@ class IntervalValue:
             self.hi * o.lo,
             self.hi * o.hi,
         )
-        return IntervalValue(_dn(min(products), 1), _up(max(products), 1))
+        return IntervalValue(
+            math.nextafter(min(products), -_INF), math.nextafter(max(products), _INF)
+        )
 
     __rmul__ = __mul__
 
@@ -151,7 +158,9 @@ class IntervalValue:
         o = IntervalValue.of(other)
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"interval division by [{o.lo}, {o.hi}] containing zero")
-        recip = IntervalValue(_dn(1.0 / o.hi, 1), _up(1.0 / o.lo, 1))
+        recip = IntervalValue(
+            math.nextafter(1.0 / o.hi, -_INF), math.nextafter(1.0 / o.lo, _INF)
+        )
         return self * recip
 
     def __rtruediv__(self, other: Coercible) -> "IntervalValue":

@@ -386,8 +386,8 @@ class GridConfig:
             raise ValueError(
                 f"GridConfig: dense_until must be >= k_min, got {self.dense_until} < {self.k_min}"
             )
-        if self.growth <= 1.0:
-            raise ValueError(f"GridConfig: growth must exceed 1, got {self.growth}")
+        if not (math.isfinite(self.growth) and self.growth > 1.0):
+            raise ValueError(f"GridConfig: growth must be finite and exceed 1, got {self.growth}")
         if self.l_samples < 1:
             raise ValueError(f"GridConfig: l_samples must be >= 1, got {self.l_samples}")
         if self.pi_mode not in ("exact", "dusart"):
@@ -553,7 +553,7 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     return LemmaReport("section4", hyp, lhs, rhs, verdict, notes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Section4Contradiction:
     k: int
     lhs: float

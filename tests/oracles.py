@@ -33,6 +33,15 @@ def contains(iv, x) -> bool:
     return Fraction(iv.lo) <= Fraction(x) <= Fraction(iv.hi)
 
 
+def legendre_valuation(N: int, r: int, p: int) -> int:
+    """v_p(C(N, r)) for 0 <= r <= N by Legendre: sum over i of floor(N/p^i) - floor(r/p^i) - floor((N-r)/p^i)."""
+    total, q = 0, p
+    while q <= N:
+        total += N // q - r // q - (N - r) // q
+        q *= p
+    return total
+
+
 def pi_upper_dusart_floor(xs: np.ndarray) -> np.ndarray:
     """Vectorized sound lower bound of the pi_upper_dusart expression.
 

@@ -327,14 +327,25 @@ def test_lemma_nmax31_growth_flag_sets_the_k_values(capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--k-min", "700", "--k-max", "800", "--dense-until", "600", "--l-samples", "4"],
-     ["--k-max", "700", "--dense-until", "700", "--l-samples", "0"]],
-    ids=["dense-until-below-k-min", "no-l-samples"],
+     ["--k-max", "700", "--dense-until", "700", "--l-samples", "0"],
+     ["--k-max", "700", "--dense-until", "600", "--growth", "nan", "--l-samples", "2"],
+     ["--k-max", "700", "--dense-until", "600", "--growth", "inf", "--l-samples", "2"]],
+    ids=["dense-until-below-k-min", "no-l-samples", "growth-nan", "growth-inf"],
 )
 def test_lemma_nmax31_refuses_grids_that_leave_their_range(capsys, flags):
     code, out, err = run_cli(capsys, ["lemma", "nmax31"] + flags)
     assert code == 3
     assert out == ""
     assert "GridConfig" in err
+
+
+def test_lemma_check23_zero_binomials_are_not_a_collision(capsys):
+    argv = ["lemma", "check23", "--delta", "0", "--n", "1", "--m", "-5", "--k", "-4", "--l", "1", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["hypotheses"] == {"eq12": False}
+    assert report["verdict"] == "INDETERMINATE"
 
 
 def test_lemma_section4_k_only(capsys):

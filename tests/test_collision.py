@@ -1,6 +1,8 @@
 """Collision enumeration, the infinite family, and the coordinate change."""
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from collisionlab import arith, collision
 from collisionlab.collision import CollisionRecord, ParamTuple, Representation
 
 from conftest import EXPECTED_TABLE
+from oracles import legendre_valuation
 
 
 def test_enumeration_matches_expected_table(records_25k):
@@ -139,6 +142,56 @@ def test_check_eq12_matches_direct_binomials(delta, n, m, k, l):
     rhs = arith.binomial(2 * n + l, n - k) if n - k >= 0 else None
     expected = lhs is not None and rhs is not None and lhs == rhs
     assert collision.check_eq12(t) == expected
+
+
+@st.composite
+def _binomial_index(draw):
+    N = draw(st.integers(min_value=0, max_value=10**6))
+    return N, draw(st.integers(min_value=0, max_value=N))
+
+
+@given(_binomial_index(), st.sampled_from((2, 3, 5, 7, 11)))
+@settings(max_examples=500)
+def test_carries_equal_legendre_valuation(index, p):
+    N, r = index
+    assert collision._carries(r, N - r, p) == legendre_valuation(N, r, p)
+
+
+def _comb_eq12(t: ParamTuple) -> bool:
+    """check_eq12 without the valuation pre-test: domain, then math.comb."""
+    N1, r1 = 2 * t.n + t.delta, t.n - t.m
+    N2, r2 = 2 * t.n + t.l, t.n - t.k
+    return 0 <= r1 <= N1 and 0 <= r2 <= N2 and math.comb(N1, r1) == math.comb(N2, r2)
+
+
+def test_check_eq12_equals_comb_comparison(records_25k):
+    # records_25k holds every collision below 10^6
+    known = []
+    for rec in records_25k:
+        for big in rec.reps:
+            for small in rec.reps:
+                if big.x > small.x:
+                    known.append(collision.to_param(big.x, big.a, small.x, small.a))
+    for i in (1, 2, 3):
+        mem = collision.fib_identity(i)
+        known.append(collision.to_param(mem.x, mem.a, mem.y, mem.b))
+    for t in known:
+        assert collision.check_eq12(t) and _comb_eq12(t), t
+    # workload-like non-collisions, with m and l reaching past their usual ranges
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        k = rng.randint(0, 120)
+        t = ParamTuple(rng.randrange(2), rng.randint(2 * k + 1, 4000), rng.randint(-3, k), k, rng.randint(-3, 40))
+        assert collision.check_eq12(t) == _comb_eq12(t), t
+
+
+def test_check_eq12_needs_r_within_n_on_both_sides():
+    # C(2, 6) = C(3, 5) = 0: both zero, not a collision
+    assert not collision.check_eq12(ParamTuple(0, 1, -5, -4, 1))
+    # C(2, 6) = 0 against C(3, 1) = 3
+    assert not collision.check_eq12(ParamTuple(0, 1, -5, 0, 1))
+    # N = 2n + l = -3 on the right, which arith.binomial refuses
+    assert not collision.check_eq12(ParamTuple(0, 1, 0, 0, -5))
 
 
 def test_jsonl_format_golden(records_25k):

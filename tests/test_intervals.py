@@ -75,6 +75,15 @@ def test_add_sub_mul_contain_exact(a, b):
     assert contains(ia * ib, fa * fb)
 
 
+@given(finite, finite, finite, finite)
+def test_sub_is_add_of_the_negation(a, b, c, d):
+    x = IntervalValue(min(a, b), max(a, b))
+    y = IntervalValue(min(c, d), max(c, d))
+    got, want = x - y, x + (-y)
+    # repr tells -0.0 from 0.0
+    assert (repr(got.lo), repr(got.hi)) == (repr(want.lo), repr(want.hi))
+
+
 @given(finite, finite)
 def test_div_contains_exact(a, b):
     ib = IntervalValue.of(b)
