@@ -201,6 +201,15 @@ def _fresh_state(config_hash: str) -> dict:
 
 
 _CHECKPOINT_SCHEMA: dict[str, type] = {name: type(value) for name, value in _fresh_state("").items()}
+# the form of each entry of the two list fields; int stands for a count
+_ENTRY_FORMS = {"failures": [int, [int, int]], "gap_cap_violations": [int, int]}
+
+
+def _fits(value, form) -> bool:
+    """Whether value has form: a count (an int >= 0, not a bool) for int, else a list fitting form entrywise."""
+    if form is int:
+        return type(value) is int and value >= 0
+    return type(value) is list and len(value) == len(form) and all(map(_fits, value, form))
 
 
 def checkpoint_save(path: str, state: dict) -> None:
@@ -216,11 +225,17 @@ def checkpoint_save(path: str, state: dict) -> None:
 def checkpoint_load(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
+    if type(state) is not dict:
+        raise ValueError("checkpoint is not a JSON object")
     for name, kind in _CHECKPOINT_SCHEMA.items():
         if name not in state:
             raise ValueError(f"checkpoint missing field: {name}")
-        if not isinstance(state[name], kind):
+        value = state[name]
+        if type(value) is not kind:
             raise ValueError(f"checkpoint field has wrong type: {name}")
+        entries = [value] if kind is int else value.values() if kind is dict else value if kind is list else []
+        if not all(_fits(e, _ENTRY_FORMS.get(name, int)) for e in entries):
+            raise ValueError(f"checkpoint field has a malformed value: {name}")
     return state
 
 
@@ -315,6 +330,7 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
         )
 
     cfg_hash = config.config_hash()
+    keys = [_window_key(w) for w in config.windows]
     state = _fresh_state(cfg_hash)
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         state = checkpoint_load(config.checkpoint_path)
@@ -323,6 +339,8 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
                 "checkpoint belongs to a different configuration "
                 f"({state['config_hash'][:12]}... != {cfg_hash[:12]}...)"
             )
+        if stray := sorted(set(state["refuted"]) - set(keys)):
+            raise ValueError(f"checkpoint field refuted names unconfigured windows: {', '.join(stray)}")
 
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
     done_hi, span = state["completed_hi"], 2 * config.segment_size
@@ -360,7 +378,6 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             witness_fh.seek(kept)
 
     refuted = state["refuted"]
-    keys = [_window_key(w) for w in config.windows]
     for key in keys:
         refuted.setdefault(key, 0)
     try:

@@ -61,7 +61,6 @@ from .pool import ordered_map
 __all__ = [
     "LemmaReport",
     "index_windows",
-    "product_identity_check",
     "check_lemma21",
     "check_lemma22",
     "check_lemma23_smooth",
@@ -124,14 +123,6 @@ def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[range, range
     s1 = range(t.m + 1, t.k + 1) if shifted_s1 else range(t.m, t.k)
     s2 = range(t.m0 + 1, t.k + t.l + 1)
     return s1, s2
-
-
-def product_identity_check(t: ParamTuple) -> bool:
-    """Exact product form of the collision equation; equivalent to check_eq12."""
-    left = math.prod(t.n - i for i in range(t.m, t.k))
-    left *= math.prod(2 * t.n + i for i in range(t.delta + 1, t.l + 1))
-    right = math.prod(t.n + i for i in range(t.m + t.delta + 1, t.k + t.l + 1))
-    return left == right
 
 
 def _frac_iv(num: int, den: int) -> IntervalValue:

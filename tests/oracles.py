@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from collisionlab import arith, sieve
+from collisionlab.collision import ParamTuple
 
 # directly-summed theta/psi are only offered up to this point
 EXACT_SUM_LIMIT = 10**9
@@ -40,6 +41,14 @@ def legendre_valuation(N: int, r: int, p: int) -> int:
         total += N // q - r // q - (N - r) // q
         q *= p
     return total
+
+
+def product_identity_check(t: ParamTuple) -> bool:
+    """Exact product form of the collision equation; equivalent to check_eq12."""
+    left = math.prod(t.n - i for i in range(t.m, t.k))
+    left *= math.prod(2 * t.n + i for i in range(t.delta + 1, t.l + 1))
+    right = math.prod(t.n + i for i in range(t.m + t.delta + 1, t.k + t.l + 1))
+    return left == right
 
 
 def pi_upper_dusart_floor(xs: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from collisionlab.collision import ParamTuple
 from collisionlab.intervals import HOLDS
 
 from conftest import EXPECTED_TABLE
-from oracles import chebyshev_exact, chebyshev_tables, pi_upper_dusart_floor
+from oracles import chebyshev_exact, chebyshev_tables, pi_upper_dusart_floor, product_identity_check
 
 
 _capture = None
@@ -130,11 +130,11 @@ def test_criterion_06_identity_equivalence():
         m = rng.randint(0, k)
         l = rng.randint(delta, delta + 40)
         t = ParamTuple(delta, n, m, k, l)
-        assert lemma.product_identity_check(t) == collision.check_eq12(t), t
+        assert product_identity_check(t) == collision.check_eq12(t), t
         checked += 1
     known = _ordered_collision_tuples()
     for t in known:
-        assert lemma.product_identity_check(t) and collision.check_eq12(t), t
+        assert product_identity_check(t) and collision.check_eq12(t), t
     _ok(6, f"{checked} random tuples plus {len(known)} known collisions, 100% agreement")
 
 

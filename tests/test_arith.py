@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import arith
+from collisionlab import arith, sieve
 from collisionlab.sieve import base_primes
 
 
@@ -170,11 +170,32 @@ def test_log_binomial_small_values_exact():
 
 
 def test_log_binomial_both_routes_match_lgamma():
-    # r = 19999 stays on the ratio-summation route, r = 50000 switches to
-    # the Legendre-valuation route; both must agree with lgamma.
+    # an off-centre and the central r at n = 10**5; both must agree with lgamma
     for n, r in [(10**5, 19999), (10**5, 50000)]:
         expected = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
         assert float(arith.log_binomial_exact(n, r)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_binomial_grid_matches_lgamma():
+    cases = [(n, r) for n in range(200) for r in range(n + 1)]
+    cases += [(10**5, r) for r in (19999, 20000, 20001)]
+    for n, r in cases:
+        expected = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+        assert float(arith.log_binomial_exact(n, r)) == pytest.approx(expected, rel=1e-12), (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(10**12, 30000), (2**63, 12345)])
+def test_log_binomial_huge_n_needs_no_prime_table(monkeypatch, n, r):
+    # a table of the primes <= n cannot be built at these n
+    def refuse(*args):
+        raise AssertionError("log_binomial_exact built a prime table")
+
+    monkeypatch.setattr(sieve, "prime_list", refuse)
+    monkeypatch.setattr(sieve, "base_primes", refuse)
+    got = arith.log_binomial_exact(n, r)
+    with mpmath.workdps(80):
+        expected = mpmath.log(mpmath.binomial(n, r))
+        assert abs(got - expected) < mpmath.mpf(10) ** (-30) * expected
 
 
 def test_log_binomial_rejects_bad_indices():

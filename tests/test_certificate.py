@@ -354,6 +354,13 @@ def test_checkpoint_load_validates_schema(tmp_path):
         certificate.checkpoint_load(ck)
 
 
+def test_checkpoint_load_refuses_a_document_that_is_no_object(tmp_path):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(list(certificate._fresh_state("deadbeef"))))
+    with pytest.raises(ValueError, match="not a JSON object"):
+        certificate.checkpoint_load(str(ck))
+
+
 def test_checkpoint_save_is_atomic(tmp_path):
     ck = str(tmp_path / "ck.json")
     state = certificate._fresh_state("deadbeef")

