@@ -79,9 +79,14 @@ class CertificateConfig:
             raise ValueError(f"certificate: q_max must be >= 3, got {self.q_max}")
         if not self.windows:
             raise ValueError("certificate: at least one window is required")
+        seen = set()
         for a, b in self.windows:
             if not 1 <= a <= b:
                 raise ValueError(f"certificate: malformed window [{a}, {b}]")
+            # a second copy would refute and witness every gap prime twice
+            if (a, b) in seen:
+                raise ValueError(f"certificate: window [{a}, {b}] is listed twice")
+            seen.add((a, b))
         # every window element q + b is an int64 in the refutation batch (and
         # the sieve stops at 2**63 - 1 anyway)
         reach = max(b for _, b in self.windows)
@@ -350,7 +355,14 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
         raise ValueError(
             f"checkpoint field completed_hi = {done_hi} does not align with segmentation"
         )
-    pending = jobs[-(-(done_hi - 2) // span) :][:stop_after_segments]  # ceil: segments done
+    done = -(-(done_hi - 2) // span)  # ceil: the last segment may be short
+    # a larger count would let a run report complete with segments unscanned
+    if state["segments_done"] > done:
+        raise ValueError(
+            f"checkpoint field segments_done = {state['segments_done']} exceeds "
+            f"the {done} segments that completed_hi = {done_hi} implies"
+        )
+    pending = jobs[done:][:stop_after_segments]
     segment_job = functools.partial(
         _certificate_job, gap_min=config.gap_min, windows=config.windows, bound=config.smooth_bound
     )

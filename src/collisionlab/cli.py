@@ -189,7 +189,6 @@ def _cmd_lemma_nmax31(args) -> int:
     grid = lemma.GridConfig(**_given(args, lemma.GridConfig))
     cfg = dataclasses.asdict(grid)
     _echo(args, cfg)
-    del cfg["workers"]  # stdout never depends on the worker count
     body = dataclasses.asdict(lemma.nmax_lemma31(grid))
     del body["pi_mode"]  # already in the config
     print(_json_doc(cfg, body))
@@ -449,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--growth", type=float)
     l.add_argument("--l-samples", type=int)
     l.add_argument("--pi-mode", choices=("exact", "dusart"))
-    l.add_argument("--threads", type=int, dest="workers")
     l.set_defaults(func=_cmd_lemma_nmax31)
 
     l = lsub.add_parser("section4", help="incompatible growth bounds for large k")

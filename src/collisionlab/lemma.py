@@ -56,7 +56,6 @@ from .intervals import (
     enclose_float,
     evaluate,
 )
-from .pool import ordered_map
 
 __all__ = [
     "LemmaReport",
@@ -368,7 +367,6 @@ class GridConfig:
     growth: float = 1.01
     l_samples: int = 64
     pi_mode: str = "dusart"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 3 <= self.k_min <= self.k_max:
@@ -415,58 +413,22 @@ class NmaxReport:
     claimed_bound: int = CLAIMED_N_BOUND
 
 
-def _nmax_point(k: int, l: int, pi_iv: IntervalValue) -> Optional[float]:
-    """Upper endpoint of the implied log(n-k) bound at one grid point."""
-    arg1 = Fraction(53 * k, 200)
+def _nmax_point(
+    k: int, l: int, pi_iv: IntervalValue, arg1: Fraction, f_arg1: IntervalValue, k53: IntervalValue
+) -> Optional[float]:
+    """Upper endpoint of the implied log(n-k) bound at one grid point.
+
+    arg1 = 53k/200, f_arg1 = f(arg1) and k53 = [53k/100] depend on k alone.
+    """
     num = (
         pi_iv * IntervalValue.from_int(2 * k + l).log()
-        + f_stirling(arg1)
+        + f_arg1
         + f_stirling(arg1 + (l - 1))
     )
-    den = IntervalValue.from_fraction(Fraction(53 * k, 100)) + (l - 1) - pi_iv
+    den = k53 + (l - 1) - pi_iv
     if den.lo <= 0.0:
         return None
     return (num / den).hi
-
-
-# the merge below is independent of how k is split, so the split need not
-# follow the worker count; 32 stripes keep a few-core pool balanced
-_NMAX_STRIPES = 32
-
-
-def _rank(cand: tuple[float, int, int]) -> tuple[float, int, int]:
-    """Order of grid maxima (ratio, k, l): larger ratio first, ties to the smaller (k, l)."""
-    ratio, k, l = cand
-    return ratio, -k, -l
-
-
-def _nmax_chunk(args: tuple) -> tuple[Optional[tuple[float, int, int]], int, int]:
-    ks, cfg = args
-    best: Optional[tuple[float, int, int]] = None
-    points = 0
-    skipped = 0
-    pi_exact = None
-    if cfg.pi_mode == "exact":
-        k0_max = 2 * (cfg.k_max + max(1, 271 * cfg.k_max // 100000)) - 1
-        pi_exact = sieve.base_primes(k0_max)
-    for k in ks:
-        for l in cfg.l_values(k):
-            k0 = 2 * (k + l) - 1
-            if cfg.pi_mode == "exact":
-                pi_iv = IntervalValue.from_int(
-                    int(np.searchsorted(pi_exact, k0, side="right"))
-                )
-            else:
-                pi_iv = pi_upper_dusart(k0)
-            ratio = _nmax_point(k, l, pi_iv)
-            points += 1
-            if ratio is None:
-                skipped += 1
-                continue
-            cand = (ratio, k, l)
-            if best is None or _rank(cand) > _rank(best):
-                best = cand
-    return best, points, skipped
 
 
 def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
@@ -477,24 +439,44 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     replaced per pi_mode.  log(n-k) <= [pi log(2k+l) + f(k-m) + f(l+k-m0)]
     / (2k+l-m-m0-pi); the report exponentiates the grid maximum.  Grid
     points with a nonpositive denominator carry no information and are
-    skipped; ties break toward the lexicographically smallest (k, l).
+    skipped.  One serial scan, k and then l ascending, keeps a point only
+    when it beats the best so far, so ties go to the smallest (k, l).
     """
-    ks = grid.k_values()
-    stripe = -(-len(ks) // _NMAX_STRIPES)
-    chunks = [(ks[i : i + stripe], grid) for i in range(0, len(ks), stripe)]
-
-    results = list(ordered_map(_nmax_chunk, chunks, grid.workers))
-    cands = [cand for cand, _, _ in results if cand is not None]
-    if not cands:
+    pi_exact = None
+    if grid.pi_mode == "exact":
+        k0_max = 2 * (grid.k_max + max(1, 271 * grid.k_max // 100000)) - 1
+        pi_exact = sieve.base_primes(k0_max)
+    best: Optional[tuple[float, int, int]] = None
+    points = 0
+    skipped = 0
+    for k in grid.k_values():
+        arg1 = Fraction(53 * k, 200)
+        f_arg1 = f_stirling(arg1)
+        k53 = IntervalValue.from_fraction(Fraction(53 * k, 100))
+        for l in grid.l_values(k):
+            k0 = 2 * (k + l) - 1
+            if pi_exact is not None:
+                pi_iv = IntervalValue.from_int(
+                    int(np.searchsorted(pi_exact, k0, side="right"))
+                )
+            else:
+                pi_iv = pi_upper_dusart(k0)
+            ratio = _nmax_point(k, l, pi_iv, arg1, f_arg1, k53)
+            points += 1
+            if ratio is None:
+                skipped += 1
+            elif best is None or ratio > best[0]:
+                best = (ratio, k, l)
+    if best is None:
         raise ArithmeticError("nmax_lemma31: every grid point had a nonpositive denominator")
-    log_bound, k_at, l_at = max(cands, key=_rank)
+    log_bound, k_at, l_at = best
     return NmaxReport(
         n_max=math.exp(log_bound),
         log_n_max=log_bound,
         argmax_k=k_at,
         argmax_l=l_at,
-        points=sum(pts for _, pts, _ in results),
-        skipped=sum(skp for _, _, skp in results),
+        points=points,
+        skipped=skipped,
         pi_mode=grid.pi_mode,
     )
 

@@ -1,9 +1,9 @@
 """The worker policy shared by every parallel scan in the package.
 
 `ordered_map` is the only place that decides how many processes run and
-in which order their results come back; the sieve's gap scan, the
-certificate run and the n-bound grid all go through it, so their output
-never depends on the worker count.
+in which order their results come back; the sieve's gap scan and the
+certificate run both go through it, so their output never depends on the
+worker count.
 """
 
 from __future__ import annotations

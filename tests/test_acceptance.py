@@ -237,8 +237,6 @@ CRITERION_13_CASES = [
 
 CRITERION_13_THREADED = [
     ["sieve", "gaps", "--lo", "2", "--hi", "20000000", "--min-gap", "150"],
-    ["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
-     "--l-samples", "4"],
     ["certify", "--qmax", "30000000"],
 ]
 
@@ -279,6 +277,9 @@ CRITERION_13_PINNED = [
      "ca92e7c66c36d52fe42977ee381f7f76ec6f39a0f638fdf8d4ddab12363f7bf0", 0),
     (["certify", "--qmax", "30000000", "--windows", "303-308"],
      "eb8784327ddeea57c211f8f7e4029566e4916a10a2b33d88d8e192734f18a9d6", 1),
+    (["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
+      "--l-samples", "4"],
+     "0b9cfd9704c04bb5d4a8e49734a04a4cd09af2d97a9286994fe07fe36e2fd7e9", 0),
 ]
 
 

@@ -68,8 +68,7 @@ JSON_DOC_CASES = [
     ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
      "--pi-mode", "dusart", "--json"],
     ["lemma", "threshold32", "--lo", "10000", "--hi", "1000000"],
-    ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4",
-     "--threads", "1"],
+    ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4"],
     ["lemma", "section4", "--k", "588", "--json"],
     ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
@@ -305,7 +304,7 @@ def test_lemma_nmax31_defaults_are_the_grid_defaults(capsys):
         "points", "skipped", "claimed_bound",
     ]
     assert (doc["points"], doc["skipped"]) == (113, 0)
-    assert '"workers":1' in err
+    assert '"workers"' not in err
 
 
 def test_lemma_nmax31_growth_flag_sets_the_k_values(capsys):
@@ -719,9 +718,11 @@ def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
         ("gap_cap_violations", [[17051707, True]], "checkpoint field has a malformed value: gap_cap_violations"),
         ("gap_prime_count", True, "checkpoint field has wrong type: gap_prime_count"),
         ("segments_done", -5, "checkpoint field has a malformed value: segments_done"),
+        # 8 of 8 with 2 scanned would report the run complete
+        ("segments_done", 8, "checkpoint field segments_done = 8 exceeds the 2 segments"),
     ],
     ids=["refuted-str", "refuted-stray-window", "failures-int", "violation-bool", "count-bool",
-         "count-negative"],
+         "count-negative", "count-past-completed-hi"],
 )
 def test_certify_resume_refuses_malformed_checkpoint_field(capsys, tmp_path, field, value, message):
     ck = tmp_path / "ck.json"
@@ -754,16 +755,22 @@ def test_certify_refuses_negative_stop_after(capsys, tmp_path):
     [
         ["certify", "--qmax", "30000000"],
         ["sieve", "gaps", "--lo", "2", "--hi", "1000000", "--min-gap", "80"],
-        ["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
-         "--l-samples", "4"],
     ],
-    ids=["certify", "sieve-gaps", "nmax31"],
+    ids=["certify", "sieve-gaps"],
 )
 def test_negative_threads_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--threads", "-2"])
     assert code == 3
     assert out == ""
     assert "workers must be >= 0" in err
+
+
+def test_lemma_nmax31_has_no_threads_flag(capsys):
+    argv = ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_refuses_qmax_past_int64(capsys):
@@ -774,7 +781,8 @@ def test_certify_refuses_qmax_past_int64(capsys):
 
 
 def test_certify_bad_windows_text(capsys):
-    for text, message in (("152:156", "expected A-B"), (",", "empty window list")):
+    for text, message in (("152:156", "expected A-B"), (",", "empty window list"),
+                          ("152-156,152-156,303-308", "window [152, 156] is listed twice")):
         code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", text])
         assert code == 3
         assert out == ""
