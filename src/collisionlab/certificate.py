@@ -244,15 +244,54 @@ def checkpoint_load(path: str) -> dict:
     return state
 
 
+def _check_consistent(state: dict, config: CertificateConfig, keys: list[str]) -> None:
+    """Refuse a loaded state whose fields contradict each other.
+
+    Every state run() saves passes: each gap prime below completed_hi adds
+    one to gap_prime_count and, in each window, either one refutation or one
+    failure, in ascending q; its gap-cap violation, if any, has gap > gap_cap.
+    """
+    hi = state["completed_hi"]
+    failures = [(q, _window_key(w)) for q, w in state["failures"]]
+    violations = state["gap_cap_violations"]
+    for name, entries in (("failures", failures), ("gap_cap_violations", violations)):
+        if past := [entry[0] for entry in entries if entry[0] >= hi]:
+            raise ValueError(f"checkpoint field {name} has q = {past[0]} at or past completed_hi = {hi}")
+    if any(a[0] > b[0] for a, b in zip(failures, failures[1:])):
+        raise ValueError("checkpoint field failures does not ascend in q")
+    if len(set(failures)) != len(failures):
+        raise ValueError("checkpoint field failures repeats a (q, window) pair")
+    if any(a[0] >= b[0] for a, b in zip(violations, violations[1:])):
+        raise ValueError("checkpoint field gap_cap_violations does not ascend in q")
+    if low := [gap for _, gap in violations if gap <= config.gap_cap]:
+        raise ValueError(
+            f"checkpoint field gap_cap_violations has gap = {low[0]} <= gap_cap = {config.gap_cap}"
+        )
+    count = state["gap_prime_count"]
+    for key in keys:
+        refuted, failed = state["refuted"].get(key, 0), sum(k == key for _, k in failures)
+        if refuted + failed != count:
+            raise ValueError(
+                f"checkpoint fields refuted, failures and gap_prime_count disagree: window {key} "
+                f"has {refuted} refutations and {failed} failures for {count} gap primes"
+            )
+
+
 def _prefix_sha256(path: str, size: int):
-    """sha256 of the first size bytes of path (of fewer if the file is shorter or missing)."""
-    digest = hashlib.sha256()
+    """sha256 and line count of the first size bytes of path; refuses a file shorter than that."""
+    digest, lines, left = hashlib.sha256(), 0, size
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            while size > 0 and (chunk := fh.read(min(size, 1 << 20))):
+            while left > 0 and (chunk := fh.read(min(left, 1 << 20))):
                 digest.update(chunk)
-                size -= len(chunk)
-    return digest
+                lines += chunk.count(b"\n")
+                left -= len(chunk)
+    # a resume would pad the file with NUL bytes up to size
+    if left > 0:
+        raise ValueError(
+            f"witness file {path} holds fewer than the {size} bytes the checkpoint recorded; refusing to resume"
+        )
+    return digest, lines
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +385,7 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             )
         if stray := sorted(set(state["refuted"]) - set(keys)):
             raise ValueError(f"checkpoint field refuted names unconfigured windows: {', '.join(stray)}")
+        _check_consistent(state, config, keys)
 
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
     done_hi, span = state["completed_hi"], 2 * config.segment_size
@@ -372,17 +412,18 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     digest = hashlib.sha256()
     if config.witness_path:
         path, kept = config.witness_path, state["witness_bytes"]
-        unwitnessed = 0 if kept else sum(state["refuted"].values())
-        if unwitnessed:
-            raise ValueError(
-                f"the checkpoint holds {unwitnessed} refutations written "
-                f"without a witness stream, so {path} would miss their lines; refusing to resume"
-            )
-        digest = _prefix_sha256(path, kept)
+        digest, lines = _prefix_sha256(path, kept)
         if digest.hexdigest() != state["witness_sha256"]:
             raise ValueError(
                 f"the first {kept} bytes of witness file {path} do not match "
                 "the sha256 the checkpoint recorded; refusing to resume"
+            )
+        # one line per refutation; a leg run without a witness stream saved
+        # 0 bytes, so its refutations have no lines here either
+        if lines != (refutations := sum(state["refuted"].values())):
+            raise ValueError(
+                f"checkpoint field refuted counts {refutations} refutations, but the first {kept} "
+                f"bytes of witness file {path} hold {lines} lines; refusing to resume"
             )
         witness_fh = open(path, "r+b" if kept else "wb")
         if kept:

@@ -3,12 +3,14 @@
 Layout of every subcommand: data on stdout (or --out), diagnostics and the
 resolved-configuration echo on stderr, so stdout is byte-identical across
 reruns and worker counts.  A run's config is its flags as parsed, less
---json and the flags left unset, and the echo is that config.  Single-document
-outputs are compact JSON with a version field, written by _json_doc; streaming
-outputs are JSONL with schemas owned by the library modules.  Run defaults live
-in CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
-flags given and echo the resolved dataclass, and each key=value line of a
-certify --config file is parsed as the flag --key=value by the same parser.
+--json and the flags left unset, and the echo is that config, written before
+the subcommand computes.  Each subparser's call names what it prints: one
+compact JSON document with a version field, printed by _cmd_doc, or one
+compact JSON line per row, written by _cmd_lines to stdout or --out.  Run
+defaults live in CertificateConfig and GridConfig: certify and lemma nmax31
+pass on only the flags given and echo the resolved dataclass, and each
+key=value line of a certify --config file is parsed as the flag --key=value by
+the same parser.
 
 Exit codes: 0 success or certified HOLDS, 1 certified FAILS or certificate
 failure, 2 usage error (argparse), 3 capability or runtime error.
@@ -17,6 +19,7 @@ failure, 2 usage error (argparse), 3 capability or runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -25,7 +28,7 @@ from typing import Optional
 
 from . import __version__, bounds, certificate, collision, lemma, sieve
 from .collision import ParamTuple
-from .intervals import FAILS
+from .intervals import FAILS, IntervalValue
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -46,18 +49,10 @@ def _echo_config(args) -> dict:
     config = {
         key: value
         for key, value in vars(args).items()
-        if value is not None and key not in ("func", "check", "json") and not key.endswith("command")
+        if value is not None and key not in ("func", "call", "check", "json") and not key.endswith("command")
     }
     _echo(args, config)
     return config
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_doc(config: dict, body: dict) -> str:
@@ -66,21 +61,52 @@ def _json_doc(config: dict, body: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
+def _cmd_doc(args) -> int:
+    """Echo the config, then print one JSON document with the body that args.call builds."""
+    cfg = _echo_config(args)
+    print(_json_doc(cfg, args.call(args)))
+    return EXIT_OK
+
+
+def _cmd_lines(args) -> int:
+    """Echo the config, then write each row of args.call as one compact JSON line.
+
+    The rows go to --out if it is given, else to stdout.  args.call checks
+    its flags before it returns, so a refused run leaves --out as it was.
+    """
+    _echo_config(args)
+    rows = args.call(args)
+    with (open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    return EXIT_OK
+
+
 def _iv_pair(iv) -> list[float]:
     return [iv.lo, iv.hi]
+
+
+def _fields(result, *drop: str) -> dict:
+    """A result dataclass as output: its fields in order, less drop, each interval as [lo, hi]."""
+    return {
+        f.name: _iv_pair(value) if isinstance(value := getattr(result, f.name), IntervalValue) else value
+        for f in dataclasses.fields(result)
+        if f.name not in drop
+    }
 
 
 # ---------------------------------------------------------------------------
 # collision subcommands
 
-def _cmd_search(args) -> int:
-    records = collision.enumerate_collisions(args.max_value)
-    _echo_config(args)
-    _emit(collision.records_jsonl(records), args.out)
-    return EXIT_OK
+def _search_rows(args):
+    # the outermost iterable is evaluated here, so max_value is checked at the call
+    return (
+        {"N": str(record.N), "reps": [[r.x, r.a] for r in record.reps]}
+        for record in collision.enumerate_collisions(args.max_value)
+    )
 
 
-def _cmd_fib_family(args) -> int:
+def _fib_rows(args):
     # Exact verification of member i multiplies ~10^(4.8 * phi^(2i)) digit
     # numbers; i = 6 is the last one that finishes in interactive time.
     if args.count < 1:
@@ -90,61 +116,26 @@ def _cmd_fib_family(args) -> int:
             "fib-family: members beyond i = 6 are too large to verify exactly here; "
             "use collision.fib_identity directly if you want to wait"
         )
-    _echo_config(args)
-    lines = []
-    for i in range(args.count):
-        mem = collision.fib_identity(i)
-        lines.append(
-            json.dumps(
-                {"i": i, "x": mem.x, "a": mem.a, "y": mem.y, "b": mem.b, "verified": mem.verified},
-                separators=(",", ":"),
-            )
-        )
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return EXIT_OK
+    return ({"i": i, **_fields(collision.fib_identity(i))} for i in range(args.count))
 
 
-def _cmd_param(args) -> int:
+def _param_doc(args) -> dict:
     t = collision.to_param(args.x, args.a, args.y, args.b)
-    cfg = _echo_config(args)
-    body = {
+    return {
         "tuple": {"delta": t.delta, "n": t.n, "m": t.m, "k": t.k, "l": t.l},
         "k0": t.k0,
         "m0": t.m0,
         "hypotheses": t.hypotheses(),
         "eq12": collision.check_eq12(t),
     }
-    print(_json_doc(cfg, body))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # bounds subcommands
 
-def _cmd_bounds_pi_upper(args) -> int:
-    iv = bounds.pi_upper_dusart(args.x, precise=args.precise)
-    cfg = _echo_config(args)
-    print(_json_doc(cfg, {"lo": iv.lo, "hi": iv.hi}))
-    return EXIT_OK
-
-
-def _cmd_bounds_stirling(args) -> int:
+def _stirling_doc(args) -> dict:
     lower, upper, f_val = bounds.stirling_log_bounds(args.nu, precise=args.precise)
-    cfg = _echo_config(args)
-    body = {
-        "log_g_lower": _iv_pair(lower),
-        "log_g_upper": _iv_pair(upper),
-        "f": _iv_pair(f_val),
-    }
-    print(_json_doc(cfg, body))
-    return EXIT_OK
-
-
-def _cmd_bounds_thresholds(args) -> int:
-    th = bounds.section5_thresholds(args.n, args.c)
-    cfg = _echo_config(args)
-    print(_json_doc(cfg, {"t_log2": th.t_log2, "t_pow": th.t_pow, "c_star": th.c_star}))
-    return EXIT_OK
+    return {"log_g_lower": _iv_pair(lower), "log_g_upper": _iv_pair(upper), "f": _iv_pair(f_val)}
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +164,22 @@ def _cmd_lemma_report(args) -> int:
     return EXIT_FAILS if report.verdict.state == FAILS else EXIT_OK
 
 
-def _cmd_lemma_threshold32(args) -> int:
-    cfg = _echo_config(args)
-    res = lemma.threshold_lemma32(args.lo, args.hi)
-    body = {
-        "f_star": res.f_star,
-        "value_at": _iv_pair(res.value_at),
-        "value_next": _iv_pair(res.value_next),
-    }
-    print(_json_doc(cfg, body))
-    return EXIT_OK
-
-
 def _cmd_lemma_nmax31(args) -> int:
     grid = lemma.GridConfig(**_given(args, lemma.GridConfig))
     cfg = dataclasses.asdict(grid)
     _echo(args, cfg)
-    body = dataclasses.asdict(lemma.nmax_lemma31(grid))
-    del body["pi_mode"]  # already in the config
-    print(_json_doc(cfg, body))
+    print(_json_doc(cfg, _fields(lemma.nmax_lemma31(grid), "pi_mode")))  # already in the config
     return EXIT_OK
 
 
 def _cmd_lemma_section4(args) -> int:
+    """The section4 checker's report on a full tuple, or the --k document."""
     tuple_flags = [args.delta, args.n, args.m, args.l]
     if any(v is not None for v in tuple_flags):
         if any(v is None for v in tuple_flags):
             raise ValueError("lemma section4: give all of --delta --n --m --k --l, or --k alone")
         return _cmd_lemma_report(args)
-    cfg = _echo_config(args)
-    res = lemma.section4_contradiction(args.k)
-    print(_json_doc(cfg, {"lhs": res.lhs, "rhs": res.rhs, "contradiction": res.contradiction}))
-    return EXIT_OK
+    return _cmd_doc(args)
 
 
 def _cmd_lemma_section5(args) -> int:
@@ -231,34 +206,9 @@ def _cmd_lemma_section5(args) -> int:
 # ---------------------------------------------------------------------------
 # sieve subcommands
 
-def _cmd_sieve_gaps(args) -> int:
-    _echo_config(args)
-    lines = (
-        json.dumps({"p": ev.p, "gap": ev.gap}, separators=(",", ":")) + "\n"
-        for ev in sieve.gap_scan(
-            args.lo, args.hi, args.min_gap, segment_size=args.segment_size, workers=args.threads
-        )
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        for line in lines:
-            sys.stdout.write(line)
-    return EXIT_OK
-
-
-def _cmd_sieve_pi(args) -> int:
-    cfg = _echo_config(args)
-    print(_json_doc(cfg, {"pi": sieve.prime_count(args.x)}))
-    return EXIT_OK
-
-
-def _cmd_sieve_neighbors(args) -> int:
-    cfg = _echo_config(args)
+def _neighbors_doc(args) -> dict:
     prev_p, next_p = sieve.prime_neighbors(args.x)
-    print(_json_doc(cfg, {"prev": prev_p, "next": next_p, "gap": next_p - prev_p}))
-    return EXIT_OK
+    return {"prev": prev_p, "next": next_p, "gap": next_p - prev_p}
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate all collisions up to a value bound")
     p.add_argument("--max-value", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_lines, call=_search_rows)
 
     p = sub.add_parser("fib-family", help="members of the infinite collision family")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fib_family)
+    p.set_defaults(func=_cmd_lines, call=_fib_rows)
 
     p = sub.add_parser("param", help="parametrize a collision pair C(x,a) = C(y,b)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=_cmd_param)
+    p.set_defaults(func=_cmd_doc, call=_param_doc)
 
     p = sub.add_parser("bounds", help="certified analytic bounds")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
@@ -396,17 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("pi-upper", help="prime-counting upper bound at x")
     b.add_argument("--x", type=str, required=True)
     b.add_argument("--precise", action="store_true")
-    b.set_defaults(func=_cmd_bounds_pi_upper)
+    b.set_defaults(func=_cmd_doc, call=lambda a: _fields(bounds.pi_upper_dusart(a.x, precise=a.precise)))
 
     b = bsub.add_parser("stirling", help="factorial log-bracketing at integer nu")
     b.add_argument("--nu", type=int, required=True)
     b.add_argument("--precise", action="store_true")
-    b.set_defaults(func=_cmd_bounds_stirling)
+    b.set_defaults(func=_cmd_doc, call=_stirling_doc)
 
     b = bsub.add_parser("thresholds", help="large-n cutoffs for a given leading constant")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--c", type=float, required=True)
-    b.set_defaults(func=_cmd_bounds_thresholds)
+    b.set_defaults(func=_cmd_doc, call=lambda a: _fields(bounds.section5_thresholds(a.n, a.c)))
 
     p = sub.add_parser("lemma", help="certified lemma checkers")
     lsub = p.add_subparsers(dest="lemma_command", required=True)
@@ -436,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = lsub.add_parser("threshold32", help="crossover F* of the window-size expression")
     l.add_argument("--lo", type=int, default=10**4)
     l.add_argument("--hi", type=int, default=10**7)
-    l.set_defaults(func=_cmd_lemma_threshold32)
+    l.set_defaults(func=_cmd_doc, call=lambda a: _fields(lemma.threshold_lemma32(a.lo, a.hi)))
 
     l = lsub.add_parser(
         "nmax31", help="maximize the n-bound over the (k, l) grid",
@@ -457,7 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--k", type=int, required=True)
     l.add_argument("--l", type=int, default=None)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_section4, check=lemma.section4_check)
+    l.set_defaults(
+        func=_cmd_lemma_section4,
+        check=lemma.section4_check,
+        call=lambda a: _fields(lemma.section4_contradiction(a.k), "k"),
+    )
 
     l = lsub.add_parser("section5", help="central-binomial exclusion of small l at large n")
     l.add_argument("--n", type=int, required=True)
@@ -475,15 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT_ODDS)
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_sieve_gaps)
+    s.set_defaults(
+        func=_cmd_lines,
+        call=lambda a: map(
+            _fields, sieve.gap_scan(a.lo, a.hi, a.min_gap, segment_size=a.segment_size, workers=a.threads)
+        ),
+    )
 
     s = ssub.add_parser("pi", help="exact prime count up to x")
     s.add_argument("--x", type=int, required=True)
-    s.set_defaults(func=_cmd_sieve_pi)
+    s.set_defaults(func=_cmd_doc, call=lambda a: {"pi": sieve.prime_count(a.x)})
 
     s = ssub.add_parser("neighbors", help="nearest primes around x")
     s.add_argument("--x", type=int, required=True)
-    s.set_defaults(func=_cmd_sieve_neighbors)
+    s.set_defaults(func=_cmd_doc, call=_neighbors_doc)
 
     p = sub.add_parser(
         "certify", help="run the prime-gap smoothness certificate", parents=[_certify_values()]

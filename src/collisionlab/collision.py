@@ -22,10 +22,8 @@ every collision it reports is proved by the exact comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .arith import binomial, fibonacci
 
@@ -38,8 +36,6 @@ __all__ = [
     "fib_identity",
     "to_param",
     "check_eq12",
-    "record_json_line",
-    "records_jsonl",
 ]
 
 
@@ -222,15 +218,3 @@ def check_eq12(t: ParamTuple) -> bool:
             return False
     return math.comb(N1, r1) == math.comb(N2, r2)
 
-
-def record_json_line(record: CollisionRecord) -> str:
-    """One JSONL line: {"N": "<decimal string>", "reps": [[x, a], ...]}."""
-    return json.dumps(
-        {"N": str(record.N), "reps": [[r.x, r.a] for r in record.reps]},
-        separators=(",", ":"),
-    )
-
-
-def records_jsonl(records: Iterable[CollisionRecord]) -> str:
-    """All records as JSONL text, one line each, trailing newline included."""
-    return "".join(record_json_line(r) + "\n" for r in records)

@@ -1,10 +1,13 @@
 """CLI layer: argument handling, stream separation, exit codes, determinism."""
 
+import hashlib
 import itertools
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -91,6 +94,28 @@ def test_stderr_carries_config_echo(capsys):
         config = json.loads(out)["config"]  # stdout is pure data
         assert {key: echo[key] for key in config} == config, argv
         assert set(echo) - set(config) <= _NOT_CONFIG, argv
+
+
+def _readme_examples():
+    """(argv, printed output) of each `$ collisionlab` example in README.md's code blocks."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    examples = []
+    for block in readme.read_text().split("```")[1::2]:
+        for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, _, printed = chunk.partition("\n")
+            examples.append((shlex.split(command)[1:], printed.rstrip("\n")))
+    return examples
+
+
+def test_readme_examples_replay(capsys):
+    replayed = []
+    for argv, printed in _readme_examples():
+        if not printed or "..." in printed:
+            continue  # an example with its output left out or elided
+        main(argv)
+        assert capsys.readouterr().out == printed + "\n", argv
+        replayed.append(argv[1] if argv[0] == "lemma" else argv[0])
+    assert replayed == ["search", "fib-family", "param", "check21", "check22"]
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +518,19 @@ def test_sieve_pi_and_gaps_refuse_points_above_63_bits(capsys, monkeypatch):
 
 
 def test_sieve_gaps_refused_run_keeps_out_file(capsys, tmp_path):
+    # every line subcommand checks its flags before the one line writer opens --out
     path = tmp_path / "f"
     path.write_bytes(b'{"p":2,"gap":1}\n')
-    argv = ["sieve", "gaps", "--lo", "5", "--hi", "3", "--min-gap", "2", "--out", str(path)]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 3
-    assert "need 2 <= lo < hi" in err
-    assert path.read_bytes() == b'{"p":2,"gap":1}\n'
+    for argv, message in (
+        (["sieve", "gaps", "--lo", "5", "--hi", "3", "--min-gap", "2"], "need 2 <= lo < hi"),
+        (["search", "--max-value", "5"], "v_max must be >= 6"),
+        (["fib-family", "--count", "0"], "count must be >= 1"),
+        (["fib-family", "--count", "8"], "too large to verify exactly"),
+    ):
+        code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
+        assert path.read_bytes() == b'{"p":2,"gap":1}\n', argv
 
 
 # ---------------------------------------------------------------------------
@@ -710,33 +741,88 @@ def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value, message",
+    "changes, message",
     [
-        ("refuted", {"152-156": "x", "303-308": 0}, "checkpoint field has a malformed value: refuted"),
-        ("refuted", {"152-156": 3, "1-9": 0}, "checkpoint field refuted names unconfigured windows: 1-9"),
-        ("failures", [5], "checkpoint field has a malformed value: failures"),
-        ("gap_cap_violations", [[17051707, True]], "checkpoint field has a malformed value: gap_cap_violations"),
-        ("gap_prime_count", True, "checkpoint field has wrong type: gap_prime_count"),
-        ("segments_done", -5, "checkpoint field has a malformed value: segments_done"),
+        ({"refuted": {"152-156": "x", "303-308": 0}}, "checkpoint field has a malformed value: refuted"),
+        ({"refuted": {"152-156": 3, "1-9": 0}}, "checkpoint field refuted names unconfigured windows: 1-9"),
+        ({"failures": [5]}, "checkpoint field has a malformed value: failures"),
+        ({"gap_cap_violations": [[17051707, True]]}, "checkpoint field has a malformed value: gap_cap_violations"),
+        ({"gap_prime_count": True}, "checkpoint field has wrong type: gap_prime_count"),
+        ({"segments_done": -5}, "checkpoint field has a malformed value: segments_done"),
         # 8 of 8 with 2 scanned would report the run complete
-        ("segments_done", 8, "checkpoint field segments_done = 8 exceeds the 2 segments"),
+        ({"segments_done": 8}, "checkpoint field segments_done = 8 exceeds the 2 segments"),
+        # the identities every saved state keeps (2 segments end at q = 8388610)
+        ({"gap_prime_count": 1}, "checkpoint fields refuted, failures and gap_prime_count disagree: window 152-156"),
+        ({"failures": [[8388610, [152, 156]]]}, "checkpoint field failures has q = 8388610 at or past completed_hi"),
+        ({"gap_cap_violations": [[8388610, 500]]}, "checkpoint field gap_cap_violations has q = 8388610 at or past"),
+        ({"failures": [[13, [152, 156]], [11, [303, 308]]]}, "checkpoint field failures does not ascend in q"),
+        ({"failures": [[11, [152, 156]], [11, [152, 156]]]}, "checkpoint field failures repeats a (q, window) pair"),
+        ({"gap_cap_violations": [[13, 500], [11, 500]]}, "checkpoint field gap_cap_violations does not ascend in q"),
+        ({"gap_cap_violations": [[11, 456]]}, "checkpoint field gap_cap_violations has gap = 456 <= gap_cap = 456"),
+        # the sha256 of the empty file it holds, but a length it never had
+        ({"witness_bytes": 100}, "holds fewer than the 100 bytes the checkpoint recorded"),
     ],
     ids=["refuted-str", "refuted-stray-window", "failures-int", "violation-bool", "count-bool",
-         "count-negative", "count-past-completed-hi"],
+         "count-negative", "count-past-completed-hi", "counts-disagree", "failure-past-completed-hi",
+         "violation-past-completed-hi", "failures-descending", "failure-repeated",
+         "violations-descending", "violation-within-cap", "witness-short"],
 )
-def test_certify_resume_refuses_malformed_checkpoint_field(capsys, tmp_path, field, value, message):
+def test_certify_resume_refuses_malformed_checkpoint_field(capsys, tmp_path, changes, message):
     ck = tmp_path / "ck.json"
-    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck)]
+    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck), "--witness", str(tmp_path / "w.jsonl")]
     code, out, err = run_cli(capsys, base + ["--stop-after", "2"])
     assert code == 0
     state = json.loads(ck.read_text())
-    state[field] = value
+    state.update(changes)
     ck.write_text(json.dumps(state))
     # both with segments still pending and on a finished checkpoint
     for stop_after in (["--stop-after", "0"], []):
         code, out, err = run_cli(capsys, base + stop_after)
         assert (code, out) == (3, "")
         assert message in err
+
+
+def test_certify_resume_refuses_witness_short_of_its_lines(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    wit = tmp_path / "wit.jsonl"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck), "--witness", str(wit)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "6"])
+    assert code == 0
+    # drop the last line, and record the shorter file's length and sha256 as
+    # the checkpoint's: only the line count still tells
+    kept = wit.read_bytes()[: wit.read_bytes().rindex(b"\n", 0, -1) + 1]
+    wit.write_bytes(kept)
+    state = json.loads(ck.read_text())
+    state.update(witness_bytes=len(kept), witness_sha256=hashlib.sha256(kept).hexdigest())
+    ck.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, base)
+    assert (code, out) == (3, "")
+    refutations = sum(state["refuted"].values())
+    assert f"checkpoint field refuted counts {refutations} refutations" in err
+    assert f"hold {refutations - 1} lines; refusing to resume" in err
+    assert wit.read_bytes() == kept
+
+
+def test_certify_resume_refuses_checkpoint_that_hides_failures(capsys, tmp_path):
+    # at this bound each of the 4 gap primes below 3e7 fails both windows
+    ck = tmp_path / "ck.json"
+    base = ["certify", "--qmax", "30000000", "--smooth-bound", "20000000", "--checkpoint", str(ck)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "7"])
+    assert code == 1
+    assert (json.loads(out)["gap_prime_count"], len(json.loads(out)["failures"])) == (4, 8)
+    saved = ck.read_text()
+    state = json.loads(saved)
+    state["failures"] = []
+    ck.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, base)
+    assert (code, out) == (3, "")
+    assert "checkpoint fields refuted, failures and gap_prime_count disagree" in err
+    # the checkpoint as saved resumes into the uninterrupted run's report
+    ck.write_text(saved)
+    code, resumed, err = run_cli(capsys, base)
+    assert code == 1
+    code, uninterrupted, err = run_cli(capsys, base[:-2])
+    assert resumed == uninterrupted
 
 
 def test_certify_refuses_negative_stop_after(capsys, tmp_path):

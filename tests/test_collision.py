@@ -1,6 +1,5 @@
 """Collision enumeration, the infinite family, and the coordinate change."""
 
-import json
 import math
 import random
 
@@ -193,11 +192,3 @@ def test_check_eq12_needs_r_within_n_on_both_sides():
     # N = 2n + l = -3 on the right, which arith.binomial refuses
     assert not collision.check_eq12(ParamTuple(0, 1, 0, 0, -5))
 
-
-def test_jsonl_format_golden(records_25k):
-    line = collision.record_json_line(records_25k[0])
-    assert line == '{"N":"120","reps":[[16,2],[10,3]]}'
-    assert json.loads(line) == {"N": "120", "reps": [[16, 2], [10, 3]]}
-    text = collision.records_jsonl(records_25k)
-    assert text.count("\n") == 7
-    assert text.endswith("\n")
