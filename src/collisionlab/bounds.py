@@ -13,9 +13,9 @@ intervals module).  The estimates covered:
   * dusart_interval        prime-existence interval (x, x(1 + 1/log^3 x)]
   * section5_thresholds    the two l-thresholds of the final theorem
 
-Numeric constants that originate as decimal literals are routed through
-decimal-string constructors so the enclosures bracket the intended decimal
-values, not their binary64 approximations.
+Numeric constants that originate as decimal literals enter as strings,
+cx.of("7.59"), so the enclosures bracket the intended decimal values, not
+their binary64 approximations.
 
 Arguments named alpha/lam accept int, float, or decimal string; pass a
 string when the hypothesis is a decimal constant that must be honored
@@ -61,17 +61,6 @@ DUSART_FLOOR = 500000
 Real = Union[int, float, str, Fraction]
 
 
-def _operand(cx, value: Real):
-    """Coerce a user-facing real argument inside an evaluation context."""
-    if isinstance(value, str):
-        return cx.decimal(value)
-    if isinstance(value, Fraction):
-        return cx.fraction(value)
-    if isinstance(value, int):
-        return cx.integer(value)
-    return cx.real(value)
-
-
 def _as_float(value: Real) -> float:
     if isinstance(value, (str, Fraction)):
         return float(Fraction(value))
@@ -86,14 +75,14 @@ def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     """
     if _as_float(x) <= 1.0:
         raise ValueError(f"pi_upper_dusart: x must exceed 1, got {x}")
-    return evaluate(lambda cx: pi_upper_dusart_expr(cx, _operand(cx, x)), precise)
+    return evaluate(lambda cx: pi_upper_dusart_expr(cx, cx.of(x)), precise)
 
 
 def pi_upper_dusart_expr(cx, v):
     """The pi_upper_dusart expression at v, built in evaluation context cx."""
     el = cx.log(v)
     el2 = el * el
-    return (v / el) * (1 + 1 / el + 2 / el2 + cx.decimal("7.59") / (el2 * el))
+    return (v / el) * (1 + 1 / el + 2 / el2 + cx.of("7.59") / (el2 * el))
 
 
 def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
@@ -102,7 +91,7 @@ def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
         raise ValueError(f"log_g_lower: z must be positive, got {z}")
 
     def build(cx):
-        v = _operand(cx, z)
+        v = cx.of(z)
         return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2 + 1 / (12 * (v + 1))
 
     return evaluate(build, precise)
@@ -112,7 +101,7 @@ def log_g_upper(z: Real, precise: bool = False) -> IntervalValue:
     """Enclose z log z - z + log(2 pi z)/2 + 1/(12 z)."""
     if _as_float(z) <= 0.0:
         raise ValueError(f"log_g_upper: z must be positive, got {z}")
-    return evaluate(lambda cx: log_g_upper_expr(cx, _operand(cx, z)), precise)
+    return evaluate(lambda cx: log_g_upper_expr(cx, cx.of(z)), precise)
 
 
 def log_g_upper_expr(cx, v):
@@ -139,14 +128,14 @@ def psi_upper_linear(z: Real) -> IntervalValue:
     """Enclose 1.03883 z, the linear majorant of Chebyshev's psi."""
     if _as_float(z) <= 0.0:
         raise ValueError(f"psi_upper_linear: z must be positive, got {z}")
-    return evaluate(lambda cx: cx.decimal("1.03883") * _operand(cx, z))
+    return evaluate(lambda cx: cx.of("1.03883") * cx.of(z))
 
 
 def psi_linear_constant_check() -> Verdict:
     """Certify 1.03883 < log 2.83 (the psi majorant fits under the base-2.83 form)."""
     verdict, _, _ = certified_less(
-        lambda cx: cx.decimal("1.03883"),
-        lambda cx: cx.log(cx.decimal("2.83")),
+        lambda cx: cx.of("1.03883"),
+        lambda cx: cx.log(cx.of("2.83")),
     )
     return verdict
 
@@ -167,12 +156,12 @@ def h_rate(alpha: Real, lam: Real = 0) -> IntervalValue:
         raise ValueError(f"h_rate: lam must be >= 0, got {lam}")
 
     def build(cx):
-        av = _operand(cx, alpha)
-        lv = _operand(cx, lam)
-        c265 = cx.decimal("0.265")
+        av = cx.of(alpha)
+        lv = cx.of(lam)
+        c265 = cx.of("0.265")
         first = c265 * (1 + cx.log((1 - av) / (c265 * av)))
         rate2 = c265 + lv
-        second = rate2 * (1 + cx.log((1 + cx.decimal("0.735") * av) / (av * rate2)))
+        second = rate2 * (1 + cx.log((1 + cx.of("0.735") * av) / (av * rate2)))
         return first + second
 
     return evaluate(build)
@@ -210,19 +199,19 @@ def log_binom_lowers(alpha: Real, lam: Real, n: int) -> LogBinomLowers:
         raise ValueError(f"log_binom_lowers: lam must be <= 0.00271, got {lam}")
 
     def build42(cx):
-        av = _operand(cx, alpha)
-        nv = cx.integer(n)
-        c265 = cx.decimal("0.265")
+        av = cx.of(alpha)
+        nv = cx.of(n)
+        c265 = cx.of("0.265")
         main = c265 * av * nv * (1 + cx.log((1 - av) / (c265 * av)))
-        return main - cx.log(av * nv) / 2 - cx.decimal("0.2558")
+        return main - cx.log(av * nv) / 2 - cx.of("0.2558")
 
     def build43(cx):
-        av = _operand(cx, alpha)
-        lv = _operand(cx, lam)
-        nv = cx.integer(n)
-        rate = cx.decimal("0.265") + lv
-        main = rate * av * nv * (1 + cx.log((1 + cx.decimal("0.735") * av) / (rate * av)))
-        return main + cx.log(av / nv) / 2 - cx.decimal("1.5794")
+        av = cx.of(alpha)
+        lv = cx.of(lam)
+        nv = cx.of(n)
+        rate = cx.of("0.265") + lv
+        main = rate * av * nv * (1 + cx.log((1 + cx.of("0.735") * av) / (rate * av)))
+        return main + cx.log(av / nv) / 2 - cx.of("1.5794")
 
     return LogBinomLowers(evaluate(build42), evaluate(build43))
 
@@ -261,7 +250,7 @@ def dusart_interval(x: Real) -> tuple[float, float]:
         raise ValueError(f"dusart_interval: x must be >= {DUSART_FLOOR}, got {x}")
 
     def build(cx):
-        v = _operand(cx, x)
+        v = cx.of(x)
         el = cx.log(v)
         return v * (1 + 1 / (el * el * el))
 
@@ -277,22 +266,22 @@ def central_binom_lower(n: int) -> IntervalValue:
     """
     if n < 500000:
         raise ValueError(f"central_binom_lower: n must be >= 500000, got {n}")
-    return evaluate(lambda cx: central_binom_lower_expr(cx, cx.integer(n)))
+    return evaluate(lambda cx: central_binom_lower_expr(cx, cx.of(n)))
 
 
 def central_binom_lower_expr(cx, v):
     """The central_binom_lower expression at v, built in evaluation context cx."""
-    return cx.decimal("1.3132") * v - cx.log(v) / 2 - cx.decimal("0.5359")
+    return cx.of("1.3132") * v - cx.log(v) / 2 - cx.of("0.5359")
 
 
 def central_binom_constant_check() -> Verdict:
     """Certify log((2/0.735)^2 / ((2/0.735)-1)^1.265) >= 1.3132."""
 
     def rate(cx):
-        r = 2 / cx.decimal("0.735")
-        return cx.log(r * r / cx.power(r - 1, cx.decimal("1.265")))
+        r = 2 / cx.of("0.735")
+        return cx.log(r * r / cx.power(r - 1, cx.of("1.265")))
 
-    verdict, _, _ = certified_less(lambda cx: cx.decimal("1.3132"), rate, strict=False)
+    verdict, _, _ = certified_less(lambda cx: cx.of("1.3132"), rate, strict=False)
     return verdict
 
 
@@ -306,8 +295,8 @@ def entropy_gap(z: float, z1: float) -> IntervalValue:
         raise ValueError(f"entropy_gap: both arguments must be positive, got {z}, {z1}")
 
     def build(cx):
-        zv = cx.real(z)
-        wv = cx.real(z1)
+        zv = cx.of(z)
+        wv = cx.of(z1)
         s = zv + wv
         lhs = s * cx.log(s) - zv * cx.log(zv) - wv * cx.log(wv)
         return lhs - zv * (1 + cx.log(wv / zv))

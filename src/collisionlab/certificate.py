@@ -247,12 +247,16 @@ def checkpoint_load(path: str) -> dict:
 def _check_consistent(state: dict, config: CertificateConfig, keys: list[str]) -> None:
     """Refuse a loaded state whose fields contradict each other.
 
-    Every state run() saves passes: each gap prime below completed_hi adds
-    one to gap_prime_count and, in each window, either one refutation or one
-    failure, in ascending q; its gap-cap violation, if any, has gap > gap_cap.
+    Every state run() saves passes: it names only configured windows; each
+    gap prime below completed_hi adds one to gap_prime_count and, in each
+    window, either one refutation or one failure, in ascending q; its gap-cap
+    violation, if any, has gap > gap_cap.
     """
     hi = state["completed_hi"]
     failures = [(q, _window_key(w)) for q, w in state["failures"]]
+    for name, named in (("refuted", state["refuted"]), ("failures", [key for _, key in failures])):
+        if stray := sorted(set(named) - set(keys)):
+            raise ValueError(f"checkpoint field {name} names unconfigured windows: {', '.join(stray)}")
     violations = state["gap_cap_violations"]
     for name, entries in (("failures", failures), ("gap_cap_violations", violations)):
         if past := [entry[0] for entry in entries if entry[0] >= hi]:
@@ -383,8 +387,6 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
                 "checkpoint belongs to a different configuration "
                 f"({state['config_hash'][:12]}... != {cfg_hash[:12]}...)"
             )
-        if stray := sorted(set(state["refuted"]) - set(keys)):
-            raise ValueError(f"checkpoint field refuted names unconfigured windows: {', '.join(stray)}")
         _check_consistent(state, config, keys)
 
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()

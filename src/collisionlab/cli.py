@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -39,9 +40,20 @@ EXIT_RUNTIME = 3
 def _echo(args, resolved: dict) -> None:
     subcommand = " ".join(value for key, value in vars(args).items() if key.endswith("command"))
     line = f"collisionlab {__version__} {subcommand} " + json.dumps(
-        resolved, separators=(",", ":"), sort_keys=True, default=str
+        resolved, separators=(",", ":"), sort_keys=True, default=str, allow_nan=False
     )
     print(line, file=sys.stderr)
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of a float flag: nan and the infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _echo_config(args) -> dict:
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("thresholds", help="large-n cutoffs for a given leading constant")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--c", type=float, required=True)
+    b.add_argument("--c", type=_finite_float, required=True)
     b.set_defaults(func=_cmd_doc, call=lambda a: _fields(bounds.section5_thresholds(a.n, a.c)))
 
     p = sub.add_parser("lemma", help="certified lemma checkers")
@@ -415,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = lsub.add_parser("section5", help="central-binomial exclusion of small l at large n")
     l.add_argument("--n", type=int, required=True)
-    l.add_argument("--c", type=float, required=True)
+    l.add_argument("--c", type=_finite_float, required=True)
     l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_section5)
 

@@ -9,15 +9,15 @@ intervals is a theorem about the exact quantities, not about floats.
 When the two intervals overlap, the comparison is INDETERMINATE and can be
 retried through `evaluate(..., precise=True)`, which re-runs the same
 expression under mpmath's interval type at 55 significant digits.  Both
-evaluation contexts expose the same constructor surface (`decimal`,
-`integer`, `fraction`, `real`, `log`, `power`, `pi`), so each formula is
-written exactly once.  `power(v, e)` is exp(e log v) for a positive v, and
-its exponent e is itself a context value (`decimal(...)` or `fraction(...)`),
-so both contexts take the same path.
+evaluation contexts expose the same surface (`of`, `log`, `power`, `pi`),
+so each formula is written exactly once.  `of(value)` encloses an int, a
+float, a decimal string or a Fraction exactly; `power(v, e)` is
+exp(e log v) for a positive v, and its exponent e is itself a context
+value, so both contexts take the same path.
 
-Decimal constants must enter through `decimal("...")`: the literal 1.3132
-has no exact binary64 representation, and only the string constructor
-brackets it correctly.
+Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
+has no exact binary64 representation, and only its string is enclosed
+around the intended decimal value.
 """
 
 from __future__ import annotations
@@ -64,16 +64,6 @@ def _up(x: float, steps: int) -> float:
     return x
 
 
-def _float_below(fr: Fraction) -> float:
-    f = float(fr)
-    return f if Fraction(f) <= fr else math.nextafter(f, -_INF)
-
-
-def _float_above(fr: Fraction) -> float:
-    f = float(fr)
-    return f if Fraction(f) >= fr else math.nextafter(f, _INF)
-
-
 Coercible = Union[int, float, str, Fraction, "IntervalValue"]
 
 
@@ -91,32 +81,27 @@ class IntervalValue:
             raise ValueError(f"IntervalValue endpoints out of order: [{self.lo}, {self.hi}]")
 
     @classmethod
-    def point(cls, x: float) -> "IntervalValue":
-        return cls(float(x), float(x))
-
-    @classmethod
-    def from_int(cls, n: int) -> "IntervalValue":
-        if abs(n) <= 2**53:
-            return cls.point(float(n))
-        return cls(_float_below(Fraction(n)), _float_above(Fraction(n)))
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "IntervalValue":
-        return cls(_float_below(fr), _float_above(fr))
-
-    @classmethod
     def of(cls, value: Coercible) -> "IntervalValue":
+        """The tightest interval around an int, float, decimal string or Fraction.
+
+        A float, or an int within 2**53, is a binary64 value and so a point;
+        anything else rounds outward from its exact value.
+        """
         if type(value) is IntervalValue:
             return value
         if isinstance(value, bool):
             raise TypeError("IntervalValue.of does not accept bool")
-        if isinstance(value, int):
-            return cls.from_int(value)
-        if isinstance(value, float):
-            return cls.point(value)
-        if isinstance(value, (str, Fraction)):
-            return cls.from_fraction(Fraction(value))
-        raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
+        if isinstance(value, float) or (isinstance(value, int) and abs(value) <= 2**53):
+            x = float(value)
+            return cls(x, x)
+        if not isinstance(value, (int, str, Fraction)):
+            raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
+        fr = Fraction(value)
+        x = float(fr)  # round to nearest: at most one step off on either side
+        return cls(
+            x if Fraction(x) <= fr else math.nextafter(x, -_INF),
+            x if Fraction(x) >= fr else math.nextafter(x, _INF),
+        )
 
     # -- ring operations (one outward step: IEEE round-nearest is 0.5 ulp) --
 
@@ -230,21 +215,15 @@ class FloatContext:
 
     _decimal_cache: dict[str, IntervalValue] = {}
 
-    def decimal(self, text: str) -> IntervalValue:
-        got = self._decimal_cache.get(text)
+    def of(self, value: Coercible) -> IntervalValue:
+        """IntervalValue.of, with each decimal string's enclosure cached."""
+        if type(value) is not str:
+            return IntervalValue.of(value)
+        got = self._decimal_cache.get(value)
         if got is None:
-            got = IntervalValue.of(text)
-            self._decimal_cache[text] = got
+            got = IntervalValue.of(value)
+            self._decimal_cache[value] = got
         return got
-
-    def integer(self, n: int) -> IntervalValue:
-        return IntervalValue.from_int(n)
-
-    def fraction(self, fr: Fraction) -> IntervalValue:
-        return IntervalValue.from_fraction(fr)
-
-    def real(self, x: float) -> IntervalValue:
-        return IntervalValue.point(float(x))
 
     def log(self, v):
         return IntervalValue.of(v).log()
@@ -265,17 +244,13 @@ class PreciseContext:
 
         self.iv = iv
 
-    def decimal(self, text: str):
-        return self.iv.mpf(text)
-
-    def integer(self, n: int):
-        return self.iv.mpf(n)
-
-    def fraction(self, fr: Fraction):
-        return self.iv.mpf(fr.numerator) / self.iv.mpf(fr.denominator)
-
-    def real(self, x: float):
-        return self.iv.mpf(float(x))
+    def of(self, value):
+        """An mpmath interval around an int, float, decimal string or Fraction."""
+        if isinstance(value, bool):
+            raise TypeError("PreciseContext.of does not accept bool")
+        if isinstance(value, Fraction):
+            return self.iv.mpf(value.numerator) / self.iv.mpf(value.denominator)
+        return self.iv.mpf(value)
 
     def log(self, v):
         return self.iv.log(v)
@@ -310,7 +285,7 @@ def _run_precise(build: Callable):
 def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     """Run an expression builder under one of the two contexts.
 
-    build(ctx) must construct its result from ctx constructors and interval
+    build(ctx) must construct its result from ctx.of values and interval
     arithmetic only; the same callable then works in both contexts.
     """
     if not precise:

@@ -80,7 +80,7 @@ __all__ = [
 
 # Lemma 3.1: every collision has n <= CLAIMED_N_BOUND (the certificate's default q_max)
 CLAIMED_N_BOUND = 31754673611
-_ZERO = IntervalValue.point(0.0)
+_ZERO = IntervalValue.of(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,10 +124,6 @@ def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[range, range
     return s1, s2
 
 
-def _frac_iv(num: int, den: int) -> IntervalValue:
-    return IntervalValue.from_fraction(Fraction(num, den))
-
-
 def check_lemma21(t: ParamTuple) -> LemmaReport:
     """The two ratio inequalities every collision satisfies.
 
@@ -146,15 +142,15 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         return _gated("lemma21", hyp)
 
     v1, lhs1, rhs1 = certified_less(
-        lambda cx: cx.integer(l - delta) * cx.log(cx.integer(2 * n + l) / cx.integer(n + k + l)),
-        lambda cx: cx.fraction(Fraction((k - m) * (k + m + delta + 1), n - k)),
+        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
+        lambda cx: cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
     )
     # orientation flipped: the claim is lhs2 > rhs2
     v2, rhs2, lhs2 = certified_less(
-        lambda cx: cx.fraction(Fraction((k - m) * (k + m + delta), n + k + delta)),
-        lambda cx: cx.integer(l - delta) * cx.log(cx.integer(2 * n) / cx.integer(n + k)),
+        lambda cx: cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
+        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
     )
-    shifted_rhs2 = _frac_iv((k - m) * (k + m + delta + 1), n + k + delta)
+    shifted_rhs2 = IntervalValue.of(Fraction((k - m) * (k + m + delta + 1), n + k + delta))
     shifted_state = compare_less(shifted_rhs2, lhs2).state
 
     if v1.holds and v2.holds:
@@ -184,11 +180,11 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
         return _gated("lemma22", hyp)
 
     def value(cx):
-        kn = cx.integer(k) / cx.integer(n)
-        den = cx.integer(n - k) * cx.log(cx.decimal("2.001") / (cx.decimal("1.001") + kn))
-        return cx.integer(k * k) / den
+        kn = cx.of(k) / cx.of(n)
+        den = cx.of(n - k) * cx.log(cx.of("2.001") / (cx.of("1.001") + kn))
+        return cx.of(k * k) / den
 
-    verdict, lhs, rhs = certified_less(value, lambda cx: cx.integer(1))
+    verdict, lhs, rhs = certified_less(value, lambda cx: cx.of(1))
     notes = "forces l = delta" if verdict.holds else (
         "does not force l = delta" if verdict.fails else "force undecided"
     )
@@ -225,14 +221,14 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
             break
         max_smooth_p = max(max_smooth_p, fac.factors[-1][0])
 
-    rhs = IntervalValue.from_int(k0)
+    rhs = IntervalValue.of(k0)
     if witness is None:
-        lhs = IntervalValue.from_int(max_smooth_p)
+        lhs = IntervalValue.of(max_smooth_p)
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"all {len(elements)} elements are {k0}-smooth (max prime factor {max_smooth_p})"
     else:
         elem, wprime = witness
-        lhs = IntervalValue(float(wprime), float(max(wprime, elem)))
+        lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
 
@@ -266,19 +262,19 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         return _gated("lemma31", hyp)
 
     if k0 < 2:
-        pi_iv = IntervalValue.from_int(0)
+        pi_iv = IntervalValue.of(0)
         pi_note = "pi(k0) = 0 (k0 < 2)"
     elif pi_mode == "exact":
-        pi_iv = IntervalValue.from_int(sieve.prime_count(k0))
+        pi_iv = IntervalValue.of(sieve.prime_count(k0))
         pi_note = f"pi({k0}) = {int(pi_iv.lo)} exact"
     else:
         pi_iv = pi_upper_dusart(k0)
         pi_note = f"pi({k0}) <= {pi_iv.hi:.6g} substituted"
 
-    exponent = IntervalValue.from_int(2 * k + l - m - m0) - pi_iv
-    lhs = exponent * IntervalValue.from_int(n - k).log()
+    exponent = IntervalValue.of(2 * k + l - m - m0) - pi_iv
+    lhs = exponent * IntervalValue.of(n - k).log()
     rhs = (
-        pi_iv * IntervalValue.from_int(2 * k + l).log()
+        pi_iv * IntervalValue.of(2 * k + l).log()
         + enclose_float(float(arith.log_factorial_exact(k - m)))
         + enclose_float(float(arith.log_factorial_exact(l + k - m0)))
     )
@@ -288,12 +284,12 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
 
 def _lemma32(cx, F: int):
     """The lemma32_expression builder: the whole expression in context cx."""
-    pi_bar = pi_upper_dusart_expr(cx, cx.integer(2 * F))
-    fa = log_g_upper_expr(cx, cx.fraction(Fraction(53, 200) * (F - 1)))
-    fb = log_g_upper_expr(cx, cx.fraction(F - Fraction(147, 200) * (F - 1)))
-    head = pi_bar * cx.log(cx.integer(2 * F - 1))
-    count = cx.decimal("0.53") * (F - 1) - pi_bar
-    inner = cx.power(cx.integer(2 * F - 2), cx.decimal("1.5")) - (2 * F - 1)
+    pi_bar = pi_upper_dusart_expr(cx, cx.of(2 * F))
+    fa = log_g_upper_expr(cx, cx.of(Fraction(53, 200) * (F - 1)))
+    fb = log_g_upper_expr(cx, cx.of(F - Fraction(147, 200) * (F - 1)))
+    head = pi_bar * cx.log(cx.of(2 * F - 1))
+    count = cx.of("0.53") * (F - 1) - pi_bar
+    inner = cx.power(cx.of(2 * F - 2), cx.of("1.5")) - (2 * F - 1)
     return head + fa + fb - count * cx.log(inner)
 
 
@@ -323,7 +319,7 @@ class Lemma32Threshold:
 
 def _sign_at(F: int) -> int:
     """+1 if the expression is certified >= 0 at F, -1 if certified < 0."""
-    verdict, _, _ = certified_less(lambda cx: _lemma32(cx, F), lambda cx: cx.integer(0))
+    verdict, _, _ = certified_less(lambda cx: _lemma32(cx, F), lambda cx: cx.of(0))
     if not verdict.decided:
         raise ArithmeticError(f"threshold expression sign undecidable at F = {F}")
     return -1 if verdict.holds else 1
@@ -421,7 +417,7 @@ def _nmax_point(
     arg1 = 53k/200, f_arg1 = f(arg1) and k53 = [53k/100] depend on k alone.
     """
     num = (
-        pi_iv * IntervalValue.from_int(2 * k + l).log()
+        pi_iv * IntervalValue.of(2 * k + l).log()
         + f_arg1
         + f_stirling(arg1 + (l - 1))
     )
@@ -452,11 +448,11 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     for k in grid.k_values():
         arg1 = Fraction(53 * k, 200)
         f_arg1 = f_stirling(arg1)
-        k53 = IntervalValue.from_fraction(Fraction(53 * k, 100))
+        k53 = IntervalValue.of(Fraction(53 * k, 100))
         for l in grid.l_values(k):
             k0 = 2 * (k + l) - 1
             if pi_exact is not None:
-                pi_iv = IntervalValue.from_int(
+                pi_iv = IntervalValue.of(
                     int(np.searchsorted(pi_exact, k0, side="right"))
                 )
             else:
@@ -502,11 +498,11 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         return _gated("section4", {**hyp, "k_positive": False})
 
     lower_build = lambda cx: (
-        cx.decimal("4.6623") * cx.integer(k) - cx.decimal("2.879") - cx.log(cx.integer(k))
+        cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k))
     )
     upper_build = lambda cx: (
-        (cx.integer(k0) + 3 * cx.power(cx.integer(k0), cx.decimal("0.75")))
-        * cx.log(cx.decimal("2.83"))
+        (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75")))
+        * cx.log(cx.of("2.83"))
     )
 
     exact_note = ""
@@ -573,12 +569,12 @@ def section5_check(n: int, c: float) -> Section5Report:
         raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
 
     def lhs_build(cx):
-        ratio = cx.real(c) * cx.integer(n) / cx.log(cx.integer(n))
-        l0 = cx.power(ratio, cx.fraction(Fraction(40, 21)))
-        base = 2 * cx.integer(n) + l0
-        return cx.power(base, cx.fraction(Fraction(21, 40))) * cx.log(base)
+        ratio = cx.of(c) * cx.of(n) / cx.log(cx.of(n))
+        l0 = cx.power(ratio, cx.of(Fraction(40, 21)))
+        base = 2 * cx.of(n) + l0
+        return cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
 
     verdict, lhs, rhs = certified_less(
-        lhs_build, lambda cx: central_binom_lower_expr(cx, cx.integer(n))
+        lhs_build, lambda cx: central_binom_lower_expr(cx, cx.of(n))
     )
     return Section5Report(n, c, thresholds, thresholds.t_pow, lhs, rhs, verdict)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_run_refuses_uncovered_windows():
 def test_run_witness_stream(tmp_path):
     path = str(tmp_path / "witnesses.jsonl")
     report = run(small_config(witness_path=path))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 * report.gap_prime_count
     assert lines[0] == '{"q":17051707,"window":"152-156","offset":152,"prime":4201}'
     assert lines[1] == '{"q":17051707,"window":"303-308","offset":303,"prime":9421}'
@@ -280,7 +281,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     wit_ref = str(tmp_path / "wit_ref.jsonl")
     reference = run(small_config(witness_path=wit_ref))
     assert resumed.to_json() == reference.to_json()
-    assert open(wit, "rb").read() == open(wit_ref, "rb").read()
+    assert Path(wit).read_bytes() == Path(wit_ref).read_bytes()
 
 
 def test_witnessed_resume_drops_lines_past_the_checkpoint(tmp_path):

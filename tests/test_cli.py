@@ -1,5 +1,6 @@
 """CLI layer: argument handling, stream separation, exit codes, determinism."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import sys
 import mpmath
 import pytest
 
-from collisionlab import __version__, sieve
+from collisionlab import __version__, cli, sieve
 from collisionlab.arith import is_prime
 from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
@@ -83,6 +84,10 @@ JSON_DOC_CASES = [
 _NOT_CONFIG = {"json", "out", "threads", "workers"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"the echo is not strict JSON: it holds {name}")
+
+
 def test_stderr_carries_config_echo(capsys):
     for argv in JSON_DOC_CASES:
         code, out, err = run_cli(capsys, argv)
@@ -90,7 +95,7 @@ def test_stderr_carries_config_echo(capsys):
         subcommand = " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
         assert err.startswith(f"collisionlab {__version__} {subcommand} {{"), argv
         assert err.count("\n") == 1, argv
-        echo = json.loads(err[err.index("{"):])
+        echo = json.loads(err[err.index("{"):], parse_constant=_refuse_constant)
         config = json.loads(out)["config"]  # stdout is pure data
         assert {key: echo[key] for key in config} == config, argv
         assert set(echo) - set(config) <= _NOT_CONFIG, argv
@@ -233,17 +238,34 @@ def test_bounds_thresholds(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bounds", "thresholds", "--n", "1000000", "--c", "nan"], "positive and finite"),
-        (["bounds", "thresholds", "--n", "1000000", "--c", "inf"], "positive and finite"),
         (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "not JSON compliant"),
         (["lemma", "section4", "--k", str(10**308)], "not JSON compliant"),
     ],
-    ids=["c-nan", "c-inf", "t_pow-overflows", "section4-lhs-overflows"],
+    ids=["t_pow-overflows", "section4-lhs-overflows"],
 )
 def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_echo_refuses_a_non_finite_value(capsys):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._echo(argparse.Namespace(subcommand="bounds"), {"c": math.nan})
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["bounds", "thresholds"], ["lemma", "section5"]], ids=["thresholds", "section5"]
+)
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_non_finite_c_is_a_usage_error_without_echo(capsys, command, c):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n", "1000000", f"--c={c}"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument --c: must be a finite number, got '{c}'" in err
+    assert f"collisionlab {__version__}" not in err  # no config echo
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +699,7 @@ def test_certify_resume_via_cli(capsys, tmp_path):
         capsys, ["certify", "--qmax", "30000000", "--witness", wit_ref]
     )
     assert out_resumed == out_ref
-    assert open(wit, "rb").read() == open(wit_ref, "rb").read()
+    assert pathlib.Path(wit).read_bytes() == pathlib.Path(wit_ref).read_bytes()
 
 
 def test_certify_gap_cap_violation_exits_1(capsys):
@@ -745,6 +767,7 @@ def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
     [
         ({"refuted": {"152-156": "x", "303-308": 0}}, "checkpoint field has a malformed value: refuted"),
         ({"refuted": {"152-156": 3, "1-9": 0}}, "checkpoint field refuted names unconfigured windows: 1-9"),
+        ({"failures": [[11, [1, 2]]]}, "checkpoint field failures names unconfigured windows: 1-2"),
         ({"failures": [5]}, "checkpoint field has a malformed value: failures"),
         ({"gap_cap_violations": [[17051707, True]]}, "checkpoint field has a malformed value: gap_cap_violations"),
         ({"gap_prime_count": True}, "checkpoint field has wrong type: gap_prime_count"),
@@ -762,8 +785,8 @@ def test_certify_resume_refuses_witness_edited_in_place(capsys, tmp_path):
         # the sha256 of the empty file it holds, but a length it never had
         ({"witness_bytes": 100}, "holds fewer than the 100 bytes the checkpoint recorded"),
     ],
-    ids=["refuted-str", "refuted-stray-window", "failures-int", "violation-bool", "count-bool",
-         "count-negative", "count-past-completed-hi", "counts-disagree", "failure-past-completed-hi",
+    ids=["refuted-str", "refuted-stray-window", "failures-stray-window", "failures-int", "violation-bool",
+         "count-bool", "count-negative", "count-past-completed-hi", "counts-disagree", "failure-past-completed-hi",
          "violation-past-completed-hi", "failures-descending", "failure-repeated",
          "violations-descending", "violation-within-cap", "witness-short"],
 )

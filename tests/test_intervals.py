@@ -39,21 +39,22 @@ def test_constructor_validation():
         IntervalValue(float("nan"), 1.0)
     with pytest.raises(ValueError):
         IntervalValue(0.0, float("inf"))
-    with pytest.raises(TypeError):
-        IntervalValue.of(True)
+    for of in (IntervalValue.of, intervals.FloatContext().of, intervals.PreciseContext().of):
+        with pytest.raises(TypeError):
+            of(True)
 
 
 def test_point_and_exact_int():
-    p = IntervalValue.point(1.5)
+    p = IntervalValue.of(1.5)
     assert p.lo == p.hi == 1.5
-    q = IntervalValue.from_int(2**52)
+    q = IntervalValue.of(2**52)
     assert q.lo == q.hi == float(2**52)
-    big = IntervalValue.from_int(10**30)
+    big = IntervalValue.of(10**30)
     assert big.lo < 10**30 < big.hi
 
 
 def test_from_decimal_encloses():
-    iv = intervals.FloatContext().decimal("0.1")
+    iv = intervals.FloatContext().of("0.1")
     assert contains(iv, Fraction(1, 10))
     assert width(iv) > 0 or iv.lo == 0.1  # 0.1 is not a binary64 value
     assert iv.lo < iv.hi
@@ -61,9 +62,34 @@ def test_from_decimal_encloses():
 
 def test_from_fraction_encloses():
     third = Fraction(1, 3)
-    iv = IntervalValue.from_fraction(third)
+    iv = IntervalValue.of(third)
     assert contains(iv, third)
     assert width(iv) <= 2 * math.ulp(float(third))
+
+
+def _mpf_fraction(x) -> Fraction:
+    """The exact value of an mpmath endpoint, read at a precision that cannot round it."""
+    with mpmath.workdps(2 * intervals.PRECISE_DIGITS):
+        y = mpmath.mpf(x)
+    man, exp = y.man_exp  # man is unsigned
+    return (-1 if y < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+exact_inputs = st.one_of(
+    st.integers(-(10**30), 10**30),  # past 2**53 as well
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    st.sampled_from(["0.53", "1.3132", "7.59", "0.735", "1.265", "-2.00271"]),
+    st.decimals(min_value=-(10**12), max_value=10**12, allow_nan=False, allow_infinity=False).map(str),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(exact_inputs)
+def test_of_encloses_every_input_kind(v):
+    exact = Fraction(v)
+    assert contains(intervals.FloatContext().of(v), exact)
+    raw = intervals._run_precise(lambda cx: cx.of(v))  # PreciseContext().of at PRECISE_DIGITS
+    assert _mpf_fraction(raw.a) <= exact <= _mpf_fraction(raw.b)
 
 
 @given(finite, finite)
@@ -119,11 +145,11 @@ def test_log_requires_positive():
     with pytest.raises(ValueError):
         IntervalValue(-1.0, 1.0).log()
     with pytest.raises(ValueError):
-        IntervalValue.point(0.0).log()
+        IntervalValue.of(0.0).log()
 
 
 def test_interval_scalar_mixing():
-    iv = IntervalValue.point(2.0)
+    iv = IntervalValue.of(2.0)
     assert contains(iv + 1, Fraction(3))
     assert contains(3 * iv, Fraction(6))
     assert contains(1 - iv, Fraction(-1))
@@ -157,7 +183,7 @@ def test_compare_less_overlap_is_indeterminate():
 
 
 def test_compare_less_touching_endpoints():
-    a = IntervalValue.point(1.0)
+    a = IntervalValue.of(1.0)
     v_strict = compare_less(a, a, strict=True)
     v_loose = compare_less(a, a, strict=False)
     assert v_strict.state == FAILS    # 1 < 1 is certainly false
@@ -167,7 +193,7 @@ def test_compare_less_touching_endpoints():
 
 def test_evaluate_float_and_precise_paths_agree():
     def build(cx):
-        return cx.log(cx.decimal("2.83")) * cx.integer(3) - cx.fraction(Fraction(1, 7))
+        return cx.log(cx.of("2.83")) * cx.of(3) - cx.of(Fraction(1, 7))
 
     f64 = evaluate(build)
     mp = evaluate(build, precise=True)
@@ -182,9 +208,9 @@ def test_evaluate_precise_is_sharper():
     # one log is already at the 2-ulp floor in both paths; a chain of them
     # accumulates width in binary64 that the precise path does not
     def build(cx):
-        total = cx.integer(0)
+        total = cx.of(0)
         for j in range(2, 12):
-            total = total + cx.log(cx.integer(j)) / j
+            total = total + cx.log(cx.of(j)) / j
         return total
 
     f64 = evaluate(build)
@@ -197,22 +223,22 @@ def test_evaluate_precise_is_sharper():
 
 def test_certified_less_escalates_to_high_precision():
     # indistinguishable in binary64, split cleanly at 55 digits
-    lhs = lambda cx: cx.decimal("1.00000000000000000001")
-    rhs = lambda cx: cx.decimal("1.00000000000000000002")
+    lhs = lambda cx: cx.of("1.00000000000000000001")
+    rhs = lambda cx: cx.of("1.00000000000000000002")
     verdict, lo_iv, hi_iv = certified_less(lhs, rhs)
     assert verdict.state == HOLDS
     assert verdict.margin > 0
 
 
 def test_certified_less_equal_values_stay_indeterminate_for_strict():
-    one = lambda cx: cx.fraction(Fraction(1, 3)) * 3
+    one = lambda cx: cx.of(Fraction(1, 3)) * 3
     verdict, _, _ = certified_less(one, one, strict=True)
     assert verdict.state == INDETERMINATE
 
 
 def test_certified_less_fast_path_decides_without_escalation():
     verdict, lhs, rhs = certified_less(
-        lambda cx: cx.integer(1), lambda cx: cx.integer(2)
+        lambda cx: cx.of(1), lambda cx: cx.of(2)
     )
     assert verdict.state == HOLDS
     # binary64 evaluation of exact integers is a zero-width interval
@@ -227,7 +253,7 @@ def test_pi_containment():
 
 
 def test_power_fraction_exponent():
-    iv = evaluate(lambda cx: cx.power(cx.integer(2), cx.fraction(Fraction(21, 40))))
+    iv = evaluate(lambda cx: cx.power(cx.of(2), cx.of(Fraction(21, 40))))
     with mpmath.workdps(50):
         true = mpmath.power(2, mpmath.mpf(21) / 40)
         assert mpmath.mpf(iv.lo) <= true <= mpmath.mpf(iv.hi)
@@ -235,6 +261,6 @@ def test_power_fraction_exponent():
 
 def test_verdict_margin_semantics():
     verdict, lhs, rhs = certified_less(
-        lambda cx: cx.integer(0), lambda cx: cx.integer(10)
+        lambda cx: cx.of(0), lambda cx: cx.of(10)
     )
     assert verdict.margin == pytest.approx(10.0)
