@@ -98,6 +98,11 @@ class CertificateConfig:
             raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
         if self.gap_min < 1:
             raise ValueError(f"certificate: gap_min must be >= 1, got {self.gap_min}")
+        if self.checkpoint_path is not None and self.witness_path is not None:
+            # checkpoint_save writes path + ".tmp", then renames it over path
+            clobbered = {os.path.realpath(self.checkpoint_path + tail) for tail in ("", ".tmp")}
+            if os.path.realpath(self.witness_path) in clobbered:
+                raise ValueError(f"certificate: the checkpoint would overwrite the witness file {self.witness_path}")
 
     def output_fields(self) -> dict:
         """The fields that determine the mathematical output, in report order.

@@ -8,10 +8,11 @@ intervals is a theorem about the exact quantities, not about floats.
 
 When the two intervals overlap, the comparison is INDETERMINATE and can be
 retried through `evaluate(..., precise=True)`, which re-runs the same
-expression under mpmath's interval type at 55 significant digits.  Both
-evaluation contexts expose the same surface (`of`, `log`, `power`, `pi`),
-so each formula is written exactly once.  `of(value)` encloses an int, a
-float, a decimal string or a Fraction exactly; `power(v, e)` is
+expression under mpmath's interval type at 55 significant digits.  The
+binary64 context is the IntervalValue class itself and the mpmath context
+is PreciseContext; both expose the same surface (`of`, `log`, `power`,
+`pi`), so each formula is written exactly once.  `of(value)` encloses an
+int, a float, a decimal string or a Fraction exactly; `power(v, e)` is
 exp(e log v) for a positive v, and its exponent e is itself a context
 value, so both contexts take the same path.
 
@@ -33,7 +34,6 @@ __all__ = [
     "HOLDS",
     "FAILS",
     "INDETERMINATE",
-    "FloatContext",
     "PreciseContext",
     "PRECISE_DIGITS",
     "evaluate",
@@ -50,6 +50,7 @@ INDETERMINATE = "INDETERMINATE"
 PRECISE_DIGITS = 55
 
 _INF = math.inf
+_DECIMAL_CACHE: dict[str, IntervalValue] = {}  # each decimal string's enclosure
 
 
 def _dn(x: float, steps: int) -> float:
@@ -94,7 +95,11 @@ class IntervalValue:
         if isinstance(value, float) or (isinstance(value, int) and abs(value) <= 2**53):
             x = float(value)
             return cls(x, x)
-        if not isinstance(value, (int, str, Fraction)):
+        if isinstance(value, str):
+            if value not in _DECIMAL_CACHE:
+                _DECIMAL_CACHE[value] = cls.of(Fraction(value))
+            return _DECIMAL_CACHE[value]
+        if not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
         fr = Fraction(value)
         x = float(fr)  # round to nearest: at most one step off on either side
@@ -161,6 +166,14 @@ class IntervalValue:
     def exp(self) -> "IntervalValue":
         return IntervalValue(_dn(math.exp(self.lo), 2), _up(math.exp(self.hi), 2))
 
+    def power(self, exponent: "IntervalValue") -> "IntervalValue":
+        return (exponent * self.log()).exp()
+
+    @staticmethod
+    def pi() -> "IntervalValue":
+        # math.pi is the correctly rounded double, so one ulp out each way encloses
+        return IntervalValue(_dn(math.pi, 1), _up(math.pi, 1))
+
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
@@ -208,32 +221,6 @@ def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
 def compare_less(lhs: IntervalValue, rhs: IntervalValue, strict: bool = True) -> Verdict:
     """Verdict for the claim lhs < rhs (or lhs <= rhs when strict=False)."""
     return _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
-
-
-class FloatContext:
-    """Binary64 evaluation context: everything is an IntervalValue."""
-
-    _decimal_cache: dict[str, IntervalValue] = {}
-
-    def of(self, value: Coercible) -> IntervalValue:
-        """IntervalValue.of, with each decimal string's enclosure cached."""
-        if type(value) is not str:
-            return IntervalValue.of(value)
-        got = self._decimal_cache.get(value)
-        if got is None:
-            got = IntervalValue.of(value)
-            self._decimal_cache[value] = got
-        return got
-
-    def log(self, v):
-        return IntervalValue.of(v).log()
-
-    def power(self, v, exponent):
-        return (exponent * self.log(v)).exp()
-
-    def pi(self) -> IntervalValue:
-        # math.pi is the correctly rounded double, so one ulp out each way encloses
-        return IntervalValue(_dn(math.pi, 1), _up(math.pi, 1))
 
 
 class PreciseContext:
@@ -289,7 +276,7 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     arithmetic only; the same callable then works in both contexts.
     """
     if not precise:
-        return IntervalValue.of(build(FloatContext()))
+        return IntervalValue.of(build(IntervalValue))
     return _from_iv(_run_precise(build))
 
 
@@ -304,13 +291,17 @@ def certified_less(
     collapsing to binary64 first would forfeit exactly the resolution the
     escalation exists to buy.  The returned intervals are binary64
     enclosures for reporting and may overlap even when the verdict is
-    decided.
+    decided.  A side that binary64 cannot evaluate is undecided too.
     """
-    lhs = evaluate(lhs_build)
-    rhs = evaluate(rhs_build)
-    verdict = compare_less(lhs, rhs, strict)
-    if verdict.decided:
-        return verdict, lhs, rhs
+    try:
+        lhs = evaluate(lhs_build)
+        rhs = evaluate(rhs_build)
+    except ZeroDivisionError:
+        pass
+    else:
+        verdict = compare_less(lhs, rhs, strict)
+        if verdict.decided:
+            return verdict, lhs, rhs
     import mpmath
 
     lhs_raw = _run_precise(lhs_build)

@@ -222,7 +222,9 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         max_smooth_p = max(max_smooth_p, fac.factors[-1][0])
 
     rhs = IntervalValue.of(k0)
-    if witness is None:
+    if not elements:
+        lhs, verdict, detail = rhs, Verdict(HOLDS, 0.0), "both windows are empty"
+    elif witness is None:
         lhs = IntervalValue.of(max_smooth_p)
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"all {len(elements)} elements are {k0}-smooth (max prime factor {max_smooth_p})"

@@ -296,6 +296,15 @@ def test_lemma_check22_exit_codes(capsys):
     assert out.startswith("lemma22: FAILS")
 
 
+def test_lemma_check22_decides_where_binary64_cannot_divide(capsys):
+    # log(2.001/(1.001 + k/n)) encloses zero in binary64; mpmath gives about 2.001e48
+    argv = ["lemma", "check22", "--n", str(10**16), "--k", str(10**16 - 1)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out.startswith("lemma22: FAILS (margin 2.001e+48)")
+    assert "notes: does not force l = delta" in out
+
+
 def test_lemma_check23(capsys):
     code, out, err = run_cli(capsys, ["lemma", "check23"] + TUPLE_FLAGS)
     assert code == 0
@@ -896,3 +905,16 @@ def test_certify_bad_windows_text(capsys):
         assert code == 3
         assert out == ""
         assert message in err
+
+
+@pytest.mark.parametrize("witness", ["c.json", "c.json.tmp"])
+def test_certify_refuses_witness_path_the_checkpoint_writes(capsys, tmp_path, monkeypatch, witness):
+    # the checkpoint's temporary file and its rename would replace the witness lines
+    monkeypatch.chdir(tmp_path)
+    argv = ["certify", "--qmax", "30000000", "--checkpoint", str(tmp_path / "c.json"), "--witness", witness]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("collisionlab: error:")  # refused before the config echo
+    assert "the checkpoint would overwrite the witness file" in err
+    assert list(tmp_path.iterdir()) == []

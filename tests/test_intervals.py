@@ -39,7 +39,7 @@ def test_constructor_validation():
         IntervalValue(float("nan"), 1.0)
     with pytest.raises(ValueError):
         IntervalValue(0.0, float("inf"))
-    for of in (IntervalValue.of, intervals.FloatContext().of, intervals.PreciseContext().of):
+    for of in (IntervalValue.of, intervals.PreciseContext().of):
         with pytest.raises(TypeError):
             of(True)
 
@@ -54,7 +54,7 @@ def test_point_and_exact_int():
 
 
 def test_from_decimal_encloses():
-    iv = intervals.FloatContext().of("0.1")
+    iv = IntervalValue.of("0.1")
     assert contains(iv, Fraction(1, 10))
     assert width(iv) > 0 or iv.lo == 0.1  # 0.1 is not a binary64 value
     assert iv.lo < iv.hi
@@ -87,7 +87,7 @@ exact_inputs = st.one_of(
 @given(exact_inputs)
 def test_of_encloses_every_input_kind(v):
     exact = Fraction(v)
-    assert contains(intervals.FloatContext().of(v), exact)
+    assert contains(IntervalValue.of(v), exact)
     raw = intervals._run_precise(lambda cx: cx.of(v))  # PreciseContext().of at PRECISE_DIGITS
     assert _mpf_fraction(raw.a) <= exact <= _mpf_fraction(raw.b)
 
@@ -243,6 +243,24 @@ def test_certified_less_fast_path_decides_without_escalation():
     assert verdict.state == HOLDS
     # binary64 evaluation of exact integers is a zero-width interval
     assert width(lhs) == 0.0 and width(rhs) == 0.0
+
+
+def test_certified_less_escalates_when_binary64_cannot_divide():
+    # binary64 encloses (10^16 + 1)/10^16 - 1 in an interval around zero;
+    # at 55 digits the quotient is 10^16 and the claim 1/that < 1 fails
+    tiny = lambda cx: cx.of(Fraction(10**16 + 1, 10**16)) - 1
+    with pytest.raises(ZeroDivisionError):
+        evaluate(lambda cx: 1 / tiny(cx))
+    verdict, lhs, _ = certified_less(lambda cx: 1 / tiny(cx), lambda cx: cx.of(1))
+    assert verdict.state == FAILS
+    assert verdict.margin == pytest.approx(10**16 - 1)
+    assert contains(lhs, 10**16)
+
+
+def test_certified_less_exact_zero_divisor_is_an_error():
+    # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict
+    with pytest.raises(ValueError, match="finite"):
+        certified_less(lambda cx: 1 / (cx.of(1) - 1), lambda cx: cx.of(1))
 
 
 def test_pi_containment():

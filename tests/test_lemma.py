@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collisionlab import bounds, lemma
 from collisionlab.collision import ParamTuple, check_eq12
-from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, evaluate
+from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
 from oracles import contains, mid, product_identity_check, width
 
 # the two tuples from exhaustive small-n enumeration that satisfy every
@@ -93,6 +93,33 @@ def test_check21_gate_lists_every_failed_hypothesis():
     assert "ordering" in report.notes and "l_gt_delta" in report.notes
 
 
+def test_check21_fails_on_the_failing_side(monkeypatch):
+    # not a collision, let through the eq12 gate: 50 log(250/152) is far above 4/98
+    monkeypatch.setattr(lemma, "check_eq12", lambda t: True)
+    report = lemma.check_lemma21(ParamTuple(0, 100, 1, 2, 50))
+    assert report.verdict.state == FAILS
+    assert report.verdict.margin == report.lhs.lo - report.rhs.hi
+    assert report.notes.startswith("first: FAILS")
+
+
+@pytest.mark.parametrize(
+    "first, second, state, margin",
+    [
+        ((HOLDS, 1.0), (INDETERMINATE, -0.5), INDETERMINATE, -0.5),
+        ((INDETERMINATE, -0.5), (FAILS, 2.0), FAILS, 2.0),
+        ((FAILS, 3.0), (FAILS, 2.0), FAILS, 2.0),
+    ],
+)
+def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
+    sides = iter([Verdict(*first), Verdict(*second)])
+    monkeypatch.setattr(
+        lemma, "certified_less",
+        lambda lhs, rhs, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
+    )
+    report = lemma.check_lemma21(SATISFYING[0])
+    assert (report.verdict.state, report.verdict.margin) == (state, margin)
+
+
 # ---------------------------------------------------------------------------
 # the force-l-equals-delta test
 
@@ -148,22 +175,35 @@ def test_check23_k0_below_two_fails_with_witness():
 
 
 def test_check23_k0_below_two_sweep():
-    failed = 0
+    failed = vacuous = 0
     for delta, n, m, k, l in itertools.product((0, 1), range(40), range(-2, 40), range(-1, 2), range(3)):
         t = ParamTuple(delta, n, m, k, l)
         if t.k0 >= 2 or not check_eq12(t):
             continue
         s1, s2 = lemma.index_windows(t)
         elements = [t.n - i for i in s1] + [t.n + i for i in s2]
+        if not elements:
+            # every element of two empty windows is k0-smooth, whatever k0 is
+            report = lemma.check_lemma23_smooth(t)
+            assert report.verdict.state == HOLDS, t
+            assert report.hypotheses == {"eq12": True}, t
+            assert report.notes.startswith("both windows are empty"), t
+            vacuous += 1
+            continue
         big = [v for v in elements if v >= 2]
-        if not big or min(elements) < 1:
+        if min(elements) < 1:
             continue
         report = lemma.check_lemma23_smooth(t)
+        if not big:
+            # all ones: the largest prime factor counts as 1, so only k0 < 1 fails
+            assert report.verdict.state == (HOLDS if t.k0 >= 1 else FAILS), t
+            continue
         assert report.verdict.state == FAILS, t
         least = min(p for p in range(2, big[0] + 1) if big[0] % p == 0)
         assert report.lhs.lo == least, t
         failed += 1
     assert failed > 0
+    assert vacuous > 0
 
 
 # ---------------------------------------------------------------------------
