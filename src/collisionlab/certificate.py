@@ -19,8 +19,9 @@ Structure of a run:
   4. the checkpoint record is the run's state: each segment folds into it,
      it is saved atomically after every segment (with the length and the
      sha256 of the witness stream so far), and the report is read from it,
-     so an interrupted run resumes into a byte-identical report and refuses
-     a witness file whose prefix no longer matches.
+     so an interrupted run resumes into a byte-identical report.  One gate,
+     _resume, raises every refusal of a checkpoint or of a witness prefix
+     that no longer matches, before any file is opened for writing.
 
 Counts and refutations are a pure function of the configuration: worker
 count and segment size never change the output (the acceptance suite checks
@@ -98,6 +99,11 @@ class CertificateConfig:
             raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
         if self.gap_min < 1:
             raise ValueError(f"certificate: gap_min must be >= 1, got {self.gap_min}")
+        # the sieve's own floor, and the pool's: refused here, before the echo
+        if self.segment_size < 1024:
+            raise ValueError(f"certificate: segment_size must be >= 1024, got {self.segment_size}")
+        if self.workers < 0:
+            raise ValueError(f"certificate: workers must be >= 0 (0 means one per CPU), got {self.workers}")
         if self.checkpoint_path is not None and self.witness_path is not None:
             # checkpoint_save writes path + ".tmp", then renames it over path
             clobbered = {os.path.realpath(self.checkpoint_path + tail) for tail in ("", ".tmp")}
@@ -249,14 +255,27 @@ def checkpoint_load(path: str) -> dict:
     return state
 
 
-def _check_consistent(state: dict, config: CertificateConfig, keys: list[str]) -> None:
-    """Refuse a loaded state whose fields contradict each other.
+def _resume(config: CertificateConfig, keys: list[str]):
+    """The state a run starts from, the segments it has done, and its witness digest.
 
-    Every state run() saves passes: it names only configured windows; each
-    gap prime below completed_hi adds one to gap_prime_count and, in each
-    window, either one refutation or one failure, in ascending q; its gap-cap
-    violation, if any, has gap > gap_cap.
+    Every refusal to resume is here, checked in this order before run() opens
+    a file for writing: the config hash; the relations between the fields; a
+    completed_hi off the segment ends, then a segments_done past it; with a
+    witness stream, a short prefix, its sha256, then its line count.  A fresh
+    state takes the same path.  Every state run() saves passes: it names only
+    configured windows; each gap prime below completed_hi adds one to
+    gap_prime_count and, in each window, one refutation or one failure, in
+    ascending q; its gap-cap violation, if any, has gap > gap_cap.
     """
+    cfg_hash = config.config_hash()
+    state = _fresh_state(cfg_hash)
+    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
+        state = checkpoint_load(config.checkpoint_path)
+    if state["config_hash"] != cfg_hash:
+        raise ValueError(
+            "checkpoint belongs to a different configuration "
+            f"({state['config_hash'][:12]}... != {cfg_hash[:12]}...)"
+        )
     hi = state["completed_hi"]
     failures = [(q, _window_key(w)) for q, w in state["failures"]]
     for name, named in (("refuted", state["refuted"]), ("failures", [key for _, key in failures])):
@@ -278,29 +297,55 @@ def _check_consistent(state: dict, config: CertificateConfig, keys: list[str]) -
         )
     count = state["gap_prime_count"]
     for key in keys:
-        refuted, failed = state["refuted"].get(key, 0), sum(k == key for _, k in failures)
+        refuted, failed = state["refuted"].setdefault(key, 0), sum(k == key for _, k in failures)
         if refuted + failed != count:
             raise ValueError(
                 f"checkpoint fields refuted, failures and gap_prime_count disagree: window {key} "
                 f"has {refuted} refutations and {failed} failures for {count} gap primes"
             )
 
-
-def _prefix_sha256(path: str, size: int):
-    """sha256 and line count of the first size bytes of path; refuses a file shorter than that."""
-    digest, lines, left = hashlib.sha256(), 0, size
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            while left > 0 and (chunk := fh.read(min(left, 1 << 20))):
-                digest.update(chunk)
-                lines += chunk.count(b"\n")
-                left -= len(chunk)
-    # a resume would pad the file with NUL bytes up to size
-    if left > 0:
+    span = 2 * config.segment_size
+    # a segment end is 2 + k * span below q_max + 1, after k segments (2 is the
+    # fresh state), or q_max + 1 itself, the end of the last, perhaps short, one
+    if hi != config.q_max + 1 and hi not in range(2, config.q_max + 1, span):
         raise ValueError(
-            f"witness file {path} holds fewer than the {size} bytes the checkpoint recorded; refusing to resume"
+            f"checkpoint field completed_hi = {hi} does not align with segmentation"
         )
-    return digest, lines
+    done = -(-(hi - 2) // span)  # ceil: the last segment may be short
+    # a larger count would let a run report complete with segments unscanned
+    if state["segments_done"] > done:
+        raise ValueError(
+            f"checkpoint field segments_done = {state['segments_done']} exceeds "
+            f"the {done} segments that completed_hi = {hi} implies"
+        )
+
+    digest, lines, kept = hashlib.sha256(), 0, state["witness_bytes"]
+    if config.witness_path:
+        path, left = config.witness_path, kept
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                while left > 0 and (chunk := fh.read(min(left, 1 << 20))):
+                    digest.update(chunk)
+                    lines += chunk.count(b"\n")
+                    left -= len(chunk)
+        # a resume would pad the file with NUL bytes up to kept
+        if left > 0:
+            raise ValueError(
+                f"witness file {path} holds fewer than the {kept} bytes the checkpoint recorded; refusing to resume"
+            )
+        if digest.hexdigest() != state["witness_sha256"]:
+            raise ValueError(
+                f"the first {kept} bytes of witness file {path} do not match "
+                "the sha256 the checkpoint recorded; refusing to resume"
+            )
+        # one line per refutation; a leg run without a witness stream saved
+        # 0 bytes, so its refutations have no lines here either
+        if lines != (refutations := sum(state["refuted"].values())):
+            raise ValueError(
+                f"checkpoint field refuted counts {refutations} refutations, but the first {kept} "
+                f"bytes of witness file {path} hold {lines} lines; refusing to resume"
+            )
+    return state, done, digest
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +427,9 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
             f"certificate: windows leave placements uncovered (first: {uncovered[0]}); refusing to run"
         )
 
-    cfg_hash = config.config_hash()
     keys = [_window_key(w) for w in config.windows]
-    state = _fresh_state(cfg_hash)
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        state = checkpoint_load(config.checkpoint_path)
-        if state["config_hash"] != cfg_hash:
-            raise ValueError(
-                "checkpoint belongs to a different configuration "
-                f"({state['config_hash'][:12]}... != {cfg_hash[:12]}...)"
-            )
-        _check_consistent(state, config, keys)
-
+    state, done, digest = _resume(config, keys)
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
-    done_hi, span = state["completed_hi"], 2 * config.segment_size
-    # a segment end is 2 + k * span below q_max + 1, after k segments (2 is the
-    # fresh state), or q_max + 1 itself, the end of the last, perhaps short, one
-    if done_hi != config.q_max + 1 and done_hi not in range(2, config.q_max + 1, span):
-        raise ValueError(
-            f"checkpoint field completed_hi = {done_hi} does not align with segmentation"
-        )
-    done = -(-(done_hi - 2) // span)  # ceil: the last segment may be short
-    # a larger count would let a run report complete with segments unscanned
-    if state["segments_done"] > done:
-        raise ValueError(
-            f"checkpoint field segments_done = {state['segments_done']} exceeds "
-            f"the {done} segments that completed_hi = {done_hi} implies"
-        )
     pending = jobs[done:][:stop_after_segments]
     segment_job = functools.partial(
         _certificate_job, gap_min=config.gap_min, windows=config.windows, bound=config.smooth_bound
@@ -416,30 +437,12 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     results = ordered_map(segment_job, pending, config.workers)
 
     witness_fh = None
-    digest = hashlib.sha256()
     if config.witness_path:
-        path, kept = config.witness_path, state["witness_bytes"]
-        digest, lines = _prefix_sha256(path, kept)
-        if digest.hexdigest() != state["witness_sha256"]:
-            raise ValueError(
-                f"the first {kept} bytes of witness file {path} do not match "
-                "the sha256 the checkpoint recorded; refusing to resume"
-            )
-        # one line per refutation; a leg run without a witness stream saved
-        # 0 bytes, so its refutations have no lines here either
-        if lines != (refutations := sum(state["refuted"].values())):
-            raise ValueError(
-                f"checkpoint field refuted counts {refutations} refutations, but the first {kept} "
-                f"bytes of witness file {path} hold {lines} lines; refusing to resume"
-            )
-        witness_fh = open(path, "r+b" if kept else "wb")
-        if kept:
-            witness_fh.truncate(kept)
-            witness_fh.seek(kept)
+        kept = state["witness_bytes"]
+        witness_fh = open(config.witness_path, "r+b" if kept else "wb")
+        witness_fh.truncate(kept)
+        witness_fh.seek(kept)
 
-    refuted = state["refuted"]
-    for key in keys:
-        refuted.setdefault(key, 0)
     try:
         for (_, _, shi), events in zip(pending, results):
             for q, gap, hits in events:
@@ -450,7 +453,7 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
                     if hit is None:
                         state["failures"].append([q, list(w)])
                         continue
-                    refuted[key] += 1
+                    state["refuted"][key] += 1
                     if witness_fh is not None:
                         # the bytes of json.dumps(..., separators=(",", ":")) of the record
                         line = f'{{"q":{q},"window":"{key}","offset":{hit[0]},"prime":{hit[1]}}}\n'.encode()
@@ -475,7 +478,7 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
     return CertificateReport(
         config=config,
         gap_prime_count=state["gap_prime_count"],
-        refuted=refuted,
+        refuted=state["refuted"],
         failures=tuple((q, tuple(w)) for q, w in state["failures"]),
         gap_cap_violations=tuple(tuple(v) for v in state["gap_cap_violations"]),
         segments_done=state["segments_done"],

@@ -228,6 +228,8 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         lhs = IntervalValue.of(max_smooth_p)
         verdict = compare_less(lhs, rhs, strict=False)
         detail = f"all {len(elements)} elements are {k0}-smooth (max prime factor {max_smooth_p})"
+        if max_smooth_p > k0:  # every element is 1, and k0 < 1
+            detail = f"every element is 1, whose max prime factor counts as 1 > {k0}"
     else:
         elem, wprime = witness
         lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)

@@ -835,6 +835,50 @@ def test_certify_resume_refuses_witness_short_of_its_lines(capsys, tmp_path):
     assert wit.read_bytes() == kept
 
 
+def _drop_last_witness_line(state, wit):
+    # the shorter file's length and sha256 become the checkpoint's: only the
+    # line count still tells
+    kept = wit.read_bytes()[: wit.read_bytes().rindex(b"\n", 0, -1) + 1]
+    wit.write_bytes(kept)
+    state.update(witness_bytes=len(kept), witness_sha256=hashlib.sha256(kept).hexdigest())
+
+
+_RESUME_FAULTS = {
+    "hash": (lambda state, wit: state.update(config_hash="0" * 64), "different configuration"),
+    "align": (lambda state, wit: state.update(completed_hi=999), "does not align"),
+    "disagree": (lambda state, wit: state.update(gap_prime_count=state["gap_prime_count"] + 1), "disagree"),
+    "exceeds": (lambda state, wit: state.update(segments_done=8), "exceeds"),
+    "sha": (lambda state, wit: state.update(witness_sha256="0" * 64), "do not match the sha256"),
+    "lines": (_drop_last_witness_line, "lines; refusing to resume"),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("hash", "align"), ("disagree", "exceeds"), ("align", "sha"), ("exceeds", "lines")],
+    ids=["hash-align", "disagree-exceeds", "align-sha", "exceeds-lines"],
+)
+def test_certify_resume_refuses_the_first_of_two_faults(capsys, tmp_path, first, second):
+    ck = tmp_path / "ck.json"
+    wit = tmp_path / "wit.jsonl"
+    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck), "--witness", str(wit)]
+    code, out, err = run_cli(capsys, base + ["--stop-after", "6"])
+    assert code == 0
+    saved, lines = ck.read_text(), wit.read_bytes()
+    # the second fault alone is refused too, so the first message shows the order
+    for faults, message in (((first, second), _RESUME_FAULTS[first][1]), ((second,), _RESUME_FAULTS[second][1])):
+        wit.write_bytes(lines)
+        state = json.loads(saved)
+        for fault in faults:
+            _RESUME_FAULTS[fault][0](state, wit)
+        ck.write_text(json.dumps(state))
+        before = (ck.read_bytes(), wit.read_bytes())
+        code, out, err = run_cli(capsys, base)
+        assert (code, out) == (3, ""), faults
+        assert message in err, faults
+        assert (ck.read_bytes(), wit.read_bytes()) == before
+
+
 def test_certify_resume_refuses_checkpoint_that_hides_failures(capsys, tmp_path):
     # at this bound each of the 4 gap primes below 3e7 fails both windows
     ck = tmp_path / "ck.json"
@@ -881,6 +925,22 @@ def test_negative_threads_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "workers must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--segment-size", "1000"], "segment_size must be >= 1024, got 1000"),
+        (["--threads", "-1"], "workers must be >= 0"),
+    ],
+    ids=["segment-size", "threads"],
+)
+def test_certify_refuses_sieve_and_pool_limits_before_the_echo(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["certify", "--qmax", "30000000"] + flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("collisionlab: error:")
+    assert message in err
 
 
 def test_lemma_nmax31_has_no_threads_flag(capsys):

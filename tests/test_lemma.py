@@ -175,7 +175,7 @@ def test_check23_k0_below_two_fails_with_witness():
 
 
 def test_check23_k0_below_two_sweep():
-    failed = vacuous = 0
+    failed = vacuous = ones_failed = 0
     for delta, n, m, k, l in itertools.product((0, 1), range(40), range(-2, 40), range(-1, 2), range(3)):
         t = ParamTuple(delta, n, m, k, l)
         if t.k0 >= 2 or not check_eq12(t):
@@ -197,6 +197,11 @@ def test_check23_k0_below_two_sweep():
         if not big:
             # all ones: the largest prime factor counts as 1, so only k0 < 1 fails
             assert report.verdict.state == (HOLDS if t.k0 >= 1 else FAILS), t
+            if t.k0 < 1:
+                # the notes say what the verdict used, not that the window is k0-smooth
+                assert f"{t.k0}-smooth" not in report.notes, t
+                assert report.notes.startswith(f"every element is 1, whose max prime factor counts as 1 > {t.k0};"), t
+                ones_failed += 1
             continue
         assert report.verdict.state == FAILS, t
         least = min(p for p in range(2, big[0] + 1) if big[0] % p == 0)
@@ -204,6 +209,7 @@ def test_check23_k0_below_two_sweep():
         failed += 1
     assert failed > 0
     assert vacuous > 0
+    assert ones_failed > 0
 
 
 # ---------------------------------------------------------------------------
