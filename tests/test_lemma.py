@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import bounds, lemma
+from collisionlab import lemma
 from collisionlab.collision import ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
+import oracles
 from oracles import contains, mid, product_identity_check, width
 
 # the two tuples from exhaustive small-n enumeration that satisfy every
@@ -445,7 +446,7 @@ _SECTION4_TUPLE = ParamTuple(0, 10**6, 7000, 10000, 2)
     [
         (lemma, lambda: lemma.section5_check(10**9, 0.68), 0, lambda: _section5_lhs(10**9, 0.68)),
         (lemma, lambda: lemma.section5_check(123456789, 0.6), 0, lambda: _section5_lhs(123456789, 0.6)),
-        (bounds, bounds.central_binom_constant_check, 1, _central_binom_rate),
+        (oracles, oracles.central_binom_constant_check, 1, _central_binom_rate),
         (lemma, lambda: lemma.section4_check(_SECTION4_TUPLE), 1, lambda: _section4_upper(_SECTION4_TUPLE.k0)),
     ],
     ids=["section5-lhs-1e9", "section5-lhs-123456789", "central-binom-rate", "section4-upper"],
