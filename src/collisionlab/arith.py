@@ -11,9 +11,9 @@ here is computed without rounding.  On top of that this module provides:
     factorials with the first and section4 reports the exact log product
     with the second.
 
-Both logs are mpmath.loggamma expressions at a caller-chosen number of
-significant decimals.  The binomial's terms reach n log n while it is at
-least log n, so its difference cancels about len(str(n)) digits, which the
+Both logs are mpmath.loggamma expressions correct to 30 significant
+decimals.  The binomial's terms reach n log n while it is at least log n,
+so its difference cancels about len(str(n)) digits, which the
 len(str(n)) + 6 guard digits cover.  The logs stay independent of the
 Stirling brackets bounds.log_g_*: mpmath's loggamma shares no code with
 them, they are tested against math.lgamma, and the benchmark recomputes
@@ -200,26 +200,24 @@ def prime_factor_above(value: int, bound: int) -> int | None:
     return smooth_split(value, bound).least_prime_above if value >= 2 else None
 
 
-def _work_dps(digits: int, magnitude_hint: int) -> int:
-    # guard digits cover the result magnitude and the digits a difference cancels
-    return digits + len(str(max(magnitude_hint, 2))) + 6
+def _work_dps(magnitude_hint: int) -> int:
+    # 30 significant decimals, guarded for the magnitude and a difference's cancellation
+    return 30 + len(str(max(magnitude_hint, 2))) + 6
 
 
-def log_factorial_exact(nu: int, digits: int = 30) -> mpmath.mpf:
-    """log(nu!) = loggamma(nu + 1), correct to `digits` significant decimals."""
+def log_factorial_exact(nu: int) -> mpmath.mpf:
+    """log(nu!) = loggamma(nu + 1), correct to 30 significant decimals."""
     if nu < 0:
         raise ValueError(f"log_factorial_exact: nu must be >= 0, got {nu}")
-    if digits < 15:
-        raise ValueError(f"log_factorial_exact: digits must be >= 15, got {digits}")
-    with mpmath.workdps(_work_dps(digits, nu)):
+    with mpmath.workdps(_work_dps(nu)):
         return mpmath.loggamma(nu + 1)
 
 
-def log_binomial_exact(n: int, r: int, digits: int = 30) -> mpmath.mpf:
-    """log C(n, r) = loggamma(n+1) - loggamma(r+1) - loggamma(n-r+1) to `digits` significant decimals."""
+def log_binomial_exact(n: int, r: int) -> mpmath.mpf:
+    """log C(n, r) = loggamma(n+1) - loggamma(r+1) - loggamma(n-r+1) to 30 significant decimals."""
     if n < 0 or r < 0 or r > n:
         raise ValueError(f"log_binomial_exact: need 0 <= r <= n, got ({n}, {r})")
     if r == 0 or r == n:
         return mpmath.mpf(0)
-    with mpmath.workdps(_work_dps(digits, n)):
+    with mpmath.workdps(_work_dps(n)):
         return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)

@@ -15,6 +15,7 @@ their binary64 approximations.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,14 +112,20 @@ def section5_thresholds(n: int, c: float) -> Section5Thresholds:
     """The theorem's two lower thresholds for l, plus the critical exponent constant.
 
     t_log2 = n (1.3132 log^2(2n) - 2.00271); t_pow = (c n / log n)^(40/21);
-    c_star = 1.3132 * 21/40 exactly (= 0.68943).
+    c_star = 1.3132 * 21/40 exactly (= 0.68943).  A threshold that binary64
+    cannot hold is refused by name.
     """
     if n < 500000:
         raise ValueError(f"section5_thresholds: n must be >= 500000, got {n}")
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"section5_thresholds: c must be positive and finite, got {c}")
-    t_log2 = n * (1.3132 * math.log(2 * n) ** 2 - 2.00271)
-    t_pow = (c * n / math.log(n)) ** (40 / 21)
+    t_log2 = t_pow = math.inf
+    with contextlib.suppress(OverflowError):
+        t_log2 = n * (1.3132 * math.log(2 * n) ** 2 - 2.00271)
+        t_pow = (c * n / math.log(n)) ** (40 / 21)
+    for name, value in (("t_log2", t_log2), ("t_pow", t_pow)):
+        if not math.isfinite(value):
+            raise OverflowError(f"section5_thresholds: {name} lies beyond binary64's range")
     c_star = float(Fraction("1.3132") * 21 / 40)
     return Section5Thresholds(t_log2, t_pow, c_star)
 

@@ -6,15 +6,16 @@ Endpoint arithmetic rounds outward (nextafter steps sized to the worst-case
 rounding of the underlying operation), so a comparison decided from two
 intervals is a theorem about the exact quantities, not about floats.
 
-When the two intervals overlap, the comparison is INDETERMINATE and can be
-retried through `evaluate(..., precise=True)`, which re-runs the same
-expression under mpmath's interval type at 55 significant digits.  The
+`certified_less` is the one comparison: it decides from binary64 intervals
+and, when they overlap or binary64 cannot evaluate a side (a divisor
+around zero, an endpoint past its range: OverflowError), re-runs the same
+builders under mpmath's interval type at 55 significant digits.  The
 binary64 context is the IntervalValue class itself and the mpmath context
 is PreciseContext; both expose the same surface (`of`, `log`, `power`,
 `pi`), so each formula is written exactly once.  `of(value)` encloses an
-int, a float, a decimal string or a Fraction exactly; `power(v, e)` is
-exp(e log v) for a positive v, and its exponent e is itself a context
-value, so both contexts take the same path.
+int, a float, a decimal string, a Fraction or an IntervalValue exactly;
+`power(v, e)` is exp(e log v) for a positive v, and its exponent e is
+itself a context value, so both contexts take the same path.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -38,7 +39,6 @@ __all__ = [
     "PRECISE_DIGITS",
     "evaluate",
     "enclose_float",
-    "compare_less",
     "certified_less",
 ]
 
@@ -77,7 +77,9 @@ class IntervalValue:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"IntervalValue endpoints must be finite: [{self.lo}, {self.hi}]")
+            if math.isnan(self.lo) or math.isnan(self.hi):
+                raise ValueError(f"IntervalValue endpoints must not be NaN: [{self.lo}, {self.hi}]")
+            raise OverflowError(f"IntervalValue endpoints must be finite: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"IntervalValue endpoints out of order: [{self.lo}, {self.hi}]")
 
@@ -200,13 +202,13 @@ class Verdict:
         return self.state != INDETERMINATE
 
 
-def enclose_float(x: float, ulps: int = 2) -> IntervalValue:
-    """Interval around a float known to be within `ulps` ulps of the true value.
+def enclose_float(x: float) -> IntervalValue:
+    """Interval around a float known to be within 2 ulps of the true value.
 
     For converting scalars produced by an external high-precision source
     (e.g. an mpmath sum rounded to binary64) into certified intervals.
     """
-    return IntervalValue(_dn(x, ulps), _up(x, ulps))
+    return IntervalValue(_dn(x, 2), _up(x, 2))
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
@@ -218,11 +220,6 @@ def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
     return Verdict(INDETERMINATE, float(rhs_lo - lhs_hi))
 
 
-def compare_less(lhs: IntervalValue, rhs: IntervalValue, strict: bool = True) -> Verdict:
-    """Verdict for the claim lhs < rhs (or lhs <= rhs when strict=False)."""
-    return _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
-
-
 class PreciseContext:
     """mpmath interval context at PRECISE_DIGITS significant digits."""
 
@@ -232,9 +229,11 @@ class PreciseContext:
         self.iv = iv
 
     def of(self, value):
-        """An mpmath interval around an int, float, decimal string or Fraction."""
+        """An mpmath interval around an int, float, decimal string, Fraction or IntervalValue."""
         if isinstance(value, bool):
             raise TypeError("PreciseContext.of does not accept bool")
+        if isinstance(value, IntervalValue):
+            return self.iv.mpf([value.lo, value.hi])
         if isinstance(value, Fraction):
             return self.iv.mpf(value.numerator) / self.iv.mpf(value.denominator)
         return self.iv.mpf(value)
@@ -300,7 +299,7 @@ def certified_less(
     except (ZeroDivisionError, OverflowError):
         pass
     else:
-        verdict = compare_less(lhs, rhs, strict)
+        verdict = _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
         if verdict.decided:
             return verdict, lhs, rhs
     import mpmath

@@ -1,9 +1,10 @@
 """Checkers for the necessary conditions a binomial collision must satisfy.
 
-Every checker returns a LemmaReport: certified lhs/rhs intervals, a verdict,
-and the hypothesis flags that gate it.  A checker never extrapolates: when a
-hypothesis fails, the verdict is INDETERMINATE and the report says which
-flag failed (diagnostic values are still filled in when they are computable).
+Every checker returns a LemmaReport: certified lhs/rhs intervals, a verdict
+from intervals.certified_less, and the hypothesis flags that gate it.  A
+checker never extrapolates: when a hypothesis fails, the verdict is
+INDETERMINATE and the report says which flag failed (diagnostic values are
+still filled in when they are computable).
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -52,7 +53,6 @@ from .intervals import (
     IntervalValue,
     Verdict,
     certified_less,
-    compare_less,
     enclose_float,
     evaluate,
 )
@@ -146,12 +146,10 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         lambda cx: cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
     )
     # orientation flipped: the claim is lhs2 > rhs2
-    v2, rhs2, lhs2 = certified_less(
-        lambda cx: cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
-        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
-    )
-    shifted_rhs2 = IntervalValue.of(Fraction((k - m) * (k + m + delta + 1), n + k + delta))
-    shifted_state = compare_less(shifted_rhs2, lhs2).state
+    second = lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k))
+    bound = lambda num: lambda cx: cx.of(Fraction((k - m) * num, n + k + delta))
+    v2, rhs2, lhs2 = certified_less(bound(k + m + delta), second)
+    shifted, _, _ = certified_less(bound(k + m + delta + 1), second)
 
     if v1.holds and v2.holds:
         verdict = Verdict(HOLDS, min(v1.margin, v2.margin))
@@ -163,7 +161,7 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         f"first: {v1.state} (margin {v1.margin:.6g}); "
         f"second: lhs in [{lhs2.lo!r}, {lhs2.hi!r}], rhs in [{rhs2.lo!r}, {rhs2.hi!r}], "
         f"{v2.state} (margin {v2.margin:.6g}); "
-        f"shifted-numerator variant of the second: {shifted_state} (no verdict)"
+        f"shifted-numerator variant of the second: {shifted.state} (no verdict)"
     )
     return LemmaReport("lemma21", hyp, lhs1, rhs1, verdict, notes)
 
@@ -221,20 +219,19 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
             break
         max_smooth_p = max(max_smooth_p, fac.factors[-1][0])
 
-    rhs = IntervalValue.of(k0)
     if not elements:
-        lhs, verdict, detail = rhs, Verdict(HOLDS, 0.0), "both windows are empty"
+        lhs, detail = IntervalValue.of(k0), "both windows are empty"
     elif witness is None:
         lhs = IntervalValue.of(max_smooth_p)
-        verdict = compare_less(lhs, rhs, strict=False)
         detail = f"all {len(elements)} elements are {k0}-smooth (max prime factor {max_smooth_p})"
         if max_smooth_p > k0:  # every element is 1, and k0 < 1
             detail = f"every element is 1, whose max prime factor counts as 1 > {k0}"
     else:
         elem, wprime = witness
         lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)
-        verdict = compare_less(lhs, rhs, strict=False)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
+    # max prime factor vs k0; lhs stays as reported, as escalation would widen it
+    verdict, _, rhs = certified_less(lambda cx: cx.of(lhs), lambda cx: cx.of(k0), strict=False)
 
     shifted_all = all(v == 1 or split(v).is_smooth for v in (t.n - i for i in s1_shifted) if v >= 1)
     notes = (
@@ -266,23 +263,21 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         return _gated("lemma31", hyp)
 
     if k0 < 2:
-        pi_iv = IntervalValue.of(0)
-        pi_note = "pi(k0) = 0 (k0 < 2)"
+        pi, pi_note = 0, "pi(k0) = 0 (k0 < 2)"
     elif pi_mode == "exact":
-        pi_iv = IntervalValue.of(sieve.prime_count(k0))
-        pi_note = f"pi({k0}) = {int(pi_iv.lo)} exact"
+        pi = sieve.prime_count(k0)
+        pi_note = f"pi({k0}) = {pi} exact"
     else:
-        pi_iv = pi_upper_dusart(k0)
-        pi_note = f"pi({k0}) <= {pi_iv.hi:.6g} substituted"
+        pi = pi_upper_dusart(k0)
+        pi_note = f"pi({k0}) <= {pi.hi:.6g} substituted"
+    log_f1 = enclose_float(float(arith.log_factorial_exact(k - m)))
+    log_f2 = enclose_float(float(arith.log_factorial_exact(l + k - m0)))
 
-    exponent = IntervalValue.of(2 * k + l - m - m0) - pi_iv
-    lhs = exponent * IntervalValue.of(n - k).log()
-    rhs = (
-        pi_iv * IntervalValue.of(2 * k + l).log()
-        + enclose_float(float(arith.log_factorial_exact(k - m)))
-        + enclose_float(float(arith.log_factorial_exact(l + k - m0)))
+    verdict, lhs, rhs = certified_less(
+        lambda cx: (cx.of(2 * k + l - m - m0) - cx.of(pi)) * cx.log(cx.of(n - k)),
+        lambda cx: cx.of(pi) * cx.log(cx.of(2 * k + l)) + cx.of(log_f1) + cx.of(log_f2),
+        strict=False,
     )
-    verdict = compare_less(lhs, rhs, strict=False)
     return LemmaReport("lemma31", hyp, lhs, rhs, verdict, pi_note)
 
 

@@ -203,10 +203,3 @@ def test_log_binomial_rejects_bad_indices():
         arith.log_binomial_exact(5, 9)
     with pytest.raises(ValueError):
         arith.log_binomial_exact(-1, 0)
-
-
-def test_log_binomial_precision_is_tunable():
-    with mpmath.workdps(40):
-        a = arith.log_binomial_exact(5000, 2500, digits=35)
-        b = mpmath.log(mpmath.binomial(5000, 2500))
-        assert abs(a - b) < mpmath.mpf(10) ** (-30)

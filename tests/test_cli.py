@@ -238,10 +238,15 @@ def test_bounds_thresholds(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "not JSON compliant"),
+        (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "t_pow lies beyond binary64"),
+        (["bounds", "thresholds", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
+        (["lemma", "section5", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
         (["lemma", "section4", "--k", str(10**308)], "not JSON compliant"),
     ],
-    ids=["t_pow-overflows", "section4-lhs-overflows"],
+    ids=[
+        "t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows",
+        "section4-lhs-overflows",
+    ],
 )
 def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

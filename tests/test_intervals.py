@@ -20,7 +20,6 @@ from collisionlab.intervals import (
     INDETERMINATE,
     IntervalValue,
     certified_less,
-    compare_less,
     enclose_float,
     evaluate,
 )
@@ -33,11 +32,11 @@ positive = st.floats(min_value=1e-9, max_value=1e12, allow_nan=False, allow_infi
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of order"):
         IntervalValue(2.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="NaN"):
         IntervalValue(float("nan"), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError, match="finite"):
         IntervalValue(0.0, float("inf"))
     for of in (IntervalValue.of, intervals.PreciseContext().of):
         with pytest.raises(TypeError):
@@ -157,35 +156,39 @@ def test_interval_scalar_mixing():
 
 
 def test_enclose_float_widths():
-    x = 1.0
-    assert contains(enclose_float(x, ulps=2), Fraction(1))
-    two = enclose_float(x, ulps=2)
-    one = enclose_float(x, ulps=1)
-    assert two.lo < one.lo and one.hi < two.hi
+    two = enclose_float(1.0)
+    assert contains(two, Fraction(1))
+    assert (two.lo, two.hi) == (1.0 - 2 * 2.0**-53, 1.0 + 2 * 2.0**-52)
+
+
+def _const(iv):
+    """A builder of one precomputed enclosure, valid in either context."""
+    return lambda cx: cx.of(iv)
 
 
 def test_compare_less_decided():
-    a = IntervalValue(0.0, 1.0)
-    b = IntervalValue(2.0, 3.0)
-    v = compare_less(a, b)
+    a = _const(IntervalValue(0.0, 1.0))
+    b = _const(IntervalValue(2.0, 3.0))
+    v, _, _ = certified_less(a, b)
     assert v.state == HOLDS and v.margin == 1.0 and v.holds
-    v2 = compare_less(b, a)
+    v2, _, _ = certified_less(b, a)
     assert v2.state == FAILS and v2.margin == 1.0 and v2.fails
 
 
 def test_compare_less_overlap_is_indeterminate():
-    a = IntervalValue(0.0, 2.0)
-    b = IntervalValue(1.0, 3.0)
-    v = compare_less(a, b)
+    # the escalated pass reads the same endpoints, so it cannot decide either
+    a = _const(IntervalValue(0.0, 2.0))
+    b = _const(IntervalValue(1.0, 3.0))
+    v, _, _ = certified_less(a, b)
     assert v.state == INDETERMINATE
     assert not v.decided
     assert v.margin <= 0
 
 
 def test_compare_less_touching_endpoints():
-    a = IntervalValue.of(1.0)
-    v_strict = compare_less(a, a, strict=True)
-    v_loose = compare_less(a, a, strict=False)
+    a = _const(IntervalValue.of(1.0))
+    v_strict, _, _ = certified_less(a, a, strict=True)
+    v_loose, _, _ = certified_less(a, a, strict=False)
     assert v_strict.state == FAILS    # 1 < 1 is certainly false
     assert v_loose.state == HOLDS     # 1 <= 1 certainly holds
     assert v_loose.margin == 0.0
@@ -267,9 +270,22 @@ def test_certified_less_escalates_when_binary64_overflows():
     assert contains(lhs, 10)
 
 
+def test_certified_less_escalates_when_an_intermediate_overflows():
+    # 10^308 * 2 leaves binary64 though the quotient by 4 does not; it must
+    # escalate like the same value whose operand 2 * 10^308 already overflows
+    overflowing = lambda cx: cx.of(10**308) * 2 / 4
+    with pytest.raises(OverflowError):
+        evaluate(overflowing)
+    rhs = lambda cx: cx.of(10**308)
+    for lhs in (overflowing, lambda cx: cx.of(2 * 10**308) / 4):
+        verdict, lhs_iv, _ = certified_less(lhs, rhs)
+        assert verdict.state == HOLDS
+        assert contains(lhs_iv, 5 * 10**307)
+
+
 def test_certified_less_exact_zero_divisor_is_an_error():
     # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(OverflowError, match="finite"):
         certified_less(lambda cx: 1 / (cx.of(1) - 1), lambda cx: cx.of(1))
 
 

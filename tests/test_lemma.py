@@ -112,7 +112,8 @@ def test_check21_fails_on_the_failing_side(monkeypatch):
     ],
 )
 def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
-    sides = iter([Verdict(*first), Verdict(*second)])
+    # the third call decides the shifted-numerator note
+    sides = iter([Verdict(*first), Verdict(*second), Verdict(INDETERMINATE, 0.0)])
     monkeypatch.setattr(
         lemma, "certified_less",
         lambda lhs, rhs, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
@@ -468,6 +469,35 @@ def test_power_builders_precise_enclose_mpmath(monkeypatch, module, call, side, 
         value = exact()
         assert mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)
     assert width(iv) <= 1e-12 * abs(mid(iv))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lemma.check_lemma21(SATISFYING[0]),  # C(15,5) = C(14,6)
+        lambda: lemma.check_lemma22(500000, 588),
+        lambda: lemma.check_lemma23_smooth(SATISFYING[0]),
+        lambda: lemma.check_lemma31(SATISFYING[0], pi_mode="exact"),
+        lambda: lemma.check_lemma31(SATISFYING[0], pi_mode="dusart"),
+        lambda: lemma.section4_check(_SECTION4_TUPLE),
+        lambda: lemma.section5_check(10**9, 0.68),
+    ],
+    ids=["check21", "check22", "check23", "check31-exact", "check31-dusart", "section4", "section5"],
+)
+def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
+    verdicts = []
+    plain = lemma.certified_less
+
+    def spy(lhs, rhs, strict=True):
+        out = plain(lhs, rhs, strict)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(lemma, "certified_less", spy)
+    report = call()
+    assert report.verdict.decided
+    # check21 joins two verdicts; its margin is the smaller of the two
+    assert report.verdict in verdicts
 
 
 # ---------------------------------------------------------------------------
