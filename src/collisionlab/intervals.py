@@ -17,6 +17,15 @@ int, a float, a decimal string, a Fraction or an IntervalValue exactly;
 `power(v, e)` is exp(e log v) for a positive v, and its exponent e is
 itself a context value, so both contexts take the same path.
 
+Every binary64 result is made once, by the private `_iv(lo, hi)`: one
+chained test accepts a finite, ordered pair and the two slots are filled
+without the dataclass __init__; any other pair goes to IntervalValue(lo, hi),
+whose __post_init__ raises (ValueError for NaN or inverted endpoints,
+OverflowError for an infinite one).  Operators take an IntervalValue operand
+as it is and coerce anything else through `of`, which tries a float, an int
+within 2**53 and a cached decimal string by exact type before the general
+path; division forms the reciprocal's endpoints inline, never as an interval.
+
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
 around the intended decimal value.
@@ -50,6 +59,8 @@ INDETERMINATE = "INDETERMINATE"
 PRECISE_DIGITS = 55
 
 _INF = math.inf
+_EXACT_INT = 2**53  # every int up to this magnitude is a binary64 value
+_nextafter = math.nextafter
 _DECIMAL_CACHE: dict[str, IntervalValue] = {}  # each decimal string's enclosure
 
 
@@ -90,13 +101,21 @@ class IntervalValue:
         A float, or an int within 2**53, is a binary64 value and so a point;
         anything else rounds outward from its exact value.
         """
-        if type(value) is IntervalValue:
+        t = type(value)
+        if t is IntervalValue:
             return value
+        if t is float:
+            return _iv(value, value)
+        if t is int and -_EXACT_INT <= value <= _EXACT_INT:
+            x = float(value)
+            return _iv(x, x)
+        if t is str and value in _DECIMAL_CACHE:
+            return _DECIMAL_CACHE[value]
         if isinstance(value, bool):
             raise TypeError("IntervalValue.of does not accept bool")
-        if isinstance(value, float) or (isinstance(value, int) and abs(value) <= 2**53):
+        if isinstance(value, float) or (isinstance(value, int) and abs(value) <= _EXACT_INT):
             x = float(value)
-            return cls(x, x)
+            return _iv(x, x)
         if isinstance(value, str):
             if value not in _DECIMAL_CACHE:
                 _DECIMAL_CACHE[value] = cls.of(Fraction(value))
@@ -105,55 +124,51 @@ class IntervalValue:
             raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
         fr = Fraction(value)
         x = float(fr)  # round to nearest: at most one step off on either side
-        return cls(
-            x if Fraction(x) <= fr else math.nextafter(x, -_INF),
-            x if Fraction(x) >= fr else math.nextafter(x, _INF),
+        return _iv(
+            x if Fraction(x) <= fr else _nextafter(x, -_INF),
+            x if Fraction(x) >= fr else _nextafter(x, _INF),
         )
 
     # -- ring operations (one outward step: IEEE round-nearest is 0.5 ulp) --
 
     def __add__(self, other: Coercible) -> "IntervalValue":
-        o = IntervalValue.of(other)
-        return IntervalValue(
-            math.nextafter(self.lo + o.lo, -_INF), math.nextafter(self.hi + o.hi, _INF)
-        )
+        o = other if type(other) is IntervalValue else IntervalValue.of(other)
+        return _iv(_nextafter(self.lo + o.lo, -_INF), _nextafter(self.hi + o.hi, _INF))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntervalValue":
-        return IntervalValue(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __sub__(self, other: Coercible) -> "IntervalValue":
-        o = IntervalValue.of(other)
-        return IntervalValue(
-            math.nextafter(self.lo - o.hi, -_INF), math.nextafter(self.hi - o.lo, _INF)
-        )
+        o = other if type(other) is IntervalValue else IntervalValue.of(other)
+        return _iv(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
 
     def __rsub__(self, other: Coercible) -> "IntervalValue":
-        return (-self) + IntervalValue.of(other)
+        o = IntervalValue.of(other)
+        return _iv(_nextafter(o.lo - self.hi, -_INF), _nextafter(o.hi - self.lo, _INF))
 
     def __mul__(self, other: Coercible) -> "IntervalValue":
-        o = IntervalValue.of(other)
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
-        return IntervalValue(
-            math.nextafter(min(products), -_INF), math.nextafter(max(products), _INF)
-        )
+        o = other if type(other) is IntervalValue else IntervalValue.of(other)
+        a, b = self.lo, self.hi
+        c, d = o.lo, o.hi
+        p, q, r, s = a * c, a * d, b * c, b * d
+        return _iv(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Coercible) -> "IntervalValue":
-        o = IntervalValue.of(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise ZeroDivisionError(f"interval division by [{o.lo}, {o.hi}] containing zero")
-        recip = IntervalValue(
-            math.nextafter(1.0 / o.hi, -_INF), math.nextafter(1.0 / o.lo, _INF)
-        )
-        return self * recip
+        o = other if type(other) is IntervalValue else IntervalValue.of(other)
+        c, d = o.lo, o.hi
+        if c <= 0.0 <= d:
+            raise ZeroDivisionError(f"interval division by [{c}, {d}] containing zero")
+        # self times the outward-rounded reciprocal [1/d, 1/c]
+        c, d = _nextafter(1.0 / d, -_INF), _nextafter(1.0 / c, _INF)
+        if not -_INF < c <= d < _INF:
+            IntervalValue(c, d)  # refuses it: a subnormal divisor overflows the reciprocal
+        a, b = self.lo, self.hi
+        p, q, r, s = a * c, a * d, b * c, b * d
+        return _iv(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
 
     def __rtruediv__(self, other: Coercible) -> "IntervalValue":
         return IntervalValue.of(other) / self
@@ -163,10 +178,16 @@ class IntervalValue:
     def log(self) -> "IntervalValue":
         if self.lo <= 0.0:
             raise ValueError(f"interval log needs a strictly positive argument, got lo={self.lo}")
-        return IntervalValue(_dn(math.log(self.lo), 2), _up(math.log(self.hi), 2))
+        return _iv(
+            _nextafter(_nextafter(math.log(self.lo), -_INF), -_INF),
+            _nextafter(_nextafter(math.log(self.hi), _INF), _INF),
+        )
 
     def exp(self) -> "IntervalValue":
-        return IntervalValue(_dn(math.exp(self.lo), 2), _up(math.exp(self.hi), 2))
+        return _iv(
+            _nextafter(_nextafter(math.exp(self.lo), -_INF), -_INF),
+            _nextafter(_nextafter(math.exp(self.hi), _INF), _INF),
+        )
 
     def power(self, exponent: "IntervalValue") -> "IntervalValue":
         return (exponent * self.log()).exp()
@@ -174,7 +195,27 @@ class IntervalValue:
     @staticmethod
     def pi() -> "IntervalValue":
         # math.pi is the correctly rounded double, so one ulp out each way encloses
-        return IntervalValue(_dn(math.pi, 1), _up(math.pi, 1))
+        return _iv(_dn(math.pi, 1), _up(math.pi, 1))
+
+
+_new = object.__new__
+_set_lo = IntervalValue.lo.__set__  # the slot descriptors, which skip the frozen __setattr__
+_set_hi = IntervalValue.hi.__set__
+
+
+def _iv(lo: float, hi: float) -> IntervalValue:
+    """IntervalValue(lo, hi) for float endpoints, without the dataclass __init__.
+
+    The one chained test accepts exactly the finite, ordered pairs that
+    __post_init__ accepts; anything else goes to the constructor, which
+    raises its ValueError or OverflowError.
+    """
+    if -_INF < lo <= hi < _INF:
+        v = _new(IntervalValue)
+        _set_lo(v, lo)
+        _set_hi(v, hi)
+        return v
+    return IntervalValue(lo, hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +249,7 @@ def enclose_float(x: float) -> IntervalValue:
     For converting scalars produced by an external high-precision source
     (e.g. an mpmath sum rounded to binary64) into certified intervals.
     """
-    return IntervalValue(_dn(x, 2), _up(x, 2))
+    return _iv(_dn(x, 2), _up(x, 2))
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
@@ -253,7 +294,7 @@ def _from_iv(r) -> IntervalValue:
 
     lo = _dn(float(mpmath.mpf(r.a)), 2)
     hi = _up(float(mpmath.mpf(r.b)), 2)
-    return IntervalValue(lo, hi)
+    return _iv(lo, hi)
 
 
 def _run_precise(build: Callable):

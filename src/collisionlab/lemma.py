@@ -270,8 +270,12 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     else:
         pi = pi_upper_dusart(k0)
         pi_note = f"pi({k0}) <= {pi.hi:.6g} substituted"
-    log_f1 = enclose_float(float(arith.log_factorial_exact(k - m)))
-    log_f2 = enclose_float(float(arith.log_factorial_exact(l + k - m0)))
+    def log_factorial(nu: int) -> IntervalValue:
+        # log 0! = log 1! = 0 exactly: a 2-ulp enclosure of 0 leaves a side of 0 undecidable
+        return _ZERO if nu <= 1 else enclose_float(float(arith.log_factorial_exact(nu)))
+
+    log_f1 = log_factorial(k - m)
+    log_f2 = log_factorial(l + k - m0)
 
     verdict, lhs, rhs = certified_less(
         lambda cx: (cx.of(2 * k + l - m - m0) - cx.of(pi)) * cx.log(cx.of(n - k)),
@@ -537,8 +541,9 @@ def section4_contradiction(k: int) -> Section4Contradiction:
     """
     if k < 1:
         raise ValueError(f"section4_contradiction: k must be >= 1, got {k}")
-    lhs = 4.6623 * k - 1.8344 - math.log(k)
-    rhs = 1.0433 * k + 3.13 * k**0.75
+    x = float(k)  # the rounding an int operand of a float op gets; OverflowError past binary64
+    lhs = 4.6623 * x - 1.8344 - math.log(x)
+    rhs = 1.0433 * x + 3.13 * x**0.75
     return Section4Contradiction(k, lhs, rhs, lhs > rhs)
 
 

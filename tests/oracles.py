@@ -42,6 +42,87 @@ def contains(iv, x) -> bool:
     return Fraction(iv.lo) <= Fraction(x) <= Fraction(iv.hi)
 
 
+# ---------------------------------------------------------------------------
+# The binary64 interval kernel in its plain form: every operand through the
+# full `of` ladder, every result (the division's reciprocal included) through
+# the public IntervalValue constructor.  intervals.py must agree with it
+# endpoint for endpoint and refusal for refusal.
+
+def reference_of(value) -> IntervalValue:
+    if type(value) is IntervalValue:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("IntervalValue.of does not accept bool")
+    if isinstance(value, float) or (isinstance(value, int) and abs(value) <= 2**53):
+        x = float(value)
+        return IntervalValue(x, x)
+    if isinstance(value, str):
+        return reference_of(Fraction(value))
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
+    fr = Fraction(value)
+    x = float(fr)
+    return IntervalValue(
+        x if Fraction(x) <= fr else math.nextafter(x, -math.inf),
+        x if Fraction(x) >= fr else math.nextafter(x, math.inf),
+    )
+
+
+def _steps(x: float, toward: float, steps: int) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def reference_neg(x: IntervalValue) -> IntervalValue:
+    return IntervalValue(-x.hi, -x.lo)
+
+
+def reference_add(x: IntervalValue, y) -> IntervalValue:
+    y = reference_of(y)
+    return IntervalValue(_steps(x.lo + y.lo, -math.inf, 1), _steps(x.hi + y.hi, math.inf, 1))
+
+
+def reference_sub(x: IntervalValue, y) -> IntervalValue:
+    y = reference_of(y)
+    return IntervalValue(_steps(x.lo - y.hi, -math.inf, 1), _steps(x.hi - y.lo, math.inf, 1))
+
+
+def reference_rsub(x: IntervalValue, y) -> IntervalValue:
+    """y - x, as (-x) + y."""
+    return reference_add(reference_neg(x), y)
+
+
+def reference_mul(x: IntervalValue, y) -> IntervalValue:
+    y = reference_of(y)
+    products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return IntervalValue(_steps(min(products), -math.inf, 1), _steps(max(products), math.inf, 1))
+
+
+def reference_div(x: IntervalValue, y) -> IntervalValue:
+    """x times the interval [1/y.hi, 1/y.lo], each end one step out."""
+    y = reference_of(y)
+    if y.lo <= 0.0 <= y.hi:
+        raise ZeroDivisionError(f"interval division by [{y.lo}, {y.hi}] containing zero")
+    recip = IntervalValue(_steps(1.0 / y.hi, -math.inf, 1), _steps(1.0 / y.lo, math.inf, 1))
+    return reference_mul(x, recip)
+
+
+def reference_rdiv(x: IntervalValue, y) -> IntervalValue:
+    """y / x."""
+    return reference_div(reference_of(y), x)
+
+
+def reference_log(x: IntervalValue) -> IntervalValue:
+    if x.lo <= 0.0:
+        raise ValueError(f"interval log needs a strictly positive argument, got lo={x.lo}")
+    return IntervalValue(_steps(math.log(x.lo), -math.inf, 2), _steps(math.log(x.hi), math.inf, 2))
+
+
+def reference_exp(x: IntervalValue) -> IntervalValue:
+    return IntervalValue(_steps(math.exp(x.lo), -math.inf, 2), _steps(math.exp(x.hi), math.inf, 2))
+
+
 def legendre_valuation(N: int, r: int, p: int) -> int:
     """v_p(C(N, r)) for 0 <= r <= N by Legendre: sum over i of floor(N/p^i) - floor(r/p^i) - floor((N-r)/p^i)."""
     total, q = 0, p

@@ -6,11 +6,12 @@ whole soundness contract of the module.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collisionlab import intervals
@@ -23,6 +24,7 @@ from collisionlab.intervals import (
     enclose_float,
     evaluate,
 )
+import oracles
 from oracles import contains, width
 
 finite = st.floats(
@@ -110,6 +112,8 @@ def test_sub_is_add_of_the_negation(a, b, c, d):
 
 
 @given(finite, finite)
+# the reciprocal's outward step matters here: without it the quotient misses the exact value
+@example(3.872871805743677, 15.822378531589083)
 def test_div_contains_exact(a, b):
     ib = IntervalValue.of(b)
     if contains(ib, Fraction(0)):
@@ -138,6 +142,104 @@ def test_exp_contains_true_value(x):
     with mpmath.workdps(50):
         true = mpmath.exp(mpmath.mpf(x))
         assert mpmath.mpf(iv.lo) <= true <= mpmath.mpf(iv.hi)
+
+
+_MAX = sys.float_info.max
+wide_endpoints = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals to the largest double
+    st.floats(min_value=1e300, max_value=_MAX),  # near overflow
+    st.floats(min_value=-_MAX, max_value=-1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # divisors around zero
+    st.floats(min_value=-800.0, max_value=800.0),  # exp's finite range and its edge
+)
+wide_intervals = st.tuples(wide_endpoints, wide_endpoints).map(
+    lambda p: IntervalValue(min(p), max(p))
+)
+scalars = st.one_of(
+    wide_endpoints,
+    st.integers(-(2**54), 2**54),  # either side of 2**53
+    st.integers(-(10**400), 10**400),  # past binary64's range as well
+    st.fractions(max_denominator=10**6),
+    st.sampled_from(["0.1", "1.3132", "-2.00271", "1e309"]),
+    st.booleans(),
+)
+
+
+def _outcome(make):
+    """The endpoints' reprs (which tell -0.0 from 0.0), or the refusal's class."""
+    try:
+        r = make()
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc)
+    return repr(r.lo), repr(r.hi)
+
+
+@settings(max_examples=1000)
+@given(wide_intervals, wide_intervals, scalars)
+def test_kernel_matches_the_reference_bit_for_bit(x, y, s):
+    for other in (y, s):
+        pairs = [
+            (lambda: x + other, lambda: oracles.reference_add(x, other)),
+            (lambda: other + x, lambda: oracles.reference_add(x, other)),
+            (lambda: x - other, lambda: oracles.reference_sub(x, other)),
+            (lambda: other - x, lambda: oracles.reference_rsub(x, other)),
+            (lambda: x * other, lambda: oracles.reference_mul(x, other)),
+            (lambda: other * x, lambda: oracles.reference_mul(x, other)),
+            (lambda: x / other, lambda: oracles.reference_div(x, other)),
+            (lambda: other / x, lambda: oracles.reference_rdiv(x, other)),
+        ]
+        for kernel, reference in pairs:
+            assert _outcome(kernel) == _outcome(reference)
+    assert _outcome(lambda: -x) == _outcome(lambda: oracles.reference_neg(x))
+    assert _outcome(x.log) == _outcome(lambda: oracles.reference_log(x))
+    assert _outcome(x.exp) == _outcome(lambda: oracles.reference_exp(x))
+
+
+@settings(max_examples=1000)
+@given(st.one_of(exact_inputs, scalars, st.floats(), st.none()))
+def test_of_matches_the_reference_bit_for_bit(v):
+    # st.floats() draws nan and both infinities
+    assert _outcome(lambda: IntervalValue.of(v)) == _outcome(lambda: oracles.reference_of(v))
+
+
+_BIG = IntervalValue(1e308, 1e308)
+_TINY = IntervalValue.of(5e-324)  # its reciprocal leaves binary64
+_UNIT = IntervalValue(0.0, 1.0)
+_ZERO = IntervalValue.of(0)
+_NEGATIVE = IntervalValue(-2.0, -1.0)
+_PAST_EXP = IntervalValue.of(710.0)  # exp(710) > the largest double
+
+
+@pytest.mark.parametrize(
+    "kernel, reference, refusal",
+    [
+        (lambda: IntervalValue.of(math.nan), lambda: IntervalValue(math.nan, math.nan), ValueError),
+        (lambda: IntervalValue.of(math.inf), lambda: IntervalValue(math.inf, math.inf), OverflowError),
+        (lambda: IntervalValue.of(-math.inf), lambda: IntervalValue(-math.inf, -math.inf), OverflowError),
+        (lambda: _BIG + _BIG, lambda: oracles.reference_add(_BIG, _BIG), OverflowError),
+        (lambda: _BIG * 10, lambda: oracles.reference_mul(_BIG, 10), OverflowError),
+        (lambda: -_BIG * _BIG, lambda: oracles.reference_mul(-_BIG, _BIG), OverflowError),
+        (lambda: _BIG / 1e-10, lambda: oracles.reference_div(_BIG, 1e-10), OverflowError),
+        (lambda: 1 / _TINY, lambda: oracles.reference_rdiv(_TINY, 1), OverflowError),
+        (lambda: 1 / -_TINY, lambda: oracles.reference_rdiv(-_TINY, 1), OverflowError),
+        # 0 times the infinite reciprocal end is NaN, which min and max can hide
+        (lambda: _ZERO / _TINY, lambda: oracles.reference_div(_ZERO, _TINY), OverflowError),
+        (lambda: _UNIT / -_TINY, lambda: oracles.reference_div(_UNIT, -_TINY), OverflowError),
+        (lambda: _PAST_EXP.exp(), lambda: oracles.reference_exp(_PAST_EXP), OverflowError),
+        (lambda: _UNIT.log(), lambda: oracles.reference_log(_UNIT), ValueError),
+        (lambda: _NEGATIVE.log(), lambda: oracles.reference_log(_NEGATIVE), ValueError),
+    ],
+    ids=[
+        "of-nan", "of-inf", "of-minus-inf", "add-overflows", "mul-overflows",
+        "mul-overflows-negative", "div-overflows", "reciprocal-overflows",
+        "reciprocal-overflows-negative", "zero-over-a-subnormal", "zero-end-over-a-negative-subnormal",
+        "exp-overflows", "log-at-zero", "log-of-negative",
+    ],
+)
+def test_fast_paths_refuse_what_the_constructor_refuses(kernel, reference, refusal):
+    for make in (kernel, reference):
+        with pytest.raises(refusal):
+            make()
 
 
 def test_log_requires_positive():

@@ -244,6 +244,14 @@ def test_checker_edge_branches(check, t, state, note):
     assert note in report.notes
 
 
+def test_check31_decides_a_side_of_exactly_zero():
+    # k - m = 0 and l + k - m0 = 1: log 0! and log 1! are exactly 0, and so is
+    # each side, so 0 <= 0 holds once escalation sees them as exact zeros
+    for mode in ("exact", "dusart"):
+        report = lemma.check_lemma31(ParamTuple(0, 2, 1, 1, 0), pi_mode=mode)
+        assert report.verdict.state == HOLDS, mode
+
+
 def test_check31_rejects_unknown_mode():
     with pytest.raises(ValueError):
         lemma.check_lemma31(ParamTuple(0, 7, 1, 2, 1), pi_mode="table")
@@ -363,6 +371,21 @@ def test_nmax31_raises_when_every_point_degenerates():
 
 # ---------------------------------------------------------------------------
 # section4_check
+
+@pytest.mark.parametrize("k", [1, 588, 99999, 2**53 + 1, 10**300])
+def test_section4_contradiction_matches_the_int_formula(k):
+    # each float op rounds its int operand k to binary64, as float(k) does
+    lhs = 4.6623 * k - 1.8344 - math.log(k)
+    rhs = 1.0433 * k + 3.13 * k**0.75
+    c = lemma.section4_contradiction(k)
+    assert (repr(c.lhs), repr(c.rhs), c.contradiction) == (repr(lhs), repr(rhs), lhs > rhs)
+
+
+def test_section4_contradiction_refuses_k_past_binary64():
+    # `lemma section4 --k` takes any int
+    with pytest.raises(OverflowError):
+        lemma.section4_contradiction(10**400)
+
 
 def test_section4_check_gated_on_small_tuple():
     report = lemma.section4_check(ParamTuple(0, 7, 1, 2, 1))
