@@ -17,14 +17,14 @@ int, a float, a decimal string, a Fraction or an IntervalValue exactly;
 `power(v, e)` is exp(e log v) for a positive v, and its exponent e is
 itself a context value, so both contexts take the same path.
 
-Every binary64 result is made once, by the private `_iv(lo, hi)`: one
-chained test accepts a finite, ordered pair and the two slots are filled
-without the dataclass __init__; any other pair goes to IntervalValue(lo, hi),
-whose __post_init__ raises (ValueError for NaN or inverted endpoints,
-OverflowError for an infinite one).  Operators take an IntervalValue operand
-as it is and coerce anything else through `of`, which tries a float, an int
-within 2**53 and a cached decimal string by exact type before the general
-path; division forms the reciprocal's endpoints inline, never as an interval.
+Every binary64 value is made and checked by one constructor,
+IntervalValue(lo, hi): it fills the two slots and calls __post_init__, the
+one validator, which accepts a finite, ordered pair by one chained test and
+otherwise raises (ValueError for NaN or inverted endpoints, OverflowError
+for an infinite one).  Every operation, `of`, `enclose_float`, `pi` and the
+mpmath read-back build their results through it.  Operators take an
+IntervalValue operand as it is and coerce anything else through `of`;
+division forms the reciprocal's endpoints inline, never as an interval.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -79,20 +79,27 @@ def _up(x: float, steps: int) -> float:
 Coercible = Union[int, float, str, Fraction, "IntervalValue"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalValue:
     """Closed interval [lo, hi] certified to contain the exact value."""
 
     lo: float
     hi: float
 
+    def __init__(self, lo: float, hi: float) -> None:
+        _set_lo(self, lo)  # the slot descriptors, which skip the frozen __setattr__
+        _set_hi(self, hi)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            if math.isnan(self.lo) or math.isnan(self.hi):
-                raise ValueError(f"IntervalValue endpoints must not be NaN: [{self.lo}, {self.hi}]")
-            raise OverflowError(f"IntervalValue endpoints must be finite: [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"IntervalValue endpoints out of order: [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if -_INF < lo <= hi < _INF:
+            return
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"IntervalValue endpoints must not be NaN: [{lo}, {hi}]")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise OverflowError(f"IntervalValue endpoints must be finite: [{lo}, {hi}]")
+        raise ValueError(f"IntervalValue endpoints out of order: [{lo}, {hi}]")
 
     @classmethod
     def of(cls, value: Coercible) -> "IntervalValue":
@@ -101,21 +108,13 @@ class IntervalValue:
         A float, or an int within 2**53, is a binary64 value and so a point;
         anything else rounds outward from its exact value.
         """
-        t = type(value)
-        if t is IntervalValue:
+        if isinstance(value, IntervalValue):
             return value
-        if t is float:
-            return _iv(value, value)
-        if t is int and -_EXACT_INT <= value <= _EXACT_INT:
-            x = float(value)
-            return _iv(x, x)
-        if t is str and value in _DECIMAL_CACHE:
-            return _DECIMAL_CACHE[value]
         if isinstance(value, bool):
             raise TypeError("IntervalValue.of does not accept bool")
         if isinstance(value, float) or (isinstance(value, int) and abs(value) <= _EXACT_INT):
             x = float(value)
-            return _iv(x, x)
+            return IntervalValue(x, x)
         if isinstance(value, str):
             if value not in _DECIMAL_CACHE:
                 _DECIMAL_CACHE[value] = cls.of(Fraction(value))
@@ -124,7 +123,7 @@ class IntervalValue:
             raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
         fr = Fraction(value)
         x = float(fr)  # round to nearest: at most one step off on either side
-        return _iv(
+        return IntervalValue(
             x if Fraction(x) <= fr else _nextafter(x, -_INF),
             x if Fraction(x) >= fr else _nextafter(x, _INF),
         )
@@ -133,27 +132,27 @@ class IntervalValue:
 
     def __add__(self, other: Coercible) -> "IntervalValue":
         o = other if type(other) is IntervalValue else IntervalValue.of(other)
-        return _iv(_nextafter(self.lo + o.lo, -_INF), _nextafter(self.hi + o.hi, _INF))
+        return IntervalValue(_nextafter(self.lo + o.lo, -_INF), _nextafter(self.hi + o.hi, _INF))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntervalValue":
-        return _iv(-self.hi, -self.lo)
+        return IntervalValue(-self.hi, -self.lo)
 
     def __sub__(self, other: Coercible) -> "IntervalValue":
         o = other if type(other) is IntervalValue else IntervalValue.of(other)
-        return _iv(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
+        return IntervalValue(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
 
     def __rsub__(self, other: Coercible) -> "IntervalValue":
         o = IntervalValue.of(other)
-        return _iv(_nextafter(o.lo - self.hi, -_INF), _nextafter(o.hi - self.lo, _INF))
+        return IntervalValue(_nextafter(o.lo - self.hi, -_INF), _nextafter(o.hi - self.lo, _INF))
 
     def __mul__(self, other: Coercible) -> "IntervalValue":
         o = other if type(other) is IntervalValue else IntervalValue.of(other)
         a, b = self.lo, self.hi
         c, d = o.lo, o.hi
         p, q, r, s = a * c, a * d, b * c, b * d
-        return _iv(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
+        return IntervalValue(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
 
     __rmul__ = __mul__
 
@@ -168,7 +167,7 @@ class IntervalValue:
             IntervalValue(c, d)  # refuses it: a subnormal divisor overflows the reciprocal
         a, b = self.lo, self.hi
         p, q, r, s = a * c, a * d, b * c, b * d
-        return _iv(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
+        return IntervalValue(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
 
     def __rtruediv__(self, other: Coercible) -> "IntervalValue":
         return IntervalValue.of(other) / self
@@ -178,13 +177,13 @@ class IntervalValue:
     def log(self) -> "IntervalValue":
         if self.lo <= 0.0:
             raise ValueError(f"interval log needs a strictly positive argument, got lo={self.lo}")
-        return _iv(
+        return IntervalValue(
             _nextafter(_nextafter(math.log(self.lo), -_INF), -_INF),
             _nextafter(_nextafter(math.log(self.hi), _INF), _INF),
         )
 
     def exp(self) -> "IntervalValue":
-        return _iv(
+        return IntervalValue(
             _nextafter(_nextafter(math.exp(self.lo), -_INF), -_INF),
             _nextafter(_nextafter(math.exp(self.hi), _INF), _INF),
         )
@@ -195,27 +194,11 @@ class IntervalValue:
     @staticmethod
     def pi() -> "IntervalValue":
         # math.pi is the correctly rounded double, so one ulp out each way encloses
-        return _iv(_dn(math.pi, 1), _up(math.pi, 1))
+        return IntervalValue(_dn(math.pi, 1), _up(math.pi, 1))
 
 
-_new = object.__new__
-_set_lo = IntervalValue.lo.__set__  # the slot descriptors, which skip the frozen __setattr__
+_set_lo = IntervalValue.lo.__set__
 _set_hi = IntervalValue.hi.__set__
-
-
-def _iv(lo: float, hi: float) -> IntervalValue:
-    """IntervalValue(lo, hi) for float endpoints, without the dataclass __init__.
-
-    The one chained test accepts exactly the finite, ordered pairs that
-    __post_init__ accepts; anything else goes to the constructor, which
-    raises its ValueError or OverflowError.
-    """
-    if -_INF < lo <= hi < _INF:
-        v = _new(IntervalValue)
-        _set_lo(v, lo)
-        _set_hi(v, hi)
-        return v
-    return IntervalValue(lo, hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +232,7 @@ def enclose_float(x: float) -> IntervalValue:
     For converting scalars produced by an external high-precision source
     (e.g. an mpmath sum rounded to binary64) into certified intervals.
     """
-    return _iv(_dn(x, 2), _up(x, 2))
+    return IntervalValue(_dn(x, 2), _up(x, 2))
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
@@ -294,7 +277,7 @@ def _from_iv(r) -> IntervalValue:
 
     lo = _dn(float(mpmath.mpf(r.a)), 2)
     hi = _up(float(mpmath.mpf(r.b)), 2)
-    return _iv(lo, hi)
+    return IntervalValue(lo, hi)
 
 
 def _run_precise(build: Callable):

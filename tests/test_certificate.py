@@ -168,6 +168,24 @@ def test_refute_events_composite_cofactors_and_smooth_windows():
     assert certificate._refute_events(np.empty(0, dtype=np.int64), windows, 3427) == []
 
 
+@pytest.mark.parametrize(
+    "wrong_witness",
+    [
+        lambda cofactor, bound: 2**61 - 1,  # a prime above the bound, not a factor of 143
+        lambda cofactor, bound: 1,  # divides 143 but is not above the bound
+        lambda cofactor, bound: cofactor,  # 143 = 11 * 13 divides itself but is not prime
+    ],
+    ids=["prime-not-a-factor", "factor-not-above-bound", "factor-not-prime"],
+)
+def test_refute_events_re_verifies_each_witness(monkeypatch, wrong_witness):
+    # 143 = 11 * 13 has no prime factor <= 10, so its cofactor is 143 itself
+    q = np.array([143], dtype=np.int64)
+    assert certificate._refute_events(q, ((0, 0),), 10) == [[(0, 11)]]
+    monkeypatch.setattr(certificate.arith, "least_prime_above", wrong_witness)
+    with pytest.raises(AssertionError, match="witness extraction failed for 143"):
+        certificate._refute_events(q, ((0, 0),), 10)
+
+
 def test_certificate_job_near_top_of_range_matches_scalar():
     config = CertificateConfig(q_max=31_754_673_611)
     slo = config.q_max - 4 * config.segment_size

@@ -242,6 +242,55 @@ def test_fast_paths_refuse_what_the_constructor_refuses(kernel, reference, refus
             make()
 
 
+_A = IntervalValue(1.0, 2.0)
+_B = IntervalValue(3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "make, values",
+    [
+        (lambda: _A + _B, 1),
+        (lambda: _A - _B, 1),
+        (lambda: _A.__rsub__(_B), 1),
+        (lambda: _A * _B, 1),
+        (lambda: _A / _B, 1),
+        (lambda: _A.__rtruediv__(_B), 1),
+        (lambda: -_A, 1),
+        (_A.log, 1),
+        (_A.exp, 1),
+        (lambda: _A.power(_B), 3),  # log, product, exp
+        (lambda: IntervalValue.of(0.5), 1),
+        (lambda: IntervalValue.of(7), 1),
+        (lambda: IntervalValue.of(10**30), 1),
+        (lambda: IntervalValue.of(Fraction(1, 3)), 1),
+        (lambda: IntervalValue.of("0.37"), 1),  # a decimal string not yet cached
+        (lambda: IntervalValue.of("0.1"), 0),  # cached before the count starts
+        (lambda: IntervalValue.of(_A), 0),
+        (lambda: enclose_float(0.5), 1),
+        (IntervalValue.pi, 1),
+    ],
+    ids=[
+        "add", "sub", "rsub", "mul", "div", "rdiv", "neg", "log", "exp", "power",
+        "of-float", "of-small-int", "of-large-int", "of-fraction", "of-new-decimal",
+        "of-cached-decimal", "of-interval", "enclose-float", "pi",
+    ],
+)
+def test_every_value_passes_the_one_validator(monkeypatch, make, values):
+    # bench/tracing.py counts intervals.values by this same patch
+    monkeypatch.setattr(intervals, "_DECIMAL_CACHE", {"0.1": IntervalValue.of(Fraction(1, 10))})
+    validate = IntervalValue.__post_init__
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        validate(value)
+
+    monkeypatch.setattr(IntervalValue, "__post_init__", counting)
+    made = make()
+    assert len(calls) == values
+    assert values == 0 or calls[-1] is made
+
+
 def test_log_requires_positive():
     with pytest.raises(ValueError):
         IntervalValue(-1.0, 1.0).log()
