@@ -94,8 +94,9 @@ def _cmd_lines(args) -> int:
     return EXIT_OK
 
 
-def _iv_pair(iv) -> list[float]:
-    return [iv.lo, iv.hi]
+def _iv_pair(iv) -> list[float] | None:
+    """An interval as [lo, hi]; null for a side past binary64's range."""
+    return None if iv is None else [iv.lo, iv.hi]
 
 
 def _fields(result, *drop: str) -> dict:
@@ -208,10 +209,7 @@ def _cmd_lemma_section5(args) -> int:
         }
         print(_json_doc(cfg, body))
     else:
-        print(f"section5: {rep.verdict.state} (margin {rep.verdict.margin:.6g})")
-        print(f"  l0 = {rep.l0!r}")
-        print(f"  lhs in [{rep.lhs.lo!r}, {rep.lhs.hi!r}]")
-        print(f"  rhs in [{rep.rhs.lo!r}, {rep.rhs.hi!r}]")
+        print(rep.to_text())
     return EXIT_FAILS if rep.verdict.state == FAILS else EXIT_OK
 
 

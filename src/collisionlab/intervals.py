@@ -303,11 +303,23 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     return _from_iv(_run_precise(build))
 
 
+def _enclosure(raw) -> IntervalValue | None:
+    """The binary64 enclosure of an mpmath interval; None if it is finite but past binary64."""
+    import mpmath
+
+    try:
+        return _from_iv(raw)
+    except OverflowError:
+        if mpmath.isinf(mpmath.mpf(raw.a)) or mpmath.isinf(mpmath.mpf(raw.b)):
+            raise  # an unbounded side, as from a divisor of exactly zero, is no verdict
+        return None
+
+
 def certified_less(
     lhs_build: Callable,
     rhs_build: Callable,
     strict: bool = True,
-) -> tuple[Verdict, IntervalValue, IntervalValue]:
+) -> tuple[Verdict, IntervalValue | None, IntervalValue | None]:
     """Decide lhs < rhs, escalating precision when binary64 cannot decide.
 
     The escalated comparison happens on the raw high-precision endpoints;
@@ -315,7 +327,10 @@ def certified_less(
     escalation exists to buy.  The returned intervals are binary64
     enclosures for reporting and may overlap even when the verdict is
     decided.  A side that binary64 cannot evaluate (a divisor around zero,
-    an operand or quotient past its range) is undecided too.
+    an operand or quotient past its range) is undecided too.  After an
+    escalation, a finite side with no binary64 enclosure is returned as
+    None, never clamped or widened, and the verdict stands as decided; an
+    unbounded side raises OverflowError.
     """
     try:
         lhs = evaluate(lhs_build)
@@ -337,4 +352,4 @@ def certified_less(
             mpmath.mpf(lhs_raw.a), mpmath.mpf(lhs_raw.b),
             mpmath.mpf(rhs_raw.a), mpmath.mpf(rhs_raw.b), strict,
         )
-    return verdict, _from_iv(lhs_raw), _from_iv(rhs_raw)
+    return verdict, _enclosure(lhs_raw), _enclosure(rhs_raw)

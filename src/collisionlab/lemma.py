@@ -1,10 +1,11 @@
 """Checkers for the necessary conditions a binomial collision must satisfy.
 
-Every checker returns a LemmaReport: certified lhs/rhs intervals, a verdict
-from intervals.certified_less, and the hypothesis flags that gate it.  A
-checker never extrapolates: when a hypothesis fails, the verdict is
-INDETERMINATE and the report says which flag failed (diagnostic values are
-still filled in when they are computable).
+Every checker returns a LemmaReport: certified lhs/rhs intervals (None for
+a side past binary64's range), a verdict from intervals.certified_less, and
+the hypothesis flags that gate it.  A checker never extrapolates: when a
+hypothesis fails, the verdict is INDETERMINATE and the report says which
+flag failed (diagnostic values are still filled in when they are
+computable).
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -83,12 +84,17 @@ CLAIMED_N_BOUND = 31754673611
 _ZERO = IntervalValue.of(0)
 
 
+def _span(iv: IntervalValue | None) -> str:
+    """A reported side as text: its enclosure, or that binary64 has none."""
+    return "beyond binary64" if iv is None else f"in [{iv.lo!r}, {iv.hi!r}]"
+
+
 @dataclass(frozen=True, slots=True)
 class LemmaReport:
     lemma: str
     hypotheses: dict[str, bool]
-    lhs: IntervalValue
-    rhs: IntervalValue
+    lhs: IntervalValue | None
+    rhs: IntervalValue | None
     verdict: Verdict
     notes: str
 
@@ -97,8 +103,8 @@ class LemmaReport:
         lines = [
             f"{self.lemma}: {self.verdict.state} (margin {self.verdict.margin:.6g})",
             f"  hypotheses: {hyp}" if hyp else "  hypotheses: (none)",
-            f"  lhs in [{self.lhs.lo!r}, {self.lhs.hi!r}]",
-            f"  rhs in [{self.rhs.lo!r}, {self.rhs.hi!r}]",
+            f"  lhs {_span(self.lhs)}",
+            f"  rhs {_span(self.rhs)}",
         ]
         if self.notes:
             lines.append(f"  notes: {self.notes}")
@@ -159,7 +165,7 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         verdict = Verdict(INDETERMINATE, min(v1.margin, v2.margin))
     notes = (
         f"first: {v1.state} (margin {v1.margin:.6g}); "
-        f"second: lhs in [{lhs2.lo!r}, {lhs2.hi!r}], rhs in [{rhs2.lo!r}, {rhs2.hi!r}], "
+        f"second: lhs {_span(lhs2)}, rhs {_span(rhs2)}, "
         f"{v2.state} (margin {v2.margin:.6g}); "
         f"shifted-numerator variant of the second: {shifted.state} (no verdict)"
     )
@@ -553,9 +559,17 @@ class Section5Report:
     c: float
     thresholds: Section5Thresholds
     l0: float
-    lhs: IntervalValue
-    rhs: IntervalValue
+    lhs: IntervalValue | None
+    rhs: IntervalValue | None
     verdict: Verdict
+
+    def to_text(self) -> str:
+        return "\n".join([
+            f"section5: {self.verdict.state} (margin {self.verdict.margin:.6g})",
+            f"  l0 = {self.l0!r}",
+            f"  lhs {_span(self.lhs)}",
+            f"  rhs {_span(self.rhs)}",
+        ])
 
 
 def section5_check(n: int, c: float) -> Section5Report:

@@ -27,10 +27,11 @@ candidates after its last prime with the deterministic Miller-Rabin test
 ahead.  So results never depend on segmentation or on how many workers ran
 the scan.
 
-Memory: the base prime table is seeded by a plain sieve up to 2^16 and
-grown one segment at a time, so building it never needs a byte per
-integer.  The int64 table itself remains: pi(sqrt(hi)) * 8 bytes, about
-0.4 GB at hi = 1e18 and 1.2 GB at hi = 2^63.
+Memory: the base prime table is seeded with the primes through 17, the
+presieve's own, and grown one segment at a time by the segment mask, so
+building it never needs a byte per integer.  The int64 table itself
+remains: pi(sqrt(hi)) * 8 bytes, about 0.4 GB at hi = 1e18 and 1.2 GB at
+hi = 2^63.
 """
 
 from __future__ import annotations
@@ -64,18 +65,18 @@ DEFAULT_SEGMENT_ODDS = 1 << 21
 _MAX_SIEVE_POINT = 2**63 - 1
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+# presieve: the odd numbers 2j+1 (entry j) with no factor among these primes;
+# the pattern repeats every 3*5*7*11*13*17 = 255255 entries (510510 integers)
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
-
-# the base prime table is seeded by _simple_sieve up to 2^16; base_primes
-# extends it one segment at a time
-_base_cache: dict[str, object] = {"limit": 1 << 16, "primes": _simple_sieve(1 << 16)}
+# seeded with the primes through 17, the head that _odd_prime_mask slices
+# off; base_primes grows it one segment at a time, exactly from the first
+# step on, as every composite below 19^2 has a factor the presieve strikes
+_base_cache: dict[str, object] = {
+    "limit": _PRESIEVE_PRIMES[-1],
+    "primes": np.array((2,) + _PRESIEVE_PRIMES, dtype=np.int64),
+}
 
 
 def _pi_upper(x: int) -> int:
@@ -116,16 +117,10 @@ def base_primes(limit: int) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
-_list_cache: dict[int, list[int]] = {}
-
-
+@functools.cache
 def prime_list(bound: int) -> list[int]:
     """Primes <= bound as plain ints, memoized per bound for trial division."""
-    got = _list_cache.get(bound)
-    if got is None:
-        got = [int(p) for p in base_primes(bound)]
-        _list_cache[bound] = got
-    return got
+    return [int(p) for p in base_primes(bound)]
 
 
 def primes_unbounded() -> Iterator[int]:
@@ -138,12 +133,6 @@ def primes_unbounded() -> Iterator[int]:
             yield int(primes[idx])
             idx += 1
         limit *= 2
-
-
-# presieve: the odd numbers 2j+1 (entry j) with no factor among these primes;
-# the pattern repeats every 3*5*7*11*13*17 = 255255 entries (510510 integers)
-_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
-_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
 
 def _presieve_pattern() -> np.ndarray:

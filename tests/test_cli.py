@@ -319,6 +319,20 @@ def test_lemma_check22_decides_where_binary64_overflows(capsys):
     assert "notes: does not force l = delta" in out
 
 
+def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
+    # the lhs is about 1.9e398: mpmath decides, and binary64 has no enclosure
+    argv = ["lemma", "check22", "--n", str(10**400), "--k", str(10**399)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out.startswith("lemma22: FAILS")
+    assert "\n  lhs beyond binary64\n" in out
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert (report["verdict"], report["lhs"]) == ("FAILS", None)
+    assert report["rhs"][0] <= 1 <= report["rhs"][1]
+
+
 def test_lemma_check23(capsys):
     code, out, err = run_cli(capsys, ["lemma", "check23"] + TUPLE_FLAGS)
     assert code == 0

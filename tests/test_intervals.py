@@ -434,6 +434,15 @@ def test_certified_less_escalates_when_an_intermediate_overflows():
         assert contains(lhs_iv, 5 * 10**307)
 
 
+def test_certified_less_reports_a_side_past_binary64_as_absent():
+    # 10^400 and -10^400 are finite at 55 digits and have no binary64
+    # enclosure: the verdict stands, and only the other side is reported
+    verdict, lhs, rhs = certified_less(lambda cx: cx.of(10**400), lambda cx: cx.of(1))
+    assert verdict.state == FAILS and lhs is None and contains(rhs, 1)
+    verdict, lhs, rhs = certified_less(lambda cx: cx.of(1), lambda cx: -cx.of(10**400))
+    assert verdict.state == FAILS and rhs is None and contains(lhs, 1)
+
+
 def test_certified_less_exact_zero_divisor_is_an_error():
     # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict
     with pytest.raises(OverflowError, match="finite"):

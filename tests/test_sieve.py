@@ -83,6 +83,40 @@ def test_base_primes_match_reference_sieve():
     assert sieve.base_primes(limit).dtype == np.int64
 
 
+def _fresh_interpreter(code):
+    """The stdout of `code` run in a new interpreter that imports this checkout's package."""
+    src_dir = os.path.dirname(os.path.dirname(sieve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def test_import_seeds_the_table_with_the_presieve_primes():
+    code = "from collisionlab import sieve\nprint(sieve._base_cache['primes'].tolist())\n"
+    assert _fresh_interpreter(code).strip() == "[2, 3, 5, 7, 11, 13, 17]"
+
+
+_GROWTH_LIMITS = [18, 360, 361, 2**16 - 1, 2**16, 2**16 + 1, 3 * 10**6 + 7]
+
+
+def test_base_primes_grow_from_the_seed_exactly(tmp_path):
+    # a fresh interpreter grows the table from the seed in these steps; 18 is
+    # the first step past 17, and 361 = 19^2 the first composite whose least
+    # factor the presieve does not strike
+    out = tmp_path / "tables.npz"
+    code = (
+        "import numpy as np\n"
+        "from collisionlab import sieve\n"
+        f"tables = [sieve.base_primes(limit).copy() for limit in {_GROWTH_LIMITS}]\n"
+        f"np.savez({str(out)!r}, *tables)\n"
+    )
+    _fresh_interpreter(code)
+    with np.load(out) as tables:
+        for i, limit in enumerate(_GROWTH_LIMITS):
+            assert np.array_equal(tables[f"arr_{i}"], _reference_primes(limit)), limit
+
+
 def test_base_primes_grow_one_segment_at_a_time():
     # a fresh interpreter: the table is seeded small and grown through the
     # segment sieve, so the peak stays near the table's own size
@@ -93,12 +127,7 @@ def test_base_primes_grow_one_segment_at_a_time():
         "t = sieve.base_primes(2**26)\n"
         "print(tracemalloc.get_traced_memory()[1], t.nbytes, len(t), int(t[-1]))\n"
     )
-    src_dir = os.path.dirname(os.path.dirname(sieve.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout.split()
-    peak, nbytes, count, last = map(int, out)
+    peak, nbytes, count, last = map(int, _fresh_interpreter(code).split())
     assert (count, last) == (3957809, 67108859)
     assert peak < 1.5 * nbytes + sieve.DEFAULT_SEGMENT_ODDS
 
