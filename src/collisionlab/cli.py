@@ -309,12 +309,12 @@ def _cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_tuple_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--delta", type=int, required=required)
-    p.add_argument("--n", type=int, required=required)
-    p.add_argument("--m", type=int, required=required)
-    p.add_argument("--k", type=int, required=required)
-    p.add_argument("--l", type=int, required=required)
+def _add_tuple_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,10 +1,9 @@
 """Directed-rounding interval arithmetic and certified inequality verdicts.
 
 Every analytic estimate in this package is evaluated as an IntervalValue:
-a pair of binary64 endpoints guaranteed to bracket the true real value.
-Endpoint arithmetic rounds outward (nextafter steps sized to the worst-case
-rounding of the underlying operation), so a comparison decided from two
-intervals is a theorem about the exact quantities, not about floats.
+a pair of binary64 endpoints guaranteed to bracket the true real value, so
+a comparison decided from two intervals is a theorem about the exact
+quantities, not about floats.
 
 `certified_less` is the one comparison: it decides from binary64 intervals
 and, when they overlap or binary64 cannot evaluate a side (a divisor
@@ -17,14 +16,14 @@ int, a float, a decimal string, a Fraction or an IntervalValue exactly;
 `power(v, e)` is exp(e log v) for a positive v, and its exponent e is
 itself a context value, so both contexts take the same path.
 
-Every binary64 value is made and checked by one constructor,
-IntervalValue(lo, hi): it fills the two slots and calls __post_init__, the
-one validator, which accepts a finite, ordered pair by one chained test and
-otherwise raises (ValueError for NaN or inverted endpoints, OverflowError
-for an infinite one).  Every operation, `of`, `enclose_float`, `pi` and the
-mpmath read-back build their results through it.  Operators take an
-IntervalValue operand as it is and coerce anything else through `of`;
-division forms the reciprocal's endpoints inline, never as an interval.
+One constructor, IntervalValue(lo, hi), makes and checks every binary64
+value: __post_init__, the one validator, accepts a finite, ordered pair by
+one chained test and otherwise raises (ValueError for NaN or inverted
+endpoints, OverflowError for an infinite one).  Ring operations step each
+endpoint one ulp outward; one helper, `_widen`, steps two outward every
+value binary64 did not round itself (a libm log or exp, `enclose_float`'s
+float, an mpmath endpoint read back).  Operators coerce a non-interval
+operand through `of`; division forms the reciprocal's endpoints inline.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -59,21 +58,10 @@ INDETERMINATE = "INDETERMINATE"
 PRECISE_DIGITS = 55
 
 _INF = math.inf
+_FLOAT_MAX = math.nextafter(_INF, 0.0)  # sys.float_info.max, the largest finite double
 _EXACT_INT = 2**53  # every int up to this magnitude is a binary64 value
 _nextafter = math.nextafter
 _DECIMAL_CACHE: dict[str, IntervalValue] = {}  # each decimal string's enclosure
-
-
-def _dn(x: float, steps: int) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, -_INF)
-    return x
-
-
-def _up(x: float, steps: int) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, _INF)
-    return x
 
 
 Coercible = Union[int, float, str, Fraction, "IntervalValue"]
@@ -144,8 +132,7 @@ class IntervalValue:
         return IntervalValue(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
 
     def __rsub__(self, other: Coercible) -> "IntervalValue":
-        o = IntervalValue.of(other)
-        return IntervalValue(_nextafter(o.lo - self.hi, -_INF), _nextafter(o.hi - self.lo, _INF))
+        return IntervalValue.of(other) - self
 
     def __mul__(self, other: Coercible) -> "IntervalValue":
         o = other if type(other) is IntervalValue else IntervalValue.of(other)
@@ -177,16 +164,10 @@ class IntervalValue:
     def log(self) -> "IntervalValue":
         if self.lo <= 0.0:
             raise ValueError(f"interval log needs a strictly positive argument, got lo={self.lo}")
-        return IntervalValue(
-            _nextafter(_nextafter(math.log(self.lo), -_INF), -_INF),
-            _nextafter(_nextafter(math.log(self.hi), _INF), _INF),
-        )
+        return _widen(math.log(self.lo), math.log(self.hi))
 
     def exp(self) -> "IntervalValue":
-        return IntervalValue(
-            _nextafter(_nextafter(math.exp(self.lo), -_INF), -_INF),
-            _nextafter(_nextafter(math.exp(self.hi), _INF), _INF),
-        )
+        return _widen(math.exp(self.lo), math.exp(self.hi))
 
     def power(self, exponent: "IntervalValue") -> "IntervalValue":
         return (exponent * self.log()).exp()
@@ -194,11 +175,18 @@ class IntervalValue:
     @staticmethod
     def pi() -> "IntervalValue":
         # math.pi is the correctly rounded double, so one ulp out each way encloses
-        return IntervalValue(_dn(math.pi, 1), _up(math.pi, 1))
+        return IntervalValue(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
 
 
 _set_lo = IntervalValue.lo.__set__
 _set_hi = IntervalValue.hi.__set__
+
+
+def _widen(lo: float, hi: float) -> IntervalValue:
+    """[lo, hi] two steps out at each end: faithful rounding is not assumed."""
+    return IntervalValue(
+        _nextafter(_nextafter(lo, -_INF), -_INF), _nextafter(_nextafter(hi, _INF), _INF)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +195,8 @@ class Verdict:
 
     state is HOLDS, FAILS, or INDETERMINATE.  margin is the certified gap
     between the intervals: positive for a decided verdict, nonpositive when
-    the intervals overlap.
+    the intervals overlap.  A gap past binary64 is capped at
+    ±sys.float_info.max, which still bounds its size from below.
     """
 
     state: str
@@ -227,21 +216,19 @@ class Verdict:
 
 
 def enclose_float(x: float) -> IntervalValue:
-    """Interval around a float known to be within 2 ulps of the true value.
-
-    For converting scalars produced by an external high-precision source
-    (e.g. an mpmath sum rounded to binary64) into certified intervals.
-    """
-    return IntervalValue(_dn(x, 2), _up(x, 2))
+    """Interval around a float within 2 ulps of the true value, such as a rounded mpmath result."""
+    return _widen(x, x)
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
     """The HOLDS/FAILS/INDETERMINATE ladder over float or mpf endpoints."""
+    state, gap = INDETERMINATE, rhs_lo - lhs_hi
     if lhs_hi < rhs_lo or (not strict and lhs_hi <= rhs_lo):
-        return Verdict(HOLDS, float(rhs_lo - lhs_hi))
-    if lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
-        return Verdict(FAILS, float(lhs_lo - rhs_hi))
-    return Verdict(INDETERMINATE, float(rhs_lo - lhs_hi))
+        state = HOLDS
+    elif lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
+        state, gap = FAILS, lhs_lo - rhs_hi
+    margin = float(gap)
+    return Verdict(state, margin if -_FLOAT_MAX <= margin <= _FLOAT_MAX else math.copysign(_FLOAT_MAX, margin))
 
 
 class PreciseContext:
@@ -275,9 +262,7 @@ class PreciseContext:
 def _from_iv(r) -> IntervalValue:
     import mpmath
 
-    lo = _dn(float(mpmath.mpf(r.a)), 2)
-    hi = _up(float(mpmath.mpf(r.b)), 2)
-    return IntervalValue(lo, hi)
+    return _widen(float(mpmath.mpf(r.a)), float(mpmath.mpf(r.b)))
 
 
 def _run_precise(build: Callable):

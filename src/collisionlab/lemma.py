@@ -111,12 +111,12 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _gated(lemma: str, hyp: dict[str, bool], lhs=_ZERO, rhs=_ZERO, extra="") -> LemmaReport:
+def _gated(lemma: str, hyp: dict[str, bool], extra="") -> LemmaReport:
     failed = ", ".join(name for name, ok in hyp.items() if not ok)
     notes = f"hypotheses not met: {failed}"
     if extra:
         notes += f"; {extra}"
-    return LemmaReport(lemma, hyp, lhs, rhs, Verdict(INDETERMINATE, 0.0), notes)
+    return LemmaReport(lemma, hyp, _ZERO, _ZERO, Verdict(INDETERMINATE, 0.0), notes)
 
 
 def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[range, range]:

@@ -324,7 +324,8 @@ def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
     argv = ["lemma", "check22", "--n", str(10**400), "--k", str(10**399)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert out.startswith("lemma22: FAILS")
+    # the gap is past binary64 too: the margin reads as the largest double
+    assert out.startswith("lemma22: FAILS (margin 1.79769e+308)\n")
     assert "\n  lhs beyond binary64\n" in out
     code, out, err = run_cli(capsys, argv + ["--json"])
     assert code == 1

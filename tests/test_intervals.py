@@ -19,6 +19,7 @@ from collisionlab.intervals import (
     FAILS,
     HOLDS,
     INDETERMINATE,
+    PRECISE_DIGITS,
     IntervalValue,
     certified_less,
     enclose_float,
@@ -312,6 +313,41 @@ def test_enclose_float_widths():
     assert (two.lo, two.hi) == (1.0 - 2 * 2.0**-53, 1.0 + 2 * 2.0**-52)
 
 
+def _stepped_out(lo: float, hi: float, steps: int) -> IntervalValue:
+    return IntervalValue(oracles._steps(lo, -math.inf, steps), oracles._steps(hi, math.inf, steps))
+
+
+@settings(max_examples=500)
+@given(st.floats())
+def test_enclose_float_is_two_steps_out_bit_for_bit(x):
+    # st.floats() draws nan and both infinities, which both sides refuse
+    assert _outcome(lambda: enclose_float(x)) == _outcome(lambda: _stepped_out(x, x, 2))
+
+
+def test_pi_is_one_step_out_bit_for_bit():
+    assert _outcome(IntervalValue.pi) == _outcome(lambda: _stepped_out(math.pi, math.pi, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cx: cx.of(Fraction(1, 3)),
+        lambda cx: cx.log(cx.of(10)),
+        lambda cx: cx.pi(),
+        lambda cx: cx.power(cx.of(2), cx.of(Fraction(21, 40))),
+        lambda cx: cx.of(-7) / 3,
+    ],
+    ids=["third", "log10", "pi", "power", "negative"],
+)
+def test_precise_read_back_is_two_steps_out_bit_for_bit(build):
+    # each mpmath endpoint rounds to nearest, then steps two ulps outward
+    raw = intervals._run_precise(build)
+    lo, hi = float(mpmath.mpf(raw.a)), float(mpmath.mpf(raw.b))
+    expected = _outcome(lambda: _stepped_out(lo, hi, 2))
+    assert _outcome(lambda: evaluate(build, precise=True)) == expected
+    assert _outcome(lambda: intervals._enclosure(raw)) == expected
+
+
 def _const(iv):
     """A builder of one precomputed enclosure, valid in either context."""
     return lambda cx: cx.of(iv)
@@ -461,6 +497,18 @@ def test_power_fraction_exponent():
     with mpmath.workdps(50):
         true = mpmath.power(2, mpmath.mpf(21) / 40)
         assert mpmath.mpf(iv.lo) <= true <= mpmath.mpf(iv.hi)
+
+
+def test_verdict_caps_a_gap_past_binary64():
+    # endpoints 1e400 apart: the margin is the largest double, never inf
+    with mpmath.workdps(PRECISE_DIGITS + 10):
+        near, far = mpmath.mpf(0), mpmath.mpf(10) ** 400
+        held = intervals._verdict(near, near, far, far, strict=True)
+        failed = intervals._verdict(far, far, near, near, strict=True)
+        overlap = intervals._verdict(-far, far, -far, far, strict=True)
+    assert (held.state, held.margin) == (HOLDS, sys.float_info.max)
+    assert (failed.state, failed.margin) == (FAILS, sys.float_info.max)
+    assert (overlap.state, overlap.margin) == (INDETERMINATE, -sys.float_info.max)
 
 
 def test_verdict_margin_semantics():
