@@ -49,7 +49,8 @@ def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     """Enclose (x/log x)(1 + 1/log x + 2/log^2 x + 7.59/log^3 x).
 
     Dominates the prime counting function on the whole range this package
-    touches; the sweep test checks that against the exact sieve up to 1e6.
+    touches; a sweep test checks that against the exact sieve at every
+    integer up to 1,747,029, the largest k0 at which nmax_lemma31 evaluates it.
     """
     if _as_float(x) <= 1.0:
         raise ValueError(f"pi_upper_dusart: x must exceed 1, got {x}")

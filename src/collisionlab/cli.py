@@ -6,11 +6,13 @@ reruns and worker counts.  A run's config is its flags as parsed, less
 --json and the flags left unset, and the echo is that config, written before
 the subcommand computes.  Each subparser's call names what it prints: one
 compact JSON document with a version field, printed by _cmd_doc, or one
-compact JSON line per row, written by _cmd_lines to stdout or --out.  Run
-defaults live in CertificateConfig and GridConfig: certify and lemma nmax31
-pass on only the flags given and echo the resolved dataclass, and each
-key=value line of a certify --config file is parsed as the flag --key=value by
-the same parser.
+compact JSON line per row, written by _cmd_lines to stdout or --out.  Every
+lemma checker's report goes through _cmd_lemma_report, the one report
+handler: text, or with --json one document whose fields _fields writes, and
+an exit code that follows the verdict.  Run defaults live in
+CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
+flags given and echo the resolved dataclass, and each key=value line of a
+certify --config file is parsed as the flag --key=value by the same parser.
 
 Exit codes: 0 success or certified HOLDS, 1 certified FAILS or certificate
 failure, 2 usage error (argparse), 3 capability or runtime error.
@@ -29,7 +31,7 @@ from typing import Optional
 
 from . import __version__, bounds, certificate, collision, lemma, sieve
 from .collision import ParamTuple
-from .intervals import FAILS, IntervalValue
+from .intervals import IntervalValue, Verdict
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -61,7 +63,7 @@ def _echo_config(args) -> dict:
     config = {
         key: value
         for key, value in vars(args).items()
-        if value is not None and key not in ("func", "call", "check", "json") and not key.endswith("command")
+        if value is not None and key not in ("func", "call", "check", "body", "json") and not key.endswith("command")
     }
     _echo(args, config)
     return config
@@ -94,15 +96,17 @@ def _cmd_lines(args) -> int:
     return EXIT_OK
 
 
-def _iv_pair(iv) -> list[float] | None:
-    """An interval as [lo, hi]; null for a side past binary64's range."""
-    return None if iv is None else [iv.lo, iv.hi]
+def _out(value):
+    """A value as output: an interval as [lo, hi], a verdict as its state, anything else as is."""
+    if isinstance(value, IntervalValue):
+        return [value.lo, value.hi]
+    return value.state if isinstance(value, Verdict) else value
 
 
 def _fields(result, *drop: str) -> dict:
-    """A result dataclass as output: its fields in order, less drop, each interval as [lo, hi]."""
+    """A result dataclass as output: its fields in order, less drop, each written by _out."""
     return {
-        f.name: _iv_pair(value) if isinstance(value := getattr(result, f.name), IntervalValue) else value
+        f.name: _out(getattr(result, f.name))
         for f in dataclasses.fields(result)
         if f.name not in drop
     }
@@ -148,14 +152,17 @@ def _param_doc(args) -> dict:
 
 def _stirling_doc(args) -> dict:
     lower, upper, f_val = bounds.stirling_log_bounds(args.nu, precise=args.precise)
-    return {"log_g_lower": _iv_pair(lower), "log_g_upper": _iv_pair(upper), "f": _iv_pair(f_val)}
+    return {"log_g_lower": _out(lower), "log_g_upper": _out(upper), "f": _out(f_val)}
 
 
 # ---------------------------------------------------------------------------
 # lemma subcommands
 
 def _cmd_lemma_report(args) -> int:
-    """Run the checker that set_defaults chose on the flags; one LemmaReport as text or JSON."""
+    """Run the checker that set_defaults chose on the flags; its report as text or JSON.
+
+    The JSON body is {"report": its fields}, or what a body hook in set_defaults makes.
+    """
     cfg = _echo_config(args)
     if "delta" in cfg:  # a tuple checker: the five tuple flags make its ParamTuple
         extra = {key: value for key, value in cfg.items() if key not in ("delta", "n", "m", "k", "l")}
@@ -163,18 +170,10 @@ def _cmd_lemma_report(args) -> int:
     else:
         report = args.check(**cfg)
     if args.json:
-        body = {
-            "lemma": report.lemma,
-            "hypotheses": report.hypotheses,
-            "lhs": _iv_pair(report.lhs),
-            "rhs": _iv_pair(report.rhs),
-            "verdict": report.verdict.state,
-            "notes": report.notes,
-        }
-        print(_json_doc(cfg, {"report": body}))
+        print(_json_doc(cfg, args.body(report) if "body" in args else {"report": _fields(report)}))
     else:
         print(report.to_text())
-    return EXIT_FAILS if report.verdict.state == FAILS else EXIT_OK
+    return EXIT_FAILS if report.verdict.fails else EXIT_OK
 
 
 def _cmd_lemma_nmax31(args) -> int:
@@ -193,24 +192,6 @@ def _cmd_lemma_section4(args) -> int:
             raise ValueError("lemma section4: give all of --delta --n --m --k --l, or --k alone")
         return _cmd_lemma_report(args)
     return _cmd_doc(args)
-
-
-def _cmd_lemma_section5(args) -> int:
-    cfg = _echo_config(args)
-    rep = lemma.section5_check(args.n, args.c)
-    if args.json:
-        body = {
-            "c_star": rep.thresholds.c_star,
-            "l0": rep.l0,
-            "lhs": _iv_pair(rep.lhs),
-            "rhs": _iv_pair(rep.rhs),
-            "verdict": rep.verdict.state,
-            "margin": rep.verdict.margin,
-        }
-        print(_json_doc(cfg, body))
-    else:
-        print(rep.to_text())
-    return EXIT_FAILS if rep.verdict.state == FAILS else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--n", type=int, required=True)
     l.add_argument("--c", type=_finite_float, required=True)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(func=_cmd_lemma_section5)
+    l.set_defaults(
+        func=_cmd_lemma_report,
+        check=lemma.section5_check,
+        body=lambda r: {  # flat: c_star, the report less its inputs, then the margin
+            "c_star": r.thresholds.c_star, **_fields(r, "n", "c", "thresholds"), "margin": r.verdict.margin
+        },
+    )
 
     p = sub.add_parser("sieve", help="segmented prime sieve utilities")
     ssub = p.add_subparsers(dest="sieve_command", required=True)

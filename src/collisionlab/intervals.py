@@ -37,6 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
+import mpmath
+from mpmath import iv
+
 __all__ = [
     "IntervalValue",
     "Verdict",
@@ -194,8 +197,9 @@ class Verdict:
     """Outcome of a certified comparison.
 
     state is HOLDS, FAILS, or INDETERMINATE.  margin is the certified gap
-    between the intervals: positive for a decided verdict, nonpositive when
-    the intervals overlap.  A gap past binary64 is capped at
+    between the intervals rounded toward zero, so its size never exceeds
+    the exact gap's: positive for a decided verdict, nonpositive when the
+    intervals overlap.  A gap past binary64 is capped at
     ±sys.float_info.max, which still bounds its size from below.
     """
 
@@ -221,54 +225,56 @@ def enclose_float(x: float) -> IntervalValue:
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
-    """The HOLDS/FAILS/INDETERMINATE ladder over float or mpf endpoints."""
-    state, gap = INDETERMINATE, rhs_lo - lhs_hi
+    """The HOLDS/FAILS/INDETERMINATE ladder over float or mpf endpoints; the margin rounds toward zero."""
+    state, a, b = INDETERMINATE, rhs_lo, lhs_hi
     if lhs_hi < rhs_lo or (not strict and lhs_hi <= rhs_lo):
         state = HOLDS
     elif lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
-        state, gap = FAILS, lhs_lo - rhs_hi
-    margin = float(gap)
-    return Verdict(state, margin if -_FLOAT_MAX <= margin <= _FLOAT_MAX else math.copysign(_FLOAT_MAX, margin))
+        state, a, b = FAILS, lhs_lo, rhs_hi
+    margin = a - b
+    if type(margin) is float:  # TwoSum: a - b is exactly margin + err
+        back = margin - a
+        err = (a - (margin - back)) - (b + back)
+    else:  # mpf endpoints: err has the sign of the exact gap less its float
+        exact = mpmath.fsub(a, b, exact=True)
+        margin = float(exact)
+        err = exact - margin
+    if err < 0.0 < margin or margin < 0.0 < err:  # round-to-nearest overstated the gap
+        margin = _nextafter(margin, 0.0)
+    if not -_FLOAT_MAX <= margin <= _FLOAT_MAX:
+        margin = math.copysign(_FLOAT_MAX, margin)
+    return Verdict(state, margin)
 
 
 class PreciseContext:
     """mpmath interval context at PRECISE_DIGITS significant digits."""
-
-    def __init__(self) -> None:
-        from mpmath import iv
-
-        self.iv = iv
 
     def of(self, value):
         """An mpmath interval around an int, float, decimal string, Fraction or IntervalValue."""
         if isinstance(value, bool):
             raise TypeError("PreciseContext.of does not accept bool")
         if isinstance(value, IntervalValue):
-            return self.iv.mpf([value.lo, value.hi])
+            return iv.mpf([value.lo, value.hi])
         if isinstance(value, Fraction):
-            return self.iv.mpf(value.numerator) / self.iv.mpf(value.denominator)
-        return self.iv.mpf(value)
+            return iv.mpf(value.numerator) / iv.mpf(value.denominator)
+        return iv.mpf(value)
 
     def log(self, v):
-        return self.iv.log(v)
+        return iv.log(v)
 
     def power(self, v, exponent):
-        return self.iv.exp(exponent * self.log(v))
+        return iv.exp(exponent * self.log(v))
 
     def pi(self):
-        return self.iv.pi
+        return iv.pi
 
 
 def _from_iv(r) -> IntervalValue:
-    import mpmath
-
     return _widen(float(mpmath.mpf(r.a)), float(mpmath.mpf(r.b)))
 
 
 def _run_precise(build: Callable):
     """build(PreciseContext()) at PRECISE_DIGITS; the raw mpmath interval."""
-    from mpmath import iv
-
     saved = iv.dps
     iv.dps = PRECISE_DIGITS
     try:
@@ -290,8 +296,6 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
 
 def _enclosure(raw) -> IntervalValue | None:
     """The binary64 enclosure of an mpmath interval; None if it is finite but past binary64."""
-    import mpmath
-
     try:
         return _from_iv(raw)
     except OverflowError:
@@ -326,8 +330,6 @@ def certified_less(
         verdict = _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
         if verdict.decided:
             return verdict, lhs, rhs
-    import mpmath
-
     lhs_raw = _run_precise(lhs_build)
     rhs_raw = _run_precise(rhs_build)
     # read endpoints at a working precision above the evaluation's, so the

@@ -52,6 +52,22 @@ def test_pi_upper_dusart_floor_stays_inside_budget():
         assert fl >= iv.lo * (1 - 1e-9)
 
 
+def test_dusart_and_psi_premises_hold_over_the_n_bound_range():
+    # nmax_lemma31 evaluates pi_upper_dusart at k0 = 2(k + l) - 1 up to its
+    # largest grid point, past criterion 03's and 05's sweeps to 1e6
+    grid = lemma.GridConfig()
+    k0_max = 2 * (grid.k_max + 271 * grid.k_max // 100000) - 1
+    assert k0_max == 1747029
+    pi_t, _, psi_t = oracles.chebyshev_tables(k0_max)
+    xs = np.arange(2, k0_max + 1, dtype=np.float64)
+    floors = pi_upper_dusart_floor(xs)
+    assert np.all(pi_t[2:] <= floors)
+    assert np.all(psi_t[2:] < 1.03883 * xs)
+    # re-certify the tightest pi-bar / pi point with the interval version
+    tight = int(np.argmin(floors / pi_t[2:])) + 2
+    assert bounds.pi_upper_dusart(tight).lo >= pi_t[tight]
+
+
 def test_robbins_brackets_factorial():
     # past nu ~ 500 the bracket gap drops below binary64 interval width,
     # so the strict separation is only certifiable on this range

@@ -511,6 +511,40 @@ def test_verdict_caps_a_gap_past_binary64():
     assert (overlap.state, overlap.margin) == (INDETERMINATE, -sys.float_info.max)
 
 
+@settings(max_examples=500)
+@given(st.lists(wide_endpoints, min_size=4, max_size=4), st.booleans())
+# 1e16 + 2 - 0.1 rounds to nearest as 1e16 + 2, above the exact 1e16 + 1.9
+@example([0.1, 0.1, 1e16 + 2, 1e16 + 2], True)
+@example([5e-324, 1e-323, 1.5e-323, 1e-310], True)
+@example([-_MAX, -_MAX, _MAX, _MAX], False)
+@example([1.0, 1.0, _MAX, _MAX], True)
+def test_verdict_margin_is_the_gap_rounded_toward_zero(ends, strict):
+    lhs_lo, lhs_hi = sorted(ends[:2])
+    rhs_lo, rhs_hi = sorted(ends[2:])
+    verdict = intervals._verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict)
+    a, b = (lhs_lo, rhs_hi) if verdict.state == FAILS else (rhs_lo, lhs_hi)
+    exact = Fraction(a) - Fraction(b)
+    margin = verdict.margin
+    assert abs(Fraction(margin)) <= abs(exact)
+    assert margin == 0.0 or (margin > 0.0) == (exact > 0)
+    if abs(margin) < _MAX:  # the tightest such double: one step out overstates
+        assert abs(Fraction(math.nextafter(margin, math.copysign(math.inf, margin)))) > abs(exact)
+
+
+def test_verdict_margin_rounds_an_mpf_gap_toward_zero():
+    with mpmath.workdps(PRECISE_DIGITS + 10):
+        near, far = mpmath.mpf("0.1"), mpmath.mpf(10) ** 16 + 2
+        held = intervals._verdict(near, near, far, far, strict=True)
+        failed = intervals._verdict(far, far, near, near, strict=True)
+        overlap = intervals._verdict(near, far, near, far, strict=True)
+    exact = _mpf_fraction(far) - _mpf_fraction(near)
+    # the mpf gap 1e16 + 1.9 rounds to nearest as 1e16 + 2; toward zero it is 1e16
+    assert (held.state, held.margin) == (HOLDS, 1e16)
+    assert (failed.state, failed.margin) == (FAILS, 1e16)
+    assert (overlap.state, overlap.margin) == (INDETERMINATE, -1e16)
+    assert Fraction(held.margin) <= exact
+
+
 def test_verdict_margin_semantics():
     verdict, lhs, rhs = certified_less(
         lambda cx: cx.of(0), lambda cx: cx.of(10)
