@@ -232,9 +232,10 @@ def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
     elif lhs_lo > rhs_hi or (strict and lhs_lo >= rhs_hi):
         state, a, b = FAILS, lhs_lo, rhs_hi
     margin = a - b
-    if type(margin) is float:  # TwoSum: a - b is exactly margin + err
-        back = margin - a
-        err = (a - (margin - back)) - (b + back)
+    if type(margin) is float:  # Fast2Sum from the larger operand: a - b is exactly margin + err
+        # TwoSum's back-step margin - a can overflow when a and margin are both
+        # near the top of binary64 with opposite signs; this step is exact
+        err = -b - (margin - a) if abs(a) >= abs(b) else a - (margin + b)
     else:  # mpf endpoints: err has the sign of the exact gap less its float
         exact = mpmath.fsub(a, b, exact=True)
         margin = float(exact)

@@ -440,17 +440,14 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     """Maximize the bound on n implied by the factorial inequality.
 
     At each grid point: m pinned to 0.735k (real), m0 = m + 1, delta = 0
-    (the choice maximizing both k0 and the resulting bound), prime count
-    replaced per pi_mode.  log(n-k) <= [pi log(2k+l) + f(k-m) + f(l+k-m0)]
+    (the choice maximizing both k0 and the resulting bound), pi(k0) per
+    pi_mode: len(sieve.base_primes(k0)) or Dusart's upper bound.
+    log(n-k) <= [pi log(2k+l) + f(k-m) + f(l+k-m0)]
     / (2k+l-m-m0-pi); the report exponentiates the grid maximum.  Grid
     points with a nonpositive denominator carry no information and are
     skipped.  One serial scan, k and then l ascending, keeps a point only
     when it beats the best so far, so ties go to the smallest (k, l).
     """
-    pi_exact = None
-    if grid.pi_mode == "exact":
-        k0_max = 2 * (grid.k_max + max(1, 271 * grid.k_max // 100000)) - 1
-        pi_exact = sieve.base_primes(k0_max)
     best: Optional[tuple[float, int, int]] = None
     points = 0
     skipped = 0
@@ -460,10 +457,8 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
         k53 = IntervalValue.of(Fraction(53 * k, 100))
         for l in grid.l_values(k):
             k0 = 2 * (k + l) - 1
-            if pi_exact is not None:
-                pi_iv = IntervalValue.of(
-                    int(np.searchsorted(pi_exact, k0, side="right"))
-                )
+            if grid.pi_mode == "exact":
+                pi_iv = IntervalValue.of(len(sieve.base_primes(k0)))
             else:
                 pi_iv = pi_upper_dusart(k0)
             ratio = _nmax_point(k, l, pi_iv, arg1, f_arg1, k53)

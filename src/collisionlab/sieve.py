@@ -8,13 +8,13 @@ segments so ranges up to a few times 1e10 stay within desk memory:
   * gap_scan                        events (p, d(p)) with d(p) >= min_gap
   * prime_neighbors                 nearest primes around a point
 
-Segment mask: a segment starts as a slice (or np.tile) of one constant
-pattern that already strikes the multiples of 3..17; its period is 255255
-odd entries.  The first odd multiple >= max(lo, p^2) of every other base
-prime comes from one numpy expression, and the only Python loop left is
-one strided store per prime.  A prime below _STRIDE3_CUT, whose stores are
-many, skips its odd multiples that are also multiples of 3 (the pattern
-struck them already): two stores at stride 3p write two thirds as much.
+Segment mask: a segment starts as np.tile of one constant pattern, one
+period of 255255 odd entries, that already strikes the multiples of 3..17.
+The first odd multiple >= max(lo, p^2) of every other base prime comes from
+one numpy expression, and the only Python loop left is one strided store
+per prime.  A prime below _STRIDE3_CUT, whose stores are many, skips its
+odd multiples that are also multiples of 3 (the pattern struck them
+already): two stores at stride 3p write two thirds as much.
 
 Gap events: the mask is read in blocks of B odd entries (B a power of two,
 2B <= min_gap, at most 32) with one flag per block, so no gap of interest
@@ -29,9 +29,9 @@ the scan.
 
 Memory: the base prime table is seeded with the primes through 17, the
 presieve's own, and grown one segment at a time by the segment mask, so
-building it never needs a byte per integer.  The int64 table itself
-remains: pi(sqrt(hi)) * 8 bytes, about 0.4 GB at hi = 1e18 and 1.2 GB at
-hi = 2^63.
+building it never needs a byte per integer; prime_count below one default
+segment span reads the table's length.  The int64 table itself remains:
+pi(sqrt(hi)) * 8 bytes, about 0.4 GB at hi = 1e18 and 1.2 GB at hi = 2^63.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def primes_unbounded() -> Iterator[int]:
 
 
 def _presieve_pattern() -> np.ndarray:
-    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)  # two periods: one slice fits
+    pattern = np.ones(_PRESIEVE_PERIOD, dtype=bool)  # one period, tiled per segment
     for p in _PRESIEVE_PRIMES:
         pattern[(p - 1) // 2 :: p] = False
     return pattern
@@ -170,11 +170,8 @@ def _odd_prime_mask(lo: int, hi: int) -> np.ndarray:
     if count <= 0:
         return np.ones(0, dtype=bool)
     at = (lo // 2) % _PRESIEVE_PERIOD
-    if at + count <= len(_PRESIEVE):
-        mask = _PRESIEVE[at : at + count].copy()
-    else:
-        reps = -(-(at + count) // _PRESIEVE_PERIOD)
-        mask = np.tile(_PRESIEVE[:_PRESIEVE_PERIOD], reps)[at : at + count]
+    reps = -(-(at + count) // _PRESIEVE_PERIOD)
+    mask = np.tile(_PRESIEVE, reps)[at : at + count]
     for p in _PRESIEVE_PRIMES:
         if lo <= p < hi:
             mask[(p - lo) // 2] = True
@@ -239,11 +236,14 @@ class _SegmentJobs(Sequence):
 
 
 def prime_count(x: int) -> int:
-    """Exact pi(x) by segmented counting."""
+    """Exact pi(x): len(base_primes(x)) below 2 * DEFAULT_SEGMENT_ODDS.
+
+    Above that span x is counted segment by segment, so memory stays bounded.
+    """
     if x > _MAX_SIEVE_POINT:
         raise ValueError(f"prime_count: x exceeds 63-bit sieve range: {x}")
-    if x < 2:
-        return 0
+    if x < 2 * DEFAULT_SEGMENT_ODDS:
+        return len(base_primes(x))
     total = 0
     for _, slo, shi in SegmentPlan(2, x + 1).jobs():
         total += int(_odd_prime_mask(slo | 1, shi).sum()) + (slo == 2)

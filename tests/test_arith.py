@@ -37,6 +37,11 @@ def test_fibonacci_recurrence(i):
     assert arith.fibonacci(i) == arith.fibonacci(i - 1) + arith.fibonacci(i - 2)
 
 
+def test_fibonacci_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+        arith.fibonacci(-1)
+
+
 def test_is_prime_against_sieve():
     table = set(base_primes(200_000).tolist())
     for n in range(200_001):
@@ -62,6 +67,15 @@ def test_smooth_split_examples():
     s2 = arith.smooth_split(8402, 100)  # 2 * 4201
     assert not s2.is_smooth
     assert s2.cofactor == 4201
+
+
+@pytest.mark.parametrize(
+    "value, bound, message",
+    [(1, 5, "value must be >= 2, got 1"), (10, 0, "bound must be >= 1, got 0")],
+)
+def test_smooth_split_refuses_value_or_bound_out_of_range(value, bound, message):
+    with pytest.raises(ValueError, match=message):
+        arith.smooth_split(value, bound)
 
 
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=2, max_value=97))
@@ -160,6 +174,11 @@ def test_prime_factor_above_large_cofactor_stays_near_its_factor():
 def test_log_factorial_matches_lgamma(nu):
     got = float(arith.log_factorial_exact(nu))
     assert got == pytest.approx(math.lgamma(nu + 1), rel=1e-12)
+
+
+def test_log_factorial_refuses_a_negative_argument():
+    with pytest.raises(ValueError, match="nu must be >= 0, got -1"):
+        arith.log_factorial_exact(-1)
 
 
 def test_log_binomial_small_values_exact():

@@ -78,6 +78,12 @@ def test_robbins_brackets_factorial():
         assert lower.hi < exact < upper.lo
 
 
+@pytest.mark.parametrize("fn", [bounds.log_g_lower, bounds.log_g_upper], ids=["lower", "upper"])
+def test_robbins_refuses_a_nonpositive_argument(fn):
+    with pytest.raises(ValueError, match="z must be positive, got 0"):
+        fn(0)
+
+
 def test_robbins_pinned_at_five():
     # reference values rounded to 4 decimals; g-(5) = 119.669759...
     assert math.exp(mid(bounds.log_g_lower(5))) == pytest.approx(119.6700, abs=5e-4)

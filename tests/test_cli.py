@@ -359,6 +359,12 @@ def test_lemma_threshold32(capsys):
     assert doc["value_at"][0] >= 0 > doc["value_next"][1]
 
 
+def test_lemma_threshold32_refuses_a_reversed_bracket(capsys):
+    code, out, err = run_cli(capsys, ["lemma", "threshold32", "--lo", "10", "--hi", "5"])
+    assert (code, out) == (3, "")
+    assert "bad bracket [10, 5]" in err
+
+
 def test_lemma_nmax31_small_grid(capsys):
     argv = [
         "lemma", "nmax31", "--k-min", "588", "--k-max", "700",
@@ -504,6 +510,11 @@ def test_lemma_section5(capsys):
     )
     assert code == 3
     assert "must be below" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "section5", "--n", "1000000000", "--c", "abc"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "argument --c: invalid float value: 'abc'" in err
 
 
 # ---------------------------------------------------------------------------

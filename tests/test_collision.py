@@ -55,6 +55,8 @@ def test_collision_record_validation():
         CollisionRecord(121, (r1, r2))        # values must match N
     with pytest.raises(ValueError):
         CollisionRecord(120, (r2, r1))        # sorted by descending x
+    with pytest.raises(ValueError, match="duplicate representation"):
+        CollisionRecord(120, (r1, r1))        # each representation once
 
 
 def test_fib_identity_first_members():

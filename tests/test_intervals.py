@@ -518,6 +518,8 @@ def test_verdict_caps_a_gap_past_binary64():
 @example([5e-324, 1e-323, 1.5e-323, 1e-310], True)
 @example([-_MAX, -_MAX, _MAX, _MAX], False)
 @example([1.0, 1.0, _MAX, _MAX], True)
+# TwoSum's intermediate margin - rhs_lo overflows here; the gap itself does not
+@example([0.0, _MAX, 7.932912268473222e307, 7.932912268473222e307], False)
 def test_verdict_margin_is_the_gap_rounded_toward_zero(ends, strict):
     lhs_lo, lhs_hi = sorted(ends[:2])
     rhs_lo, rhs_hi = sorted(ends[2:])

@@ -274,6 +274,11 @@ def test_lemma32_expression_signs():
     assert neg.hi < 0
 
 
+def test_lemma32_expression_refuses_f_below_three():
+    with pytest.raises(ValueError, match="F must be >= 3, got 2"):
+        lemma.lemma32_expression(2)
+
+
 def test_lemma32_expression_precise_path():
     f64 = lemma.lemma32_expression(871155)
     mp = lemma.lemma32_expression(871155, precise=True)

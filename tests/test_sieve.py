@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -155,10 +155,28 @@ _widths = st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_valu
 
 @given(_lows, _widths)
 @settings(max_examples=150, deadline=None)
+# the pattern offset at = lo // 2 plus the entry count reaching one and two
+# presieve periods exactly (255255 and 510510 odd entries), and one past each
+@example(1, 510510)
+@example(1, 510512)
+@example(200001, 821020)
+@example(200001, 821022)
 def test_odd_prime_mask_matches_reference(lo, width):
     olo = lo | 1
     hi = olo + width
     assert np.array_equal(sieve._odd_prime_mask(olo, hi), _reference_odd_prime_mask(olo, hi))
+
+
+def test_odd_prime_mask_never_writes_the_presieve_pattern():
+    # a mask within one period tiles it once; np.tile must copy even then
+    period = sieve._PRESIEVE_PERIOD
+    pattern = sieve._PRESIEVE.copy()
+    assert len(pattern) == period
+    for lo, hi in [(1, 100), (3, 41), (19, 4001), (2 * period - 1, 2 * period + 99)]:
+        mask = sieve._odd_prime_mask(lo, hi)
+        assert not np.shares_memory(mask, sieve._PRESIEVE)
+        mask[:] = False
+    assert np.array_equal(sieve._PRESIEVE, pattern)
 
 
 @pytest.mark.parametrize("residue", [0, 1, 2])
@@ -286,6 +304,48 @@ def test_prime_count_pinned():
     assert [sieve.prime_count(x) for x in (4194300, 4194301, first_end - 1, first_end, 4194319)] == [
         295946, 295947, 295947, 295947, 295948
     ]
+
+
+# prime_count reads the base table below one default segment span, 2^22,
+# and counts segment by segment above it; the draws cover both sides
+_PRIME_COUNT_TOP = 2**22 + 2**21
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_prime_counts():
+    """pi(x) for every x <= _PRIME_COUNT_TOP, as prefix counts of the reference mask."""
+    odd = _reference_odd_prime_mask(1, _PRIME_COUNT_TOP + 1)
+    counts = np.empty(_PRIME_COUNT_TOP + 1, dtype=np.int32)
+    counts[:2] = 0
+    counts[2:] = 1 + np.cumsum(odd, dtype=np.int32)[(np.arange(2, _PRIME_COUNT_TOP + 1) - 1) // 2]
+    return counts
+
+
+@given(st.integers(min_value=0, max_value=_PRIME_COUNT_TOP))
+@settings(max_examples=60, deadline=None)
+@example(2 * sieve.DEFAULT_SEGMENT_ODDS - 1)
+@example(2 * sieve.DEFAULT_SEGMENT_ODDS)
+def test_prime_count_matches_reference_on_both_sides_of_the_table_cut(x):
+    assert sieve.prime_count(x) == int(_reference_prime_counts()[x])
+
+
+def test_prime_count_grows_the_table_from_the_seed_exactly(tmp_path):
+    # a fresh interpreter counts from the seeded table; 2^22 - 2 then 2^22 - 1
+    # doubles the table to 2^23 - 4, the largest a count below the cut can ask for
+    xs = [18, 361, 2**22 - 2, 2**22 - 1]
+    out = tmp_path / "table.npy"
+    code = (
+        "import numpy as np\n"
+        "from collisionlab import sieve\n"
+        f"print(*[sieve.prime_count(x) for x in {xs}])\n"
+        "print(sieve._base_cache['limit'])\n"
+        f"np.save({str(out)!r}, sieve._base_cache['primes'])\n"
+    )
+    counts, limit = _fresh_interpreter(code).splitlines()
+    assert int(limit) == 2**23 - 4
+    table = np.load(out)
+    assert np.array_equal(table, _reference_primes(int(limit)))
+    assert [int(v) for v in counts.split()] == [int(_reference_prime_counts()[x]) for x in xs]
 
 
 def test_prime_count_1e8_pinned():
