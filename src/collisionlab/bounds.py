@@ -48,9 +48,11 @@ def _as_float(value: Real) -> float:
 def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     """Enclose (x/log x)(1 + 1/log x + 2/log^2 x + 7.59/log^3 x).
 
-    Dominates the prime counting function on the whole range this package
-    touches; a sweep test checks that against the exact sieve at every
-    integer up to 1,747,029, the largest k0 at which nmax_lemma31 evaluates it.
+    An upper bound for the prime counting function for every real x > 1:
+    Dusart, "Estimates of some functions over primes without R.H."
+    (2010, arXiv:1002.0442).  A sweep test checks it against the exact
+    sieve at every integer up to 1,747,029, the largest k0 at which
+    nmax_lemma31 evaluates it; beyond that it is cited, not checked.
     """
     if _as_float(x) <= 1.0:
         raise ValueError(f"pi_upper_dusart: x must exceed 1, got {x}")
@@ -77,7 +79,14 @@ def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
 
 
 def log_g_upper(z: Real, precise: bool = False) -> IntervalValue:
-    """Enclose z log z - z + log(2 pi z)/2 + 1/(12 z)."""
+    """Enclose z log z - z + log(2 pi z)/2 + 1/(12 z).
+
+    An upper bound for log Gamma(z + 1): Robbins, "A remark on Stirling's
+    formula" (Amer. Math. Monthly 62, 1955) proves it for integer z >= 1,
+    and Binet's formula for log Gamma, whose remainder term lies in
+    (0, 1/(12 z)), gives it for every real z > 0, as at the non-integer
+    0.265 k.  A test checks it against 50-digit log Gamma on [0.5, 10^7].
+    """
     if _as_float(z) <= 0.0:
         raise ValueError(f"log_g_upper: z must be positive, got {z}")
     return evaluate(lambda cx: log_g_upper_expr(cx, cx.of(z)), precise)

@@ -4,7 +4,14 @@ The claim being re-executed: below a bound Q, every prime q whose gap to
 the next prime is at least 158 has, in each of two fixed offset windows, an
 element with a prime factor exceeding 3427.  Combined with the gap cap
 d(q) <= 456 and the window-covering argument, that rules out any run of 156
-consecutive 3427-smooth integers starting below Q - 456.
+consecutive 3427-smooth integers, each above 3427, starting below Q - 456.
+The floor matters: 2, ..., 157 are 156 consecutive 3427-smooth integers,
+and the gap argument below needs every element of a run to be composite.
+
+158 is not a setting: such a run holds no prime, so it sits inside a prime
+gap longer than 156, and CertificateConfig.gap_min is derived from
+window_len as the smallest even number above it, so no configuration can
+skip a gap that could hold a run.
 
 Structure of a run:
 
@@ -65,7 +72,6 @@ def _window_key(window: Window) -> str:
 @dataclass(frozen=True, slots=True)
 class CertificateConfig:
     q_max: int = CLAIMED_N_BOUND
-    gap_min: int = 158
     windows: tuple[Window, ...] = ((152, 156), (303, 308))
     smooth_bound: int = 3427
     gap_cap: int = 456
@@ -97,8 +103,8 @@ class CertificateConfig:
             )
         if self.smooth_bound < 2:
             raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
-        if self.gap_min < 1:
-            raise ValueError(f"certificate: gap_min must be >= 1, got {self.gap_min}")
+        if self.window_len < 1:
+            raise ValueError(f"certificate: window_len must be >= 1, got {self.window_len}")
         # the sieve's own floor, and the pool's: refused here, before the echo
         if self.segment_size < 1024:
             raise ValueError(f"certificate: segment_size must be >= 1024, got {self.segment_size}")
@@ -109,6 +115,16 @@ class CertificateConfig:
             clobbered = {os.path.realpath(self.checkpoint_path + tail) for tail in ("", ".tmp")}
             if os.path.realpath(self.witness_path) in clobbered:
                 raise ValueError(f"certificate: the checkpoint would overwrite the witness file {self.witness_path}")
+
+    @property
+    def gap_min(self) -> int:
+        """The smallest even number above window_len: the shortest gap a run can sit in.
+
+        A run of window_len smooth integers above smooth_bound holds no
+        prime, so it lies inside a gap of at least window_len + 1; gaps after
+        odd primes are even, and the odd gap from 2 to 3 holds no integer.
+        """
+        return self.window_len + 2 - self.window_len % 2
 
     def output_fields(self) -> dict:
         """The fields that determine the mathematical output, in report order.

@@ -225,7 +225,6 @@ def _certify_values() -> argparse.ArgumentParser:
     """The certify flags a --config file may set, each kept under its field only if given."""
     p = _Parser(add_help=False, argument_default=argparse.SUPPRESS, exit_on_error=False)
     p.add_argument("--qmax", type=int, dest="q_max")
-    p.add_argument("--gap-min", type=int)
     p.add_argument("--windows")
     p.add_argument("--smooth-bound", type=int)
     p.add_argument("--gap-cap", type=int)
@@ -252,7 +251,7 @@ def _read_config_file(path: str) -> dict:
         values, extra = _certify_values().parse_known_args([flag for flag, _ in lines])
     except argparse.ArgumentError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    unknown = sorted({key for flag, key in lines if flag in extra or "-" in key})  # gap-min is no key
+    unknown = sorted({key for flag, key in lines if flag in extra or "-" in key})  # gap-cap is no key
     if unknown:
         raise ValueError(f"certify: unknown config keys: {', '.join(unknown)}")
     return vars(values)

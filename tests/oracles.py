@@ -279,7 +279,13 @@ DUSART_FLOOR = 500000
 
 
 def psi_linear_constant_check() -> Verdict:
-    """Certify 1.03883 < log 2.83 (the psi majorant fits under the base-2.83 form)."""
+    """Certify 1.03883 < log 2.83 (the psi majorant fits under the base-2.83 form).
+
+    The majorant is psi(x) < 1.03883 x for every x > 0: Rosser & Schoenfeld,
+    "Approximate formulas for some functions of prime numbers" (Illinois
+    J. Math. 6, 1962).  Criterion 05 checks it at every integer up to 10^6
+    and a bounds test up to 1,747,029; beyond that it is cited, not checked.
+    """
     verdict, _, _ = certified_less(
         lambda cx: cx.of("1.03883"),
         lambda cx: cx.log(cx.of("2.83")),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisionlab import arith, bounds, lemma, sieve
@@ -76,6 +76,25 @@ def test_robbins_brackets_factorial():
         upper = bounds.log_g_upper(nu)
         exact = math.lgamma(nu + 1)
         assert lower.hi < exact < upper.lo
+
+
+@given(st.floats(min_value=0.5, max_value=1e7))
+@settings(max_examples=200, deadline=None)
+@example(0.5)
+@example(1e7)
+@example(0.265 * 588)  # f(0.265 k) at k = 588
+def test_log_g_upper_majorizes_log_gamma_at_real_z(z):
+    # Binet's formula gives log Gamma(z + 1) < log_g_upper(z) for every real
+    # z > 0; the chain evaluates it at non-integers such as 0.265 k.  The gap
+    # is about 1/(360 z^3), 2.8e-24 at 1e7 against log Gamma ~ 1.5e8, so the
+    # comparison runs at 50 digits on the exact binary value of z
+    with mpmath.workdps(50):
+        v = mpmath.mpf(z)
+        log_gamma = mpmath.loggamma(v + 1)
+        upper = v * mpmath.log(v) - v + mpmath.log(2 * mpmath.pi * v) / 2 + 1 / (12 * v)
+        assert log_gamma < upper
+        enclosure = bounds.log_g_upper(z)
+        assert enclosure.lo <= upper <= enclosure.hi
 
 
 @pytest.mark.parametrize("fn", [bounds.log_g_lower, bounds.log_g_upper], ids=["lower", "upper"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from collisionlab import certificate
+from collisionlab import certificate, sieve
 from collisionlab.certificate import (
     CertificateConfig,
     coverage_check,
@@ -41,8 +41,11 @@ def test_config_validation():
         CertificateConfig(q_max=100, windows=((5, 3),))
     with pytest.raises(ValueError):
         CertificateConfig(q_max=100, smooth_bound=1)
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=100, gap_min=0)
+    with pytest.raises(ValueError, match="window_len must be >= 1"):
+        CertificateConfig(q_max=100, window_len=0)
+    # gap_min is derived from window_len, never set
+    with pytest.raises(TypeError, match="gap_min"):
+        CertificateConfig(q_max=100, gap_min=158)
 
 
 def test_config_refuses_window_elements_past_int64():
@@ -210,11 +213,23 @@ def test_run_pinned_small():
     assert report.complete
 
 
-def test_run_vacuous_when_gap_min_huge():
-    report = run(CertificateConfig(q_max=10**6, gap_min=500))
-    assert report.gap_prime_count == 0
-    assert report.refuted == {"152-156": 0, "303-308": 0}
-    assert report.complete
+@pytest.mark.parametrize("window_len", [1, 2, 3, 8, 13, 20, 33])
+def test_gap_primes_are_every_gap_longer_than_window_len(tmp_path, window_len):
+    # one window over the whole run, and a gap cap one above window_len, so
+    # the single placement is covered; smooth_bound 2 refutes nearly every
+    # window, and a failure names its q too
+    cfg = CertificateConfig(
+        q_max=10**5, windows=((1, window_len),), smooth_bound=2, gap_cap=window_len + 1,
+        window_len=window_len, witness_path=str(tmp_path / "wit.jsonl"),
+    )
+    # the smallest even number above window_len
+    assert cfg.gap_min % 2 == 0 and window_len < cfg.gap_min <= window_len + 2
+    report = run(cfg)
+    lines = (tmp_path / "wit.jsonl").read_text(encoding="utf-8").splitlines()
+    qs = sorted({json.loads(line)["q"] for line in lines} | {q for q, _ in report.failures})
+    expected = [event.p for event in sieve.gap_scan(2, cfg.q_max + 1, window_len + 1)]
+    assert expected and qs == expected
+    assert report.gap_prime_count == len(expected)
 
 
 def test_run_refuses_uncovered_windows():
@@ -262,7 +277,7 @@ def test_run_records_gap_cap_violations():
 
 
 def test_report_json_layout():
-    report = run(CertificateConfig(q_max=10**6, gap_min=500))
+    report = run(CertificateConfig(q_max=10**6))
     payload = json.loads(report.to_json())
     assert list(payload) == [
         "config",
@@ -334,15 +349,15 @@ def test_rerun_of_finished_checkpoint_is_a_no_op(tmp_path):
 
 def test_checkpoint_rejects_other_config(tmp_path):
     ck = str(tmp_path / "ck.json")
-    run(CertificateConfig(q_max=10**6, gap_min=500, checkpoint_path=ck))
-    other = CertificateConfig(q_max=2 * 10**6, gap_min=500, checkpoint_path=ck)
+    run(CertificateConfig(q_max=10**6, checkpoint_path=ck))
+    other = CertificateConfig(q_max=2 * 10**6, checkpoint_path=ck)
     with pytest.raises(ValueError, match="different configuration"):
         run(other)
 
 
 def test_checkpoint_rejects_misaligned_progress(tmp_path):
     ck = str(tmp_path / "ck.json")
-    cfg = CertificateConfig(q_max=10**6, gap_min=500, checkpoint_path=ck, segment_size=1 << 16)
+    cfg = CertificateConfig(q_max=10**6, checkpoint_path=ck, segment_size=1 << 16)
     state = certificate._fresh_state(cfg.config_hash())
     span = 2 * cfg.segment_size
     # not segment ends: inside the first segment, one past the first end,

@@ -639,12 +639,12 @@ def test_certify_coverage_failure(capsys):
 
 def test_certify_config_file_resolution(capsys, tmp_path):
     cfg = tmp_path / "certify.cfg"
-    cfg.write_text("# small run\nqmax = 1000000\ngap_min = 500\n")
+    cfg.write_text("# small run\nqmax = 1000000\n")
     code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["q_max"] == 1000000
-    assert doc["config"]["gap_min"] == 500
+    assert doc["config"]["gap_min"] == 158
     assert doc["gap_prime_count"] == 0
 
     # explicit flag beats the file
@@ -659,6 +659,12 @@ def test_certify_config_file_resolution(capsys, tmp_path):
     assert code == 3
     assert "unknown config keys: bogus_key" in err
 
+    # gap_min follows from window_len, so no file sets it
+    bad.write_text("qmax=1000000\ngap_min=158\n")
+    code, out, err = run_cli(capsys, ["certify", "--config", str(bad)])
+    assert (code, out) == (3, "")
+    assert "unknown config keys: gap_min" in err
+
     malformed = tmp_path / "broken.cfg"
     malformed.write_text("qmax 1000000\n")
     code, out, err = run_cli(capsys, ["certify", "--config", str(malformed)])
@@ -667,13 +673,21 @@ def test_certify_config_file_resolution(capsys, tmp_path):
 
 
 def test_certify_timing_flag(capsys):
-    argv = ["certify", "--qmax", "1000000", "--gap-min", "500"]
+    argv = ["certify", "--qmax", "1000000"]
     code, untimed, err = run_cli(capsys, argv)
     assert code == 0 and "s wall" not in err
     code, timed, err = run_cli(capsys, argv + ["--timing"])
     assert code == 0
     assert timed == untimed
     assert re.search(r"^certify: \d+\.\ds wall$", err, re.MULTILINE)
+
+
+def test_certify_has_no_gap_min_flag(capsys):
+    # gap_min is derived from --window-len, so no flag can skip a gap
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--qmax", "30000000", "--gap-min", "158"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_defaults_are_the_config_defaults(capsys):
@@ -691,7 +705,7 @@ def test_certify_defaults_are_the_config_defaults(capsys):
 
 def test_certify_config_file_sets_every_flag(capsys, tmp_path):
     values = {
-        "qmax": "20000000", "gap_min": "170", "windows": "150-157,300-306",
+        "qmax": "20000000", "windows": "150-157,300-306",
         "smooth_bound": "3500", "gap_cap": "455", "window_len": "157",
         "segment_size": "131072", "threads": "2",
     }
@@ -707,6 +721,7 @@ def test_certify_config_file_sets_every_flag(capsys, tmp_path):
     doc = json.loads(by_file)
     assert doc["config"]["windows"] == [[150, 157], [300, 306]]
     assert doc["config"]["segment_size"] == 131072
+    assert doc["config"]["gap_min"] == 158  # the smallest even gap above 157
     assert doc["gap_prime_count"] == 1 and doc["complete"] is True
     assert '"workers":2' in file_err
 

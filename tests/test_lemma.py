@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisionlab import lemma
+from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
 import oracles
@@ -351,6 +352,31 @@ def test_gridconfig_l_values():
     ls = g.l_values(800000)         # cap 2168, subsampled
     assert len(ls) <= g.l_samples
     assert ls[0] == 1 and ls[-1] == max(1, 271 * 800000 // 100000)
+
+
+# ---------------------------------------------------------------------------
+# the typed-in defaults against what they are derived from
+
+def test_grid_k_min_is_where_lemma22_stops_forcing_l_equal_delta():
+    k_min = lemma.GridConfig().k_min
+    assert lemma.check_lemma22(500000, k_min - 1).verdict.holds
+    assert lemma.check_lemma22(500000, k_min).verdict.fails
+
+
+def test_grid_k_max_is_the_lemma32_threshold():
+    # criterion 07 bounds F* only within 200 of 871155
+    assert lemma.GridConfig().k_max == lemma.threshold_lemma32().f_star
+
+
+def test_certificate_window_len_is_the_shortest_s1_at_k_min():
+    # S1 holds the k - m values n - m .. n - k + 1; m <= 0.735 k is ratio_ok
+    k = lemma.GridConfig().k_min
+    s1_lengths = [
+        len(lemma.index_windows(t)[0])
+        for m in range(k)
+        if (t := ParamTuple(0, 10**6, m, k, 1)).ratio_ok
+    ]
+    assert min(s1_lengths) == 588 - 432 == CertificateConfig().window_len
 
 
 def test_nmax31_small_grid_pinned():
