@@ -8,6 +8,7 @@ worker count.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = ["ordered_map"]
@@ -19,13 +20,16 @@ R = TypeVar("R")
 def ordered_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
     """Yield fn(job) for every job, in job order.
 
-    workers == 0 means one worker per CPU; a negative count is refused here,
-    at the call, before any job runs.  With more than one worker and more
-    than one job, a process pool of min(workers, len(jobs)) runs the jobs,
-    and each result is yielded as soon as it and all earlier ones are in, so
-    the caller can act on it (write a checkpoint, say) while later jobs
-    still run.  Otherwise the jobs run one by one in this process.  fn must
-    be a module-level function, since the pool pickles it.
+    workers == 0 means one worker per CPU this process may run on: its
+    affinity set where the platform has one, so under `taskset -c 0` the
+    jobs run in this process however many CPUs the host has.  A negative
+    count is refused here, at the call, before any job runs.  With more
+    than one worker and more than one job, a process pool of
+    min(workers, len(jobs)) runs the jobs, and each result is yielded as
+    soon as it and all earlier ones are in, so the caller can act on it
+    (write a checkpoint, say) while later jobs still run.  Otherwise the
+    jobs run one by one in this process.  fn must be a module-level
+    function, since the pool pickles it.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 means one per CPU), got {workers}")
@@ -38,10 +42,17 @@ def _ordered(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[
         # package, stay clear of multiprocessing's start-up cost
         import multiprocessing
 
-        size = min(workers or multiprocessing.cpu_count(), len(jobs))
+        size = min(workers or _usable_cpus(), len(jobs))
         if size > 1:
             with multiprocessing.Pool(size) as pool:
                 yield from pool.imap(fn, jobs)
             return
     for job in jobs:
         yield fn(job)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -33,6 +33,14 @@ def test_ordered_map_single_job_runs_in_process(workers):
     assert list(ordered_map(_slow_echo, [0.0], workers)) == [(0.0, os.getpid())]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_ordered_map_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # as under `taskset -c 0`: one CPU allowed, whatever the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = list(ordered_map(_slow_echo, JOBS, 0))
+    assert out == [(job, os.getpid()) for job in JOBS]
+
+
 def test_ordered_map_is_lazy():
     calls = []
     results = ordered_map(calls.append, [1, 2, 3], 1)

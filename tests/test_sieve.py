@@ -195,6 +195,41 @@ def test_odd_prime_mask_stride3_stores_match_reference(residue, near, width, squ
     assert np.array_equal(sieve._odd_prime_mask(lo, lo + width), _reference_odd_prime_mask(lo, lo + width))
 
 
+_BLOCK = sieve._BLOCK_ODDS
+_SEGMENT = sieve.DEFAULT_SEGMENT_ODDS
+# entry 2^20 of a mask from here holds 19 * 1000003, struck only by a
+# stride-3p store of 19; so a pass that skips a last block of one entry fails
+_LO_19 = 19 * 1000003 - 2 * _BLOCK
+
+
+@pytest.mark.parametrize("lo", [1, 3, 10**7 + 1, _LO_19])
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_odd_prime_mask_across_the_block_boundary(lo, count):
+    hi = lo + 2 * count
+    assert (hi - lo + 1) // 2 == count
+    mask = sieve._odd_prime_mask(lo, hi)
+    assert np.array_equal(mask, _reference_odd_prime_mask(lo, hi))
+    if lo == _LO_19 and count == _BLOCK + 1:
+        assert not mask[-1]
+
+
+@pytest.mark.parametrize(
+    "lo",
+    [
+        1,  # the squares of the primes 1451..2039 lie in the second block
+        3,
+        10**9 + 1,
+        31754673611 - 2 * _SEGMENT,  # the segment that ends at the certificate's q bound
+    ],
+)
+def test_odd_prime_mask_full_segment_matches_reference(lo):
+    hi = lo + 2 * _SEGMENT
+    if lo <= 3:
+        second = [p for p in sieve.prime_list(2047) if (p * p - lo) // 2 >= _BLOCK]
+        assert (second[0], second[-1]) == (1451, 2039)
+    assert np.array_equal(sieve._odd_prime_mask(lo, hi), _reference_odd_prime_mask(lo, hi))
+
+
 @given(_lows, _widths, st.one_of(st.sampled_from(_GAP_EDGES), st.integers(min_value=1, max_value=300)))
 @settings(max_examples=150, deadline=None)
 def test_segment_gap_events_match_brute_force(lo, width, min_gap):
