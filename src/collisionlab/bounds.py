@@ -10,7 +10,11 @@ intervals module).  The estimates covered:
 
 Numeric constants that originate as decimal literals enter as strings,
 cx.of("7.59"), so the enclosures bracket the intended decimal values, not
-their binary64 approximations.
+their binary64 approximations.  Each function checks its domain on the
+exact argument that cx.of encloses, Fraction(x), never on its binary64
+rounding: an argument inside the domain that rounds onto the boundary
+reaches the evaluation, which encloses it or refuses it for its own reason.
+NaN and the infinities, which no Fraction holds, are refused by Fraction.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .collision import SCALE_MIN_N
 from .intervals import IntervalValue, evaluate
 
 __all__ = [
@@ -39,12 +44,6 @@ __all__ = [
 Real = Union[int, float, str, Fraction]
 
 
-def _as_float(value: Real) -> float:
-    if isinstance(value, (str, Fraction)):
-        return float(Fraction(value))
-    return float(value)
-
-
 def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     """Enclose (x/log x)(1 + 1/log x + 2/log^2 x + 7.59/log^3 x).
 
@@ -53,8 +52,9 @@ def pi_upper_dusart(x: Real, precise: bool = False) -> IntervalValue:
     (2010, arXiv:1002.0442).  A sweep test checks it against the exact
     sieve at every integer up to 1,747,029, the largest k0 at which
     nmax_lemma31 evaluates it; beyond that it is cited, not checked.
+    The domain x > 1 is checked on the exact x.
     """
-    if _as_float(x) <= 1.0:
+    if Fraction(x) <= 1:
         raise ValueError(f"pi_upper_dusart: x must exceed 1, got {x}")
     return evaluate(lambda cx: pi_upper_dusart_expr(cx, cx.of(x)), precise)
 
@@ -67,8 +67,8 @@ def pi_upper_dusart_expr(cx, v):
 
 
 def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
-    """Enclose z log z - z + log(2 pi z)/2 + 1/(12(z+1))."""
-    if _as_float(z) <= 0.0:
+    """Enclose z log z - z + log(2 pi z)/2 + 1/(12(z+1)); z > 0 is checked on the exact z."""
+    if Fraction(z) <= 0:
         raise ValueError(f"log_g_lower: z must be positive, got {z}")
 
     def build(cx):
@@ -86,8 +86,9 @@ def log_g_upper(z: Real, precise: bool = False) -> IntervalValue:
     and Binet's formula for log Gamma, whose remainder term lies in
     (0, 1/(12 z)), gives it for every real z > 0, as at the non-integer
     0.265 k.  A test checks it against 50-digit log Gamma on [0.5, 10^7].
+    The domain z > 0 is checked on the exact z.
     """
-    if _as_float(z) <= 0.0:
+    if Fraction(z) <= 0:
         raise ValueError(f"log_g_upper: z must be positive, got {z}")
     return evaluate(lambda cx: log_g_upper_expr(cx, cx.of(z)), precise)
 
@@ -125,8 +126,8 @@ def section5_thresholds(n: int, c: float) -> Section5Thresholds:
     c_star = 1.3132 * 21/40 exactly (= 0.68943).  A threshold that binary64
     cannot hold is refused by name.
     """
-    if n < 500000:
-        raise ValueError(f"section5_thresholds: n must be >= 500000, got {n}")
+    if n < SCALE_MIN_N:
+        raise ValueError(f"section5_thresholds: n must be >= {SCALE_MIN_N}, got {n}")
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"section5_thresholds: c must be positive and finite, got {c}")
     t_log2 = t_pow = math.inf

@@ -281,7 +281,8 @@ def _resume(config: CertificateConfig, keys: list[str]):
     state takes the same path.  Every state run() saves passes: it names only
     configured windows; each gap prime below completed_hi adds one to
     gap_prime_count and, in each window, one refutation or one failure, in
-    ascending q; its gap-cap violation, if any, has gap > gap_cap.
+    ascending q; its gap-cap violation, if any, has gap > gap_cap.  The gate
+    only reads: the state comes back as it was loaded or made.
     """
     cfg_hash = config.config_hash()
     state = _fresh_state(cfg_hash)
@@ -313,7 +314,7 @@ def _resume(config: CertificateConfig, keys: list[str]):
         )
     count = state["gap_prime_count"]
     for key in keys:
-        refuted, failed = state["refuted"].setdefault(key, 0), sum(k == key for _, k in failures)
+        refuted, failed = state["refuted"].get(key, 0), sum(k == key for _, k in failures)
         if refuted + failed != count:
             raise ValueError(
                 f"checkpoint fields refuted, failures and gap_prime_count disagree: window {key} "
@@ -445,6 +446,8 @@ def run(config: CertificateConfig, stop_after_segments: Optional[int] = None) ->
 
     keys = [_window_key(w) for w in config.windows]
     state, done, digest = _resume(config, keys)
+    for key in keys:  # a window without refutations yet counts 0, in configured order
+        state["refuted"].setdefault(key, 0)
     jobs = SegmentPlan(2, config.q_max + 1, config.segment_size).jobs()
     pending = jobs[done:][:stop_after_segments]
     segment_job = functools.partial(

@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = lsub.add_parser("check31", help="prime-factorization size bound")
     _add_tuple_flags(l)
-    l.add_argument("--pi-mode", choices=("exact", "dusart"), default="exact")
+    l.add_argument("--pi-mode", choices=lemma.PI_MODES, default="exact")
     l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma31)
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--dense-until", type=int)
     l.add_argument("--growth", type=float)
     l.add_argument("--l-samples", type=int)
-    l.add_argument("--pi-mode", choices=("exact", "dusart"))
+    l.add_argument("--pi-mode", choices=lemma.PI_MODES)
     l.set_defaults(func=_cmd_lemma_nmax31)
 
     l = lsub.add_parser("section4", help="incompatible growth bounds for large k")

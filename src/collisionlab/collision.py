@@ -31,6 +31,7 @@ __all__ = [
     "Representation",
     "CollisionRecord",
     "ParamTuple",
+    "SCALE_MIN_N",
     "FibMember",
     "enumerate_collisions",
     "fib_identity",
@@ -73,6 +74,11 @@ class CollisionRecord:
             raise ValueError("representations must be sorted by descending x")
 
 
+# The paper's "n sufficiently large": the scale hypothesis, and the least n
+# that check_lemma22 and section5_thresholds take
+SCALE_MIN_N = 500000
+
+
 @dataclass(frozen=True, slots=True)
 class ParamTuple:
     delta: int
@@ -113,7 +119,7 @@ class ParamTuple:
 
     @property
     def scale_ok(self) -> bool:
-        return self.n >= 500000
+        return self.n >= SCALE_MIN_N
 
     def hypotheses(self) -> dict[str, bool]:
         return {

@@ -46,7 +46,7 @@ from .bounds import (
     pi_upper_dusart_expr,
     section5_thresholds,
 )
-from .collision import ParamTuple, check_eq12
+from .collision import SCALE_MIN_N, ParamTuple, check_eq12
 from .intervals import (
     FAILS,
     HOLDS,
@@ -65,6 +65,7 @@ __all__ = [
     "check_lemma22",
     "check_lemma23_smooth",
     "check_lemma31",
+    "PI_MODES",
     "lemma32_expression",
     "threshold_lemma32",
     "Lemma32Threshold",
@@ -81,6 +82,8 @@ __all__ = [
 
 # Lemma 3.1: every collision has n <= CLAIMED_N_BOUND (the certificate's default q_max)
 CLAIMED_N_BOUND = 31754673611
+# how check_lemma31 and nmax_lemma31 take pi(k0): counted, or Dusart's upper bound
+PI_MODES = ("exact", "dusart")
 _ZERO = IntervalValue.of(0)
 
 
@@ -179,7 +182,7 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
     l - delta < 1.  The boundary sits exactly between k = 587 and k = 588
     at n = 500000, which is where the k >= 588 regime comes from.
     """
-    hyp = {"scale": n >= 500000, "k_range": 1 <= k < n}
+    hyp = {"scale": n >= SCALE_MIN_N, "k_range": 1 <= k < n}
     if not all(hyp.values()):
         return _gated("lemma22", hyp)
 
@@ -256,7 +259,7 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     count is subtracted on the left and added on the right), so a HOLDS
     under "exact" stays HOLDS under "dusart" up to interval width.
     """
-    if pi_mode not in ("exact", "dusart"):
+    if pi_mode not in PI_MODES:
         raise ValueError(f"check_lemma31: pi_mode must be 'exact' or 'dusart', got {pi_mode!r}")
     n, m, k, l = t.n, t.m, t.k, t.l
     m0, k0 = t.m0, t.k0
@@ -384,7 +387,7 @@ class GridConfig:
             raise ValueError(f"GridConfig: growth must be finite and exceed 1, got {self.growth}")
         if self.l_samples < 1:
             raise ValueError(f"GridConfig: l_samples must be >= 1, got {self.l_samples}")
-        if self.pi_mode not in ("exact", "dusart"):
+        if self.pi_mode not in PI_MODES:
             raise ValueError(f"GridConfig: bad pi_mode {self.pi_mode!r}")
 
     def k_values(self) -> list[int]:
@@ -441,7 +444,12 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
 
     At each grid point: m pinned to 0.735k (real), m0 = m + 1, delta = 0
     (the choice maximizing both k0 and the resulting bound), pi(k0) per
-    pi_mode: len(sieve.base_primes(k0)) or Dusart's upper bound.
+    pi_mode: len(sieve.base_primes(k0)) or Dusart's upper bound.  The
+    exact count is a read of the grow-only base-prime table, which at
+    least doubles when it grows, so the ascending k0 of the whole grid
+    cost a few extensions and one table read each; check_lemma31 calls
+    sieve.prime_count instead, which above 2 * DEFAULT_SEGMENT_ODDS counts
+    its one arbitrary k0 segment by segment in bounded memory.
     log(n-k) <= [pi log(2k+l) + f(k-m) + f(l+k-m0)]
     / (2k+l-m-m0-pi); the report exponentiates the grid maximum.  Grid
     points with a nonpositive denominator carry no information and are

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from collisionlab import arith, sieve
-from collisionlab.bounds import Real, _as_float
+from collisionlab.bounds import Real
 from collisionlab.collision import ParamTuple
 from collisionlab.intervals import IntervalValue, Verdict, certified_less, evaluate
 
@@ -271,6 +271,13 @@ def chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             q *= p
     psi_t = np.cumsum(contrib)
     return pi_t, theta_t, psi_t
+
+
+def _as_float(value: Real) -> float:
+    """The binary64 rounding of an int, float, decimal string or Fraction."""
+    if isinstance(value, (str, Fraction)):
+        return float(Fraction(value))
+    return float(value)
 
 
 # validity floor for the prime-existence interval; the collision regime

@@ -281,6 +281,16 @@ CRITERION_13_PINNED = [
     (["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
       "--l-samples", "4"],
      "0b9cfd9704c04bb5d4a8e49734a04a4cd09af2d97a9286994fe07fe36e2fd7e9", 0),
+    # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31
+    (["bounds", "pi-upper", "--x", "1742310", "--precise"],
+     "89ddf36be6e9cd947b86cc00ce733e2b97b05f58ff77ecf5d30485b7d1015dd7", 0),
+    (["bounds", "stirling", "--nu", "100", "--precise"],
+     "7b47898974cad728b4e4851331cdd54bd3d07a83f84507884e548776050e8858", 0),
+    (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
+      "--pi-mode", "dusart", "--json"],
+     "e519cf8263f842fefce8017b3319479ed32e3ae9f76025ca4e95e587c0f3314d", 0),
+    (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--pi-mode", "exact"],
+     "67af574ccef2f5529618bfe6e38c556bc3a3bc9efaf89662b6922dc356a31096", 0),
 ]
 
 

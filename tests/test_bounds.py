@@ -31,10 +31,45 @@ def test_pi_upper_dusart_accepts_real_kinds():
 
 
 def test_pi_upper_dusart_rejects_tiny_x():
-    with pytest.raises(ValueError):
-        bounds.pi_upper_dusart(1)
-    with pytest.raises(ValueError):
-        bounds.pi_upper_dusart(0)
+    for x in (1, 0, "1", "0.99999999999999999999"):
+        for precise in (False, True):
+            with pytest.raises(ValueError, match="x must exceed 1"):
+                bounds.pi_upper_dusart(x, precise=precise)
+
+
+def _pi_upper_60_digits(x: str):
+    with mpmath.workdps(60):
+        v = mpmath.mpf(x)
+        el = mpmath.log(v)
+        return (v / el) * (1 + 1 / el + 2 / el**2 + mpmath.mpf("7.59") / el**3)
+
+
+@pytest.mark.parametrize("x", ["1.00000000000000000001", "1.0000000000000001"])
+def test_pi_upper_dusart_checks_the_exact_x(x):
+    # both round to binary64's 1.0 but exceed 1: mpmath encloses the bound,
+    # and binary64 refuses the division by log x's enclosure, which holds 0
+    iv = bounds.pi_upper_dusart(x, precise=True)
+    assert mpmath.mpf(iv.lo) <= _pi_upper_60_digits(x) <= mpmath.mpf(iv.hi)
+    with pytest.raises(ZeroDivisionError):
+        bounds.pi_upper_dusart(x)
+
+
+@pytest.mark.parametrize("fn", [bounds.pi_upper_dusart, bounds.log_g_lower, bounds.log_g_upper])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_domain_checks_refuse_nan_and_infinities(fn, value):
+    with pytest.raises((ValueError, OverflowError)):
+        fn(value)
+
+
+def test_log_g_checks_the_exact_z():
+    # 1e-400 rounds to 0.0 but exceeds 0: mpmath encloses log g-, binary64's
+    # log refuses its 0 endpoint, and log g+'s 1/(12 z) overflows binary64
+    iv = bounds.log_g_lower("1e-400", precise=True)
+    assert -459.5148 < iv.lo <= iv.hi < -459.5147
+    with pytest.raises(ValueError, match="strictly positive"):
+        bounds.log_g_lower("1e-400")
+    with pytest.raises(OverflowError):
+        bounds.log_g_upper("1e-400", precise=True)
 
 
 def test_pi_upper_dusart_precise_path_nested():
@@ -101,6 +136,8 @@ def test_log_g_upper_majorizes_log_gamma_at_real_z(z):
 def test_robbins_refuses_a_nonpositive_argument(fn):
     with pytest.raises(ValueError, match="z must be positive, got 0"):
         fn(0)
+    with pytest.raises(ValueError, match="z must be positive, got -1e-400"):
+        fn("-1e-400", precise=True)
 
 
 def test_robbins_pinned_at_five():

@@ -403,6 +403,20 @@ def test_checkpoint_save_is_atomic(tmp_path):
     assert not (tmp_path / "ck.json.tmp").exists()
 
 
+def test_resume_gate_returns_the_state_as_loaded(tmp_path):
+    # the gate only reads; run() gives each configured window its 0 count
+    cfg = CertificateConfig(q_max=10**6)
+    state, done, _ = certificate._resume(cfg, ["152-156", "303-308"])
+    assert (state, done) == (certificate._fresh_state(cfg.config_hash()), 0)
+    assert state["refuted"] == {}
+    ck = str(tmp_path / "ck.json")
+    saved = certificate._fresh_state(cfg.config_hash())
+    certificate.checkpoint_save(ck, saved)
+    state, _, _ = certificate._resume(CertificateConfig(q_max=10**6, checkpoint_path=ck), ["152-156", "303-308"])
+    assert state == certificate.checkpoint_load(ck) == saved
+    assert run(cfg).refuted == {"152-156": 0, "303-308": 0}
+
+
 def test_resume_refuses_missing_witness_file(tmp_path):
     ck = str(tmp_path / "ck.json")
     wit = tmp_path / "wit.jsonl"

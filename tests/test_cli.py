@@ -211,6 +211,18 @@ def test_bounds_pi_upper_precise_encloses_mpmath(capsys):
         assert _encloses((doc["lo"], doc["hi"]), expected)
 
 
+def test_bounds_pi_upper_takes_x_as_typed(capsys):
+    # the decimal exceeds 1 though its binary64 rounding is 1
+    code, out, err = run_cli(capsys, ["bounds", "pi-upper", "--x", "1.00000000000000000001", "--precise"])
+    assert code == 0
+    doc = json.loads(out)
+    assert _encloses((doc["lo"], doc["hi"]), mpmath.mpf("7.5900000000000000002477e80"))
+    for x in ("1", "0.99999999999999999999"):
+        code, out, err = run_cli(capsys, ["bounds", "pi-upper", "--x", x, "--precise"])
+        assert (code, out) == (3, "")
+        assert f"x must exceed 1, got {x}" in err
+
+
 def test_bounds_stirling_precise_encloses_mpmath(capsys):
     code, out, err = run_cli(capsys, ["bounds", "stirling", "--nu", "100", "--precise"])
     assert code == 0
@@ -616,6 +628,13 @@ def test_certify_small_run(capsys):
     assert doc["failures"] == []
     assert doc["complete"] is True
     assert "wall_time_s" not in doc
+
+
+def test_certify_without_gap_events_counts_each_window_zero(capsys):
+    # run() gives every configured window its 0 count, in configured order
+    code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000"])
+    assert code == 0
+    assert '"refuted":{"152-156":0,"303-308":0}' in out
 
 
 def test_certify_stdout_deterministic(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import lemma
+from collisionlab import bounds, lemma
 from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
@@ -144,6 +144,19 @@ def test_check22_gating():
     assert not report.hypotheses["scale"]
     report2 = lemma.check_lemma22(500000, 0)
     assert not report2.hypotheses["k_range"]
+
+
+def test_scale_floor_is_500000_at_every_site():
+    # the scale hypothesis, check22's gate and the section5 thresholds
+    assert not ParamTuple(0, 499999, 1, 2, 1).scale_ok
+    assert ParamTuple(0, 500000, 1, 2, 1).scale_ok
+    below = lemma.check_lemma22(499999, 587)
+    assert below.verdict.state == INDETERMINATE
+    assert below.hypotheses == {"scale": False, "k_range": True}
+    assert lemma.check_lemma22(500000, 587).verdict.state == HOLDS
+    with pytest.raises(ValueError, match="n must be >= 500000, got 499999"):
+        bounds.section5_thresholds(499999, 0.5)
+    assert bounds.section5_thresholds(500000, 0.5).t_pow > 0
 
 
 # ---------------------------------------------------------------------------
