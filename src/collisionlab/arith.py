@@ -7,17 +7,13 @@ here is computed without rounding.  On top of that this module provides:
   * deterministic Miller-Rabin primality testing,
   * smoothness splitting (B-smooth part vs cofactor) by trial division,
     and the least prime factor of a cofactor above the bound,
-  * high-precision log(nu!) and log C(N, r) values: check31 sums its
-    factorials with the first and section4 reports the exact log product
-    with the second.
+  * a high-precision log C(N, r), with which section4 reports the exact
+    log product in its note (no verdict rests on it).
 
-Both logs are mpmath.loggamma expressions correct to 30 significant
+The log is an mpmath.loggamma expression correct to 30 significant
 decimals.  The binomial's terms reach n log n while it is at least log n,
 so its difference cancels about len(str(n)) digits, which the
-len(str(n)) + 6 guard digits cover.  The logs stay independent of the
-Stirling brackets bounds.log_g_*: mpmath's loggamma shares no code with
-them, they are tested against math.lgamma, and the benchmark recomputes
-the verdicts in mpmath at 50 digits.
+len(str(n)) + 6 guard digits cover.  It is tested against math.lgamma.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "smooth_split",
     "least_prime_above",
     "prime_factor_above",
-    "log_factorial_exact",
     "log_binomial_exact",
 ]
 
@@ -200,24 +195,12 @@ def prime_factor_above(value: int, bound: int) -> int | None:
     return smooth_split(value, bound).least_prime_above if value >= 2 else None
 
 
-def _work_dps(magnitude_hint: int) -> int:
-    # 30 significant decimals, guarded for the magnitude and a difference's cancellation
-    return 30 + len(str(max(magnitude_hint, 2))) + 6
-
-
-def log_factorial_exact(nu: int) -> mpmath.mpf:
-    """log(nu!) = loggamma(nu + 1), correct to 30 significant decimals."""
-    if nu < 0:
-        raise ValueError(f"log_factorial_exact: nu must be >= 0, got {nu}")
-    with mpmath.workdps(_work_dps(nu)):
-        return mpmath.loggamma(nu + 1)
-
-
 def log_binomial_exact(n: int, r: int) -> mpmath.mpf:
     """log C(n, r) = loggamma(n+1) - loggamma(r+1) - loggamma(n-r+1) to 30 significant decimals."""
     if n < 0 or r < 0 or r > n:
         raise ValueError(f"log_binomial_exact: need 0 <= r <= n, got ({n}, {r})")
     if r == 0 or r == n:
         return mpmath.mpf(0)
-    with mpmath.workdps(_work_dps(n)):
+    # 30 significant decimals, guarded for the magnitude and the difference's cancellation
+    with mpmath.workdps(30 + len(str(n)) + 6):
         return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)

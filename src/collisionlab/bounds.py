@@ -5,6 +5,7 @@ intervals module).  The estimates covered:
 
   * pi_upper_dusart        explicit upper bound for the prime counting function
   * stirling_log_bounds    two-sided Stirling bracketing of log(factorial)
+  * log_factorial          log(nu!) itself: exact nu! up to 170, Robbins's hull above
   * central_binom_lower_expr  the near-central binomial floor of the large-l case
   * section5_thresholds    the two l-thresholds of the final theorem
 
@@ -33,6 +34,7 @@ __all__ = [
     "pi_upper_dusart",
     "pi_upper_dusart_expr",
     "stirling_log_bounds",
+    "log_factorial",
     "log_g_lower",
     "log_g_upper",
     "log_g_upper_expr",
@@ -110,6 +112,25 @@ def stirling_log_bounds(
         raise ValueError(f"stirling_log_bounds: need an integer nu >= 2, got {nu!r}")
     upper = log_g_upper(nu, precise)
     return log_g_lower(nu, precise), upper, upper
+
+
+def log_factorial(nu: int) -> IntervalValue:
+    """Enclose log(nu!) for an integer nu >= 0.
+
+    Exactly 0 for nu <= 1, so a side of 0 stays decidable.  Up to 170,
+    whose factorial is the largest below binary64's maximum, the interval
+    log of nu!'s tightest enclosure; above it, the hull of Robbins's
+    brackets log g-(nu) < log(nu!) < log g+(nu), whose width is at most
+    1/(12 nu (nu + 1)) plus rounding.  No setting moves the cut: 171! is
+    past binary64.
+    """
+    if nu < 0:
+        raise ValueError(f"log_factorial: nu must be >= 0, got {nu}")
+    if nu <= 1:
+        return IntervalValue.of(0)
+    if nu <= 170:
+        return IntervalValue.of(math.factorial(nu)).log()
+    return IntervalValue(log_g_lower(nu).lo, log_g_upper(nu).hi)
 
 
 @dataclass(frozen=True, slots=True)

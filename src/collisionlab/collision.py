@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import binomial, fibonacci
 
@@ -32,6 +33,7 @@ __all__ = [
     "CollisionRecord",
     "ParamTuple",
     "SCALE_MIN_N",
+    "M_RATIO",
     "FibMember",
     "enumerate_collisions",
     "fib_identity",
@@ -77,6 +79,9 @@ class CollisionRecord:
 # The paper's "n sufficiently large": the scale hypothesis, and the least n
 # that check_lemma22 and section5_thresholds take
 SCALE_MIN_N = 500000
+# The paper's m <= 0.735 k, the ratio hypothesis; Lemmas 3.1 and 3.2 pin m
+# to this ratio, so the 0.265 k and 0.53 k they carry are derived from it
+M_RATIO = Fraction(147, 200)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,8 +115,8 @@ class ParamTuple:
 
     @property
     def ratio_ok(self) -> bool:
-        """m <= 0.735 k, tested as 200 m <= 147 k."""
-        return 200 * self.m <= 147 * self.k
+        """m <= 0.735 k, tested exactly as m <= M_RATIO k."""
+        return self.m <= M_RATIO * self.k
 
     @property
     def l_gt_delta(self) -> bool:

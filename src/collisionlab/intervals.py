@@ -21,9 +21,9 @@ value: __post_init__, the one validator, accepts a finite, ordered pair by
 one chained test and otherwise raises (ValueError for NaN or inverted
 endpoints, OverflowError for an infinite one).  Ring operations step each
 endpoint one ulp outward; one helper, `_widen`, steps two outward every
-value binary64 did not round itself (a libm log or exp, `enclose_float`'s
-float, an mpmath endpoint read back).  Operators coerce a non-interval
-operand through `of`; division forms the reciprocal's endpoints inline.
+value binary64 did not round itself (a libm log or exp, an mpmath endpoint
+read back).  Operators coerce a non-interval operand through `of`; division
+forms the reciprocal's endpoints inline.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -49,7 +49,6 @@ __all__ = [
     "PreciseContext",
     "PRECISE_DIGITS",
     "evaluate",
-    "enclose_float",
     "certified_less",
 ]
 
@@ -217,11 +216,6 @@ class Verdict:
     @property
     def decided(self) -> bool:
         return self.state != INDETERMINATE
-
-
-def enclose_float(x: float) -> IntervalValue:
-    """Interval around a float within 2 ulps of the true value, such as a rounded mpmath result."""
-    return _widen(x, x)
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:

@@ -41,12 +41,13 @@ from .bounds import (
     Section5Thresholds,
     central_binom_lower_expr,
     f_stirling,
+    log_factorial,
     log_g_upper_expr,
     pi_upper_dusart,
     pi_upper_dusart_expr,
     section5_thresholds,
 )
-from .collision import SCALE_MIN_N, ParamTuple, check_eq12
+from .collision import M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
 from .intervals import (
     FAILS,
     HOLDS,
@@ -54,7 +55,6 @@ from .intervals import (
     IntervalValue,
     Verdict,
     certified_less,
-    enclose_float,
     evaluate,
 )
 
@@ -251,13 +251,25 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     return LemmaReport("lemma23", hyp, lhs, rhs, verdict, notes)
 
 
+def _lemma31_sides(cx, excess, pi, base, log_f1, log_f2):
+    """Lemma 3.1 as c log(n-k) <= r: the pair (c, r) in evaluation context cx.
+
+    c = excess - pi and r = pi log(base) + log_f1 + log_f2, where excess
+    is 2k+l-m-m0, base is 2k+l and log_f1, log_f2 bound log (k-m)! and
+    log (l+k-m0)!.  Every argument is a value of cx.
+    """
+    return excess - pi, pi * cx.log(base) + log_f1 + log_f2
+
+
 def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     """(n-k)^(2k+l-m-m0-pi(k0)) <= (2k+l)^pi(k0) (k-m)! (l+k-m0)!, in logs.
 
     pi_mode "exact" counts primes with the sieve; "dusart" substitutes the
     explicit upper bound, which can only make the inequality easier (the
     count is subtracted on the left and added on the right), so a HOLDS
-    under "exact" stays HOLDS under "dusart" up to interval width.
+    under "exact" stays HOLDS under "dusart" up to interval width.  The
+    log-factorials are bounds.log_factorial's enclosures: the log of the
+    exact nu! up to 170, the hull of Robbins's brackets above.
     """
     if pi_mode not in PI_MODES:
         raise ValueError(f"check_lemma31: pi_mode must be 'exact' or 'dusart', got {pi_mode!r}")
@@ -279,30 +291,26 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     else:
         pi = pi_upper_dusart(k0)
         pi_note = f"pi({k0}) <= {pi.hi:.6g} substituted"
-    def log_factorial(nu: int) -> IntervalValue:
-        # log 0! = log 1! = 0 exactly: a 2-ulp enclosure of 0 leaves a side of 0 undecidable
-        return _ZERO if nu <= 1 else enclose_float(float(arith.log_factorial_exact(nu)))
-
     log_f1 = log_factorial(k - m)
     log_f2 = log_factorial(l + k - m0)
 
+    def sides(cx):
+        return _lemma31_sides(cx, *map(cx.of, (2 * k + l - m - m0, pi, 2 * k + l, log_f1, log_f2)))
+
     verdict, lhs, rhs = certified_less(
-        lambda cx: (cx.of(2 * k + l - m - m0) - cx.of(pi)) * cx.log(cx.of(n - k)),
-        lambda cx: cx.of(pi) * cx.log(cx.of(2 * k + l)) + cx.of(log_f1) + cx.of(log_f2),
-        strict=False,
+        lambda cx: sides(cx)[0] * cx.log(cx.of(n - k)), lambda cx: sides(cx)[1], strict=False
     )
     return LemmaReport("lemma31", hyp, lhs, rhs, verdict, pi_note)
 
 
 def _lemma32(cx, F: int):
-    """The lemma32_expression builder: the whole expression in context cx."""
+    """The lemma32_expression builder: Lemma 3.1's r - c log(inner) in context cx."""
     pi_bar = pi_upper_dusart_expr(cx, cx.of(2 * F))
-    fa = log_g_upper_expr(cx, cx.of(Fraction(53, 200) * (F - 1)))
-    fb = log_g_upper_expr(cx, cx.of(F - Fraction(147, 200) * (F - 1)))
-    head = pi_bar * cx.log(cx.of(2 * F - 1))
-    count = cx.of("0.53") * (F - 1) - pi_bar
+    fa = log_g_upper_expr(cx, cx.of((1 - M_RATIO) * (F - 1)))
+    fb = log_g_upper_expr(cx, cx.of(F - M_RATIO * (F - 1)))
+    count, r = _lemma31_sides(cx, cx.of(2 * (1 - M_RATIO)) * (F - 1), pi_bar, cx.of(2 * F - 1), fa, fb)
     inner = cx.power(cx.of(2 * F - 2), cx.of("1.5")) - (2 * F - 1)
-    return head + fa + fb - count * cx.log(inner)
+    return r - count * cx.log(inner)
 
 
 def lemma32_expression(F: int, precise: bool = False) -> IntervalValue:
@@ -422,18 +430,17 @@ class NmaxReport:
 
 
 def _nmax_point(
-    k: int, l: int, pi_iv: IntervalValue, arg1: Fraction, f_arg1: IntervalValue, k53: IntervalValue
+    k: int, l: int, pi_iv: IntervalValue, arg1: Fraction, f_arg1: IntervalValue, k_excess: IntervalValue
 ) -> Optional[float]:
-    """Upper endpoint of the implied log(n-k) bound at one grid point.
+    """Upper endpoint of the implied log(n-k) bound r/c at one grid point.
 
-    arg1 = 53k/200, f_arg1 = f(arg1) and k53 = [53k/100] depend on k alone.
+    arg1 = (1 - M_RATIO) k, f_arg1 = f(arg1) and k_excess = [2 arg1]
+    depend on k alone.
     """
-    num = (
-        pi_iv * IntervalValue.of(2 * k + l).log()
-        + f_arg1
-        + f_stirling(arg1 + (l - 1))
+    den, num = _lemma31_sides(
+        IntervalValue, k_excess + (l - 1), pi_iv, IntervalValue.of(2 * k + l), f_arg1,
+        f_stirling(arg1 + (l - 1)),
     )
-    den = k53 + (l - 1) - pi_iv
     if den.lo <= 0.0:
         return None
     return (num / den).hi
@@ -460,16 +467,16 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     points = 0
     skipped = 0
     for k in grid.k_values():
-        arg1 = Fraction(53 * k, 200)
+        arg1 = (1 - M_RATIO) * k
         f_arg1 = f_stirling(arg1)
-        k53 = IntervalValue.of(Fraction(53 * k, 100))
+        k_excess = IntervalValue.of(2 * arg1)
         for l in grid.l_values(k):
             k0 = 2 * (k + l) - 1
             if grid.pi_mode == "exact":
                 pi_iv = IntervalValue.of(len(sieve.base_primes(k0)))
             else:
                 pi_iv = pi_upper_dusart(k0)
-            ratio = _nmax_point(k, l, pi_iv, arg1, f_arg1, k53)
+            ratio = _nmax_point(k, l, pi_iv, arg1, f_arg1, k_excess)
             points += 1
             if ratio is None:
                 skipped += 1

@@ -291,6 +291,13 @@ CRITERION_13_PINNED = [
      "e519cf8263f842fefce8017b3319479ed32e3ae9f76025ca4e95e587c0f3314d", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--pi-mode", "exact"],
      "67af574ccef2f5529618bfe6e38c556bc3a3bc9efaf89662b6922dc356a31096", 0),
+    # check31 with nu = 110 and 115, whose factorials are no binary64 points
+    (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
+      "--pi-mode", "exact", "--json"],
+     "331a62321adda091fe5a28d6f79b549cab79e3a27b1d582beb82508e0be9210e", 1),
+    (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
+      "--pi-mode", "dusart", "--json"],
+     "ac94ddd9ee3052485f3f4344698f3f647cec97d94e950b2705cc0577dcec2c54", 1),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import arith, sieve
+from collisionlab import arith, bounds, sieve
 from collisionlab.sieve import base_primes
 
 
@@ -172,13 +172,19 @@ def test_prime_factor_above_large_cofactor_stays_near_its_factor():
 
 @pytest.mark.parametrize("nu", [2, 10, 100, 1000, 100_000])
 def test_log_factorial_matches_lgamma(nu):
-    got = float(arith.log_factorial_exact(nu))
-    assert got == pytest.approx(math.lgamma(nu + 1), rel=1e-12)
+    # bounds.log_factorial, the log-factorial check31 sums, against lgamma as
+    # a second route: the enclosure holds lgamma up to lgamma's own 1e-12,
+    # and is no wider than Robbins's bracket, 1/(12 nu (nu + 1)), plus that
+    got = bounds.log_factorial(nu)
+    exact = math.lgamma(nu + 1)
+    tol = 1e-12 * exact
+    assert got.lo - tol <= exact <= got.hi + tol
+    assert got.hi - got.lo <= 1 / (12 * nu * (nu + 1)) + tol
 
 
 def test_log_factorial_refuses_a_negative_argument():
     with pytest.raises(ValueError, match="nu must be >= 0, got -1"):
-        arith.log_factorial_exact(-1)
+        bounds.log_factorial(-1)
 
 
 def test_log_binomial_small_values_exact():

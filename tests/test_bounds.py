@@ -146,6 +146,25 @@ def test_robbins_pinned_at_five():
     assert math.exp(mid(bounds.log_g_upper(5))) == pytest.approx(120.0026, abs=5e-4)
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+@example(18)  # 18! is below 2**53, 19! is not, yet both are binary64 values
+@example(19)
+@example(170)  # the last factorial below binary64's maximum
+@example(171)  # the first from Robbins's hull
+def test_log_factorial_contains_log_gamma(nu):
+    iv = bounds.log_factorial(nu)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(iv.lo) <= mpmath.loggamma(nu + 1) <= mpmath.mpf(iv.hi)
+
+
+def test_log_factorial_of_zero_and_one_is_exactly_zero():
+    # a 0 enclosed as a point keeps a side of 0 decidable
+    for nu in (0, 1):
+        iv = bounds.log_factorial(nu)
+        assert (iv.lo, iv.hi) == (0.0, 0.0)
+
+
 def test_stirling_log_bounds_shape():
     lower, upper, f_val = bounds.stirling_log_bounds(10)
     assert lower.hi < math.lgamma(11) < upper.lo

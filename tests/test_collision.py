@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -194,3 +195,11 @@ def test_check_eq12_needs_r_within_n_on_both_sides():
     # N = 2n + l = -3 on the right, which arith.binomial refuses
     assert not collision.check_eq12(ParamTuple(0, 1, 0, 0, -5))
 
+
+
+def test_ratio_ok_is_m_at_most_m_ratio_k():
+    # the paper's m <= 0.735 k, with 0.735 held exactly as M_RATIO
+    assert collision.M_RATIO == Fraction("0.735")
+    for k in range(0, 401):
+        for m in range(0, k + 1):
+            assert ParamTuple(0, 10**6, m, k, 1).ratio_ok == (200 * m <= 147 * k), (m, k)

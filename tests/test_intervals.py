@@ -22,7 +22,6 @@ from collisionlab.intervals import (
     PRECISE_DIGITS,
     IntervalValue,
     certified_less,
-    enclose_float,
     evaluate,
 )
 import oracles
@@ -267,13 +266,13 @@ _B = IntervalValue(3.0, 4.0)
         (lambda: IntervalValue.of("0.37"), 1),  # a decimal string not yet cached
         (lambda: IntervalValue.of("0.1"), 0),  # cached before the count starts
         (lambda: IntervalValue.of(_A), 0),
-        (lambda: enclose_float(0.5), 1),
+        (lambda: intervals._widen(0.5, 0.5), 1),
         (IntervalValue.pi, 1),
     ],
     ids=[
         "add", "sub", "rsub", "mul", "div", "rdiv", "neg", "log", "exp", "power",
         "of-float", "of-small-int", "of-large-int", "of-fraction", "of-new-decimal",
-        "of-cached-decimal", "of-interval", "enclose-float", "pi",
+        "of-cached-decimal", "of-interval", "widen", "pi",
     ],
 )
 def test_every_value_passes_the_one_validator(monkeypatch, make, values):
@@ -307,8 +306,8 @@ def test_interval_scalar_mixing():
     assert contains(iv / 2, Fraction(1))
 
 
-def test_enclose_float_widths():
-    two = enclose_float(1.0)
+def test_widen_widths():
+    two = intervals._widen(1.0, 1.0)
     assert contains(two, Fraction(1))
     assert (two.lo, two.hi) == (1.0 - 2 * 2.0**-53, 1.0 + 2 * 2.0**-52)
 
@@ -319,9 +318,9 @@ def _stepped_out(lo: float, hi: float, steps: int) -> IntervalValue:
 
 @settings(max_examples=500)
 @given(st.floats())
-def test_enclose_float_is_two_steps_out_bit_for_bit(x):
+def test_widen_is_two_steps_out_bit_for_bit(x):
     # st.floats() draws nan and both infinities, which both sides refuse
-    assert _outcome(lambda: enclose_float(x)) == _outcome(lambda: _stepped_out(x, x, 2))
+    assert _outcome(lambda: intervals._widen(x, x)) == _outcome(lambda: _stepped_out(x, x, 2))
 
 
 def test_pi_is_one_step_out_bit_for_bit():

@@ -278,6 +278,55 @@ def test_check31_holds_on_satisfying_tuples():
             assert report.verdict.state == HOLDS, (t, mode, report.notes)
 
 
+@pytest.mark.parametrize("mode", lemma.PI_MODES)
+def test_check31_right_side_contains_robbins_hull_value(mode):
+    # k - m = 300 and l + k - m0 = 303 lie past 170, where log nu! is
+    # Robbins's hull; the right side still holds the 50-digit value
+    report = lemma.check_lemma31(ParamTuple(0, 10**6, 100, 400, 3), pi_mode=mode)
+    assert report.verdict.state == FAILS
+    with mpmath.workdps(50):
+        k0 = mpmath.mpf(805)
+        if mode == "exact":
+            pi = mpmath.mpf(139)  # pi(805)
+        else:
+            el = mpmath.log(k0)
+            pi = k0 / el * (1 + 1 / el + 2 / el**2 + mpmath.mpf("7.59") / el**3)
+        rhs = pi * mpmath.log(803) + mpmath.loggamma(301) + mpmath.loggamma(304)
+        assert mpmath.mpf(report.rhs.lo) <= rhs <= mpmath.mpf(report.rhs.hi)
+
+
+# each builder as (build(cx, args), the range each argument's box is drawn from)
+_ISOTONE_BUILDERS = {
+    "pi_upper_dusart_expr": (lambda cx, a: bounds.pi_upper_dusart_expr(cx, a[0]), [(2.0, 1e12)]),
+    "log_g_upper_expr": (lambda cx, a: bounds.log_g_upper_expr(cx, a[0]), [(1e-3, 1e12)]),
+    "central_binom_lower_expr": (lambda cx, a: bounds.central_binom_lower_expr(cx, a[0]), [(1.0, 1e12)]),
+    # excess, pi, base, log_f1, log_f2
+    **{
+        f"lemma31_sides[{i}]": (
+            lambda cx, a, i=i: lemma._lemma31_sides(cx, *a)[i],
+            [(-1e6, 1e6), (0.0, 1e5), (1.0, 1e7), (0.0, 1e7), (0.0, 1e7)],
+        )
+        for i in (0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("precise", [False, True], ids=["binary64", "mpmath"])
+@pytest.mark.parametrize("name", list(_ISOTONE_BUILDERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_builders_are_inclusion_isotone(name, precise, data):
+    # the enclosure over a box contains the enclosure at any point inside it,
+    # which subdividing a box into smaller ones rests on
+    build, ranges = _ISOTONE_BUILDERS[name]
+    boxes = [
+        data.draw(st.lists(st.floats(lo, hi), min_size=3, max_size=3).map(sorted)) for lo, hi in ranges
+    ]
+    over_box = evaluate(lambda cx: build(cx, [cx.of(IntervalValue(b[0], b[2])) for b in boxes]), precise)
+    at_point = evaluate(lambda cx: build(cx, [cx.of(b[1]) for b in boxes]), precise)
+    assert over_box.lo <= at_point.lo and at_point.hi <= over_box.hi
+
+
 # ---------------------------------------------------------------------------
 # the threshold crossover
 
