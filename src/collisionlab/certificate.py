@@ -30,9 +30,10 @@ Structure of a run:
      _resume, raises every refusal of a checkpoint or of a witness prefix
      that no longer matches, before any file is opened for writing.
 
-Counts and refutations are a pure function of the configuration: worker
-count and segment size never change the output (the acceptance suite checks
-this at three worker counts).
+Counts and refutations are a pure function of the configuration: neither
+the worker count nor where segments end can change them (the acceptance
+suite checks three worker counts), so the segment size is no setting but
+sieve.DEFAULT_SEGMENT_ODDS.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class CertificateConfig:
     smooth_bound: int = 3427
     gap_cap: int = 456
     window_len: int = 156
-    segment_size: int = DEFAULT_SEGMENT_ODDS
     checkpoint_path: Optional[str] = None
     witness_path: Optional[str] = None
     workers: int = 1
@@ -105,9 +105,7 @@ class CertificateConfig:
             raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
         if self.window_len < 1:
             raise ValueError(f"certificate: window_len must be >= 1, got {self.window_len}")
-        # the sieve's own floor, and the pool's: refused here, before the echo
-        if self.segment_size < 1024:
-            raise ValueError(f"certificate: segment_size must be >= 1024, got {self.segment_size}")
+        # the pool's floor: refused here, before the echo
         if self.workers < 0:
             raise ValueError(f"certificate: workers must be >= 0 (0 means one per CPU), got {self.workers}")
         if self.checkpoint_path is not None and self.witness_path is not None:
@@ -126,11 +124,17 @@ class CertificateConfig:
         """
         return self.window_len + 2 - self.window_len % 2
 
+    @property
+    def segment_size(self) -> int:
+        """Odd entries per sieve segment: always sieve.DEFAULT_SEGMENT_ODDS."""
+        return DEFAULT_SEGMENT_ODDS
+
     def output_fields(self) -> dict:
         """The fields that determine the mathematical output, in report order.
 
         Paths and worker count are deliberately excluded: they affect where
-        results land and how fast, never what they are.
+        results land and how fast, never what they are.  segment_size, a
+        constant, stays listed so that report and config_hash bytes do not move.
         """
         return {
             "q_max": self.q_max,

@@ -229,7 +229,6 @@ def _certify_values() -> argparse.ArgumentParser:
     p.add_argument("--smooth-bound", type=int)
     p.add_argument("--gap-cap", type=int)
     p.add_argument("--window-len", type=int)
-    p.add_argument("--segment-size", type=int)
     p.add_argument("--threads", type=int, dest="workers")
     return p
 
@@ -374,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma31)
 
     l = lsub.add_parser("threshold32", help="crossover F* of the window-size expression")
-    l.add_argument("--lo", type=int, default=10**4)
-    l.add_argument("--hi", type=int, default=10**7)
-    l.set_defaults(func=_cmd_doc, call=lambda a: _fields(lemma.threshold_lemma32(a.lo, a.hi)))
+    l.set_defaults(func=_cmd_doc, call=lambda a: _fields(lemma.threshold_lemma32()))
 
     l = lsub.add_parser(
         "nmax31", help="maximize the n-bound over the (k, l) grid",
@@ -422,14 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lo", type=int, required=True)
     s.add_argument("--hi", type=int, required=True)
     s.add_argument("--min-gap", type=int, required=True)
-    s.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT_ODDS)
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--out", default=None)
     s.set_defaults(
-        func=_cmd_lines,
-        call=lambda a: map(
-            _fields, sieve.gap_scan(a.lo, a.hi, a.min_gap, segment_size=a.segment_size, workers=a.threads)
-        ),
+        func=_cmd_lines, call=lambda a: map(_fields, sieve.gap_scan(a.lo, a.hi, a.min_gap, workers=a.threads))
     )
 
     s = ssub.add_parser("pi", help="exact prime count up to x")

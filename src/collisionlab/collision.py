@@ -34,6 +34,7 @@ __all__ = [
     "ParamTuple",
     "SCALE_MIN_N",
     "M_RATIO",
+    "L_RATIO",
     "FibMember",
     "enumerate_collisions",
     "fib_identity",
@@ -82,6 +83,8 @@ SCALE_MIN_N = 500000
 # The paper's m <= 0.735 k, the ratio hypothesis; Lemmas 3.1 and 3.2 pin m
 # to this ratio, so the 0.265 k and 0.53 k they carry are derived from it
 M_RATIO = Fraction(147, 200)
+# The paper's l <= 0.00271 k, the cap on l that the n-bound maximizes over
+L_RATIO = Fraction(271, 100000)
 
 
 @dataclass(frozen=True, slots=True)

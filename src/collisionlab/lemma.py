@@ -47,7 +47,7 @@ from .bounds import (
     pi_upper_dusart_expr,
     section5_thresholds,
 )
-from .collision import M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
+from .collision import L_RATIO, M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
 from .intervals import (
     FAILS,
     HOLDS,
@@ -345,19 +345,19 @@ def _sign_at(F: int) -> int:
     return -1 if verdict.holds else 1
 
 
-def threshold_lemma32(f_lo: int = 10**4, f_hi: int = 10**7) -> Lemma32Threshold:
-    """Largest F >= f_lo with a nonnegative expression, by bisection.
+_THRESHOLD32_BRACKET = (10**4, 10**7)
 
-    Requires a certified sign change over [f_lo, f_hi]; the expression is
-    monotone decreasing there, so the bracket stays valid throughout.
+
+def threshold_lemma32() -> Lemma32Threshold:
+    """Largest F in _THRESHOLD32_BRACKET with a nonnegative expression, by bisection.
+
+    Requires a certified sign change over the bracket; the expression is
+    monotone decreasing there, so the bracket stays valid throughout, and
+    any bracket that holds the sign change would give the same F*.
     """
-    if not 3 <= f_lo < f_hi:
-        raise ValueError(f"threshold_lemma32: bad bracket [{f_lo}, {f_hi}]")
-    if _sign_at(f_lo) < 0 or _sign_at(f_hi) > 0:
-        raise ValueError(
-            f"threshold_lemma32: no certified sign change over [{f_lo}, {f_hi}]"
-        )
-    lo, hi = f_lo, f_hi
+    lo, hi = _THRESHOLD32_BRACKET
+    if _sign_at(lo) < 0 or _sign_at(hi) > 0:
+        raise ValueError(f"threshold_lemma32: no certified sign change over [{lo}, {hi}]")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _sign_at(mid) > 0:
@@ -408,7 +408,7 @@ class GridConfig:
         return ks
 
     def l_values(self, k: int) -> list[int]:
-        cap = max(1, 271 * k // 100000)
+        cap = max(1, math.floor(L_RATIO * k))
         if cap <= self.l_samples:
             return list(range(1, cap + 1))
         grid = np.unique(

@@ -363,18 +363,13 @@ def _gap_job(job: tuple[int, int, int], min_gap: int) -> list[tuple[int, int]]:
     return list(zip(ps.tolist(), gaps.tolist()))
 
 
-def gap_scan(
-    lo: int,
-    hi: int,
-    min_gap: int,
-    segment_size: int = DEFAULT_SEGMENT_ODDS,
-    workers: int = 1,
-) -> Iterator[GapEvent]:
+def gap_scan(lo: int, hi: int, min_gap: int, workers: int = 1) -> Iterator[GapEvent]:
     """All GapEvents with p in [lo, hi) and gap >= min_gap, ascending in p.
 
     The event stream is a pure function of (lo, hi, min_gap): neither the
-    segment size nor the worker count can change it.  The arguments are
-    checked here, at the call, before any segment is sieved.
+    worker count nor where segments end can change it, so segments are
+    always DEFAULT_SEGMENT_ODDS long.  The arguments are checked here, at
+    the call, before any segment is sieved.
     """
     if not 2 <= lo < hi:
         raise ValueError(f"gap_scan: need 2 <= lo < hi, got [{lo}, {hi})")
@@ -382,6 +377,6 @@ def gap_scan(
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
     if hi > _MAX_SIEVE_POINT + 1:
         raise ValueError(f"gap_scan: hi exceeds 63-bit sieve range: {hi} > 2**63")
-    jobs = SegmentPlan(lo, hi, segment_size).jobs()
+    jobs = SegmentPlan(lo, hi).jobs()
     results = ordered_map(functools.partial(_gap_job, min_gap=min_gap), jobs, workers)
     return (GapEvent(p, g) for events in results for p, g in events)

@@ -257,7 +257,7 @@ CRITERION_13_PINNED = [
         "1deb03fb67a434cadede2e276c10dc93e9ab18c4c2fb333d9b917926df1031f7",
         "c5f9a707a4ed209896d3c17b2f832ad809bfbc4b6dfa9d35b4e4f5718b6d2520",
         "4b620c5812816ca958970024333d6991775457bfa70c2cadcf606abeacec0fed",
-        "34ac0844c9c41f93275365d9507f56c9a52e6a7c42f380c9cdf449d1c48a5cc5",
+        "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
         "a1e58576e5da6c3064fbe2e1b6d669f8e5e5435987cf3472a80ec4a6be33c591",
         "3c95a51ac8bcec01e57ba581fd6cebba98e39f3b42c9fc4b78ea264e1cb431f4",
         "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collisionlab import arith, bounds, lemma, sieve
+from collisionlab import arith, bounds, collision, lemma, sieve
 from collisionlab.intervals import HOLDS, evaluate
 import oracles
 from oracles import mid, pi_upper_dusart_floor
@@ -91,7 +91,7 @@ def test_dusart_and_psi_premises_hold_over_the_n_bound_range():
     # nmax_lemma31 evaluates pi_upper_dusart at k0 = 2(k + l) - 1 up to its
     # largest grid point, past criterion 03's and 05's sweeps to 1e6
     grid = lemma.GridConfig()
-    k0_max = 2 * (grid.k_max + 271 * grid.k_max // 100000) - 1
+    k0_max = 2 * (grid.k_max + math.floor(collision.L_RATIO * grid.k_max)) - 1
     assert k0_max == 1747029
     pi_t, _, psi_t = oracles.chebyshev_tables(k0_max)
     xs = np.arange(2, k0_max + 1, dtype=np.float64)

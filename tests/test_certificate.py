@@ -1,5 +1,6 @@
 """Certificate scan: coverage, refutation, checkpointing, determinism."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -43,9 +44,12 @@ def test_config_validation():
         CertificateConfig(q_max=100, smooth_bound=1)
     with pytest.raises(ValueError, match="window_len must be >= 1"):
         CertificateConfig(q_max=100, window_len=0)
-    # gap_min is derived from window_len, never set
+    # gap_min is derived from window_len, and segment_size is the sieve's
+    # constant: neither is set
     with pytest.raises(TypeError, match="gap_min"):
         CertificateConfig(q_max=100, gap_min=158)
+    with pytest.raises(TypeError, match="segment_size"):
+        CertificateConfig(q_max=100, segment_size=1 << 20)
 
 
 def test_config_refuses_window_elements_past_int64():
@@ -65,6 +69,13 @@ def test_config_hash_ignores_operational_fields():
     assert base.config_hash() == moved.config_hash()
     assert base.config_hash() != small_config(q_max=Q_SMALL + 2).config_hash()
     assert base.config_hash() != small_config(smooth_bound=3429).config_hash()
+
+
+def test_segment_size_is_the_sieve_constant():
+    # one claim, one hash: the segment size is reported, never configured
+    cfg = small_config()
+    assert cfg.output_fields()["segment_size"] == sieve.DEFAULT_SEGMENT_ODDS
+    assert dataclasses.replace(cfg, workers=2).segment_size == sieve.DEFAULT_SEGMENT_ODDS
 
 
 def test_config_hash_pinned():
@@ -256,16 +267,6 @@ def test_run_worker_count_invariance():
     assert serial == parallel
 
 
-def test_run_segment_size_invariance():
-    a = run(small_config())
-    b = run(small_config(segment_size=1 << 19))
-    assert a.gap_prime_count == b.gap_prime_count
-    assert a.refuted == b.refuted
-    assert a.failures == b.failures
-    assert a.gap_cap_violations == b.gap_cap_violations
-    assert b.segments_total > a.segments_total
-
-
 def test_run_records_gap_cap_violations():
     cfg = small_config(gap_cap=157, window_len=156, windows=((1, 156),))
     report = run(cfg)
@@ -357,9 +358,9 @@ def test_checkpoint_rejects_other_config(tmp_path):
 
 def test_checkpoint_rejects_misaligned_progress(tmp_path):
     ck = str(tmp_path / "ck.json")
-    cfg = CertificateConfig(q_max=10**6, checkpoint_path=ck, segment_size=1 << 16)
+    cfg = small_config(checkpoint_path=ck)  # 8 default segments
     state = certificate._fresh_state(cfg.config_hash())
-    span = 2 * cfg.segment_size
+    span = 2 * sieve.DEFAULT_SEGMENT_ODDS
     # not segment ends: inside the first segment, one past the first end,
     # below the range, past its end, and where an end would be past the range
     for done_hi in (999, 3 + span, 1, cfg.q_max + 2, 2 + 8 * span):

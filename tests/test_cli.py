@@ -71,7 +71,7 @@ JSON_DOC_CASES = [
     ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
     ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
      "--pi-mode", "dusart", "--json"],
-    ["lemma", "threshold32", "--lo", "10000", "--hi", "1000000"],
+    ["lemma", "threshold32"],
     ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4"],
     ["lemma", "section4", "--k", "588", "--json"],
     ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
@@ -371,10 +371,21 @@ def test_lemma_threshold32(capsys):
     assert doc["value_at"][0] >= 0 > doc["value_next"][1]
 
 
-def test_lemma_threshold32_refuses_a_reversed_bracket(capsys):
-    code, out, err = run_cli(capsys, ["lemma", "threshold32", "--lo", "10", "--hi", "5"])
-    assert (code, out) == (3, "")
-    assert "bad bracket [10, 5]" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--qmax", "30000000", "--segment-size", "131072"],
+        ["sieve", "gaps", "--lo", "2", "--hi", "1000000", "--min-gap", "80", "--segment-size", "65536"],
+        ["lemma", "threshold32", "--lo", "10000"],
+    ],
+    ids=["certify-segment-size", "sieve-gaps-segment-size", "threshold32-lo"],
+)
+def test_settings_that_cannot_change_a_result_are_no_flags(capsys, argv):
+    # the segment size and the threshold32 bracket are constants
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_lemma_nmax31_small_grid(capsys):
@@ -570,8 +581,6 @@ def test_sieve_gaps_stream_and_threads(capsys):
 
     code, out2, err = run_cli(capsys, argv + ["--threads", "2"])
     assert out2 == out1
-    code, out3, err = run_cli(capsys, argv + ["--segment-size", "65536"])
-    assert out3 == out1
 
 
 def test_sieve_gaps_out_file(capsys, tmp_path):
@@ -725,8 +734,7 @@ def test_certify_defaults_are_the_config_defaults(capsys):
 def test_certify_config_file_sets_every_flag(capsys, tmp_path):
     values = {
         "qmax": "20000000", "windows": "150-157,300-306",
-        "smooth_bound": "3500", "gap_cap": "455", "window_len": "157",
-        "segment_size": "131072", "threads": "2",
+        "smooth_bound": "3500", "gap_cap": "455", "window_len": "157", "threads": "2",
     }
     cfg = tmp_path / "certify.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
@@ -739,7 +747,6 @@ def test_certify_config_file_sets_every_flag(capsys, tmp_path):
     assert file_err == flags_err
     doc = json.loads(by_file)
     assert doc["config"]["windows"] == [[150, 157], [300, 306]]
-    assert doc["config"]["segment_size"] == 131072
     assert doc["config"]["gap_min"] == 158  # the smallest even gap above 157
     assert doc["gap_prime_count"] == 1 and doc["complete"] is True
     assert '"workers":2' in file_err
@@ -757,7 +764,7 @@ def test_certify_config_file_malformed_value_exits_3(capsys, tmp_path):
 
 def test_certify_config_keys_are_spelled_with_underscores(capsys, tmp_path):
     cfg = tmp_path / "certify.cfg"
-    for key in ("gap-min", "q_max", "checkpoint", "timing"):
+    for key in ("gap-min", "q_max", "checkpoint", "timing", "segment_size"):
         cfg.write_text(f"qmax=1000000\n{key}=1\n")
         code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
         assert code == 3, key
@@ -1004,10 +1011,9 @@ def test_negative_threads_exit_3(capsys, argv):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--segment-size", "1000"], "segment_size must be >= 1024, got 1000"),
         (["--threads", "-1"], "workers must be >= 0"),
     ],
-    ids=["segment-size", "threads"],
+    ids=["threads"],
 )
 def test_certify_refuses_sieve_and_pool_limits_before_the_echo(capsys, flags, message):
     code, out, err = run_cli(capsys, ["certify", "--qmax", "30000000"] + flags)

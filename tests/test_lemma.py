@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collisionlab import bounds, lemma
 from collisionlab.certificate import CertificateConfig
-from collisionlab.collision import ParamTuple, check_eq12
+from collisionlab.collision import L_RATIO, ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
 import oracles
 from oracles import contains, mid, product_identity_check, width
@@ -358,11 +358,12 @@ def test_threshold32_pinned():
     assert th.value_next.hi < 0
 
 
-def test_threshold32_rejects_windows_without_sign_change():
-    with pytest.raises(ValueError):
-        lemma.threshold_lemma32(5 * 10**6, 10**7)   # negative at both ends
-    with pytest.raises(ValueError):
-        lemma.threshold_lemma32(10**4, 10**5)       # positive at both ends
+def test_threshold32_rejects_windows_without_sign_change(monkeypatch):
+    # the bracket is a constant; the guard on its ends still fires
+    for lo, hi in ((5 * 10**6, 10**7), (10**4, 10**5)):  # negative, then positive, at both ends
+        monkeypatch.setattr(lemma, "_THRESHOLD32_BRACKET", (lo, hi))
+        with pytest.raises(ValueError, match=f"no certified sign change over \\[{lo}, {hi}\\]"):
+            lemma.threshold_lemma32()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,7 @@ def test_gridconfig_l_values():
     assert g.l_values(588) == [1]
     ls = g.l_values(800000)         # cap 2168, subsampled
     assert len(ls) <= g.l_samples
-    assert ls[0] == 1 and ls[-1] == max(1, 271 * 800000 // 100000)
+    assert ls[0] == 1 and ls[-1] == math.floor(L_RATIO * 800000) == 2168
 
 
 # ---------------------------------------------------------------------------

@@ -468,11 +468,29 @@ def test_gap_scan_first_event_above_2e7():
     assert events[0].gap == 164
 
 
+def _cut_events(lo, hi, min_gap, odds):
+    """The events of _segment_gap_events over [lo, hi) cut every `odds` odd entries, concatenated."""
+    events = []
+    for _, slo, shi in sieve.SegmentPlan(lo, hi, odds).jobs():
+        ps, gaps = sieve._segment_gap_events(slo, shi, min_gap)
+        events += map(sieve.GapEvent, ps.tolist(), gaps.tolist())
+    return events
+
+
 def test_gap_scan_segmentation_invariance():
+    # segment ends never move an event: gap_scan's default segments, cuts
+    # every 2^19, 2^16 and 2^10 odd entries, and two workers agree
     base = list(sieve.gap_scan(10**7, 3 * 10**7, 140))
-    assert base, "window chosen to contain events"
-    for seg in (1 << 18, 1 << 20):
-        assert list(sieve.gap_scan(10**7, 3 * 10**7, 140, segment_size=seg)) == base
+    assert len(base) == 36, "window chosen to contain events"
+    for odds in (1 << 19, 1 << 16):
+        assert _cut_events(10**7, 3 * 10**7, 140, odds) == base
+    # 2^10 over the whole range takes about 8.5 s (2-vCPU Xeon), so it cuts
+    # a part of it on the same grid (2048 integers a segment from 10^7),
+    # where the gap after 18687587 spans a cut
+    lo, hi = 10**7 + 3417 * 2048, 19 * 10**6
+    part = [event for event in base if lo <= event.p < hi]
+    assert sieve.GapEvent(18687587, 144) in part and len(part) == 5
+    assert _cut_events(lo, hi, 140, 1 << 10) == part
     assert list(sieve.gap_scan(10**7, 3 * 10**7, 140, workers=2)) == base
 
 
