@@ -4,7 +4,7 @@ Naturals are plain Python ints, so every product, factorial and binomial
 here is computed without rounding.  On top of that this module provides:
 
   * big binomial coefficients and Fibonacci numbers,
-  * deterministic Miller-Rabin primality testing,
+  * deterministic Miller-Rabin primality testing, proved below 3.3e24,
   * smoothness splitting (B-smooth part vs cofactor) by trial division,
     and the least prime factor of a cofactor above the bound,
   * a high-precision log C(N, r), with which section4 reports the exact
@@ -68,13 +68,18 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-_MR_FALLBACK = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for every n < 3.3e24)."""
+    """Deterministic Miller-Rabin: a proved answer, or a refusal.
+
+    Exact for every n < 3317044064679887385961981 (the last tier's limit),
+    and for every n with a prime factor in _SMALL_PRIMES.  Any other n has
+    no proved witness set here, so it raises ValueError rather than answer
+    from bases that are not known to suffice.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -90,7 +95,7 @@ def is_prime(n: int) -> bool:
             witnesses = bases
             break
     else:
-        witnesses = _MR_FALLBACK
+        raise ValueError(f"is_prime: no proved Miller-Rabin bases for n = {n} >= {limit}")
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

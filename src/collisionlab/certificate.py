@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .lemma import CLAIMED_N_BOUND
+from .collision import CLAIMED_N_BOUND
 from .pool import ordered_map
 from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events, base_primes
 

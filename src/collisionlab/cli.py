@@ -379,11 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "nmax31", help="maximize the n-bound over the (k, l) grid",
         argument_default=argparse.SUPPRESS,
     )
-    l.add_argument("--k-min", type=int)
     l.add_argument("--k-max", type=int)
     l.add_argument("--dense-until", type=int)
-    l.add_argument("--growth", type=float)
-    l.add_argument("--l-samples", type=int)
     l.add_argument("--pi-mode", choices=lemma.PI_MODES)
     l.set_defaults(func=_cmd_lemma_nmax31)
 

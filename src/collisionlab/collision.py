@@ -16,8 +16,9 @@ side it is false (a zero binomial is no collision).  Inside, it first
 compares v_p of both sides for p = 2, 3, 5, 7, each read as a carry count
 by Kummer's theorem: v_p(C(N, r)) is the number of carries when r and N - r
 are added in base p.  A mismatch proves the binomials unequal without
-computing either; otherwise it falls through to big-integer equality, so
-every collision it reports is proved by the exact comparison.
+computing either; otherwise it compares the factorial products exactly,
+with every factorial common to both sides cancelled, so every collision it
+reports is proved by an exact integer comparison.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "Representation",
     "CollisionRecord",
     "ParamTuple",
+    "CLAIMED_N_BOUND",
+    "K_MIN",
     "SCALE_MIN_N",
     "M_RATIO",
     "L_RATIO",
@@ -77,6 +80,11 @@ class CollisionRecord:
             raise ValueError("representations must be sorted by descending x")
 
 
+# Lemma 3.1: every collision has n <= CLAIMED_N_BOUND (the certificate's default q_max)
+CLAIMED_N_BOUND = 31754673611
+# The paper's k >= 588, where Lemma 2.2 stops forcing l = delta: the least k
+# of the n-bound's domain
+K_MIN = 588
 # The paper's "n sufficiently large": the scale hypothesis, and the least n
 # that check_lemma22 and section5_thresholds take
 SCALE_MIN_N = 500000
@@ -218,10 +226,15 @@ def check_eq12(t: ParamTuple) -> bool:
     """Exact test of C(2n+delta, n-m) = C(2n+l, n-k) as a collision.
 
     False unless 0 <= r <= N holds on both sides, so two zero binomials are
-    not a collision.  Before the big-integer comparison, v_p of the two
-    sides is compared for each p in _KUMMER_PRIMES by carry counting; the
-    first mismatch returns False.  When all agree, the result is the exact
-    equality of the two binomials.
+    not a collision.  Before any product, v_p of the two sides is compared
+    for each p in _KUMMER_PRIMES by carry counting; the first mismatch
+    returns False.  When all agree, each r is taken as min(r, N - r) and
+    s = N - r, and N2! r1! s1! is compared with N1! r2! s2! exactly: each of
+    the three factorial ratios N2!/N1!, r1!/r2! and s1!/s2! is the product
+    of the range between its two arguments, taken as math.perm (which
+    splits it in balanced halves) and put on the side of the larger one.
+    Near or equal positions so cost a few multiplications, not two
+    binomials of n digits.
     """
     N1, r1 = 2 * t.n + t.delta, t.n - t.m
     N2, r2 = 2 * t.n + t.l, t.n - t.k
@@ -230,5 +243,11 @@ def check_eq12(t: ParamTuple) -> bool:
     for p in _KUMMER_PRIMES:
         if _carries(r1, N1 - r1, p) != _carries(r2, N2 - r2, p):
             return False
-    return math.comb(N1, r1) == math.comb(N2, r2)
-
+    r1, r2 = min(r1, N1 - r1), min(r2, N2 - r2)
+    left = right = 1
+    for a, b in ((N2, N1), (r1, r2), (N1 - r1, N2 - r2)):  # a! on the left, b! on the right
+        if a >= b:
+            left *= math.perm(a, a - b)
+        else:
+            right *= math.perm(b, b - a)
+    return left == right

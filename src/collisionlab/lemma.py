@@ -47,7 +47,7 @@ from .bounds import (
     pi_upper_dusart_expr,
     section5_thresholds,
 )
-from .collision import L_RATIO, M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
+from .collision import CLAIMED_N_BOUND, K_MIN, L_RATIO, M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
 from .intervals import (
     FAILS,
     HOLDS,
@@ -70,7 +70,6 @@ __all__ = [
     "threshold_lemma32",
     "Lemma32Threshold",
     "GridConfig",
-    "CLAIMED_N_BOUND",
     "NmaxReport",
     "nmax_lemma31",
     "section4_check",
@@ -80,8 +79,6 @@ __all__ = [
     "Section5Report",
 ]
 
-# Lemma 3.1: every collision has n <= CLAIMED_N_BOUND (the certificate's default q_max)
-CLAIMED_N_BOUND = 31754673611
 # how check_lemma31 and nmax_lemma31 take pi(k0): counted, or Dusart's upper bound
 PI_MODES = ("exact", "dusart")
 _ZERO = IntervalValue.of(0)
@@ -367,52 +364,53 @@ def threshold_lemma32() -> Lemma32Threshold:
     return Lemma32Threshold(lo, lemma32_expression(lo), lemma32_expression(hi))
 
 
+# the sampled n-bound grid: k grows by this factor past the dense band, and
+# each k keeps at most this many l values
+_GRID_GROWTH = 1.01
+_GRID_L_SAMPLES = 64
+
+
 @dataclass(frozen=True, slots=True)
 class GridConfig:
     """Search grid for the n-bound maximization.
 
-    k runs one-by-one through the dense band [k_min, dense_until] where the
-    maximum lives, then geometrically (factor `growth`) up to k_max.  For
-    each k, l runs over [1, floor(0.00271 k)], subsampled geometrically to
-    at most l_samples values when the range is wider than that.
+    k runs one-by-one through the dense band [K_MIN, dense_until] where the
+    maximum lives, then geometrically (factor _GRID_GROWTH) up to k_max.
+    For each k, l runs over [1, floor(0.00271 k)], subsampled geometrically
+    to at most _GRID_L_SAMPLES values when the range is wider than that.
+    Only the band's ends and the pi mode are settings: K_MIN is the paper's
+    k >= 588, and the growth and l sample count only coarsen the sample.
     """
 
-    k_min: int = 588
     k_max: int = 871155
     dense_until: int = 4000
-    growth: float = 1.01
-    l_samples: int = 64
     pi_mode: str = "dusart"
 
     def __post_init__(self) -> None:
-        if not 3 <= self.k_min <= self.k_max:
-            raise ValueError(f"GridConfig: bad k range [{self.k_min}, {self.k_max}]")
-        if self.dense_until < self.k_min:
+        if self.k_max < K_MIN:
+            raise ValueError(f"GridConfig: k_max must be >= K_MIN = {K_MIN}, got {self.k_max}")
+        if self.dense_until < K_MIN:
             raise ValueError(
-                f"GridConfig: dense_until must be >= k_min, got {self.dense_until} < {self.k_min}"
+                f"GridConfig: dense_until must be >= K_MIN = {K_MIN}, got {self.dense_until}"
             )
-        if not (math.isfinite(self.growth) and self.growth > 1.0):
-            raise ValueError(f"GridConfig: growth must be finite and exceed 1, got {self.growth}")
-        if self.l_samples < 1:
-            raise ValueError(f"GridConfig: l_samples must be >= 1, got {self.l_samples}")
         if self.pi_mode not in PI_MODES:
             raise ValueError(f"GridConfig: bad pi_mode {self.pi_mode!r}")
 
     def k_values(self) -> list[int]:
         dense_end = min(self.dense_until, self.k_max)
-        ks = list(range(self.k_min, dense_end + 1))
+        ks = list(range(K_MIN, dense_end + 1))
         k = dense_end
         while k < self.k_max:
-            k = min(self.k_max, max(k + 1, math.ceil(k * self.growth)))
+            k = min(self.k_max, max(k + 1, math.ceil(k * _GRID_GROWTH)))
             ks.append(k)
         return ks
 
     def l_values(self, k: int) -> list[int]:
         cap = max(1, math.floor(L_RATIO * k))
-        if cap <= self.l_samples:
+        if cap <= _GRID_L_SAMPLES:
             return list(range(1, cap + 1))
         grid = np.unique(
-            np.rint(np.geomspace(1, cap, num=self.l_samples)).astype(np.int64)
+            np.rint(np.geomspace(1, cap, num=_GRID_L_SAMPLES)).astype(np.int64)
         )
         return [int(v) for v in grid]
 
@@ -449,7 +447,9 @@ def _nmax_point(
 def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     """Maximize the bound on n implied by the factorial inequality.
 
-    At each grid point: m pinned to 0.735k (real), m0 = m + 1, delta = 0
+    The grid samples the paper's domain k in [K_MIN, k_max] and
+    l in [1, floor(0.00271 k)]; GridConfig says which points.  At each
+    grid point: m pinned to 0.735k (real), m0 = m + 1, delta = 0
     (the choice maximizing both k0 and the resulting bound), pi(k0) per
     pi_mode: len(sieve.base_primes(k0)) or Dusart's upper bound.  The
     exact count is a read of the grow-only base-prime table, which at

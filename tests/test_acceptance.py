@@ -278,9 +278,8 @@ CRITERION_13_PINNED = [
      "ca92e7c66c36d52fe42977ee381f7f76ec6f39a0f638fdf8d4ddab12363f7bf0", 0),
     (["certify", "--qmax", "30000000", "--windows", "303-308"],
      "eb8784327ddeea57c211f8f7e4029566e4916a10a2b33d88d8e192734f18a9d6", 1),
-    (["lemma", "nmax31", "--k-min", "588", "--k-max", "700", "--dense-until", "700",
-      "--l-samples", "4"],
-     "0b9cfd9704c04bb5d4a8e49734a04a4cd09af2d97a9286994fe07fe36e2fd7e9", 0),
+    (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
+     "f934350819aa57777cb65344be892da32d28b600f98b3ade06ec6a8b8a550265", 0),
     # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31
     (["bounds", "pi-upper", "--x", "1742310", "--precise"],
      "89ddf36be6e9cd947b86cc00ce733e2b97b05f58ff77ecf5d30485b7d1015dd7", 0),
@@ -290,7 +289,7 @@ CRITERION_13_PINNED = [
       "--pi-mode", "dusart", "--json"],
      "e519cf8263f842fefce8017b3319479ed32e3ae9f76025ca4e95e587c0f3314d", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--pi-mode", "exact"],
-     "67af574ccef2f5529618bfe6e38c556bc3a3bc9efaf89662b6922dc356a31096", 0),
+     "a6688a708096eb4a31d2418410131cca114d1cd8dd2dc9830e833ffc1f3a1a1c", 0),
     # check31 with nu = 110 and 115, whose factorials are no binary64 points
     (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
       "--pi-mode", "exact", "--json"],

@@ -59,6 +59,19 @@ def test_is_prime_strong_pseudoprime_edges():
     assert not arith.is_prime(31754673611)  # 8219 * 3863569
 
 
+def test_is_prime_refuses_past_its_proved_bases():
+    # 3317044064679887385961981 is the least strong pseudoprime to the 13
+    # bases 2..41, so no base set here is proved at or above it
+    limit = 3317044064679887385961981
+    with pytest.raises(ValueError, match="no proved Miller-Rabin bases"):
+        arith.is_prime(limit)
+    with pytest.raises(ValueError, match="no proved Miller-Rabin bases"):
+        arith.is_prime(2**89 - 1)          # a Mersenne prime past the limit
+    assert arith.is_prime(3317044064679887385961813)  # the largest prime below it
+    assert not arith.is_prime(limit - 8)   # 383 * 1361 * 1239197 * 5135160101143
+    assert not arith.is_prime(limit + 1)   # even: trial division proves it
+
+
 def test_smooth_split_examples():
     s = arith.smooth_split(720, 5)
     assert s.is_smooth and s.cofactor == 1

@@ -72,7 +72,7 @@ JSON_DOC_CASES = [
     ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
      "--pi-mode", "dusart", "--json"],
     ["lemma", "threshold32"],
-    ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4"],
+    ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
     ["lemma", "section4", "--k", "588", "--json"],
     ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
@@ -389,11 +389,7 @@ def test_settings_that_cannot_change_a_result_are_no_flags(capsys, argv):
 
 
 def test_lemma_nmax31_small_grid(capsys):
-    argv = [
-        "lemma", "nmax31", "--k-min", "588", "--k-max", "700",
-        "--dense-until", "700", "--l-samples", "4",
-    ]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"])
     assert code == 0
     doc = json.loads(out)
     assert doc["argmax_k"] == 588
@@ -404,15 +400,8 @@ def test_lemma_nmax31_defaults_are_the_grid_defaults(capsys):
     code, out, err = run_cli(capsys, ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"])
     assert code == 0
     doc = json.loads(out)
-    grid = GridConfig()
-    assert doc["config"] == {
-        "k_min": grid.k_min, "k_max": 700, "dense_until": 700,
-        "growth": grid.growth, "l_samples": grid.l_samples, "pi_mode": grid.pi_mode,
-    }
-    assert doc["config"] == {
-        "k_min": 588, "k_max": 700, "dense_until": 700,
-        "growth": 1.01, "l_samples": 64, "pi_mode": "dusart",
-    }
+    assert doc["config"] == {"k_max": 700, "dense_until": 700, "pi_mode": GridConfig().pi_mode}
+    assert doc["config"] == {"k_max": 700, "dense_until": 700, "pi_mode": "dusart"}
     assert list(doc) == [
         "version", "config", "n_max", "log_n_max", "argmax_k", "argmax_l",
         "points", "skipped", "claimed_bound",
@@ -421,35 +410,27 @@ def test_lemma_nmax31_defaults_are_the_grid_defaults(capsys):
     assert '"workers"' not in err
 
 
-def test_lemma_nmax31_growth_flag_sets_the_k_values(capsys):
-    argv = ["lemma", "nmax31", "--k-max", "2000", "--dense-until", "600", "--l-samples", "2"]
-    code, out, err = run_cli(capsys, argv + ["--growth", "1.5"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["growth"] == 1.5
-    assert '"growth":1.5' in err
-    grid = GridConfig(k_max=2000, dense_until=600, l_samples=2, growth=1.5)
-    ks = [*range(588, 601), 900, 1350, 2000]
-    assert grid.k_values() == ks
-    assert doc["points"] == sum(len(grid.l_values(k)) for k in ks)
-    code, out, err = run_cli(capsys, argv)
-    assert json.loads(out)["config"]["growth"] == 1.01
-    assert json.loads(out)["points"] > doc["points"]
+@pytest.mark.parametrize("flag", ["--k-min", "--growth", "--l-samples"])
+def test_lemma_nmax31_grid_constants_are_no_flags(capsys, flag):
+    # the grid starts at K_MIN, the paper's k >= 588; growth and l sample count are constants
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", flag, "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--k-min", "700", "--k-max", "800", "--dense-until", "600", "--l-samples", "4"],
-     ["--k-max", "700", "--dense-until", "700", "--l-samples", "0"],
-     ["--k-max", "700", "--dense-until", "600", "--growth", "nan", "--l-samples", "2"],
-     ["--k-max", "700", "--dense-until", "600", "--growth", "inf", "--l-samples", "2"]],
-    ids=["dense-until-below-k-min", "no-l-samples", "growth-nan", "growth-inf"],
+    [["--k-max", "587"],
+     ["--k-max", "800", "--dense-until", "587"]],
+    ids=["k-max-below-k-min", "dense-until-below-k-min"],
 )
 def test_lemma_nmax31_refuses_grids_that_leave_their_range(capsys, flags):
     code, out, err = run_cli(capsys, ["lemma", "nmax31"] + flags)
     assert code == 3
     assert out == ""
     assert "GridConfig" in err
+    assert "must be >= K_MIN = 588, got 587" in err
 
 
 def test_lemma_check23_zero_binomials_are_not_a_collision(capsys):
@@ -1024,7 +1005,7 @@ def test_certify_refuses_sieve_and_pool_limits_before_the_echo(capsys, flags, me
 
 
 def test_lemma_nmax31_has_no_threads_flag(capsys):
-    argv = ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--l-samples", "4"]
+    argv = ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,46 @@ def test_check_eq12_needs_r_within_n_on_both_sides():
     # N = 2n + l = -3 on the right, which arith.binomial refuses
     assert not collision.check_eq12(ParamTuple(0, 1, 0, 0, -5))
 
+
+@st.composite
+def _position_pair(draw):
+    """Two (N, r) with N <= 300: independent, equal, or mirrored in the first."""
+    N1 = draw(st.integers(min_value=0, max_value=300))
+    r1 = draw(st.integers(min_value=0, max_value=N1))
+    how = draw(st.sampled_from(("independent", "equal", "mirrored")))
+    if how == "independent":
+        N2 = draw(st.integers(min_value=0, max_value=300))
+        return N1, r1, N2, draw(st.integers(min_value=0, max_value=N2))
+    return N1, r1, N1, r1 if how == "equal" else N1 - r1
+
+
+@given(_position_pair())
+@settings(max_examples=500)
+def test_check_eq12_is_comb_equality_of_any_two_positions(pair):
+    # the tuple that sends C(N1, r1) and C(N2, r2) to the two sides of eq. (12)
+    N1, r1, N2, r2 = pair
+    delta, n = N1 % 2, N1 // 2
+    t = ParamTuple(delta, n, n - r1, n - r2, N2 - 2 * n)
+    assert collision.check_eq12(t) == (math.comb(N1, r1) == math.comb(N2, r2))
+
+
+@pytest.mark.parametrize(
+    ("fields", "equal"),
+    [((0, 10**9, 1, 1, 0), True),     # identical positions
+     ((1, 10**9, 1, 1, 1), True),
+     ((0, 10**9, 1, -1, 0), True),    # C(2n, n - 1) = C(2n, n + 1)
+     ((1, 10**9, 2, -3, 1), True),    # C(2n + 1, n - 2) = C(2n + 1, n + 3)
+     ((0, 10**9, 0, 0, 2), False),    # C(2n, n) against C(2n + 2, n): the pre-test agrees
+     ((0, 10**9, 0, -2, 2), False),
+     ((0, 10**9, 1, 2, 0), False)],
+    ids=["equal", "equal-odd", "mirrored", "mirrored-odd", "central-vs-next-row",
+         "central-vs-next-row-mirrored", "adjacent"],
+)
+def test_check_eq12_decides_near_positions_at_n_1e9_fast(fields, equal):
+    # each binomial has about 6e8 digits; the comparison cancels them
+    t0 = time.monotonic()
+    assert collision.check_eq12(ParamTuple(*fields)) is equal
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_ratio_ok_is_m_at_most_m_ratio_k():

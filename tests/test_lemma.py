@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collisionlab import bounds, lemma
 from collisionlab.certificate import CertificateConfig
-from collisionlab.collision import L_RATIO, ParamTuple, check_eq12
+from collisionlab.collision import K_MIN, L_RATIO, M_RATIO, ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
 import oracles
 from oracles import contains, mid, product_identity_check, width
@@ -371,40 +371,38 @@ def test_threshold32_rejects_windows_without_sign_change(monkeypatch):
 
 def test_gridconfig_validation():
     with pytest.raises(ValueError):
-        lemma.GridConfig(k_min=2)
-    with pytest.raises(ValueError):
-        lemma.GridConfig(k_min=700, k_max=600)
-    with pytest.raises(ValueError):
-        lemma.GridConfig(growth=1.0)
-    with pytest.raises(ValueError):
         lemma.GridConfig(pi_mode="estimate")
+    # the grid's start, growth and l sample count are constants, not fields
+    for field in ("k_min", "growth", "l_samples"):
+        with pytest.raises(TypeError):
+            lemma.GridConfig(**{field: 1})
 
 
 def test_gridconfig_refuses_grids_that_leave_their_range():
-    # the geometric band would start at dense_until = 600, below k_min
-    with pytest.raises(ValueError, match="dense_until"):
-        lemma.GridConfig(k_min=700, k_max=800, dense_until=600, l_samples=4)
-    # no l values at all: every point would vanish from the grid
-    with pytest.raises(ValueError, match="l_samples"):
-        lemma.GridConfig(l_samples=0)
-    g = lemma.GridConfig(k_min=700, k_max=800, dense_until=700, l_samples=1)
-    assert g.k_values()[0] == 700
-    assert g.l_values(800000) == [1]
+    # either end of the dense band below K_MIN would leave the paper's k >= 588
+    with pytest.raises(ValueError, match="k_max must be >= K_MIN = 588, got 587"):
+        lemma.GridConfig(k_max=K_MIN - 1)
+    with pytest.raises(ValueError, match="dense_until must be >= K_MIN = 588, got 587"):
+        lemma.GridConfig(k_max=800, dense_until=K_MIN - 1)
+    g = lemma.GridConfig(k_max=K_MIN, dense_until=K_MIN)
+    assert g.k_values() == [K_MIN]
+    assert g.l_values(K_MIN) == [1]
 
 
 def test_nmax31_ties_go_to_the_smallest_k_l(monkeypatch):
     monkeypatch.setattr(lemma, "_nmax_point", lambda *args: 1.5)
-    g = lemma.GridConfig(k_min=700, k_max=2000, dense_until=800, l_samples=4)
+    g = lemma.GridConfig(k_max=2000, dense_until=800)
     rep = lemma.nmax_lemma31(g)
-    assert (rep.argmax_k, rep.argmax_l) == (700, 1)
+    assert (rep.argmax_k, rep.argmax_l) == (K_MIN, 1)
     assert rep.log_n_max == 1.5
     assert rep.points == sum(len(g.l_values(k)) for k in g.k_values())
 
 
 def test_gridconfig_k_values_cover_band():
-    g = lemma.GridConfig(k_min=588, k_max=1000, dense_until=600)
+    g = lemma.GridConfig(k_max=1000, dense_until=600)
     ks = g.k_values()
-    assert ks[0] == 588
+    assert ks[:13] == list(range(K_MIN, 601))
+    assert ks[13:15] == [606, 613]  # then by the factor 1.01, rounded up
     assert ks[-1] == 1000
     assert ks == sorted(set(ks))
 
@@ -413,7 +411,7 @@ def test_gridconfig_l_values():
     g = lemma.GridConfig()
     assert g.l_values(588) == [1]
     ls = g.l_values(800000)         # cap 2168, subsampled
-    assert len(ls) <= g.l_samples
+    assert len(ls) <= lemma._GRID_L_SAMPLES
     assert ls[0] == 1 and ls[-1] == math.floor(L_RATIO * 800000) == 2168
 
 
@@ -421,9 +419,9 @@ def test_gridconfig_l_values():
 # the typed-in defaults against what they are derived from
 
 def test_grid_k_min_is_where_lemma22_stops_forcing_l_equal_delta():
-    k_min = lemma.GridConfig().k_min
-    assert lemma.check_lemma22(500000, k_min - 1).verdict.holds
-    assert lemma.check_lemma22(500000, k_min).verdict.fails
+    assert lemma.check_lemma22(500000, K_MIN - 1).verdict.holds
+    assert lemma.check_lemma22(500000, K_MIN).verdict.fails
+    assert lemma.GridConfig().k_values()[0] == K_MIN
 
 
 def test_grid_k_max_is_the_lemma32_threshold():
@@ -433,17 +431,16 @@ def test_grid_k_max_is_the_lemma32_threshold():
 
 def test_certificate_window_len_is_the_shortest_s1_at_k_min():
     # S1 holds the k - m values n - m .. n - k + 1; m <= 0.735 k is ratio_ok
-    k = lemma.GridConfig().k_min
     s1_lengths = [
         len(lemma.index_windows(t)[0])
-        for m in range(k)
-        if (t := ParamTuple(0, 10**6, m, k, 1)).ratio_ok
+        for m in range(K_MIN)
+        if (t := ParamTuple(0, 10**6, m, K_MIN, 1)).ratio_ok
     ]
     assert min(s1_lengths) == 588 - 432 == CertificateConfig().window_len
 
 
 def test_nmax31_small_grid_pinned():
-    g = lemma.GridConfig(k_min=588, k_max=1000, dense_until=1000, l_samples=16)
+    g = lemma.GridConfig(k_max=1000, dense_until=1000)
     rep = lemma.nmax_lemma31(g)
     assert (rep.argmax_k, rep.argmax_l) == (588, 1)
     assert 2.8e10 < rep.n_max < 3.0e10
@@ -452,15 +449,19 @@ def test_nmax31_small_grid_pinned():
 
 
 def test_nmax31_exact_pi_never_exceeds_dusart_bound():
-    g_ex = lemma.GridConfig(k_min=588, k_max=700, dense_until=700, l_samples=4, pi_mode="exact")
-    g_du = lemma.GridConfig(k_min=588, k_max=700, dense_until=700, l_samples=4, pi_mode="dusart")
+    g_ex = lemma.GridConfig(k_max=700, dense_until=700, pi_mode="exact")
+    g_du = lemma.GridConfig(k_max=700, dense_until=700, pi_mode="dusart")
     assert lemma.nmax_lemma31(g_ex).n_max <= lemma.nmax_lemma31(g_du).n_max
 
 
-def test_nmax31_raises_when_every_point_degenerates():
-    g = lemma.GridConfig(k_min=3, k_max=3, dense_until=3, l_samples=1)
-    with pytest.raises(ArithmeticError):
-        lemma.nmax_lemma31(g)
+def test_nmax31_raises_when_every_point_degenerates(monkeypatch):
+    # below the grid, at k = 3, the denominator 0.53k + l - 1 - pi is not positive
+    arg1 = (1 - M_RATIO) * 3
+    f_arg1, k_excess = bounds.f_stirling(arg1), IntervalValue.of(2 * arg1)
+    assert lemma._nmax_point(3, 1, bounds.pi_upper_dusart(7), arg1, f_arg1, k_excess) is None
+    monkeypatch.setattr(lemma, "_nmax_point", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="every grid point had a nonpositive denominator"):
+        lemma.nmax_lemma31(lemma.GridConfig(k_max=700, dense_until=600))
 
 
 # ---------------------------------------------------------------------------
