@@ -75,7 +75,7 @@ def log_g_lower(z: Real, precise: bool = False) -> IntervalValue:
 
     def build(cx):
         v = cx.of(z)
-        return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2 + 1 / (12 * (v + 1))
+        return _stirling_core(cx, v) + 1 / (12 * (v + 1))
 
     return evaluate(build, precise)
 
@@ -97,7 +97,12 @@ def log_g_upper(z: Real, precise: bool = False) -> IntervalValue:
 
 def log_g_upper_expr(cx, v):
     """The log_g_upper expression at v, built in evaluation context cx."""
-    return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2 + 1 / (12 * v)
+    return _stirling_core(cx, v) + 1 / (12 * v)
+
+
+def _stirling_core(cx, v):
+    """v log v - v + log(2 pi v)/2 at v in context cx: both log g bounds add their tail to it."""
+    return v * cx.log(v) - v + cx.log(2 * cx.pi() * v) / 2
 
 
 # the factorial majorant exponent: f(z) = log g+(z), any real z > 0

@@ -8,15 +8,18 @@ consecutive 3427-smooth integers, each above 3427, starting below Q - 456.
 The floor matters: 2, ..., 157 are 156 consecutive 3427-smooth integers,
 and the gap argument below needs every element of a run to be composite.
 
-158 is not a setting: such a run holds no prime, so it sits inside a prime
-gap longer than 156, and CertificateConfig.gap_min is derived from
-window_len as the smallest even number above it, so no configuration can
-skip a gap that could hold a run.
+The four numbers of that claim are constants of CertificateConfig, not
+settings: the windows, the smoothness bound 3427, the gap cap 456 and the
+run length 156.  A run sets only q_max and where its state lands, so every
+report certifies the same claim up to its q_max.  158 follows from them:
+such a run holds no prime, so it sits inside a prime gap longer than 156,
+and CertificateConfig.gap_min is derived from window_len as the smallest
+even number above it.
 
 Structure of a run:
 
-  1. coverage_check proves the configured windows cover every placement a
-     smooth run could occupy inside a maximal gap (refuses to run otherwise);
+  1. coverage_check proves the windows cover every placement a smooth run
+     could occupy inside a maximal gap (refuses to run otherwise);
   2. the segmented sieve streams GapEvents in ascending order;
   3. each segment's events are attacked in every window in one batch: the
      element at each window's current offset is tested against every prime
@@ -30,7 +33,7 @@ Structure of a run:
      _resume, raises every refusal of a checkpoint or of a witness prefix
      that no longer matches, before any file is opened for writing.
 
-Counts and refutations are a pure function of the configuration: neither
+Counts and refutations are a pure function of q_max: neither
 the worker count nor where segments end can change them (the acceptance
 suite checks three worker counts), so the segment size is no setting but
 sieve.DEFAULT_SEGMENT_ODDS.
@@ -44,7 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -72,11 +75,19 @@ def _window_key(window: Window) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CertificateConfig:
+    """A certificate run: the claim's reach q_max, where its state lands, and its worker count.
+
+    windows, smooth_bound, gap_cap and window_len are the paper's constants,
+    not fields: coverage_check(gap_cap, window_len, windows) is empty, and
+    output_fields() still reports them, so config_hash() covers them.
+    """
+
+    windows: ClassVar[tuple[Window, ...]] = ((152, 156), (303, 308))
+    smooth_bound: ClassVar[int] = 3427
+    gap_cap: ClassVar[int] = 456
+    window_len: ClassVar[int] = 156
+
     q_max: int = CLAIMED_N_BOUND
-    windows: tuple[Window, ...] = ((152, 156), (303, 308))
-    smooth_bound: int = 3427
-    gap_cap: int = 456
-    window_len: int = 156
     checkpoint_path: Optional[str] = None
     witness_path: Optional[str] = None
     workers: int = 1
@@ -84,16 +95,6 @@ class CertificateConfig:
     def __post_init__(self) -> None:
         if self.q_max < 3:
             raise ValueError(f"certificate: q_max must be >= 3, got {self.q_max}")
-        if not self.windows:
-            raise ValueError("certificate: at least one window is required")
-        seen = set()
-        for a, b in self.windows:
-            if not 1 <= a <= b:
-                raise ValueError(f"certificate: malformed window [{a}, {b}]")
-            # a second copy would refute and witness every gap prime twice
-            if (a, b) in seen:
-                raise ValueError(f"certificate: window [{a}, {b}] is listed twice")
-            seen.add((a, b))
         # every window element q + b is an int64 in the refutation batch (and
         # the sieve stops at 2**63 - 1 anyway)
         reach = max(b for _, b in self.windows)
@@ -101,10 +102,6 @@ class CertificateConfig:
             raise ValueError(
                 f"certificate: q_max + {reach} (the last window offset) exceeds 2**63 - 1, got q_max = {self.q_max}"
             )
-        if self.smooth_bound < 2:
-            raise ValueError(f"certificate: smooth_bound must be >= 2, got {self.smooth_bound}")
-        if self.window_len < 1:
-            raise ValueError(f"certificate: window_len must be >= 1, got {self.window_len}")
         # the pool's floor: refused here, before the echo
         if self.workers < 0:
             raise ValueError(f"certificate: workers must be >= 0 (0 means one per CPU), got {self.workers}")

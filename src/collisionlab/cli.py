@@ -11,8 +11,9 @@ lemma checker's report goes through _cmd_lemma_report, the one report
 handler: text, or with --json one document whose fields _fields writes, and
 an exit code that follows the verdict.  Run defaults live in
 CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
-flags given and echo the resolved dataclass, and each key=value line of a
-certify --config file is parsed as the flag --key=value by the same parser.
+flags given and echo the resolved dataclass.  certify's windows, smoothness
+bound, gap cap and run length are constants of CertificateConfig, so it
+takes no flag or file that sets them.
 
 Exit codes: 0 success or certified HOLDS, 1 certified FAILS or certificate
 failure, 2 usage error (argparse), 3 capability or runtime error.
@@ -205,78 +206,15 @@ def _neighbors_doc(args) -> dict:
 # ---------------------------------------------------------------------------
 # certify
 
-def _parse_windows(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse "1-5,10-12" into ((1, 5), (10, 12))."""
-    windows = []
-    for part in text.split(","):
-        piece = part.strip()
-        if not piece:
-            continue
-        a, sep, b = piece.partition("-")
-        if not sep:
-            raise ValueError(f"certify: malformed window {piece!r}, expected A-B")
-        windows.append((int(a), int(b)))
-    if not windows:
-        raise ValueError("certify: empty window list")
-    return tuple(windows)
-
-
-def _certify_values() -> argparse.ArgumentParser:
-    """The certify flags a --config file may set, each kept under its field only if given."""
-    p = _Parser(add_help=False, argument_default=argparse.SUPPRESS, exit_on_error=False)
-    p.add_argument("--qmax", type=int, dest="q_max")
-    p.add_argument("--windows")
-    p.add_argument("--smooth-bound", type=int)
-    p.add_argument("--gap-cap", type=int)
-    p.add_argument("--window-len", type=int)
-    p.add_argument("--threads", type=int, dest="workers")
-    return p
-
-
-def _read_config_file(path: str) -> dict:
-    """key=value lines, each parsed as the flag --key=value; blank lines and # comments ignored."""
-    lines = []  # (flag, key)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key = key.strip()
-            lines.append((f"--{key.replace('_', '-')}={value.strip()}", key))
-    try:
-        values, extra = _certify_values().parse_known_args([flag for flag, _ in lines])
-    except argparse.ArgumentError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    unknown = sorted({key for flag, key in lines if flag in extra or "-" in key})  # gap-cap is no key
-    if unknown:
-        raise ValueError(f"certify: unknown config keys: {', '.join(unknown)}")
-    return vars(values)
-
-
 def _given(args, cls) -> dict:
     """The flags the user gave that name fields of the dataclass cls."""
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
 
 
 def _cmd_certify(args) -> int:
-    """Defaults from CertificateConfig, then the config file, then explicit flags."""
-    given = _read_config_file(args.config) if args.config else {}
-    given |= _given(args, certificate.CertificateConfig)
-    if "windows" in given:
-        given["windows"] = _parse_windows(given["windows"])
-    config = certificate.CertificateConfig(**given)
+    """Echo the CertificateConfig of the flags given, run it, and print its report."""
+    config = certificate.CertificateConfig(**_given(args, certificate.CertificateConfig))
     _echo(args, dataclasses.asdict(config))
-
-    uncovered = certificate.coverage_check(config.gap_cap, config.window_len, config.windows)
-    if uncovered:
-        fields = config.output_fields()
-        cfg = {key: fields[key] for key in ("gap_cap", "window_len", "windows")}
-        print(_json_doc(cfg, {"coverage_ok": False, "uncovered_placements": uncovered}))
-        return EXIT_FAILS
-
     started = time.monotonic()
     report = certificate.run(config, stop_after_segments=args.stop_after)
     print(report.to_json(version=__version__))
@@ -430,13 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=int, required=True)
     s.set_defaults(func=_cmd_doc, call=_neighbors_doc)
 
-    p = sub.add_parser(
-        "certify", help="run the prime-gap smoothness certificate", parents=[_certify_values()]
-    )
+    p = sub.add_parser("certify", help="run the prime-gap smoothness certificate")
+    p.add_argument("--qmax", type=int, dest="q_max", default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=int, dest="workers", default=argparse.SUPPRESS)
     p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--witness", dest="witness_path")
     p.add_argument("--stop-after", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_certify)
 

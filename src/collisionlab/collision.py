@@ -13,7 +13,7 @@ recomputed on the fly, never stored.
 
 check_eq12 decides that equation exactly.  Outside 0 <= r <= N on either
 side it is false (a zero binomial is no collision).  Inside, it first
-compares v_p of both sides for p = 2, 3, 5, 7, each read as a carry count
+compares v_p of both sides for each prime p < 100, read as a carry count
 by Kummer's theorem: v_p(C(N, r)) is the number of carries when r and N - r
 are added in base p.  A mismatch proves the binomials unequal without
 computing either; otherwise it compares the factorial products exactly,
@@ -207,8 +207,10 @@ def to_param(x: int, a: int, y: int, b: int) -> ParamTuple:
     return ParamTuple(delta=delta, n=n, m=n - b, k=n - a, l=x - 2 * n)
 
 
-# small primes: v_p varies most there, and one mismatch settles a pair
-_KUMMER_PRIMES = (2, 3, 5, 7)
+# the 25 primes below 100: v_p varies most at small p, and one mismatch
+# settles a pair before the exact comparison, whose products are as long as
+# the distance between the two positions
+_KUMMER_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
 
 
 def _carries(a: int, b: int, p: int) -> int:

@@ -276,8 +276,6 @@ CRITERION_13_PINNED = [
      "8825d19f800adc42111d418073b4964849d3260fbc087101c6d84e8541c2ad86", 0),
     (["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
      "ca92e7c66c36d52fe42977ee381f7f76ec6f39a0f638fdf8d4ddab12363f7bf0", 0),
-    (["certify", "--qmax", "30000000", "--windows", "303-308"],
-     "eb8784327ddeea57c211f8f7e4029566e4916a10a2b33d88d8e192734f18a9d6", 1),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
      "f934350819aa57777cb65344be892da32d28b600f98b3ade06ec6a8b8a550265", 0),
     # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31

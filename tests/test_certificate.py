@@ -28,22 +28,18 @@ def small_config(**overrides):
     return CertificateConfig(**params)
 
 
+def set_constants(monkeypatch, **constants):
+    """Patch the certificate's claim constants on the class: no instance sets them."""
+    for name, value in constants.items():
+        monkeypatch.setattr(CertificateConfig, name, value)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
 def test_config_validation():
     with pytest.raises(ValueError):
         CertificateConfig(q_max=2)
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=100, windows=())
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=100, windows=((0, 5),))
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=100, windows=((5, 3),))
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=100, smooth_bound=1)
-    with pytest.raises(ValueError, match="window_len must be >= 1"):
-        CertificateConfig(q_max=100, window_len=0)
     # gap_min is derived from window_len, and segment_size is the sieve's
     # constant: neither is set
     with pytest.raises(TypeError, match="gap_min"):
@@ -52,23 +48,44 @@ def test_config_validation():
         CertificateConfig(q_max=100, segment_size=1 << 20)
 
 
-def test_config_refuses_window_elements_past_int64():
+def test_config_refuses_window_elements_past_int64(monkeypatch):
     # the largest window end (308) must keep q_max + 308 within 2**63 - 1
     assert CertificateConfig(q_max=2**63 - 1 - 308).q_max == 2**63 - 309
     with pytest.raises(ValueError, match="exceeds 2\\*\\*63 - 1"):
         CertificateConfig(q_max=2**63 - 308)
-    with pytest.raises(ValueError):
-        CertificateConfig(q_max=2**63 - 5, windows=((1, 5),))
+    # the check reads the windows: with 5 the last offset, 2**63 - 6 is the top
+    set_constants(monkeypatch, windows=((1, 5),))
+    assert CertificateConfig(q_max=2**63 - 6).q_max == 2**63 - 6
+    with pytest.raises(ValueError, match="q_max \\+ 5"):
+        CertificateConfig(q_max=2**63 - 5)
 
 
-def test_config_hash_ignores_operational_fields():
+def test_claim_constants_are_the_papers():
+    # the windows, smoothness bound, gap cap and run length are the claim
+    # itself: class constants that cover every placement, and no init field
+    assert CertificateConfig.windows == ((152, 156), (303, 308))
+    assert CertificateConfig.smooth_bound == 3427
+    assert CertificateConfig.gap_cap == 456
+    assert CertificateConfig.window_len == 156
+    assert coverage_check(CertificateConfig.gap_cap, CertificateConfig.window_len, CertificateConfig.windows) == []
+    fields = [f.name for f in dataclasses.fields(CertificateConfig)]
+    assert fields == ["q_max", "checkpoint_path", "witness_path", "workers"]
+    for name in ("windows", "smooth_bound", "gap_cap", "window_len"):
+        with pytest.raises(TypeError, match=name):
+            CertificateConfig(q_max=100, **{name: getattr(CertificateConfig, name)})
+
+
+def test_config_hash_ignores_operational_fields(monkeypatch):
     base = small_config()
     moved = small_config(
         checkpoint_path="/tmp/ck.json", witness_path="/tmp/w.jsonl", workers=8
     )
     assert base.config_hash() == moved.config_hash()
     assert base.config_hash() != small_config(q_max=Q_SMALL + 2).config_hash()
-    assert base.config_hash() != small_config(smooth_bound=3429).config_hash()
+    # the constants are hashed: a checkpoint of another claim is refused
+    default_hash = base.config_hash()
+    set_constants(monkeypatch, smooth_bound=3429)
+    assert small_config().config_hash() != default_hash
 
 
 def test_segment_size_is_the_sieve_constant():
@@ -225,14 +242,14 @@ def test_run_pinned_small():
 
 
 @pytest.mark.parametrize("window_len", [1, 2, 3, 8, 13, 20, 33])
-def test_gap_primes_are_every_gap_longer_than_window_len(tmp_path, window_len):
+def test_gap_primes_are_every_gap_longer_than_window_len(tmp_path, monkeypatch, window_len):
     # one window over the whole run, and a gap cap one above window_len, so
     # the single placement is covered; smooth_bound 2 refutes nearly every
     # window, and a failure names its q too
-    cfg = CertificateConfig(
-        q_max=10**5, windows=((1, window_len),), smooth_bound=2, gap_cap=window_len + 1,
-        window_len=window_len, witness_path=str(tmp_path / "wit.jsonl"),
+    set_constants(
+        monkeypatch, windows=((1, window_len),), smooth_bound=2, gap_cap=window_len + 1, window_len=window_len
     )
+    cfg = CertificateConfig(q_max=10**5, witness_path=str(tmp_path / "wit.jsonl"))
     # the smallest even number above window_len
     assert cfg.gap_min % 2 == 0 and window_len < cfg.gap_min <= window_len + 2
     report = run(cfg)
@@ -243,9 +260,10 @@ def test_gap_primes_are_every_gap_longer_than_window_len(tmp_path, window_len):
     assert report.gap_prime_count == len(expected)
 
 
-def test_run_refuses_uncovered_windows():
+def test_run_refuses_uncovered_windows(monkeypatch):
+    set_constants(monkeypatch, windows=((303, 308),))
     with pytest.raises(ValueError, match="refusing to run"):
-        run(small_config(windows=((303, 308),)))
+        run(small_config())
 
 
 def test_run_witness_stream(tmp_path):
@@ -267,9 +285,9 @@ def test_run_worker_count_invariance():
     assert serial == parallel
 
 
-def test_run_records_gap_cap_violations():
-    cfg = small_config(gap_cap=157, window_len=156, windows=((1, 156),))
-    report = run(cfg)
+def test_run_records_gap_cap_violations(monkeypatch):
+    set_constants(monkeypatch, gap_cap=157, windows=((1, 156),))
+    report = run(small_config())
     assert report.refuted == {"1-156": 4}
     assert report.failures == ()
     assert len(report.gap_cap_violations) == 4
@@ -453,11 +471,11 @@ def test_checkpoint_after_resume_is_byte_equal_and_pinned(tmp_path):
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
-def test_resume_keeps_failures_and_violations(tmp_path):
+def test_resume_keeps_failures_and_violations(tmp_path, monkeypatch):
     # every window element is 10**8-smooth, and every gap exceeds the cap
-    params = {"gap_cap": 157, "windows": ((1, 156),), "smooth_bound": 10**8}
-    reference = run(small_config(checkpoint_path=str(tmp_path / "a.json"), **params))
-    cfg = small_config(checkpoint_path=str(tmp_path / "b.json"), **params)
+    set_constants(monkeypatch, gap_cap=157, windows=((1, 156),), smooth_bound=10**8)
+    reference = run(small_config(checkpoint_path=str(tmp_path / "a.json")))
+    cfg = small_config(checkpoint_path=str(tmp_path / "b.json"))
     run(cfg, stop_after_segments=5)
     resumed = run(cfg)
     assert resumed.failures == reference.failures

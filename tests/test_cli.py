@@ -632,53 +632,7 @@ def test_certify_stdout_deterministic(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     _, out3, _ = run_cli(capsys, argv + ["--threads", "2"])
-    _, out4, _ = run_cli(capsys, argv + ["--windows", "152-156,,303-308"])  # empty pieces are skipped
-    assert out1 == out2 == out3 == out4
-
-
-def test_certify_coverage_failure(capsys):
-    code, out, err = run_cli(
-        capsys, ["certify", "--qmax", "30000000", "--windows", "303-308"]
-    )
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["coverage_ok"] is False
-    assert doc["uncovered_placements"][0] == 0
-
-
-def test_certify_config_file_resolution(capsys, tmp_path):
-    cfg = tmp_path / "certify.cfg"
-    cfg.write_text("# small run\nqmax = 1000000\n")
-    code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["q_max"] == 1000000
-    assert doc["config"]["gap_min"] == 158
-    assert doc["gap_prime_count"] == 0
-
-    # explicit flag beats the file
-    code, out, err = run_cli(
-        capsys, ["certify", "--config", str(cfg), "--qmax", "2000000"]
-    )
-    assert json.loads(out)["config"]["q_max"] == 2000000
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("qmax=1000000\nbogus_key=7\n")
-    code, out, err = run_cli(capsys, ["certify", "--config", str(bad)])
-    assert code == 3
-    assert "unknown config keys: bogus_key" in err
-
-    # gap_min follows from window_len, so no file sets it
-    bad.write_text("qmax=1000000\ngap_min=158\n")
-    code, out, err = run_cli(capsys, ["certify", "--config", str(bad)])
-    assert (code, out) == (3, "")
-    assert "unknown config keys: gap_min" in err
-
-    malformed = tmp_path / "broken.cfg"
-    malformed.write_text("qmax 1000000\n")
-    code, out, err = run_cli(capsys, ["certify", "--config", str(malformed)])
-    assert code == 3
-    assert "expected key=value" in err
+    assert out1 == out2 == out3
 
 
 def test_certify_timing_flag(capsys):
@@ -692,9 +646,24 @@ def test_certify_timing_flag(capsys):
 
 
 def test_certify_has_no_gap_min_flag(capsys):
-    # gap_min is derived from --window-len, so no flag can skip a gap
+    # gap_min is derived from window_len, so no flag can skip a gap
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--qmax", "30000000", "--gap-min", "158"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--windows", "303-308"), ("--smooth-bound", "3500"), ("--gap-cap", "157"), ("--window-len", "157"),
+     ("--config", "certify.cfg")],
+    ids=["windows", "smooth-bound", "gap-cap", "window-len", "config"],
+)
+def test_certify_claim_constants_are_no_flags(capsys, flag, value):
+    # the windows, bound, cap and run length are CertificateConfig's constants,
+    # and a config file would only repeat --qmax and --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--qmax", "30000000", flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
@@ -710,46 +679,6 @@ def test_certify_defaults_are_the_config_defaults(capsys):
     }
     assert doc["config_hash"].startswith("1799b4ee")
     assert (doc["segments_done"], doc["segments_total"]) == (0, 7571)
-
-
-def test_certify_config_file_sets_every_flag(capsys, tmp_path):
-    values = {
-        "qmax": "20000000", "windows": "150-157,300-306",
-        "smooth_bound": "3500", "gap_cap": "455", "window_len": "157", "threads": "2",
-    }
-    cfg = tmp_path / "certify.cfg"
-    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
-    flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
-    code, by_flags, flags_err = run_cli(capsys, ["certify"] + flags)
-    assert code == 0
-    code, by_file, file_err = run_cli(capsys, ["certify", "--config", str(cfg)])
-    assert code == 0
-    assert by_file == by_flags
-    assert file_err == flags_err
-    doc = json.loads(by_file)
-    assert doc["config"]["windows"] == [[150, 157], [300, 306]]
-    assert doc["config"]["gap_min"] == 158  # the smallest even gap above 157
-    assert doc["gap_prime_count"] == 1 and doc["complete"] is True
-    assert '"workers":2' in file_err
-
-
-def test_certify_config_file_malformed_value_exits_3(capsys, tmp_path):
-    cfg = tmp_path / "certify.cfg"
-    for text in ("qmax=abc\n", "qmax=1000000\nthreads=\n", "qmax=1000000\ngap_cap=4.5\n"):
-        cfg.write_text(text)
-        code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
-        assert code == 3, text
-        assert out == ""
-        assert "collisionlab: error:" in err
-
-
-def test_certify_config_keys_are_spelled_with_underscores(capsys, tmp_path):
-    cfg = tmp_path / "certify.cfg"
-    for key in ("gap-min", "q_max", "checkpoint", "timing", "segment_size"):
-        cfg.write_text(f"qmax=1000000\n{key}=1\n")
-        code, out, err = run_cli(capsys, ["certify", "--config", str(cfg)])
-        assert code == 3, key
-        assert f"unknown config keys: {key}" in err
 
 
 def test_certify_resume_via_cli(capsys, tmp_path):
@@ -773,10 +702,10 @@ def test_certify_resume_via_cli(capsys, tmp_path):
     assert pathlib.Path(wit).read_bytes() == pathlib.Path(wit_ref).read_bytes()
 
 
-def test_certify_gap_cap_violation_exits_1(capsys):
-    code, out, err = run_cli(
-        capsys, ["certify", "--qmax", "30000000", "--gap-cap", "157", "--windows", "1-156"]
-    )
+def test_certify_gap_cap_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(CertificateConfig, "gap_cap", 157)
+    monkeypatch.setattr(CertificateConfig, "windows", ((1, 156),))
+    code, out, err = run_cli(capsys, ["certify", "--qmax", "30000000"])
     assert code == 1
     doc = json.loads(out)
     assert len(doc["gap_cap_violations"]) == 4
@@ -941,10 +870,11 @@ def test_certify_resume_refuses_the_first_of_two_faults(capsys, tmp_path, first,
         assert (ck.read_bytes(), wit.read_bytes()) == before
 
 
-def test_certify_resume_refuses_checkpoint_that_hides_failures(capsys, tmp_path):
+def test_certify_resume_refuses_checkpoint_that_hides_failures(capsys, tmp_path, monkeypatch):
     # at this bound each of the 4 gap primes below 3e7 fails both windows
+    monkeypatch.setattr(CertificateConfig, "smooth_bound", 20000000)
     ck = tmp_path / "ck.json"
-    base = ["certify", "--qmax", "30000000", "--smooth-bound", "20000000", "--checkpoint", str(ck)]
+    base = ["certify", "--qmax", "30000000", "--checkpoint", str(ck)]
     code, out, err = run_cli(capsys, base + ["--stop-after", "7"])
     assert code == 1
     assert (json.loads(out)["gap_prime_count"], len(json.loads(out)["failures"])) == (4, 8)
@@ -1017,15 +947,6 @@ def test_certify_refuses_qmax_past_int64(capsys):
     assert code == 3
     assert out == ""
     assert "exceeds 2**63 - 1" in err
-
-
-def test_certify_bad_windows_text(capsys):
-    for text, message in (("152:156", "expected A-B"), (",", "empty window list"),
-                          ("152-156,152-156,303-308", "window [152, 156] is listed twice")):
-        code, out, err = run_cli(capsys, ["certify", "--qmax", "1000000", "--windows", text])
-        assert code == 3
-        assert out == ""
-        assert message in err
 
 
 @pytest.mark.parametrize("witness", ["c.json", "c.json.tmp"])

@@ -238,6 +238,15 @@ def test_check_eq12_decides_near_positions_at_n_1e9_fast(fields, equal):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_check_eq12_refutes_far_apart_positions_fast():
+    # C(2910170, 1436891) against C(3439510, 1351163): v_p agrees at 2, 3, 5
+    # and 7, so only a prime past 7 (11 is the first) refutes the pair before
+    # the exact comparison multiplies ranges of about 10^6 terms
+    t0 = time.monotonic()
+    assert collision.check_eq12(ParamTuple(0, 1455085, 18194, 103922, 529340)) is False
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_ratio_ok_is_m_at_most_m_ratio_k():
     # the paper's m <= 0.735 k, with 0.735 held exactly as M_RATIO
     assert collision.M_RATIO == Fraction("0.735")
