@@ -35,6 +35,10 @@ __all__ = [
     "log_binomial_exact",
 ]
 
+# the largest int64, numpy's integer ceiling: the sieve's last point and the
+# certificate's last window element
+_INT64_MAX = 2**63 - 1
+
 
 def binomial(x: int, r: int) -> int:
     """Exact C(x, r); zero outside 0 <= r <= x.  Requires x >= 0."""
@@ -130,9 +134,6 @@ class SmoothFactorization:
     def least_prime_above(self) -> int | None:
         """Smallest prime factor of the cofactor (so above the bound), or None."""
         return least_prime_above(self.cofactor, self.bound)
-
-
-_INT64_MAX = 2**63 - 1
 
 
 def least_prime_above(cofactor: int, bound: int) -> int | None:

@@ -52,6 +52,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import arith
+from .arith import _INT64_MAX
 from .collision import CLAIMED_N_BOUND
 from .pool import ordered_map
 from .sieve import DEFAULT_SEGMENT_ODDS, SegmentPlan, _segment_gap_events, base_primes
@@ -98,7 +99,7 @@ class CertificateConfig:
         # every window element q + b is an int64 in the refutation batch (and
         # the sieve stops at 2**63 - 1 anyway)
         reach = max(b for _, b in self.windows)
-        if self.q_max > 2**63 - 1 - reach:
+        if self.q_max > _INT64_MAX - reach:
             raise ValueError(
                 f"certificate: q_max + {reach} (the last window offset) exceeds 2**63 - 1, got q_max = {self.q_max}"
             )
@@ -175,7 +176,7 @@ def refute_window(q: int, window: Window, bound: int) -> Optional[tuple[int, int
     as it is emitted.  Every element must be an int64 of at least 2.
     """
     a, b = window
-    if q + a < 2 or a > b or q + b > 2**63 - 1:
+    if q + a < 2 or a > b or q + b > _INT64_MAX:
         raise ValueError(
             f"refute_window: need 2 <= q + a <= q + b <= 2**63 - 1, got q = {q}, window [{a}, {b}]"
         )

@@ -185,16 +185,6 @@ def _cmd_lemma_nmax31(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lemma_section4(args) -> int:
-    """The section4 checker's report on a full tuple, or the --k document."""
-    tuple_flags = [args.delta, args.n, args.m, args.l]
-    if any(v is not None for v in tuple_flags):
-        if any(v is None for v in tuple_flags):
-            raise ValueError("lemma section4: give all of --delta --n --m --k --l, or --k alone")
-        return _cmd_lemma_report(args)
-    return _cmd_doc(args)
-
-
 # ---------------------------------------------------------------------------
 # sieve subcommands
 
@@ -323,17 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=_cmd_lemma_nmax31)
 
     l = lsub.add_parser("section4", help="incompatible growth bounds for large k")
-    l.add_argument("--delta", type=int, default=None)
-    l.add_argument("--n", type=int, default=None)
-    l.add_argument("--m", type=int, default=None)
-    l.add_argument("--k", type=int, required=True)
-    l.add_argument("--l", type=int, default=None)
+    _add_tuple_flags(l)
     l.add_argument("--json", action="store_true")
-    l.set_defaults(
-        func=_cmd_lemma_section4,
-        check=lemma.section4_check,
-        call=lambda a: _fields(lemma.section4_contradiction(a.k), "k"),
-    )
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.section4_check)
 
     l = lsub.add_parser("section5", help="central-binomial exclusion of small l at large n")
     l.add_argument("--n", type=int, required=True)

@@ -15,11 +15,10 @@ Index-range corrections.  The product identity behind everything here is
 with the first product starting at i = m, not m+1: starting one later fails
 on the true collision C(15,5) = C(14,6).  The same shift propagates into the
 second ratio inequality, whose right side must carry (k+m+delta), not
-(k+m+delta+1); check_lemma21 evaluates the shifted variant too, for
-reference, but gives it no verdict.  check_lemma23_smooth likewise checks
-both window conventions and attaches its verdict to the corrected one;
-index_windows gives each window as its range of offsets i, and the window
-holds n - i (S1) or n + i (S2).
+(k+m+delta+1).  The checkers evaluate the corrected forms only; the tests
+keep the uncorrected ones, as the evidence that C(15,5) = C(14,6) refutes
+them.  index_windows gives each window as its range of offsets i, and the
+window holds n - i (S1) or n + i (S2).
 
 The two threshold computations live here as well: threshold_lemma32 locates
 the sign change that caps k+l, and nmax_lemma31 maximizes the implied bound
@@ -28,7 +27,6 @@ for n over a (k, l) grid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,24 +117,21 @@ def _gated(lemma: str, hyp: dict[str, bool], extra="") -> LemmaReport:
     return LemmaReport(lemma, hyp, _ZERO, _ZERO, Verdict(INDETERMINATE, 0.0), notes)
 
 
-def index_windows(t: ParamTuple, shifted_s1: bool = False) -> tuple[range, range]:
+def index_windows(t: ParamTuple) -> tuple[range, range]:
     """The offsets i of the two windows whose product the collision divides.
 
-    S1 holds the values n - i, S2 holds n + i; shifted_s1 selects the
-    variant of S1 starting at m+1.
+    S1 holds the values n - i for i in [m, k), S2 holds n + i for i in
+    [m0 + 1, k + l].
     """
-    s1 = range(t.m + 1, t.k + 1) if shifted_s1 else range(t.m, t.k)
-    s2 = range(t.m0 + 1, t.k + t.l + 1)
-    return s1, s2
+    return range(t.m, t.k), range(t.m0 + 1, t.k + t.l + 1)
 
 
 def check_lemma21(t: ParamTuple) -> LemmaReport:
     """The two ratio inequalities every collision satisfies.
 
     First: (l-delta) log((2n+l)/(n+k+l)) < (k-m)(k+m+delta+1)/(n-k).
-    Second (verdict form): (l-delta) log(2n/(n+k)) > (k-m)(k+m+delta)/(n+k+delta).
-    The variant of the second with numerator (k+m+delta+1) is evaluated for
-    reference only: it fails on C(15,5) = C(14,6).
+    Second: (l-delta) log(2n/(n+k)) > (k-m)(k+m+delta)/(n+k+delta).
+    The verdict joins the two; the notes give each one's state and margin.
     """
     delta, n, m, k, l = t.delta, t.n, t.m, t.k, t.l
     hyp = {
@@ -152,10 +147,10 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         lambda cx: cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
     )
     # orientation flipped: the claim is lhs2 > rhs2
-    second = lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k))
-    bound = lambda num: lambda cx: cx.of(Fraction((k - m) * num, n + k + delta))
-    v2, rhs2, lhs2 = certified_less(bound(k + m + delta), second)
-    shifted, _, _ = certified_less(bound(k + m + delta + 1), second)
+    v2, rhs2, lhs2 = certified_less(
+        lambda cx: cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
+        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
+    )
 
     if v1.holds and v2.holds:
         verdict = Verdict(HOLDS, min(v1.margin, v2.margin))
@@ -166,8 +161,7 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
     notes = (
         f"first: {v1.state} (margin {v1.margin:.6g}); "
         f"second: lhs {_span(lhs2)}, rhs {_span(rhs2)}, "
-        f"{v2.state} (margin {v2.margin:.6g}); "
-        f"shifted-numerator variant of the second: {shifted.state} (no verdict)"
+        f"{v2.state} (margin {v2.margin:.6g})"
     )
     return LemmaReport("lemma21", hyp, lhs1, rhs1, verdict, notes)
 
@@ -196,30 +190,24 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
 
 
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
-    """Every element of S1 and S2 must be k0-smooth.
-
-    Verdict attaches to the corrected S1 = {n-m, ..., n-k+1}; the shifted
-    window {n-m-1, ..., n-k} is evaluated alongside and reported in notes.
-    """
+    """Every element of S1 = {n-m, ..., n-k+1} and S2 must be k0-smooth."""
     hyp = {"eq12": check_eq12(t)}
     if not all(hyp.values()):
         return _gated("lemma23", hyp)
 
     k0 = t.k0
     s1, s2 = index_windows(t)
-    s1_shifted, _ = index_windows(t, shifted_s1=True)
     elements = [t.n - i for i in s1] + [t.n + i for i in s2]
     if any(v < 1 for v in elements):
         raise ValueError(f"lemma23: window contains a nonpositive element for {t}")
 
-    # no prime is <= k0 < 2, so there every element >= 2 is a witness
-    split = functools.cache(lambda v: arith.smooth_split(v, max(k0, 1)))
     max_smooth_p = 1
     witness: Optional[tuple[int, int]] = None  # (element, prime factor > k0)
     for v in elements:
         if v == 1:
             continue
-        fac = split(v)
+        # no prime is <= k0 < 2, so there every element >= 2 is a witness
+        fac = arith.smooth_split(v, max(k0, 1))
         if not fac.is_smooth:
             witness = (v, fac.least_prime_above)
             break
@@ -238,13 +226,7 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         detail = f"element {elem} has prime factor {wprime} > {k0}"
     # max prime factor vs k0; lhs stays as reported, as escalation would widen it
     verdict, _, rhs = certified_less(lambda cx: cx.of(lhs), lambda cx: cx.of(k0), strict=False)
-
-    shifted_all = all(v == 1 or split(v).is_smooth for v in (t.n - i for i in s1_shifted) if v >= 1)
-    notes = (
-        f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, "
-        f"S2 offsets {s2.start}..{s2.stop - 1}; "
-        f"shifted S1 window also smooth: {'yes' if shifted_all else 'no'}"
-    )
+    notes = f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, S2 offsets {s2.start}..{s2.stop - 1}"
     return LemmaReport("lemma23", hyp, lhs, rhs, verdict, notes)
 
 

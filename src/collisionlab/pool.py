@@ -23,9 +23,10 @@ def ordered_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterat
     workers == 0 means one worker per CPU this process may run on: its
     affinity set where the platform has one, so under `taskset -c 0` the
     jobs run in this process however many CPUs the host has.  A negative
-    count is refused here, at the call, before any job runs.  With more
-    than one worker and more than one job, a process pool of
-    min(workers, len(jobs)) runs the jobs, and each result is yielded as
+    count is refused here, at the call, before any job runs.  When
+    min(workers, len(jobs)), capped at the CPUs this process may run on, is
+    more than one, a process pool of that size runs the jobs (so a count
+    past those CPUs starts no extra process), and each result is yielded as
     soon as it and all earlier ones are in, so the caller can act on it
     (write a checkpoint, say) while later jobs still run.  Otherwise the
     jobs run one by one in this process.  fn must be a module-level
@@ -42,7 +43,8 @@ def _ordered(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[
         # package, stay clear of multiprocessing's start-up cost
         import multiprocessing
 
-        size = min(workers or _usable_cpus(), len(jobs))
+        cpus = _usable_cpus()
+        size = min(workers or cpus, cpus, len(jobs))
         if size > 1:
             with multiprocessing.Pool(size) as pool:
                 yield from pool.imap(fn, jobs)

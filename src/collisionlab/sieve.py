@@ -49,6 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
+from .arith import _INT64_MAX
 from .pool import ordered_map
 
 __all__ = [
@@ -65,8 +66,6 @@ __all__ = [
 
 # odd entries per segment chunk (one numpy byte each); span is twice this
 DEFAULT_SEGMENT_ODDS = 1 << 21
-
-_MAX_SIEVE_POINT = 2**63 - 1
 
 
 # presieve: the odd numbers 2j+1 (entry j) with no factor among these primes;
@@ -258,7 +257,7 @@ def prime_count(x: int) -> int:
 
     Above that span x is counted segment by segment, so memory stays bounded.
     """
-    if x > _MAX_SIEVE_POINT:
+    if x > _INT64_MAX:
         raise ValueError(f"prime_count: x exceeds 63-bit sieve range: {x}")
     if x < 2 * DEFAULT_SEGMENT_ODDS:
         return len(base_primes(x))
@@ -270,7 +269,7 @@ def prime_count(x: int) -> int:
 
 def next_prime_after(x: int) -> int:
     """Smallest prime > x, walking candidates with the Miller-Rabin test."""
-    if x > _MAX_SIEVE_POINT:
+    if x > _INT64_MAX:
         raise ValueError(f"next_prime_after: x exceeds 63-bit sieve range: {x}")
     c = max(x + 1, 2)
     while not arith.is_prime(c):
@@ -375,7 +374,7 @@ def gap_scan(lo: int, hi: int, min_gap: int, workers: int = 1) -> Iterator[GapEv
         raise ValueError(f"gap_scan: need 2 <= lo < hi, got [{lo}, {hi})")
     if min_gap < 1:
         raise ValueError(f"gap_scan: min_gap must be >= 1, got {min_gap}")
-    if hi > _MAX_SIEVE_POINT + 1:
+    if hi > _INT64_MAX + 1:
         raise ValueError(f"gap_scan: hi exceeds 63-bit sieve range: {hi} > 2**63")
     jobs = SegmentPlan(lo, hi).jobs()
     results = ordered_map(functools.partial(_gap_job, min_gap=min_gap), jobs, workers)

@@ -202,7 +202,7 @@ def primes_in(lo: int, hi: int) -> Iterator[int]:
         raise ValueError(f"primes_in: lo > hi ({lo} > {hi})")
     if lo < 2:
         raise ValueError(f"primes_in: lo must be >= 2, got {lo}")
-    if hi > sieve._MAX_SIEVE_POINT:
+    if hi > arith._INT64_MAX:
         raise ValueError(f"primes_in: hi exceeds 63-bit sieve range: {hi}")
     for _, slo, shi in sieve.SegmentPlan(lo, hi + 1).jobs():
         for p in _primes_array(slo, shi).tolist():

@@ -229,7 +229,6 @@ CRITERION_13_CASES = [
     ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
     ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2", "--json"],
     ["lemma", "threshold32"],
-    ["lemma", "section4", "--k", "588"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
     ["sieve", "pi", "--x", "1000000"],
     ["sieve", "neighbors", "--x", "1000000"],
@@ -253,23 +252,22 @@ CRITERION_13_PINNED = [
         "9565fe22b0fcba44119a6c435ad131aadea49205da75143d1dc9ecb6c1a03f88",
         "f692718300d1afce4fde1b0342e1c937bc24e1689e613ea9d7ac995700bface5",
         "600d57c6b3163615ae81fb57c1567f56fa9c10602b80363f6b8f268893ddc583",
-        "16619973b8128c2d2577c5d9f0062f1b293ff764e09a21e8bc78961166dcd532",
+        "185c281c70bee9e8e65cdfbba0e9803d159f3f01f0c0d5937b913a74fc6ec7d3",
         "1deb03fb67a434cadede2e276c10dc93e9ab18c4c2fb333d9b917926df1031f7",
-        "c5f9a707a4ed209896d3c17b2f832ad809bfbc4b6dfa9d35b4e4f5718b6d2520",
+        "82abbc3231632da06a8204a7326bf349d0aea191951be4e8d0f4917dac06fc31",
         "4b620c5812816ca958970024333d6991775457bfa70c2cadcf606abeacec0fed",
         "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
-        "a1e58576e5da6c3064fbe2e1b6d669f8e5e5435987cf3472a80ec4a6be33c591",
         "3c95a51ac8bcec01e57ba581fd6cebba98e39f3b42c9fc4b78ea264e1cb431f4",
         "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",
         "e70a6b94e45ba5ac4b72e7fce93967c286955c4120f65f46645a21a78b2053d3",
         "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
     ], [0] * len(CRITERION_13_CASES)),
     (["lemma", "check21"] + _TUPLE,
-     "800b923a4fb4804de3bf34c6ded82dd6cd8074dbcc10e291b6b991a9f25ee54d", 0),
+     "a61e27e382cc2f7b28035ea68186eb365e65e710be31d03af06d03d6d5111e42", 0),
     (["lemma", "check22", "--n", "500000", "--k", "587"],
      "90e11877ada2da61e1b664dffdd5c4eb4c685bbab2cd5e29d373fcd1119c08aa", 0),
     (["lemma", "check23"] + _TUPLE,
-     "10810eb831a3a665fca02f1974fc4ff083768418eb7e2f82191cd03e469b1786", 0),
+     "186748b356949ece6beb9c9936e75aafb728516367bb717013ee6246e19a46d0", 0),
     (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"],
      "14e03067f73f752a72b2e6328a36d7aa2323d48e75f7553c85cb52562534b3d8", 0),
     (["lemma", "section4"] + _TUPLE,

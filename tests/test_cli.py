@@ -73,7 +73,6 @@ JSON_DOC_CASES = [
      "--pi-mode", "dusart", "--json"],
     ["lemma", "threshold32"],
     ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
-    ["lemma", "section4", "--k", "588", "--json"],
     ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
     ["sieve", "pi", "--x", "1000"],
@@ -253,12 +252,8 @@ def test_bounds_thresholds(capsys):
         (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "t_pow lies beyond binary64"),
         (["bounds", "thresholds", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
         (["lemma", "section5", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
-        (["lemma", "section4", "--k", str(10**308)], "not JSON compliant"),
     ],
-    ids=[
-        "t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows",
-        "section4-lhs-overflows",
-    ],
+    ids=["t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows"],
 )
 def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -442,23 +437,21 @@ def test_lemma_check23_zero_binomials_are_not_a_collision(capsys):
     assert report["verdict"] == "INDETERMINATE"
 
 
-def test_lemma_section4_k_only(capsys):
-    code, out, err = run_cli(capsys, ["lemma", "section4", "--k", "588"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["contradiction"] is True
-    assert doc["lhs"] > doc["rhs"]
-
-
-def test_lemma_section4_partial_tuple_rejected(capsys):
-    code, out, err = run_cli(capsys, ["lemma", "section4", "--k", "588", "--n", "100"])
-    assert code == 3
-    assert "--k alone" in err
-    # four of the five tuple flags: refused, nothing on stdout
-    argv = ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2"]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (3, "")
-    assert "--k alone" in err
+@pytest.mark.parametrize(
+    "flags, missing",
+    [(["--k", "588"], "--delta, --n, --m, --l"),
+     (["--k", "588", "--n", "100"], "--delta, --m, --l"),
+     (["--delta", "0", "--n", "7", "--m", "1", "--k", "2"], "--l")],
+    ids=["k-alone", "k-and-n", "four-of-five"],
+)
+def test_lemma_section4_takes_the_full_tuple_only(capsys, flags, missing):
+    # section4 decides one tuple, like check21, check23 and check31
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "section4"] + flags)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"the following arguments are required: {missing}" in err
+    assert f"collisionlab {__version__}" not in err  # no config echo
 
 
 def test_lemma_section4_full_tuple(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from collisionlab import bounds, lemma
 from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import K_MIN, L_RATIO, M_RATIO, ParamTuple, check_eq12
-from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, evaluate
+from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, certified_less, evaluate
 import oracles
 from oracles import contains, mid, product_identity_check, width
 
@@ -29,14 +30,33 @@ def test_index_windows_elements():
     assert (s1, s2) == (range(1, 2), range(2, 4))
     assert [t.n - i for i in s1] == [6]
     assert [t.n + i for i in s2] == [9, 10]
-    s1_shifted, _ = lemma.index_windows(t, shifted_s1=True)
-    assert [t.n - i for i in s1_shifted] == [5]
 
 
 def test_product_identity_pinned():
     # 6 * 15 = 9 * 10 for the C(15,5) = C(14,6) pair
     assert product_identity_check(ParamTuple(0, 7, 1, 2, 1))
     assert not product_identity_check(ParamTuple(0, 7, 1, 2, 2))
+
+
+def test_uncorrected_index_forms_fail_on_a_true_collision():
+    # C(15,5) = C(14,6) is (0, 7, 1, 2, 1); the checkers use the forms whose
+    # ranges start at i = m, and the forms starting one later break here
+    t = SATISFYING[0]
+    delta, n, m, k, l = t.delta, t.n, t.m, t.k, t.l
+    assert product_identity_check(t)  # 6 * 15 = 9 * 10
+    shifted_s1 = range(m + 1, k + 1)
+    left = math.prod(n - i for i in shifted_s1) * math.prod(2 * n + i for i in range(delta + 1, l + 1))
+    assert left == 5 * 15 != math.prod(n + i for i in lemma.index_windows(t)[1])
+
+    # check21's second inequality, (k-m)(k+m+delta+extra)/(n+k+delta) < (l-delta) log(2n/(n+k))
+    def second(extra):
+        return certified_less(
+            lambda cx: cx.of(Fraction((k - m) * (k + m + delta + extra), n + k + delta)),
+            lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
+        )[0]
+
+    assert second(0).state == HOLDS  # 1/3 < log(14/9)
+    assert second(1).state == FAILS  # 4/9 > log(14/9)
 
 
 @given(
@@ -71,7 +91,10 @@ def test_check21_pinned_values():
     assert mid(report.lhs) == pytest.approx(math.log(1.5), abs=1e-12)
     assert contains(report.rhs, 0.8)
     assert report.verdict.margin == pytest.approx(0.108499, abs=1e-5)
-    assert "shifted-numerator variant" in report.notes
+    # one clause per inequality, and no third one
+    assert report.notes.startswith("first: HOLDS (margin 0.394535); second: lhs in [")
+    assert report.notes.endswith(", HOLDS (margin 0.108499)")
+    assert report.notes.count("HOLDS") == 2 and "FAILS" not in report.notes
 
 
 def test_check21_gated_by_ordering():
@@ -113,14 +136,15 @@ def test_check21_fails_on_the_failing_side(monkeypatch):
     ],
 )
 def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
-    # the third call decides the shifted-numerator note
-    sides = iter([Verdict(*first), Verdict(*second), Verdict(INDETERMINATE, 0.0)])
+    # one certified_less call per inequality, the first one first
+    sides = iter([Verdict(*first), Verdict(*second)])
     monkeypatch.setattr(
         lemma, "certified_less",
         lambda lhs, rhs, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
     )
     report = lemma.check_lemma21(SATISFYING[0])
     assert (report.verdict.state, report.verdict.margin) == (state, margin)
+    assert next(sides, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +194,7 @@ def test_check23_holds_on_true_collisions():
 
 def test_check23_pinned_notes():
     report = lemma.check_lemma23_smooth(ParamTuple(0, 7, 1, 2, 1))
-    assert "all 3 elements are 5-smooth" in report.notes
-    assert "S1 offsets 1..1" in report.notes
-    assert "S2 offsets 2..3" in report.notes
-    assert "shifted S1 window also smooth: yes" in report.notes
+    assert report.notes == "all 3 elements are 5-smooth (max prime factor 5); S1 offsets 1..1, S2 offsets 2..3"
     assert report.rhs.lo == 5.0
 
 
@@ -477,7 +498,7 @@ def test_section4_contradiction_matches_the_int_formula(k):
 
 
 def test_section4_contradiction_refuses_k_past_binary64():
-    # `lemma section4 --k` takes any int
+    # k is any int, and float(k) has no binary64 value past about 1.8e308
     with pytest.raises(OverflowError):
         lemma.section4_contradiction(10**400)
 

@@ -1,7 +1,10 @@
 """The shared worker map: job order and pool selection."""
 
+import contextlib
+import multiprocessing
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +21,9 @@ JOBS = [0.06, 0.04, 0.02, 0.0]
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
-def test_ordered_map_keeps_job_order(workers):
+def test_ordered_map_keeps_job_order(monkeypatch, workers):
+    # two CPUs allowed, so workers = 2 runs a pool on a one-CPU runner too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = list(ordered_map(_slow_echo, JOBS, workers))
     assert [job for job, _ in out] == JOBS
     pids = {pid for _, pid in out}
@@ -39,6 +44,28 @@ def test_ordered_map_counts_only_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = list(ordered_map(_slow_echo, JOBS, 0))
     assert out == [(job, os.getpid()) for job in JOBS]
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, jobs, sizes",
+    [
+        ({0, 1}, 5000, 7571, [2]),
+        ({0, 1}, 0, 7571, [2]),
+        ({0, 1, 2, 3}, 3, 7571, [3]),
+        ({0, 1, 2, 3}, 5000, 3, [3]),
+        ({0}, 5000, 7571, []),
+    ],
+    ids=["capped-at-cpus", "one-per-cpu", "below-cpus", "capped-at-jobs", "one-cpu-runs-in-process"],
+)
+def test_ordered_map_never_asks_for_more_processes_than_cpus(monkeypatch, cpus, workers, jobs, sizes):
+    # the stand-in Pool records the size asked for and starts no process
+    asked = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(
+        multiprocessing, "Pool", lambda size: asked.append(size) or contextlib.nullcontext(SimpleNamespace(imap=map))
+    )
+    assert list(ordered_map(abs, range(-jobs, 0), workers)) == list(range(jobs, 0, -1))
+    assert asked == sizes
 
 
 def test_ordered_map_is_lazy():
