@@ -6,14 +6,9 @@ here is computed without rounding.  On top of that this module provides:
   * big binomial coefficients and Fibonacci numbers,
   * deterministic Miller-Rabin primality testing, proved below 3.3e24,
   * smoothness splitting (B-smooth part vs cofactor) by trial division,
-    and the least prime factor of a cofactor above the bound,
-  * a high-precision log C(N, r), with which section4 reports the exact
-    log product in its note (no verdict rests on it).
+    and the least prime factor of a cofactor above the bound.
 
-The log is an mpmath.loggamma expression correct to 30 significant
-decimals.  The binomial's terms reach n log n while it is at least log n,
-so its difference cancels about len(str(n)) digits, which the
-len(str(n)) + 6 guard digits cover.  It is tested against math.lgamma.
+Nothing here rounds: every result is an exact integer or a refusal.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "smooth_split",
     "least_prime_above",
     "prime_factor_above",
-    "log_binomial_exact",
 ]
 
 # the largest int64, numpy's integer ceiling: the sieve's last point and the
@@ -200,13 +193,3 @@ def prime_factor_above(value: int, bound: int) -> int | None:
     """The smallest prime factor of `value` exceeding `bound`, or None."""
     return smooth_split(value, bound).least_prime_above if value >= 2 else None
 
-
-def log_binomial_exact(n: int, r: int) -> mpmath.mpf:
-    """log C(n, r) = loggamma(n+1) - loggamma(r+1) - loggamma(n-r+1) to 30 significant decimals."""
-    if n < 0 or r < 0 or r > n:
-        raise ValueError(f"log_binomial_exact: need 0 <= r <= n, got ({n}, {r})")
-    if r == 0 or r == n:
-        return mpmath.mpf(0)
-    # 30 significant decimals, guarded for the magnitude and the difference's cancellation
-    with mpmath.workdps(30 + len(str(n)) + 6):
-        return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)

@@ -7,7 +7,8 @@ intervals module).  The estimates covered:
   * stirling_log_bounds    two-sided Stirling bracketing of log(factorial)
   * log_factorial          log(nu!) itself: exact nu! up to 170, Robbins's hull above
   * central_binom_lower_expr  the near-central binomial floor of the large-l case
-  * section5_thresholds    the two l-thresholds of the final theorem
+  * section5_l0_expr       the theorem's threshold l0 = (c n / log n)^(40/21)
+  * section5_thresholds    l0's enclosure t_pow and the critical constant c_star
 
 Numeric constants that originate as decimal literals enter as strings,
 cx.of("7.59"), so the enclosures bracket the intended decimal values, not
@@ -20,7 +21,6 @@ NaN and the infinities, which no Fraction holds, are refused by Fraction.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +41,7 @@ __all__ = [
     "f_stirling",
     "section5_thresholds",
     "central_binom_lower_expr",
+    "section5_l0_expr",
 ]
 
 Real = Union[int, float, str, Fraction]
@@ -109,14 +110,11 @@ def _stirling_core(cx, v):
 f_stirling = log_g_upper
 
 
-def stirling_log_bounds(
-    nu: int, precise: bool = False
-) -> tuple[IntervalValue, IntervalValue, IntervalValue]:
-    """(log g-(nu), log g+(nu), f(nu)) bracketing log(nu!) for integer nu >= 2."""
+def stirling_log_bounds(nu: int, precise: bool = False) -> tuple[IntervalValue, IntervalValue]:
+    """(log g-(nu), log g+(nu)) bracketing log(nu!) for integer nu >= 2."""
     if not isinstance(nu, int) or nu < 2:
         raise ValueError(f"stirling_log_bounds: need an integer nu >= 2, got {nu!r}")
-    upper = log_g_upper(nu, precise)
-    return log_g_lower(nu, precise), upper, upper
+    return log_g_lower(nu, precise), log_g_upper(nu, precise)
 
 
 def log_factorial(nu: int) -> IntervalValue:
@@ -140,31 +138,26 @@ def log_factorial(nu: int) -> IntervalValue:
 
 @dataclass(frozen=True, slots=True)
 class Section5Thresholds:
-    t_log2: float
-    t_pow: float
+    t_pow: IntervalValue
     c_star: float
 
 
 def section5_thresholds(n: int, c: float) -> Section5Thresholds:
-    """The theorem's two lower thresholds for l, plus the critical exponent constant.
+    """The theorem's lower threshold for l, enclosed, plus the critical exponent constant.
 
-    t_log2 = n (1.3132 log^2(2n) - 2.00271); t_pow = (c n / log n)^(40/21);
-    c_star = 1.3132 * 21/40 exactly (= 0.68943).  A threshold that binary64
-    cannot hold is refused by name.
+    t_pow encloses l0 = (c n / log n)^(40/21), section5_l0_expr in binary64;
+    c_star = 1.3132 * 21/40 exactly (= 0.68943).  An l0 that binary64
+    cannot enclose is refused by name.
     """
     if n < SCALE_MIN_N:
         raise ValueError(f"section5_thresholds: n must be >= {SCALE_MIN_N}, got {n}")
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"section5_thresholds: c must be positive and finite, got {c}")
-    t_log2 = t_pow = math.inf
-    with contextlib.suppress(OverflowError):
-        t_log2 = n * (1.3132 * math.log(2 * n) ** 2 - 2.00271)
-        t_pow = (c * n / math.log(n)) ** (40 / 21)
-    for name, value in (("t_log2", t_log2), ("t_pow", t_pow)):
-        if not math.isfinite(value):
-            raise OverflowError(f"section5_thresholds: {name} lies beyond binary64's range")
-    c_star = float(Fraction("1.3132") * 21 / 40)
-    return Section5Thresholds(t_log2, t_pow, c_star)
+    try:
+        t_pow = evaluate(lambda cx: section5_l0_expr(cx, cx.of(n), cx.of(c)))
+    except OverflowError:
+        raise OverflowError("section5_thresholds: t_pow lies beyond binary64's range") from None
+    return Section5Thresholds(t_pow, float(Fraction("1.3132") * 21 / 40))
 
 
 def central_binom_lower_expr(cx, v):
@@ -176,3 +169,12 @@ def central_binom_lower_expr(cx, v):
     section5_thresholds' n >= 500000.
     """
     return cx.of("1.3132") * v - cx.log(v) / 2 - cx.of("0.5359")
+
+
+def section5_l0_expr(cx, v, c):
+    """(c v / log v)^(40/21) at v and c, built in evaluation context cx.
+
+    The theorem's threshold l0 at v = n: section5_check's lhs adds it to
+    2n, and section5_thresholds encloses it as t_pow.
+    """
+    return cx.power(c * v / cx.log(v), cx.of(Fraction(40, 21)))

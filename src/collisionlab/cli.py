@@ -152,8 +152,8 @@ def _param_doc(args) -> dict:
 # bounds subcommands
 
 def _stirling_doc(args) -> dict:
-    lower, upper, f_val = bounds.stirling_log_bounds(args.nu, precise=args.precise)
-    return {"log_g_lower": _out(lower), "log_g_upper": _out(upper), "f": _out(f_val)}
+    lower, upper = bounds.stirling_log_bounds(args.nu, precise=args.precise)
+    return {"log_g_lower": _out(lower), "log_g_upper": _out(upper)}
 
 
 # ---------------------------------------------------------------------------

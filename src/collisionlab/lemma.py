@@ -43,6 +43,7 @@ from .bounds import (
     log_g_upper_expr,
     pi_upper_dusart,
     pi_upper_dusart_expr,
+    section5_l0_expr,
     section5_thresholds,
 )
 from .collision import CLAIMED_N_BOUND, K_MIN, L_RATIO, M_RATIO, SCALE_MIN_N, ParamTuple, check_eq12
@@ -99,7 +100,7 @@ class LemmaReport:
     def to_text(self) -> str:
         hyp = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in self.hypotheses.items())
         lines = [
-            f"{self.lemma}: {self.verdict.state} (margin {self.verdict.margin:.6g})",
+            f"{self.lemma}: {self.verdict.state} (margin {self.verdict.margin!r})",
             f"  hypotheses: {hyp}" if hyp else "  hypotheses: (none)",
             f"  lhs {_span(self.lhs)}",
             f"  rhs {_span(self.rhs)}",
@@ -109,12 +110,9 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _gated(lemma: str, hyp: dict[str, bool], extra="") -> LemmaReport:
+def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
     failed = ", ".join(name for name, ok in hyp.items() if not ok)
-    notes = f"hypotheses not met: {failed}"
-    if extra:
-        notes += f"; {extra}"
-    return LemmaReport(lemma, hyp, _ZERO, _ZERO, Verdict(INDETERMINATE, 0.0), notes)
+    return LemmaReport(lemma, hyp, _ZERO, _ZERO, Verdict(INDETERMINATE, 0.0), f"hypotheses not met: {failed}")
 
 
 def index_windows(t: ParamTuple) -> tuple[range, range]:
@@ -159,9 +157,9 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
     else:
         verdict = Verdict(INDETERMINATE, min(v1.margin, v2.margin))
     notes = (
-        f"first: {v1.state} (margin {v1.margin:.6g}); "
+        f"first: {v1.state} (margin {v1.margin!r}); "
         f"second: lhs {_span(lhs2)}, rhs {_span(rhs2)}, "
-        f"{v2.state} (margin {v2.margin:.6g})"
+        f"{v2.state} (margin {v2.margin!r})"
     )
     return LemmaReport("lemma21", hyp, lhs1, rhs1, verdict, notes)
 
@@ -269,7 +267,7 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         pi_note = f"pi({k0}) = {pi} exact"
     else:
         pi = pi_upper_dusart(k0)
-        pi_note = f"pi({k0}) <= {pi.hi:.6g} substituted"
+        pi_note = f"pi({k0}) <= {pi.hi!r} substituted"
     log_f1 = log_factorial(k - m)
     log_f2 = log_factorial(l + k - m0)
 
@@ -484,10 +482,11 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     lhs is the lower bound 4.6623k - 2.879 - log k; rhs is the upper bound
     (k0 + 3 k0^(3/4)) log 2.83.  On any tuple meeting all hypotheses the
     comparison FAILS for k >= 588: the window that should contain the exact
-    product is empty, which is the impossibility this section rests on.
+    product is empty, which is the impossibility this section rests on.  The
+    notes name that outcome only; they print no value the verdict does not
+    decide.
     """
-    n, m, k, l = t.n, t.m, t.k, t.l
-    k0, m0 = t.k0, t.m0
+    n, k, l, k0 = t.n, t.k, t.l, t.k0
     hyp = {
         "ordering": t.ordering_ok,
         "ratio": t.ratio_ok,
@@ -497,6 +496,8 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     }
     if k < 1 or k0 < 1:
         return _gated("section4", {**hyp, "k_positive": False})
+    if not all(hyp.values()):
+        return _gated("section4", hyp)
 
     lower_build = lambda cx: (
         cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k))
@@ -506,20 +507,8 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         * cx.log(cx.of("2.83"))
     )
 
-    exact_note = ""
-    r1, r2 = k - m, l + k - m0
-    n1, n2 = n - m - 1, n + k + l
-    if 0 <= r1 <= n1 and 0 <= r2 <= n2:
-        exact = float(arith.log_binomial_exact(n1, r1) + arith.log_binomial_exact(n2, r2))
-        exact_note = f"exact log product = {exact:.6f}"
-
-    if not all(hyp.values()):
-        return _gated("section4", hyp, extra=exact_note)
-
     verdict, lhs, rhs = certified_less(lower_build, upper_build, strict=False)
     notes = "bounds compatible" if verdict.holds else "bounds incompatible: no such tuple exists"
-    if exact_note:
-        notes += f"; {exact_note}"
     return LemmaReport("section4", hyp, lhs, rhs, verdict, notes)
 
 
@@ -557,7 +546,7 @@ class Section5Report:
 
     def to_text(self) -> str:
         return "\n".join([
-            f"section5: {self.verdict.state} (margin {self.verdict.margin:.6g})",
+            f"section5: {self.verdict.state} (margin {self.verdict.margin!r})",
             f"  l0 = {self.l0!r}",
             f"  lhs {_span(self.lhs)}",
             f"  rhs {_span(self.rhs)}",
@@ -570,21 +559,20 @@ def section5_check(n: int, c: float) -> Section5Report:
     With l0 = (cn/log n)^(40/21), checks
     (2n+l0)^(21/40) log(2n+l0) < 1.3132 n - log(n)/2 - 0.5359, whose right
     side is the central_binom_lower_expr floor; the left side increases in
-    l, so a certified HOLDS here excludes every l <= l0.  l0 is enclosed inside
-    each evaluation context, so HOLDS covers the exact l0; the report's l0
-    is the binary64 t_pow, for display.
+    l, so a certified HOLDS here excludes every l <= l0.  l0 is
+    bounds.section5_l0_expr, enclosed inside each evaluation context, so
+    HOLDS covers the exact l0.  The report's l0 is t_pow.lo, a lower end of
+    the exact l0, so HOLDS excludes every l <= l0 as printed too.
     """
     thresholds = section5_thresholds(n, c)
     if not c < thresholds.c_star:
         raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
 
     def lhs_build(cx):
-        ratio = cx.of(c) * cx.of(n) / cx.log(cx.of(n))
-        l0 = cx.power(ratio, cx.of(Fraction(40, 21)))
-        base = 2 * cx.of(n) + l0
+        base = 2 * cx.of(n) + section5_l0_expr(cx, cx.of(n), cx.of(c))
         return cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
 
     verdict, lhs, rhs = certified_less(
         lhs_build, lambda cx: central_binom_lower_expr(cx, cx.of(n))
     )
-    return Section5Report(n, c, thresholds, thresholds.t_pow, lhs, rhs, verdict)
+    return Section5Report(n, c, thresholds, thresholds.t_pow.lo, lhs, rhs, verdict)

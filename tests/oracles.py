@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+import mpmath
 import numpy as np
 
 from collisionlab import arith, sieve
@@ -130,6 +131,21 @@ def legendre_valuation(N: int, r: int, p: int) -> int:
         total += N // q - r // q - (N - r) // q
         q *= p
     return total
+
+
+def log_binomial_exact(n: int, r: int) -> mpmath.mpf:
+    """log C(n, r) = loggamma(n+1) - loggamma(r+1) - loggamma(n-r+1) to 30 significant decimals.
+
+    The terms reach n log n while the result is at least log n, so the
+    difference cancels about len(str(n)) digits, which the len(str(n)) + 6
+    guard digits cover.
+    """
+    if n < 0 or r < 0 or r > n:
+        raise ValueError(f"log_binomial_exact: need 0 <= r <= n, got ({n}, {r})")
+    if r == 0 or r == n:
+        return mpmath.mpf(0)
+    with mpmath.workdps(30 + len(str(n)) + 6):
+        return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
 
 
 def product_identity_check(t: ParamTuple) -> bool:

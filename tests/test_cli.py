@@ -15,7 +15,7 @@ import sys
 import mpmath
 import pytest
 
-from collisionlab import __version__, cli, sieve
+from collisionlab import __version__, bounds, cli, lemma, sieve
 from collisionlab.arith import is_prime
 from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
@@ -190,7 +190,7 @@ def test_bounds_stirling(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["log_g_lower"][1] < math.log(120) < doc["log_g_upper"][0]
-    assert doc["f"] == doc["log_g_upper"]
+    assert list(doc) == ["version", "config", "log_g_lower", "log_g_upper"]
 
 
 def _encloses(pair, value):
@@ -232,7 +232,6 @@ def test_bounds_stirling_precise_encloses_mpmath(capsys):
         head = nu * mpmath.log(nu) - nu + mpmath.log(2 * mpmath.pi * nu) / 2
         assert _encloses(doc["log_g_lower"], head + 1 / (12 * (nu + 1)))
         assert _encloses(doc["log_g_upper"], head + 1 / (12 * nu))
-        assert _encloses(doc["f"], head + 1 / (12 * nu))
         assert doc["log_g_lower"][1] < mpmath.log(mpmath.factorial(100)) < doc["log_g_upper"][0]
 
 
@@ -243,7 +242,9 @@ def test_bounds_thresholds(capsys):
     assert code == 0
     doc = json.loads(out)
     assert round(doc["c_star"], 5) == 0.68943
-    assert doc["t_pow"] > doc["t_log2"] > 0
+    assert list(doc) == ["version", "config", "t_pow", "c_star"]
+    with mpmath.workdps(60):
+        assert _encloses(doc["t_pow"], (mpmath.mpf(0.68) * 10**9 / mpmath.log(10**9)) ** (mpmath.mpf(40) / 21))
 
 
 @pytest.mark.parametrize(
@@ -313,7 +314,7 @@ def test_lemma_check22_decides_where_binary64_cannot_divide(capsys):
     argv = ["lemma", "check22", "--n", str(10**16), "--k", str(10**16 - 1)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert out.startswith("lemma22: FAILS (margin 2.001e+48)")
+    assert out.startswith("lemma22: FAILS (margin 2.0009999999999993e+48)")
     assert "notes: does not force l = delta" in out
 
 
@@ -322,7 +323,7 @@ def test_lemma_check22_decides_where_binary64_overflows(capsys):
     argv = ["lemma", "check22", "--n", str(10**200), "--k", str(10**160)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert out.startswith("lemma22: FAILS (margin 1.44374e+120)")
+    assert out.startswith("lemma22: FAILS (margin 1.4437356955837928e+120)")
     assert "notes: does not force l = delta" in out
 
 
@@ -332,7 +333,7 @@ def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     # the gap is past binary64 too: the margin reads as the largest double
-    assert out.startswith("lemma22: FAILS (margin 1.79769e+308)\n")
+    assert out.startswith("lemma22: FAILS (margin 1.7976931348623157e+308)\n")
     assert "\n  lhs beyond binary64\n" in out
     code, out, err = run_cli(capsys, argv + ["--json"])
     assert code == 1
@@ -458,7 +459,7 @@ def test_lemma_section4_full_tuple(capsys):
     argv = ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert out.splitlines()[0] == "section4: INDETERMINATE (margin 0)"
+    assert out.splitlines()[0] == "section4: INDETERMINATE (margin 0.0)"
     assert "hypotheses not met: l_small, scale" in out
     assert '{"delta":0,"k":2,"l":1,"m":1,"n":7}' in err
     code, out, err = run_cli(capsys, argv + ["--json"])
@@ -472,21 +473,20 @@ def test_lemma_section4_full_tuple(capsys):
 
 
 def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):
-    # the exact log product reads no table of the primes <= n, which at
-    # n = 10**12 could not be built
+    # a tuple at n = 10**12 that meets every hypothesis is decided without a
+    # table of the primes <= n, which could not be built, and its notes name
+    # the outcome only
     def refuse(*args):
         raise AssertionError("section4 built a prime table")
 
     monkeypatch.setattr(sieve, "prime_list", refuse)
     monkeypatch.setattr(sieve, "base_primes", refuse)
-    n, k = 10**12, 30000
-    argv = ["lemma", "section4", "--delta", "0", "--n", str(n), "--m", "0", "--k", str(k), "--l", "1"]
+    argv = ["lemma", "section4", "--delta", "0", "--n", str(10**12), "--m", "44100000", "--k", "60000000", "--l", "1"]
     code, out, err = run_cli(capsys, argv + ["--json"])
-    assert code == 0
-    notes = json.loads(out)["report"]["notes"]
-    with mpmath.workdps(50):
-        exact = mpmath.log(mpmath.binomial(n - 1, k) * mpmath.binomial(n + k + 1, k + 1))
-    assert f"exact log product = {float(exact):.6f}" in notes
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert all(report["hypotheses"].values())
+    assert (report["verdict"], report["notes"]) == ("FAILS", "bounds incompatible: no such tuple exists")
 
 
 def test_lemma_section5(capsys):
@@ -512,6 +512,99 @@ def test_lemma_section5(capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert "argument --c: invalid float value: 'abc'" in err
+
+
+# ---------------------------------------------------------------------------
+# stdout prints exact or enclosed numbers
+
+# the keys whose float is no enclosure endpoint: a certified margin (rounded
+# toward zero), section5's l0 (the lower end of t_pow), the exact constant
+# c_star, the echoed input c, and nmax31's grid maximum, which the sampled
+# grid does not certify
+_BARE_FLOAT_KEYS = {"margin", "l0", "c_star", "c", "n_max", "log_n_max"}
+
+
+def _is_enclosure(lo, hi):
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lo, hi))
+    return numbers and lo <= hi
+
+
+def _bare_floats(value, key=None):
+    """The keys of the floats in a JSON value that are neither an enclosure's endpoint nor allowed bare."""
+    if isinstance(value, float):
+        return [] if key in _BARE_FLOAT_KEYS else [key]
+    if isinstance(value, list):
+        if len(value) == 2 and _is_enclosure(*value):
+            return []
+        return [bad for item in value for bad in _bare_floats(item, key)]
+    if isinstance(value, dict):
+        pair = ("lo", "hi") if "lo" in value and "hi" in value and _is_enclosure(value["lo"], value["hi"]) else ()
+        return [bad for k, v in value.items() if k not in pair for bad in _bare_floats(v, k)]
+    return []
+
+
+def test_bare_floats_finds_only_unenclosed_values():
+    assert _bare_floats({"t_pow": [1.5, 2.5], "lo": 1.0, "hi": 2.0, "margin": 0.1, "config": {"c": 0.5}}) == []
+    assert _bare_floats({"t_pow": 1.5, "t_log2": [2.5, 1.5], "f": [0.5]}) == ["t_pow", "t_log2", "t_log2", "f"]
+
+
+def test_json_stdout_holds_only_exact_or_enclosed_numbers(capsys):
+    from test_acceptance import CRITERION_13_CASES, CRITERION_13_PINNED
+
+    cases = CRITERION_13_CASES + [argv for argv, _, _ in CRITERION_13_PINNED]
+    checked = 0
+    for argv in {tuple(argv): argv for argv in cases}.values():
+        code, out, err = run_cli(capsys, argv)
+        if not out.startswith("{"):
+            continue  # a text report: test_text_margins_parse_back_exactly
+        for line in out.splitlines():
+            assert _bare_floats(json.loads(line)) == [], argv
+        checked += 1
+    assert checked == 22  # every case but the six text reports
+
+
+# the text cases of criterion 13, each with the checker whose report it prints
+_TEXT_CASES = [
+    (["lemma", "check21"] + TUPLE_FLAGS, "check_lemma21"),
+    (["lemma", "check22", "--n", "500000", "--k", "587"], "check_lemma22"),
+    (["lemma", "check23"] + TUPLE_FLAGS, "check_lemma23_smooth"),
+    (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"], "check_lemma31"),
+    (["lemma", "section4"] + TUPLE_FLAGS, "section4_check"),
+    (["lemma", "section5", "--n", "1000000000", "--c", "0.68"], "section5_check"),
+]
+
+
+@pytest.mark.parametrize("argv, checker", _TEXT_CASES, ids=[argv[1] for argv, _ in _TEXT_CASES])
+def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
+    # every printed margin reads back as the float it reports: the headline
+    # as the report's margin, a note's as one certified_less verdict's
+    reports, margins = [], []
+    plain_check, plain_less = getattr(lemma, checker), lemma.certified_less
+
+    def check(*args, **kwargs):
+        reports.append(plain_check(*args, **kwargs))
+        return reports[-1]
+
+    def less(*args, **kwargs):
+        out = plain_less(*args, **kwargs)
+        margins.append(out[0].margin)
+        return out
+
+    monkeypatch.setattr(lemma, checker, check)
+    monkeypatch.setattr(lemma, "certified_less", less)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    printed = re.findall(r"margin ([^)]*)\)", out)
+    assert float(printed[0]) == reports[0].verdict.margin
+    assert all(float(text) in margins for text in printed[1:])
+    assert len(printed) == (3 if checker == "check_lemma21" else 1)
+
+
+def test_dusart_note_prints_the_upper_end_exactly(capsys):
+    argv = ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2", "--pi-mode", "dusart"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.endswith(f"  notes: pi(26) <= {bounds.pi_upper_dusart(26).hi!r} substituted\n")
 
 
 # ---------------------------------------------------------------------------

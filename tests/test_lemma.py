@@ -91,9 +91,9 @@ def test_check21_pinned_values():
     assert mid(report.lhs) == pytest.approx(math.log(1.5), abs=1e-12)
     assert contains(report.rhs, 0.8)
     assert report.verdict.margin == pytest.approx(0.108499, abs=1e-5)
-    # one clause per inequality, and no third one
-    assert report.notes.startswith("first: HOLDS (margin 0.394535); second: lhs in [")
-    assert report.notes.endswith(", HOLDS (margin 0.108499)")
+    # one clause per inequality, and no third one; each margin as certified
+    assert report.notes.startswith("first: HOLDS (margin 0.3945348918918351); second: lhs in [")
+    assert report.notes.endswith(f", HOLDS (margin {report.verdict.margin!r})")
     assert report.notes.count("HOLDS") == 2 and "FAILS" not in report.notes
 
 
@@ -180,7 +180,7 @@ def test_scale_floor_is_500000_at_every_site():
     assert lemma.check_lemma22(500000, 587).verdict.state == HOLDS
     with pytest.raises(ValueError, match="n must be >= 500000, got 499999"):
         bounds.section5_thresholds(499999, 0.5)
-    assert bounds.section5_thresholds(500000, 0.5).t_pow > 0
+    assert bounds.section5_thresholds(500000, 0.5).t_pow.lo > 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,8 @@ _ISOTONE_BUILDERS = {
     "pi_upper_dusart_expr": (lambda cx, a: bounds.pi_upper_dusart_expr(cx, a[0]), [(2.0, 1e12)]),
     "log_g_upper_expr": (lambda cx, a: bounds.log_g_upper_expr(cx, a[0]), [(1e-3, 1e12)]),
     "central_binom_lower_expr": (lambda cx, a: bounds.central_binom_lower_expr(cx, a[0]), [(1.0, 1e12)]),
+    # v, c
+    "section5_l0_expr": (lambda cx, a: bounds.section5_l0_expr(cx, *a), [(5e5, 1e12), (1e-3, 0.68)]),
     # excess, pi, base, log_f1, log_f2
     **{
         f"lemma31_sides[{i}]": (
@@ -514,8 +516,7 @@ def test_section4_check_incompatible_at_scale():
     report = lemma.section4_check(t)
     assert all(report.hypotheses.values()), report.hypotheses
     assert report.verdict.state == FAILS
-    assert "bounds incompatible: no such tuple exists" in report.notes
-    assert "exact log product" in report.notes
+    assert report.notes == "bounds incompatible: no such tuple exists"
 
 
 def test_section4_contradiction_pinned():
@@ -537,8 +538,9 @@ def test_section4_contradiction_pinned():
 def test_section5_pinned():
     rep = lemma.section5_check(10**9, 0.68)
     assert rep.verdict.state == HOLDS
-    assert rep.l0 == rep.thresholds.t_pow
+    assert rep.l0 == rep.thresholds.t_pow.lo
     assert rep.lhs.hi < rep.rhs.lo
+    assert (rep.lhs.lo, rep.lhs.hi) == (1081680823.0231318, 1081680823.0231931)
     assert mid(rep.lhs) == pytest.approx(1.081e9, rel=1e-3)
     assert mid(rep.rhs) == pytest.approx(1.3132e9, rel=1e-3)
 
@@ -556,7 +558,18 @@ def test_section5_lhs_encloses_value_at_exact_l0():
     with mpmath.workdps(50):
         exact = _section5_lhs(n, c)
         assert rep.lhs.lo <= exact <= rep.lhs.hi
-    assert rep.l0 == rep.thresholds.t_pow
+    assert rep.l0 == rep.thresholds.t_pow.lo
+
+
+@pytest.mark.parametrize("n, c", [(10**6, 0.5), (10**9, 0.68), (10**12, 0.3), (10**100, 0.6)])
+def test_section5_l0_is_a_lower_end(n, c):
+    # the printed l0 lies at or below the exact (cn/log n)^(40/21), which
+    # t_pow encloses, so HOLDS excludes every l <= l0 as printed
+    rep = lemma.section5_check(n, c)
+    with mpmath.workdps(60):
+        exact = (mpmath.mpf(c) * n / mpmath.log(n)) ** (mpmath.mpf(40) / 21)
+        assert rep.l0 <= exact
+        assert rep.thresholds.t_pow.lo <= exact <= rep.thresholds.t_pow.hi
 
 
 def test_section5_rejects_c_at_or_above_star():
