@@ -3,9 +3,9 @@
 Every checker returns a LemmaReport: certified lhs/rhs intervals (None for
 a side past binary64's range), a verdict from intervals.certified_less, and
 the hypothesis flags that gate it.  A checker never extrapolates: when a
-hypothesis fails, the verdict is INDETERMINATE and the report says which
-flag failed (diagnostic values are still filled in when they are
-computable).
+hypothesis fails, the verdict is INDETERMINATE, the report says which flag
+failed, and neither side is evaluated: lhs and rhs are None, printed as
+"not evaluated" in text and null in JSON, where the hypotheses say why.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -80,7 +80,6 @@ __all__ = [
 
 # how check_lemma31 and nmax_lemma31 take pi(k0): counted, or Dusart's upper bound
 PI_MODES = ("exact", "dusart")
-_ZERO = IntervalValue.of(0)
 
 
 def _span(iv: IntervalValue | None) -> str:
@@ -99,11 +98,12 @@ class LemmaReport:
 
     def to_text(self) -> str:
         hyp = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in self.hypotheses.items())
+        gated = not all(self.hypotheses.values())  # the checker stopped before either side
         lines = [
             f"{self.lemma}: {self.verdict.state} (margin {self.verdict.margin!r})",
             f"  hypotheses: {hyp}" if hyp else "  hypotheses: (none)",
-            f"  lhs {_span(self.lhs)}",
-            f"  rhs {_span(self.rhs)}",
+            f"  lhs {'not evaluated' if gated else _span(self.lhs)}",
+            f"  rhs {'not evaluated' if gated else _span(self.rhs)}",
         ]
         if self.notes:
             lines.append(f"  notes: {self.notes}")
@@ -112,7 +112,7 @@ class LemmaReport:
 
 def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
     failed = ", ".join(name for name, ok in hyp.items() if not ok)
-    return LemmaReport(lemma, hyp, _ZERO, _ZERO, Verdict(INDETERMINATE, 0.0), f"hypotheses not met: {failed}")
+    return LemmaReport(lemma, hyp, None, None, Verdict(INDETERMINATE, 0.0), f"hypotheses not met: {failed}")
 
 
 def index_windows(t: ParamTuple) -> tuple[range, range]:
@@ -512,12 +512,30 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     return LemmaReport("section4", hyp, lhs, rhs, verdict, notes)
 
 
+def _section4_sides(x: float) -> tuple[float, float]:
+    """The sweep's (lhs, rhs) at x = float(k), in plain binary64."""
+    return 4.6623 * x - 1.8344 - math.log(x), 1.0433 * x + 3.13 * x**0.75
+
+
 @dataclass(slots=True)
 class Section4Contradiction:
+    """One sweep point: k and its verdict lhs > rhs.
+
+    lhs and rhs are recomputed from k when read, bit for bit as the call
+    computed them, so a record holds two slots: about 89 B with its int k,
+    where keeping both sides as floats took about 153 B.
+    """
+
     k: int
-    lhs: float
-    rhs: float
     contradiction: bool
+
+    @property
+    def lhs(self) -> float:
+        return _section4_sides(float(self.k))[0]
+
+    @property
+    def rhs(self) -> float:
+        return _section4_sides(float(self.k))[1]
 
 
 def section4_contradiction(k: int) -> Section4Contradiction:
@@ -528,10 +546,9 @@ def section4_contradiction(k: int) -> Section4Contradiction:
     """
     if k < 1:
         raise ValueError(f"section4_contradiction: k must be >= 1, got {k}")
-    x = float(k)  # the rounding an int operand of a float op gets; OverflowError past binary64
-    lhs = 4.6623 * x - 1.8344 - math.log(x)
-    rhs = 1.0433 * x + 3.13 * x**0.75
-    return Section4Contradiction(k, lhs, rhs, lhs > rhs)
+    # the rounding an int operand of a float op gets; OverflowError past binary64
+    lhs, rhs = _section4_sides(float(k))
+    return Section4Contradiction(k, lhs > rhs)
 
 
 @dataclass(frozen=True, slots=True)

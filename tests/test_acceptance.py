@@ -271,7 +271,7 @@ CRITERION_13_PINNED = [
     (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"],
      "6dffd6d9fa4d1de6c53bb9c69796dbbfaa6399b9c315dc98803537e712a23f1c", 0),
     (["lemma", "section4"] + _TUPLE,
-     "9a225979b6a8c122e2157efffd8cba2b89f7c9a55966c2a1ea4dc334776cbb94", 0),
+     "7cdb05ffdc951bfd8adedb6c246b352c7e78dc2642461f96070df221119703dc", 0),
     (["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
      "f13352f204e734b8aee3c5a86cef27ff269933659d9b68d06b95cfaf2415a74d", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],

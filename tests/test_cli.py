@@ -460,6 +460,7 @@ def test_lemma_section4_full_tuple(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     assert out.splitlines()[0] == "section4: INDETERMINATE (margin 0.0)"
+    assert out.splitlines()[2:4] == ["  lhs not evaluated", "  rhs not evaluated"]
     assert "hypotheses not met: l_small, scale" in out
     assert '{"delta":0,"k":2,"l":1,"m":1,"n":7}' in err
     code, out, err = run_cli(capsys, argv + ["--json"])
@@ -470,6 +471,7 @@ def test_lemma_section4_full_tuple(capsys):
     assert doc["report"]["lemma"] == "section4"
     assert doc["report"]["verdict"] == "INDETERMINATE"
     assert doc["report"]["hypotheses"]["l_small"] is False
+    assert '"lhs":null,"rhs":null' in out  # gated: neither side evaluated
 
 
 def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):

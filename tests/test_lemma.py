@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -279,6 +280,26 @@ def test_checker_edge_branches(check, t, state, note):
     assert note in report.notes
 
 
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (lemma.check_lemma21, (ParamTuple(0, 7, 1, 2, 2),)),
+        (lemma.check_lemma22, (7, 2)),
+        (lemma.check_lemma23_smooth, (ParamTuple(0, 7, 1, 2, 2),)),
+        (lemma.check_lemma31, (ParamTuple(0, 5, 0, 5, 1),)),
+        (lemma.section4_check, (ParamTuple(0, 7, 1, 2, 1),)),
+    ],
+    ids=["check21", "check22", "check23", "check31", "section4"],
+)
+def test_gated_report_evaluates_neither_side(check, args):
+    # a gate stops the checker before either side: no placeholder enclosure,
+    # and the text says so instead of printing one or "beyond binary64"
+    report = check(*args)
+    assert not all(report.hypotheses.values())
+    assert (report.lhs, report.rhs, report.verdict) == (None, None, Verdict(INDETERMINATE, 0.0))
+    assert report.to_text().splitlines()[2:4] == ["  lhs not evaluated", "  rhs not evaluated"]
+
+
 def test_check31_decides_a_side_of_exactly_zero():
     # k - m = 0 and l + k - m0 = 1: log 0! and log 1! are exactly 0, and so is
     # each side, so 0 <= 0 holds once escalation sees them as exact zeros
@@ -497,6 +518,24 @@ def test_section4_contradiction_matches_the_int_formula(k):
     rhs = 1.0433 * k + 3.13 * k**0.75
     c = lemma.section4_contradiction(k)
     assert (repr(c.lhs), repr(c.rhs), c.contradiction) == (repr(lhs), repr(rhs), lhs > rhs)
+    # the record keeps k and the verdict; the sides it recomputes agree with both
+    assert c.contradiction == (c.lhs > c.rhs)
+    assert lemma.section4_contradiction(k) == c == lemma.Section4Contradiction(k, lhs > rhs)
+
+
+def test_section4_sweep_records_retain_at_most_100_bytes():
+    # a record keeps k and the verdict only: over 20,000 records at k >= 10^6
+    # (one 28-byte int each) it retains about 89 B with its k and list slot,
+    # where a record that also kept both sides as floats retained about 153 B
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [lemma.section4_contradiction(k) for k in range(10**6, 10**6 + 20000)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(r.contradiction for r in records)
+    assert retained / len(records) <= 100
 
 
 def test_section4_contradiction_refuses_k_past_binary64():
