@@ -23,7 +23,9 @@ endpoints, OverflowError for an infinite one).  Ring operations step each
 endpoint one ulp outward; one helper, `_widen`, steps two outward every
 value binary64 did not round itself (a libm log or exp, an mpmath endpoint
 read back).  Operators coerce a non-interval operand through `of`; division
-forms the reciprocal's endpoints inline.
+forms the reciprocal's endpoints inline, and products and quotients share
+one kernel, `_product`.  A number past binary64's range is refused by `of`
+with an OverflowError that says so.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -96,8 +98,19 @@ class IntervalValue:
         """The tightest interval around an int, float, decimal string or Fraction.
 
         A float, or an int within 2**53, is a binary64 value and so a point;
-        anything else rounds outward from its exact value.
+        anything else rounds outward from its exact value.  A value past
+        binary64's range raises OverflowError.  The exact types IntervalValue,
+        float, int and a cached decimal string are tested first; subclasses,
+        bool and the rest take the general path below.
         """
+        t = type(value)
+        if t is IntervalValue:
+            return value
+        if t is float or (t is int and -_EXACT_INT <= value <= _EXACT_INT):
+            x = float(value)
+            return IntervalValue(x, x)
+        if t is str and value in _DECIMAL_CACHE:
+            return _DECIMAL_CACHE[value]
         if isinstance(value, IntervalValue):
             return value
         if isinstance(value, bool):
@@ -112,11 +125,14 @@ class IntervalValue:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
         fr = Fraction(value)
-        x = float(fr)  # round to nearest: at most one step off on either side
-        return IntervalValue(
-            x if Fraction(x) <= fr else _nextafter(x, -_INF),
-            x if Fraction(x) >= fr else _nextafter(x, _INF),
-        )
+        try:
+            x = float(fr)  # round to nearest: at most one step off on either side
+            return IntervalValue(
+                x if Fraction(x) <= fr else _nextafter(x, -_INF),
+                x if Fraction(x) >= fr else _nextafter(x, _INF),
+            )
+        except OverflowError:  # float(fr) overflows, or fr rounds down to the largest double
+            raise OverflowError("IntervalValue.of: the value lies beyond binary64's range") from None
 
     # -- ring operations (one outward step: IEEE round-nearest is 0.5 ulp) --
 
@@ -138,10 +154,7 @@ class IntervalValue:
 
     def __mul__(self, other: Coercible) -> "IntervalValue":
         o = other if type(other) is IntervalValue else IntervalValue.of(other)
-        a, b = self.lo, self.hi
-        c, d = o.lo, o.hi
-        p, q, r, s = a * c, a * d, b * c, b * d
-        return IntervalValue(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
+        return _product(self.lo, self.hi, o.lo, o.hi)
 
     __rmul__ = __mul__
 
@@ -154,9 +167,7 @@ class IntervalValue:
         c, d = _nextafter(1.0 / d, -_INF), _nextafter(1.0 / c, _INF)
         if not -_INF < c <= d < _INF:
             IntervalValue(c, d)  # refuses it: a subnormal divisor overflows the reciprocal
-        a, b = self.lo, self.hi
-        p, q, r, s = a * c, a * d, b * c, b * d
-        return IntervalValue(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
+        return _product(self.lo, self.hi, c, d)
 
     def __rtruediv__(self, other: Coercible) -> "IntervalValue":
         return IntervalValue.of(other) / self
@@ -184,6 +195,19 @@ _set_lo = IntervalValue.lo.__set__
 _set_hi = IntervalValue.hi.__set__
 
 
+def _product(a: float, b: float, c: float, d: float) -> IntervalValue:
+    """[a, b] times [c, d], each end one step out.
+
+    With both lower ends positive every product is, and rounding is monotone,
+    so a*c and b*d are the least and greatest of the four rounded products;
+    any other sign pattern takes the min and max of all four.
+    """
+    if a > 0.0 and c > 0.0:
+        return IntervalValue(_nextafter(a * c, -_INF), _nextafter(b * d, _INF))
+    p, q, r, s = a * c, a * d, b * c, b * d
+    return IntervalValue(_nextafter(min(p, q, r, s), -_INF), _nextafter(max(p, q, r, s), _INF))
+
+
 def _widen(lo: float, hi: float) -> IntervalValue:
     """[lo, hi] two steps out at each end: faithful rounding is not assumed."""
     return IntervalValue(
@@ -191,7 +215,7 @@ def _widen(lo: float, hi: float) -> IntervalValue:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Verdict:
     """Outcome of a certified comparison.
 
@@ -205,6 +229,10 @@ class Verdict:
     state: str
     margin: float
 
+    def __init__(self, state: str, margin: float) -> None:
+        _set_state(self, state)  # the slot descriptors, as in IntervalValue
+        _set_margin(self, margin)
+
     @property
     def holds(self) -> bool:
         return self.state == HOLDS
@@ -216,6 +244,10 @@ class Verdict:
     @property
     def decided(self) -> bool:
         return self.state != INDETERMINATE
+
+
+_set_state = Verdict.state.__set__
+_set_margin = Verdict.margin.__set__
 
 
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:

@@ -28,6 +28,7 @@ for n over a (k, l) grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -87,7 +88,7 @@ def _span(iv: IntervalValue | None) -> str:
     return "beyond binary64" if iv is None else f"in [{iv.lo!r}, {iv.hi!r}]"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LemmaReport:
     lemma: str
     hypotheses: dict[str, bool]
@@ -95,6 +96,22 @@ class LemmaReport:
     rhs: IntervalValue | None
     verdict: Verdict
     notes: str
+
+    def __init__(
+        self,
+        lemma: str,
+        hypotheses: dict[str, bool],
+        lhs: IntervalValue | None,
+        rhs: IntervalValue | None,
+        verdict: Verdict,
+        notes: str,
+    ) -> None:
+        _set_lemma(self, lemma)  # the slot descriptors, as in IntervalValue
+        _set_hypotheses(self, hypotheses)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_verdict(self, verdict)
+        _set_notes(self, notes)
 
     def to_text(self) -> str:
         hyp = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in self.hypotheses.items())
@@ -108,6 +125,14 @@ class LemmaReport:
         if self.notes:
             lines.append(f"  notes: {self.notes}")
         return "\n".join(lines)
+
+
+_set_lemma = LemmaReport.lemma.__set__
+_set_hypotheses = LemmaReport.hypotheses.__set__
+_set_lhs = LemmaReport.lhs.__set__
+_set_rhs = LemmaReport.rhs.__set__
+_set_verdict = LemmaReport.verdict.__set__
+_set_notes = LemmaReport.notes.__set__
 
 
 def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
@@ -517,38 +542,55 @@ def _section4_sides(x: float) -> tuple[float, float]:
     return 4.6623 * x - 1.8344 - math.log(x), 1.0433 * x + 3.13 * x**0.75
 
 
-@dataclass(slots=True)
-class Section4Contradiction:
-    """One sweep point: k and its verdict lhs > rhs.
+class Section4Contradiction(int):
+    """One sweep point: an int whose value is k.
 
-    lhs and rhs are recomputed from k when read, bit for bit as the call
-    computed them, so a record holds two slots: about 89 B with its int k,
-    where keeping both sides as floats took about 153 B.
+    section4_contradiction returns one of two subclasses whose class
+    attribute `contradiction` is the verdict lhs > rhs, so a point holds
+    its k and nothing else (about 57 B retained).  A point built from this
+    class by hand carries no verdict.  lhs and rhs are recomputed from k when read, bit
+    for bit as the call computed them.
     """
 
-    k: int
-    contradiction: bool
+    __slots__ = ()
+
+    @property
+    def k(self) -> int:
+        return int(self)
 
     @property
     def lhs(self) -> float:
-        return _section4_sides(float(self.k))[0]
+        return _section4_sides(float(self))[0]
 
     @property
     def rhs(self) -> float:
-        return _section4_sides(float(self.k))[1]
+        return _section4_sides(float(self))[1]
+
+
+class _Contradiction(Section4Contradiction):
+    __slots__ = ()
+    contradiction = True
+
+
+class _NoContradiction(Section4Contradiction):
+    __slots__ = ()
+    contradiction = False
 
 
 def section4_contradiction(k: int) -> Section4Contradiction:
     """4.6623k - 1.8344 - log k vs 1.0433k + 3.13 k^(3/4), plain binary64.
 
     The margin grows linearly with k (slope ~3.6), so float evaluation is
-    ample; at k = 1 the inequality genuinely reverses.
+    ample; at k = 1 the inequality genuinely reverses.  Both sides are
+    evaluated and the verdict decided in the call.
     """
+    if type(k) is not int:
+        k = operator.index(k)  # TypeError for a float, which an int point would truncate
     if k < 1:
         raise ValueError(f"section4_contradiction: k must be >= 1, got {k}")
     # the rounding an int operand of a float op gets; OverflowError past binary64
     lhs, rhs = _section4_sides(float(k))
-    return Section4Contradiction(k, lhs > rhs)
+    return (_Contradiction if lhs > rhs else _NoContradiction)(k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -253,8 +253,13 @@ def test_bounds_thresholds(capsys):
         (["bounds", "thresholds", "--n", "1000000", "--c", "1e308"], "t_pow lies beyond binary64"),
         (["bounds", "thresholds", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
         (["lemma", "section5", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
+        (["bounds", "pi-upper", "--x", "1e400"], "lies beyond binary64's range"),
+        (["bounds", "stirling", "--nu", str(10**400)], "lies beyond binary64's range"),
     ],
-    ids=["t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows"],
+    ids=[
+        "t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows",
+        "pi-upper-x-past-binary64", "stirling-nu-past-binary64",
+    ],
 )
 def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

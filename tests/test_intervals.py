@@ -5,16 +5,18 @@ The containment tests compute the exact answer with Fraction or mpmath at
 whole soundness contract of the module.
 """
 
+import enum
 import math
 import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from collisionlab import intervals
+from collisionlab import intervals, lemma
 from collisionlab.intervals import (
     FAILS,
     HOLDS,
@@ -52,6 +54,16 @@ def test_point_and_exact_int():
     assert q.lo == q.hi == float(2**52)
     big = IntervalValue.of(10**30)
     assert big.lo < 10**30 < big.hi
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), int(sys.float_info.max) + 1, Fraction(10**400, 3), "1e400", "-1e309"],
+    ids=["int", "negative-int", "just-past-max", "fraction", "decimal", "negative-decimal"],
+)
+def test_of_names_a_value_past_binary64(value):
+    with pytest.raises(OverflowError, match="lies beyond binary64's range"):
+        IntervalValue.of(value)
 
 
 def test_from_decimal_encloses():
@@ -176,6 +188,11 @@ def _outcome(make):
 
 @settings(max_examples=1000)
 @given(wide_intervals, wide_intervals, scalars)
+# both lower ends positive: products that underflow to 0.0 and to subnormals,
+# a b*d that overflows, and a divisor whose reciprocal underflows to subnormals
+@example(IntervalValue(1e-200, 1e-160), IntervalValue(1e-200, 1e-160), 1e-300)
+@example(IntervalValue(1.0, 1e200), IntervalValue(2.0, 1e200), 1e300)
+@example(IntervalValue(0.5, 3.0), IntervalValue(1e308, _MAX), _MAX)
 def test_kernel_matches_the_reference_bit_for_bit(x, y, s):
     for other in (y, s):
         pairs = [
@@ -195,8 +212,24 @@ def test_kernel_matches_the_reference_bit_for_bit(x, y, s):
     assert _outcome(x.exp) == _outcome(lambda: oracles.reference_exp(x))
 
 
+class _Code(enum.IntEnum):
+    ZERO = 0
+    SEVEN = 7
+    PAST_EXACT = 2**53 + 1
+    PAST_BINARY64 = 10**400
+
+
+# int and float subclasses take the general path, not the exact-type one
+subclass_values = st.one_of(
+    st.floats().map(np.float64),
+    st.sampled_from(list(_Code)),
+    st.booleans(),
+    st.integers(1, 2**60).map(lemma.section4_contradiction),
+)
+
+
 @settings(max_examples=1000)
-@given(st.one_of(exact_inputs, scalars, st.floats(), st.none()))
+@given(st.one_of(exact_inputs, scalars, subclass_values, st.floats(), st.none()))
 def test_of_matches_the_reference_bit_for_bit(v):
     # st.floats() draws nan and both infinities
     assert _outcome(lambda: IntervalValue.of(v)) == _outcome(lambda: oracles.reference_of(v))

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -518,15 +520,20 @@ def test_section4_contradiction_matches_the_int_formula(k):
     rhs = 1.0433 * k + 3.13 * k**0.75
     c = lemma.section4_contradiction(k)
     assert (repr(c.lhs), repr(c.rhs), c.contradiction) == (repr(lhs), repr(rhs), lhs > rhs)
-    # the record keeps k and the verdict; the sides it recomputes agree with both
-    assert c.contradiction == (c.lhs > c.rhs)
-    assert lemma.section4_contradiction(k) == c == lemma.Section4Contradiction(k, lhs > rhs)
+    # the point is its k, and its verdict is the bool lhs > rhs
+    assert c == k == c.k and type(c.k) is int and isinstance(c, int)
+    assert c.contradiction is (lhs > rhs)
+    restored = pickle.loads(pickle.dumps(c))
+    assert (restored, type(restored), restored.contradiction) == (c, type(c), c.contradiction)
+    # a point built by hand claims no verdict
+    with pytest.raises(AttributeError):
+        lemma.Section4Contradiction(k).contradiction
 
 
-def test_section4_sweep_records_retain_at_most_100_bytes():
-    # a record keeps k and the verdict only: over 20,000 records at k >= 10^6
-    # (one 28-byte int each) it retains about 89 B with its k and list slot,
-    # where a record that also kept both sides as floats retained about 153 B
+def test_section4_sweep_points_retain_at_most_64_bytes():
+    # a point is an int whose value is k: over 20,000 points at k >= 10^6 it
+    # retains about 57 B with its list slot, where a two-slot record with its
+    # int k retained about 89 B and one that also kept both sides about 153 B
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -535,7 +542,16 @@ def test_section4_sweep_records_retain_at_most_100_bytes():
     finally:
         tracemalloc.stop()
     assert all(r.contradiction for r in records)
-    assert retained / len(records) <= 100
+    assert retained / len(records) <= 64
+
+
+def test_section4_contradiction_takes_only_an_integer_k():
+    # a point is an int, so a float k, which it would truncate, is refused
+    for k in (588.5, 588.0):
+        with pytest.raises(TypeError):
+            lemma.section4_contradiction(k)
+    c = lemma.section4_contradiction(np.int64(588))
+    assert (c, type(c.k), c.contradiction) == (588, int, True)
 
 
 def test_section4_contradiction_refuses_k_past_binary64():
