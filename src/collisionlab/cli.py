@@ -2,14 +2,14 @@
 
 Layout of every subcommand: data on stdout (or --out), diagnostics and the
 resolved-configuration echo on stderr, so stdout is byte-identical across
-reruns and worker counts.  A run's config is its flags as parsed, less
---json and the flags left unset, and the echo is that config, written before
-the subcommand computes.  Each subparser's call names what it prints: one
+reruns and worker counts.  A run's config is its flags as parsed, less the
+flags left unset, and the echo is that config, written before the
+subcommand computes.  Each subparser's call names what it prints: one
 compact JSON document with a version field, printed by _cmd_doc, or one
 compact JSON line per row, written by _cmd_lines to stdout or --out.  Every
 lemma checker's report goes through _cmd_lemma_report, the one report
-handler: text, or with --json one document whose fields _fields writes, and
-an exit code that follows the verdict.  Run defaults live in
+handler: one document {"version", "config", "report"} whose report _fields
+writes, and an exit code that follows the verdict.  Run defaults live in
 CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
 flags given and echo the resolved dataclass.  certify's windows, smoothness
 bound, gap cap and run length are constants of CertificateConfig, so it
@@ -32,7 +32,7 @@ from typing import Optional
 
 from . import __version__, bounds, certificate, collision, lemma, sieve
 from .collision import ParamTuple
-from .intervals import IntervalValue, Verdict
+from .intervals import IntervalValue
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -60,11 +60,11 @@ def _finite_float(text: str) -> float:
 
 
 def _echo_config(args) -> dict:
-    """The run's config, its flags in parser order less --json and unset ones, echoed."""
+    """The run's config, its flags in parser order less unset ones, echoed."""
     config = {
         key: value
         for key, value in vars(args).items()
-        if value is not None and key not in ("func", "call", "check", "body", "json") and not key.endswith("command")
+        if value is not None and key not in ("func", "call", "check") and not key.endswith("command")
     }
     _echo(args, config)
     return config
@@ -98,10 +98,10 @@ def _cmd_lines(args) -> int:
 
 
 def _out(value):
-    """A value as output: an interval as [lo, hi], a verdict as its state, anything else as is."""
+    """A value as output: an interval as [lo, hi], any other dataclass by _fields, the rest as is."""
     if isinstance(value, IntervalValue):
         return [value.lo, value.hi]
-    return value.state if isinstance(value, Verdict) else value
+    return _fields(value) if dataclasses.is_dataclass(value) else value
 
 
 def _fields(result, *drop: str) -> dict:
@@ -160,20 +160,14 @@ def _stirling_doc(args) -> dict:
 # lemma subcommands
 
 def _cmd_lemma_report(args) -> int:
-    """Run the checker that set_defaults chose on the flags; its report as text or JSON.
-
-    The JSON body is {"report": its fields}, or what a body hook in set_defaults makes.
-    """
+    """Run the checker that set_defaults chose on the flags and print {"report": its fields}."""
     cfg = _echo_config(args)
     if "delta" in cfg:  # a tuple checker: the five tuple flags make its ParamTuple
         extra = {key: value for key, value in cfg.items() if key not in ("delta", "n", "m", "k", "l")}
         report = args.check(ParamTuple(args.delta, args.n, args.m, args.k, args.l), **extra)
     else:
         report = args.check(**cfg)
-    if args.json:
-        print(_json_doc(cfg, args.body(report) if "body" in args else {"report": _fields(report)}))
-    else:
-        print(report.to_text())
+    print(_json_doc(cfg, {"report": _fields(report)}))
     return EXIT_FAILS if report.verdict.fails else EXIT_OK
 
 
@@ -280,24 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = lsub.add_parser("check21", help="two-sided log-ratio test on a parameter tuple")
     _add_tuple_flags(l)
-    l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma21)
 
     l = lsub.add_parser("check22", help="does this (n, k) force l = delta")
     l.add_argument("--n", type=int, required=True)
     l.add_argument("--k", type=int, required=True)
-    l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma22)
 
     l = lsub.add_parser("check23", help="smoothness of the window products")
     _add_tuple_flags(l)
-    l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma23_smooth)
 
     l = lsub.add_parser("check31", help="prime-factorization size bound")
     _add_tuple_flags(l)
     l.add_argument("--pi-mode", choices=lemma.PI_MODES, default="exact")
-    l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.check_lemma31)
 
     l = lsub.add_parser("threshold32", help="crossover F* of the window-size expression")
@@ -314,20 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = lsub.add_parser("section4", help="incompatible growth bounds for large k")
     _add_tuple_flags(l)
-    l.add_argument("--json", action="store_true")
     l.set_defaults(func=_cmd_lemma_report, check=lemma.section4_check)
 
     l = lsub.add_parser("section5", help="central-binomial exclusion of small l at large n")
     l.add_argument("--n", type=int, required=True)
     l.add_argument("--c", type=_finite_float, required=True)
-    l.add_argument("--json", action="store_true")
-    l.set_defaults(
-        func=_cmd_lemma_report,
-        check=lemma.section5_check,
-        body=lambda r: {  # flat: c_star, the report less its inputs, then the margin
-            "c_star": r.thresholds.c_star, **_fields(r, "n", "c", "thresholds"), "margin": r.verdict.margin
-        },
-    )
+    l.set_defaults(func=_cmd_lemma_report, check=lemma.section5_check)
 
     p = sub.add_parser("sieve", help="segmented prime sieve utilities")
     ssub = p.add_subparsers(dest="sieve_command", required=True)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import sieve
 from .arith import binomial, fibonacci
 
 __all__ = [
@@ -207,10 +208,12 @@ def to_param(x: int, a: int, y: int, b: int) -> ParamTuple:
     return ParamTuple(delta=delta, n=n, m=n - b, k=n - a, l=x - 2 * n)
 
 
-# the 25 primes below 100: v_p varies most at small p, and one mismatch
-# settles a pair before the exact comparison, whose products are as long as
-# the distance between the two positions
-_KUMMER_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+# check_eq12 compares v_p for the 25 primes up to this bound: v_p varies most
+# at small p, and one mismatch settles a pair before the exact comparison,
+# whose products are as long as the distance between the two positions.  It
+# reads them from the memoized sieve.prime_list at the call, not at import,
+# which would grow the sieve's seeded table
+_KUMMER_BOUND = 97
 
 
 def _carries(a: int, b: int, p: int) -> int:
@@ -229,7 +232,7 @@ def check_eq12(t: ParamTuple) -> bool:
 
     False unless 0 <= r <= N holds on both sides, so two zero binomials are
     not a collision.  Before any product, v_p of the two sides is compared
-    for each p in _KUMMER_PRIMES by carry counting; the first mismatch
+    for each p <= _KUMMER_BOUND by carry counting; the first mismatch
     returns False.  When all agree, each r is taken as min(r, N - r) and
     s = N - r, and N2! r1! s1! is compared with N1! r2! s2! exactly: each of
     the three factorial ratios N2!/N1!, r1!/r2! and s1!/s2! is the product
@@ -242,7 +245,7 @@ def check_eq12(t: ParamTuple) -> bool:
     N2, r2 = 2 * t.n + t.l, t.n - t.k
     if not (0 <= r1 <= N1 and 0 <= r2 <= N2):
         return False
-    for p in _KUMMER_PRIMES:
+    for p in sieve.prime_list(_KUMMER_BOUND):
         if _carries(r1, N1 - r1, p) != _carries(r2, N2 - r2, p):
             return False
     r1, r2 = min(r1, N1 - r1), min(r2, N2 - r2)

@@ -24,8 +24,8 @@ endpoint one ulp outward; one helper, `_widen`, steps two outward every
 value binary64 did not round itself (a libm log or exp, an mpmath endpoint
 read back).  Operators coerce a non-interval operand through `of`; division
 forms the reciprocal's endpoints inline, and products and quotients share
-one kernel, `_product`.  A number past binary64's range is refused by `of`
-with an OverflowError that says so.
+one kernel, `_product`.  A number past binary64's range is refused by `of`,
+and a precise `evaluate` past it, with an OverflowError that says so.
 
 Decimal constants must enter as strings, `of("1.3132")`: the literal 1.3132
 has no exact binary64 representation, and only its string is enclosed
@@ -296,10 +296,6 @@ class PreciseContext:
         return iv.pi
 
 
-def _from_iv(r) -> IntervalValue:
-    return _widen(float(mpmath.mpf(r.a)), float(mpmath.mpf(r.b)))
-
-
 def _run_precise(build: Callable):
     """build(PreciseContext()) at PRECISE_DIGITS; the raw mpmath interval."""
     saved = iv.dps
@@ -318,15 +314,19 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
     """
     if not precise:
         return IntervalValue.of(build(IntervalValue))
-    return _from_iv(_run_precise(build))
+    value = _enclosure(_run_precise(build))
+    if value is None:
+        raise OverflowError("evaluate: the value's enclosure lies beyond binary64's range")
+    return value
 
 
 def _enclosure(raw) -> IntervalValue | None:
     """The binary64 enclosure of an mpmath interval; None if it is finite but past binary64."""
+    lo, hi = mpmath.mpf(raw.a), mpmath.mpf(raw.b)
     try:
-        return _from_iv(raw)
+        return _widen(float(lo), float(hi))
     except OverflowError:
-        if mpmath.isinf(mpmath.mpf(raw.a)) or mpmath.isinf(mpmath.mpf(raw.b)):
+        if mpmath.isinf(lo) or mpmath.isinf(hi):
             raise  # an unbounded side, as from a divisor of exactly zero, is no verdict
         return None
 

@@ -4,8 +4,8 @@ Every checker returns a LemmaReport: certified lhs/rhs intervals (None for
 a side past binary64's range), a verdict from intervals.certified_less, and
 the hypothesis flags that gate it.  A checker never extrapolates: when a
 hypothesis fails, the verdict is INDETERMINATE, the report says which flag
-failed, and neither side is evaluated: lhs and rhs are None, printed as
-"not evaluated" in text and null in JSON, where the hypotheses say why.
+failed, and neither side is evaluated: lhs and rhs are None, null in the
+CLI's JSON report, where the hypotheses say why.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -84,7 +84,7 @@ PI_MODES = ("exact", "dusart")
 
 
 def _span(iv: IntervalValue | None) -> str:
-    """A reported side as text: its enclosure, or that binary64 has none."""
+    """A side in check21's notes: its enclosure, or that binary64 has none."""
     return "beyond binary64" if iv is None else f"in [{iv.lo!r}, {iv.hi!r}]"
 
 
@@ -112,19 +112,6 @@ class LemmaReport:
         _set_rhs(self, rhs)
         _set_verdict(self, verdict)
         _set_notes(self, notes)
-
-    def to_text(self) -> str:
-        hyp = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in self.hypotheses.items())
-        gated = not all(self.hypotheses.values())  # the checker stopped before either side
-        lines = [
-            f"{self.lemma}: {self.verdict.state} (margin {self.verdict.margin!r})",
-            f"  hypotheses: {hyp}" if hyp else "  hypotheses: (none)",
-            f"  lhs {'not evaluated' if gated else _span(self.lhs)}",
-            f"  rhs {'not evaluated' if gated else _span(self.rhs)}",
-        ]
-        if self.notes:
-            lines.append(f"  notes: {self.notes}")
-        return "\n".join(lines)
 
 
 _set_lemma = LemmaReport.lemma.__set__
@@ -456,12 +443,7 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     l in [1, floor(0.00271 k)]; GridConfig says which points.  At each
     grid point: m pinned to 0.735k (real), m0 = m + 1, delta = 0
     (the choice maximizing both k0 and the resulting bound), pi(k0) per
-    pi_mode: len(sieve.base_primes(k0)) or Dusart's upper bound.  The
-    exact count is a read of the grow-only base-prime table, which at
-    least doubles when it grows, so the ascending k0 of the whole grid
-    cost a few extensions and one table read each; check_lemma31 calls
-    sieve.prime_count instead, which above 2 * DEFAULT_SEGMENT_ODDS counts
-    its one arbitrary k0 segment by segment in bounded memory.
+    pi_mode: sieve.prime_count(k0) or Dusart's upper bound.
     log(n-k) <= [pi log(2k+l) + f(k-m) + f(l+k-m0)]
     / (2k+l-m-m0-pi); the report exponentiates the grid maximum.  Grid
     points with a nonpositive denominator carry no information and are
@@ -478,7 +460,7 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
         for l in grid.l_values(k):
             k0 = 2 * (k + l) - 1
             if grid.pi_mode == "exact":
-                pi_iv = IntervalValue.of(len(sieve.base_primes(k0)))
+                pi_iv = IntervalValue.of(sieve.prime_count(k0))
             else:
                 pi_iv = pi_upper_dusart(k0)
             ratio = _nmax_point(k, l, pi_iv, arg1, f_arg1, k_excess)
@@ -602,14 +584,6 @@ class Section5Report:
     lhs: IntervalValue | None
     rhs: IntervalValue | None
     verdict: Verdict
-
-    def to_text(self) -> str:
-        return "\n".join([
-            f"section5: {self.verdict.state} (margin {self.verdict.margin!r})",
-            f"  l0 = {self.l0!r}",
-            f"  lhs {_span(self.lhs)}",
-            f"  rhs {_span(self.rhs)}",
-        ])
 
 
 def section5_check(n: int, c: float) -> Section5Report:

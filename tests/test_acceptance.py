@@ -224,12 +224,12 @@ CRITERION_13_CASES = [
     ["bounds", "pi-upper", "--x", "1742310"],
     ["bounds", "stirling", "--nu", "100"],
     ["bounds", "thresholds", "--n", "1000000000", "--c", "0.68"],
-    ["lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
-    ["lemma", "check22", "--n", "500000", "--k", "587", "--json"],
-    ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
-    ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2", "--json"],
+    ["lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
+    ["lemma", "check22", "--n", "500000", "--k", "587"],
+    ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
+    ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"],
     ["lemma", "threshold32"],
-    ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
+    ["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
     ["sieve", "pi", "--x", "1000000"],
     ["sieve", "neighbors", "--x", "1000000"],
     ["certify", "--qmax", "30000000"],
@@ -252,28 +252,18 @@ CRITERION_13_PINNED = [
         "9565fe22b0fcba44119a6c435ad131aadea49205da75143d1dc9ecb6c1a03f88",
         "8d2c12a8d9b6dd1ab1929bbaa54ab2e8d179384d7b5dd9486d00fcd3808b9394",
         "d7ea09f8371bebfd90fee3a8257611b7b87c7289092390fb02068d40ba65bbe6",
-        "4caa834c94f236854bdf9d36614e3ffe5cb88bfe4713bb59c790cfd33afc755c",
-        "1deb03fb67a434cadede2e276c10dc93e9ab18c4c2fb333d9b917926df1031f7",
-        "82abbc3231632da06a8204a7326bf349d0aea191951be4e8d0f4917dac06fc31",
-        "4b620c5812816ca958970024333d6991775457bfa70c2cadcf606abeacec0fed",
+        "d8dad9c370461bfac876c8fe592341ce34bc42fd2423cc8a0f48c9a38c8c576e",
+        "bafb59782740b2d6d6087d8aa532713f048810c248590f7b1f37ff38eb628e99",
+        "c6dec9018c39d9bcfed2935cfc1b2a84d2d59e76cd3263c1283d8e6e2a864c2d",
+        "a6d1eeb6b98bebeb966af6bb17da0a58622b8da66ccb5ebf07d5575631bf61c0",
         "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
-        "ac3763a6f5f1c973d089b6c39025fbf9e36646c3d7582cd2e44597438b491db1",
+        "80d7a75230dfa0b9d7c6548e8a704c41aa15ac3561d8695c670f9dcc05e64564",
         "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",
         "e70a6b94e45ba5ac4b72e7fce93967c286955c4120f65f46645a21a78b2053d3",
         "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
     ], [0] * len(CRITERION_13_CASES)),
-    (["lemma", "check21"] + _TUPLE,
-     "37d6e327521df2d1c34d4db6b8ec5ea45b41a32c5c8065e7b5e0b1a6c3eb5ccc", 0),
-    (["lemma", "check22", "--n", "500000", "--k", "587"],
-     "721af2aaba1fafbdfee4f90e155f1b32a40b6304858f1ab61c5b924ec73df579", 0),
-    (["lemma", "check23"] + _TUPLE,
-     "82c09bb5731ecedd49000f058eb2e6d8d2ca0dcb361629ab7a00533a9775cd75", 0),
-    (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2"],
-     "6dffd6d9fa4d1de6c53bb9c69796dbbfaa6399b9c315dc98803537e712a23f1c", 0),
     (["lemma", "section4"] + _TUPLE,
-     "7cdb05ffdc951bfd8adedb6c246b352c7e78dc2642461f96070df221119703dc", 0),
-    (["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
-     "f13352f204e734b8aee3c5a86cef27ff269933659d9b68d06b95cfaf2415a74d", 0),
+     "54aa28e7adcc18cb054729be1ac757962ae09e37f8e67476c405671c96a40453", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
      "f934350819aa57777cb65344be892da32d28b600f98b3ade06ec6a8b8a550265", 0),
     # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31
@@ -282,17 +272,17 @@ CRITERION_13_PINNED = [
     (["bounds", "stirling", "--nu", "100", "--precise"],
      "57e887eede4c7052352198fe58b35a9b8840131b5c8b244a486002e697fda790", 0),
     (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
-      "--pi-mode", "dusart", "--json"],
-     "b4588ee3bc0b1a604fa57dc8f0f2509a662946a54df0f3ad7db3d09ff3c41669", 0),
+      "--pi-mode", "dusart"],
+     "0b8c4cfa49a60611ba7d624d3bad63c7c49535fe07b419292de7683de0c3a994", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--pi-mode", "exact"],
      "a6688a708096eb4a31d2418410131cca114d1cd8dd2dc9830e833ffc1f3a1a1c", 0),
     # check31 with nu = 110 and 115, whose factorials are no binary64 points
     (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
-      "--pi-mode", "exact", "--json"],
-     "331a62321adda091fe5a28d6f79b549cab79e3a27b1d582beb82508e0be9210e", 1),
+      "--pi-mode", "exact"],
+     "931faaac8bf95081947f00f7fc320949fb3f324c4c022fb61e4d7b0d7de4eff7", 1),
     (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
-      "--pi-mode", "dusart", "--json"],
-     "80c5e3641ef0be42e4f1864fd6724edf6f456c3f9fb7f45eeb354c278452ecd2", 1),
+      "--pi-mode", "dusart"],
+     "cdef9f958729096a64e2d05bbb5c79ea094b7d22e4212501797dfe03e8d0a976", 1),
 ]
 
 

@@ -66,21 +66,21 @@ JSON_DOC_CASES = [
     ["bounds", "pi-upper", "--x", "1742310", "--precise"],
     ["bounds", "stirling", "--nu", "100"],
     ["bounds", "thresholds", "--n", "1000000000", "--c", "0.68"],
-    ["lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
-    ["lemma", "check22", "--n", "500000", "--k", "588", "--json"],
-    ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
+    ["lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
+    ["lemma", "check22", "--n", "500000", "--k", "588"],
+    ["lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
     ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
-     "--pi-mode", "dusart", "--json"],
+     "--pi-mode", "dusart"],
     ["lemma", "threshold32"],
     ["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
-    ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1", "--json"],
-    ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"],
+    ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
+    ["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
     ["sieve", "pi", "--x", "1000"],
     ["sieve", "neighbors", "--x", "1000"],
 ]
 
-# flags that choose where output goes, its format or the worker count, never its content
-_NOT_CONFIG = {"json", "out", "threads", "workers"}
+# flags that choose where output goes or the worker count, never its content
+_NOT_CONFIG = {"out", "threads", "workers"}
 
 
 def _refuse_constant(name):
@@ -254,11 +254,12 @@ def test_bounds_thresholds(capsys):
         (["bounds", "thresholds", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
         (["lemma", "section5", "--n", str(10**170), "--c", "0.5"], "t_pow lies beyond binary64"),
         (["bounds", "pi-upper", "--x", "1e400"], "lies beyond binary64's range"),
+        (["bounds", "pi-upper", "--x", "1e400", "--precise"], "lies beyond binary64's range"),
         (["bounds", "stirling", "--nu", str(10**400)], "lies beyond binary64's range"),
     ],
     ids=[
         "t_pow-overflows", "t_pow-overflows-at-huge-n", "section5-t_pow-overflows",
-        "pi-upper-x-past-binary64", "stirling-nu-past-binary64",
+        "pi-upper-x-past-binary64", "pi-upper-precise-x-past-binary64", "stirling-nu-past-binary64",
     ],
 )
 def test_non_finite_results_exit_3_with_empty_stdout(capsys, argv, message):
@@ -292,18 +293,12 @@ def test_non_finite_c_is_a_usage_error_without_echo(capsys, command, c):
 TUPLE_FLAGS = ["--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"]
 
 
-def test_lemma_check21_text(capsys):
-    code, out, err = run_cli(capsys, ["lemma", "check21"] + TUPLE_FLAGS)
-    assert code == 0
-    assert out.startswith("lemma21: HOLDS")
-
-
 def test_lemma_check21_json(capsys):
-    code, out, err = run_cli(capsys, ["lemma", "check21"] + TUPLE_FLAGS + ["--json"])
+    code, out, err = run_cli(capsys, ["lemma", "check21"] + TUPLE_FLAGS)
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["version", "config", "report"]
-    assert doc["report"]["verdict"] == "HOLDS"
+    assert doc["report"]["verdict"]["state"] == "HOLDS"
 
 
 def test_lemma_check22_exit_codes(capsys):
@@ -311,7 +306,22 @@ def test_lemma_check22_exit_codes(capsys):
     assert code == 0
     code, out, err = run_cli(capsys, ["lemma", "check22", "--n", "500000", "--k", "588"])
     assert code == 1
-    assert out.startswith("lemma22: FAILS")
+    assert '"verdict":{"state":"FAILS","margin":0.0011984953303110224}' in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check21"] + TUPLE_FLAGS, ["check22", "--n", "500000", "--k", "587"], ["check23"] + TUPLE_FLAGS,
+     ["check31"] + TUPLE_FLAGS, ["section4"] + TUPLE_FLAGS, ["section5", "--n", "1000000000", "--c", "0.68"]],
+    ids=["check21", "check22", "check23", "check31", "section4", "section5"],
+)
+def test_lemma_reports_take_no_json_flag(capsys, argv):
+    # a lemma report is always one JSON document, so --json is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma"] + argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
 
 
 def test_lemma_check22_decides_where_binary64_cannot_divide(capsys):
@@ -319,8 +329,9 @@ def test_lemma_check22_decides_where_binary64_cannot_divide(capsys):
     argv = ["lemma", "check22", "--n", str(10**16), "--k", str(10**16 - 1)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert out.startswith("lemma22: FAILS (margin 2.0009999999999993e+48)")
-    assert "notes: does not force l = delta" in out
+    report = json.loads(out)["report"]
+    assert report["verdict"] == {"state": "FAILS", "margin": 2.0009999999999993e+48}
+    assert report["notes"] == "does not force l = delta"
 
 
 def test_lemma_check22_decides_where_binary64_overflows(capsys):
@@ -328,8 +339,9 @@ def test_lemma_check22_decides_where_binary64_overflows(capsys):
     argv = ["lemma", "check22", "--n", str(10**200), "--k", str(10**160)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert out.startswith("lemma22: FAILS (margin 1.4437356955837928e+120)")
-    assert "notes: does not force l = delta" in out
+    report = json.loads(out)["report"]
+    assert report["verdict"] == {"state": "FAILS", "margin": 1.4437356955837928e+120}
+    assert report["notes"] == "does not force l = delta"
 
 
 def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
@@ -337,13 +349,9 @@ def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
     argv = ["lemma", "check22", "--n", str(10**400), "--k", str(10**399)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
-    # the gap is past binary64 too: the margin reads as the largest double
-    assert out.startswith("lemma22: FAILS (margin 1.7976931348623157e+308)\n")
-    assert "\n  lhs beyond binary64\n" in out
-    code, out, err = run_cli(capsys, argv + ["--json"])
-    assert code == 1
     report = json.loads(out)["report"]
-    assert (report["verdict"], report["lhs"]) == ("FAILS", None)
+    # the gap is past binary64 too: the margin reads as the largest double
+    assert (report["verdict"], report["lhs"]) == ({"state": "FAILS", "margin": 1.7976931348623157e+308}, None)
     assert report["rhs"][0] <= 1 <= report["rhs"][1]
 
 
@@ -357,11 +365,9 @@ def test_lemma_check31_modes(capsys):
     code, out, err = run_cli(capsys, ["lemma", "check31"] + TUPLE_FLAGS)
     assert code == 0
     assert "pi(5) = 3 exact" in out
-    code, out, err = run_cli(
-        capsys, ["lemma", "check31"] + TUPLE_FLAGS + ["--pi-mode", "dusart", "--json"]
-    )
+    code, out, err = run_cli(capsys, ["lemma", "check31"] + TUPLE_FLAGS + ["--pi-mode", "dusart"])
     assert code == 0
-    assert json.loads(out)["report"]["verdict"] == "HOLDS"
+    assert json.loads(out)["report"]["verdict"]["state"] == "HOLDS"
 
 
 def test_lemma_threshold32(capsys):
@@ -435,12 +441,12 @@ def test_lemma_nmax31_refuses_grids_that_leave_their_range(capsys, flags):
 
 
 def test_lemma_check23_zero_binomials_are_not_a_collision(capsys):
-    argv = ["lemma", "check23", "--delta", "0", "--n", "1", "--m", "-5", "--k", "-4", "--l", "1", "--json"]
+    argv = ["lemma", "check23", "--delta", "0", "--n", "1", "--m", "-5", "--k", "-4", "--l", "1"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     report = json.loads(out)["report"]
     assert report["hypotheses"] == {"eq12": False}
-    assert report["verdict"] == "INDETERMINATE"
+    assert report["verdict"] == {"state": "INDETERMINATE", "margin": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -464,19 +470,15 @@ def test_lemma_section4_full_tuple(capsys):
     argv = ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert out.splitlines()[0] == "section4: INDETERMINATE (margin 0.0)"
-    assert out.splitlines()[2:4] == ["  lhs not evaluated", "  rhs not evaluated"]
-    assert "hypotheses not met: l_small, scale" in out
     assert '{"delta":0,"k":2,"l":1,"m":1,"n":7}' in err
-    code, out, err = run_cli(capsys, argv + ["--json"])
-    assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["version", "config", "report"]
     assert doc["config"] == {"delta": 0, "n": 7, "m": 1, "k": 2, "l": 1}
     assert doc["report"]["lemma"] == "section4"
-    assert doc["report"]["verdict"] == "INDETERMINATE"
+    assert doc["report"]["notes"] == "hypotheses not met: l_small, scale"
     assert doc["report"]["hypotheses"]["l_small"] is False
-    assert '"lhs":null,"rhs":null' in out  # gated: neither side evaluated
+    # gated: neither side evaluated
+    assert '"lhs":null,"rhs":null,"verdict":{"state":"INDETERMINATE","margin":0.0}' in out
 
 
 def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):
@@ -489,26 +491,23 @@ def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):
     monkeypatch.setattr(sieve, "prime_list", refuse)
     monkeypatch.setattr(sieve, "base_primes", refuse)
     argv = ["lemma", "section4", "--delta", "0", "--n", str(10**12), "--m", "44100000", "--k", "60000000", "--l", "1"]
-    code, out, err = run_cli(capsys, argv + ["--json"])
+    code, out, err = run_cli(capsys, argv)
     assert code == 1
     report = json.loads(out)["report"]
     assert all(report["hypotheses"].values())
-    assert (report["verdict"], report["notes"]) == ("FAILS", "bounds incompatible: no such tuple exists")
+    assert (report["verdict"]["state"], report["notes"]) == ("FAILS", "bounds incompatible: no such tuple exists")
 
 
 def test_lemma_section5(capsys):
-    code, out, err = run_cli(
-        capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.68", "--json"]
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["verdict"] == "HOLDS"
-    assert doc["l0"] == doc["l0"]  # finite
     code, out, err = run_cli(capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.68"])
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("section5: HOLDS (margin ")
-    assert [line.split()[0] for line in lines[1:]] == ["l0", "lhs", "rhs"]
+    doc = json.loads(out)
+    assert list(doc) == ["version", "config", "report"]
+    report = doc["report"]
+    assert list(report) == ["n", "c", "thresholds", "l0", "lhs", "rhs", "verdict"]
+    assert list(report["thresholds"]) == ["t_pow", "c_star"]  # the nested dataclass, by _fields
+    assert report["thresholds"]["t_pow"][0] == report["l0"]  # l0 is t_pow's lower end
+    assert report["verdict"]["state"] == "HOLDS" and report["verdict"]["margin"] > 0
     code, out, err = run_cli(
         capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.9"]
     )
@@ -558,20 +557,16 @@ def test_bare_floats_finds_only_unenclosed_values():
 def test_json_stdout_holds_only_exact_or_enclosed_numbers(capsys):
     from test_acceptance import CRITERION_13_CASES, CRITERION_13_PINNED
 
-    cases = CRITERION_13_CASES + [argv for argv, _, _ in CRITERION_13_PINNED]
-    checked = 0
-    for argv in {tuple(argv): argv for argv in cases}.values():
+    cases = {tuple(argv): argv for argv in CRITERION_13_CASES + [argv for argv, _, _ in CRITERION_13_PINNED]}
+    for argv in cases.values():
         code, out, err = run_cli(capsys, argv)
-        if not out.startswith("{"):
-            continue  # a text report: test_text_margins_parse_back_exactly
+        assert out, argv
         for line in out.splitlines():
             assert _bare_floats(json.loads(line)) == [], argv
-        checked += 1
-    assert checked == 22  # every case but the six text reports
 
 
-# the text cases of criterion 13, each with the checker whose report it prints
-_TEXT_CASES = [
+# a criterion-13 case of each lemma report, with the checker whose report it prints
+_REPORT_CASES = [
     (["lemma", "check21"] + TUPLE_FLAGS, "check_lemma21"),
     (["lemma", "check22", "--n", "500000", "--k", "587"], "check_lemma22"),
     (["lemma", "check23"] + TUPLE_FLAGS, "check_lemma23_smooth"),
@@ -581,10 +576,11 @@ _TEXT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, checker", _TEXT_CASES, ids=[argv[1] for argv, _ in _TEXT_CASES])
+@pytest.mark.parametrize("argv, checker", _REPORT_CASES, ids=[argv[1] for argv, _ in _REPORT_CASES])
 def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
-    # every printed margin reads back as the float it reports: the headline
-    # as the report's margin, a note's as one certified_less verdict's
+    # the digits of every margin on stdout read back as the float it reports:
+    # the verdict's as the report's margin, a check21 note's as one
+    # certified_less verdict's
     reports, margins = [], []
     plain_check, plain_less = getattr(lemma, checker), lemma.certified_less
 
@@ -601,17 +597,19 @@ def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
     monkeypatch.setattr(lemma, "certified_less", less)
     code, out, err = run_cli(capsys, argv)
     assert code == 0
-    printed = re.findall(r"margin ([^)]*)\)", out)
-    assert float(printed[0]) == reports[0].verdict.margin
-    assert all(float(text) in margins for text in printed[1:])
-    assert len(printed) == (3 if checker == "check_lemma21" else 1)
+    report = json.loads(out)["report"]
+    verdict = reports[0].verdict
+    assert report["verdict"] == {"state": verdict.state, "margin": verdict.margin}
+    noted = re.findall(r"margin ([^)]*)\)", report.get("notes", ""))
+    assert all(float(text) in margins for text in noted)
+    assert len(noted) == (2 if checker == "check_lemma21" else 0)
 
 
 def test_dusart_note_prints_the_upper_end_exactly(capsys):
     argv = ["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2", "--pi-mode", "dusart"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert out.endswith(f"  notes: pi(26) <= {bounds.pi_upper_dusart(26).hi!r} substituted\n")
+    assert json.loads(out)["report"]["notes"] == f"pi(26) <= {bounds.pi_upper_dusart(26).hi!r} substituted"
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,14 @@ def test_precise_read_back_is_two_steps_out_bit_for_bit(build):
     assert _outcome(lambda: intervals._enclosure(raw)) == expected
 
 
+@pytest.mark.parametrize("build", [lambda cx: cx.of(10**400), lambda cx: -cx.of("1e309")], ids=["above", "below"])
+def test_precise_evaluate_names_a_value_past_binary64(build):
+    # finite in mpmath, past binary64: the enclosure is absent, and evaluate says why
+    assert intervals._enclosure(intervals._run_precise(build)) is None
+    with pytest.raises(OverflowError, match="lies beyond binary64's range"):
+        evaluate(build, precise=True)
+
+
 def _const(iv):
     """A builder of one precomputed enclosure, valid in either context."""
     return lambda cx: cx.of(iv)
@@ -512,9 +520,12 @@ def test_certified_less_reports_a_side_past_binary64_as_absent():
 
 
 def test_certified_less_exact_zero_divisor_is_an_error():
-    # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict
+    # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict,
+    # nor a value a precise evaluation can enclose
     with pytest.raises(OverflowError, match="finite"):
         certified_less(lambda cx: 1 / (cx.of(1) - 1), lambda cx: cx.of(1))
+    with pytest.raises(OverflowError, match="finite"):
+        evaluate(lambda cx: 1 / (cx.of(1) - 1), precise=True)
 
 
 def test_pi_containment():

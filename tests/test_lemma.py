@@ -1,6 +1,7 @@
 """Lemma checkers: gating, certified verdicts, thresholds, grids."""
 
 import itertools
+import json
 import math
 import pickle
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import bounds, lemma
+from collisionlab import bounds, cli, lemma
 from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import K_MIN, L_RATIO, M_RATIO, ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, certified_less, evaluate
@@ -295,11 +296,12 @@ def test_checker_edge_branches(check, t, state, note):
 )
 def test_gated_report_evaluates_neither_side(check, args):
     # a gate stops the checker before either side: no placeholder enclosure,
-    # and the text says so instead of printing one or "beyond binary64"
+    # and the report prints null for both
     report = check(*args)
     assert not all(report.hypotheses.values())
     assert (report.lhs, report.rhs, report.verdict) == (None, None, Verdict(INDETERMINATE, 0.0))
-    assert report.to_text().splitlines()[2:4] == ["  lhs not evaluated", "  rhs not evaluated"]
+    printed = json.dumps(cli._fields(report), separators=(",", ":"))
+    assert '"lhs":null,"rhs":null,"verdict":{"state":"INDETERMINATE","margin":0.0}' in printed
 
 
 def test_check31_decides_a_side_of_exactly_zero():
@@ -711,20 +713,10 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
 # report plumbing
 
 def test_lemma_report_json_shape(capsys):
-    import json
-
-    from collisionlab.cli import main
-
-    assert main(["lemma", "check22", "--n", "500000", "--k", "587", "--json"]) == 0
+    assert cli.main(["lemma", "check22", "--n", "500000", "--k", "587"]) == 0
     payload = json.loads(capsys.readouterr().out)["report"]
     assert list(payload) == ["lemma", "hypotheses", "lhs", "rhs", "verdict", "notes"]
-    assert payload["verdict"] == "HOLDS"
+    assert list(payload["verdict"]) == ["state", "margin"]
+    assert payload["verdict"]["state"] == "HOLDS"
     assert payload["lhs"][0] <= payload["lhs"][1]
-
-
-def test_lemma_report_text_shape():
-    report = lemma.check_lemma22(500000, 587)
-    text = report.to_text()
-    assert text.splitlines()[0].startswith("lemma22: HOLDS")
-    assert "lhs in [" in text
-    assert "notes: forces l = delta" in text
+    assert payload["notes"] == "forces l = delta"
