@@ -150,14 +150,17 @@ class ParamTuple:
 def enumerate_collisions(v_max: int) -> list[CollisionRecord]:
     """Every N <= v_max with at least two canonical representations.
 
-    For each a from 2 upward, x walks from 2a until C(x, a) > v_max; a
-    stops when even the central C(2a, a) exceeds v_max.  That covers the
-    canonical triangle completely, so no collision below v_max is missed.
+    For each a from 3 upward, x walks from 2a until C(x, a) > v_max; a
+    stops when even the central C(2a, a) exceeds v_max.  The a = 2 row is
+    not walked: an indexed N also sits at (x, 2) exactly when 8N + 1 = s^2,
+    with x = (s + 1)/2.  C(x, 2) strictly increases in x, so no N has two
+    a = 2 positions, and every collision has one with a >= 3.  That covers
+    the canonical triangle completely, so no collision below v_max is missed.
     """
     if v_max < 6:
         raise ValueError(f"enumerate_collisions: v_max must be >= 6, got {v_max}")
     index: dict[int, list[Representation]] = {}
-    a = 2
+    a = 3
     while binomial(2 * a, a) <= v_max:
         x = 2 * a
         while (value := binomial(x, a)) <= v_max:
@@ -167,6 +170,9 @@ def enumerate_collisions(v_max: int) -> list[CollisionRecord]:
     records = []
     for value in sorted(index):
         reps = index[value]
+        s = math.isqrt(8 * value + 1)
+        if s * s == 8 * value + 1:
+            reps.append(Representation((s + 1) // 2, 2))
         if len(reps) >= 2:
             records.append(CollisionRecord(value, tuple(sorted(reps, key=lambda r: -r.x))))
     return records

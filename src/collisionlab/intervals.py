@@ -5,10 +5,12 @@ a pair of binary64 endpoints guaranteed to bracket the true real value, so
 a comparison decided from two intervals is a theorem about the exact
 quantities, not about floats.
 
-`certified_less` is the one comparison: it decides from binary64 intervals
+`certified_less` is the one comparison.  A claim lhs < rhs is one builder
+whose build(cx) returns the pair (lhs, rhs), so work the two sides share is
+written and done once per context.  It decides from binary64 intervals
 and, when they overlap or binary64 cannot evaluate a side (a divisor
 around zero, an endpoint past its range: OverflowError), re-runs the same
-builders under mpmath's interval type at 55 significant digits.  The
+builder once under mpmath's interval type at 55 significant digits.  The
 binary64 context is the IntervalValue class itself and the mpmath context
 is PreciseContext; both expose the same surface (`of`, `log`, `power`,
 `pi`), so each formula is written exactly once.  `of(value)` encloses an
@@ -332,33 +334,32 @@ def _enclosure(raw) -> IntervalValue | None:
 
 
 def certified_less(
-    lhs_build: Callable,
-    rhs_build: Callable,
-    strict: bool = True,
+    build: Callable, strict: bool = True
 ) -> tuple[Verdict, IntervalValue | None, IntervalValue | None]:
-    """Decide lhs < rhs, escalating precision when binary64 cannot decide.
+    """Decide lhs < rhs, where build(cx) returns the pair (lhs, rhs).
 
-    The escalated comparison happens on the raw high-precision endpoints;
-    collapsing to binary64 first would forfeit exactly the resolution the
-    escalation exists to buy.  The returned intervals are binary64
-    enclosures for reporting and may overlap even when the verdict is
-    decided.  A side that binary64 cannot evaluate (a divisor around zero,
-    an operand or quotient past its range) is undecided too.  After an
-    escalation, a finite side with no binary64 enclosure is returned as
-    None, never clamped or widened, and the verdict stands as decided; an
-    unbounded side raises OverflowError.
+    The claim is one builder, so work the two sides share is done once per
+    context: the binary64 pass runs it once, and an escalation runs it once
+    more under one PreciseContext.  The escalated comparison happens on the
+    raw high-precision endpoints; collapsing to binary64 first would forfeit
+    exactly the resolution the escalation exists to buy.  The returned
+    intervals are binary64 enclosures for reporting and may overlap even
+    when the verdict is decided.  A side that binary64 cannot evaluate (a
+    divisor around zero, an operand or quotient past its range) is undecided
+    too.  After an escalation, a finite side with no binary64 enclosure is
+    returned as None, never clamped or widened, and the verdict stands as
+    decided; an unbounded side raises OverflowError.
     """
     try:
-        lhs = evaluate(lhs_build)
-        rhs = evaluate(rhs_build)
+        lhs, rhs = build(IntervalValue)
+        lhs, rhs = IntervalValue.of(lhs), IntervalValue.of(rhs)
     except (ZeroDivisionError, OverflowError):
         pass
     else:
         verdict = _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
         if verdict.decided:
             return verdict, lhs, rhs
-    lhs_raw = _run_precise(lhs_build)
-    rhs_raw = _run_precise(rhs_build)
+    lhs_raw, rhs_raw = _run_precise(build)
     # read endpoints at a working precision above the evaluation's, so the
     # conversion itself cannot merge values the escalation separated
     with mpmath.mp.workdps(PRECISE_DIGITS + 10):

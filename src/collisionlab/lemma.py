@@ -2,10 +2,12 @@
 
 Every checker returns a LemmaReport: certified lhs/rhs intervals (None for
 a side past binary64's range), a verdict from intervals.certified_less, and
-the hypothesis flags that gate it.  A checker never extrapolates: when a
-hypothesis fails, the verdict is INDETERMINATE, the report says which flag
-failed, and neither side is evaluated: lhs and rhs are None, null in the
-CLI's JSON report, where the hypotheses say why.
+the hypothesis flags that gate it.  Each claim is one builder that returns
+its two sides together, so what they share is built once per context.  A
+checker never extrapolates: when a hypothesis fails, the verdict is
+INDETERMINATE, the report says which flag failed, and neither side is
+evaluated: lhs and rhs are None, null in the CLI's JSON report, where the
+hypotheses say why.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -152,15 +154,15 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
     if not all(hyp.values()):
         return _gated("lemma21", hyp)
 
-    v1, lhs1, rhs1 = certified_less(
-        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
-        lambda cx: cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
-    )
+    v1, lhs1, rhs1 = certified_less(lambda cx: (
+        cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
+        cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
+    ))
     # orientation flipped: the claim is lhs2 > rhs2
-    v2, rhs2, lhs2 = certified_less(
-        lambda cx: cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
-        lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
-    )
+    v2, rhs2, lhs2 = certified_less(lambda cx: (
+        cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
+        cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
+    ))
 
     if v1.holds and v2.holds:
         verdict = Verdict(HOLDS, min(v1.margin, v2.margin))
@@ -187,12 +189,12 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
     if not all(hyp.values()):
         return _gated("lemma22", hyp)
 
-    def value(cx):
+    def sides(cx):
         kn = cx.of(k) / cx.of(n)
         den = cx.of(n - k) * cx.log(cx.of("2.001") / (cx.of("1.001") + kn))
-        return cx.of(k * k) / den
+        return cx.of(k * k) / den, cx.of(1)
 
-    verdict, lhs, rhs = certified_less(value, lambda cx: cx.of(1))
+    verdict, lhs, rhs = certified_less(sides)
     notes = "forces l = delta" if verdict.holds else (
         "does not force l = delta" if verdict.fails else "force undecided"
     )
@@ -235,7 +237,7 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
     # max prime factor vs k0; lhs stays as reported, as escalation would widen it
-    verdict, _, rhs = certified_less(lambda cx: cx.of(lhs), lambda cx: cx.of(k0), strict=False)
+    verdict, _, rhs = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
     notes = f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, S2 offsets {s2.start}..{s2.stop - 1}"
     return LemmaReport("lemma23", hyp, lhs, rhs, verdict, notes)
 
@@ -284,11 +286,10 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
     log_f2 = log_factorial(l + k - m0)
 
     def sides(cx):
-        return _lemma31_sides(cx, *map(cx.of, (2 * k + l - m - m0, pi, 2 * k + l, log_f1, log_f2)))
+        c, r = _lemma31_sides(cx, *map(cx.of, (2 * k + l - m - m0, pi, 2 * k + l, log_f1, log_f2)))
+        return c * cx.log(cx.of(n - k)), r
 
-    verdict, lhs, rhs = certified_less(
-        lambda cx: sides(cx)[0] * cx.log(cx.of(n - k)), lambda cx: sides(cx)[1], strict=False
-    )
+    verdict, lhs, rhs = certified_less(sides, strict=False)
     return LemmaReport("lemma31", hyp, lhs, rhs, verdict, pi_note)
 
 
@@ -328,7 +329,7 @@ class Lemma32Threshold:
 
 def _sign_at(F: int) -> int:
     """+1 if the expression is certified >= 0 at F, -1 if certified < 0."""
-    verdict, _, _ = certified_less(lambda cx: _lemma32(cx, F), lambda cx: cx.of(0))
+    verdict, _, _ = certified_less(lambda cx: (_lemma32(cx, F), cx.of(0)))
     if not verdict.decided:
         raise ArithmeticError(f"threshold expression sign undecidable at F = {F}")
     return -1 if verdict.holds else 1
@@ -453,7 +454,10 @@ def nmax_lemma31(grid: GridConfig = GridConfig()) -> NmaxReport:
     best: Optional[tuple[float, int, int]] = None
     points = 0
     skipped = 0
-    for k in grid.k_values():
+    ks = grid.k_values()
+    if grid.pi_mode == "exact":  # one table to the largest k0, so prime_count reads it
+        sieve.base_primes(2 * (ks[-1] + grid.l_values(ks[-1])[-1]) - 1)
+    for k in ks:
         arg1 = (1 - M_RATIO) * k
         f_arg1 = f_stirling(arg1)
         k_excess = IntervalValue.of(2 * arg1)
@@ -506,15 +510,10 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     if not all(hyp.values()):
         return _gated("section4", hyp)
 
-    lower_build = lambda cx: (
-        cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k))
-    )
-    upper_build = lambda cx: (
-        (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75")))
-        * cx.log(cx.of("2.83"))
-    )
-
-    verdict, lhs, rhs = certified_less(lower_build, upper_build, strict=False)
+    verdict, lhs, rhs = certified_less(lambda cx: (
+        cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k)),
+        (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75"))) * cx.log(cx.of("2.83")),
+    ), strict=False)
     notes = "bounds compatible" if verdict.holds else "bounds incompatible: no such tuple exists"
     return LemmaReport("section4", hyp, lhs, rhs, verdict, notes)
 
@@ -601,11 +600,10 @@ def section5_check(n: int, c: float) -> Section5Report:
     if not c < thresholds.c_star:
         raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
 
-    def lhs_build(cx):
+    def sides(cx):
         base = 2 * cx.of(n) + section5_l0_expr(cx, cx.of(n), cx.of(c))
-        return cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
+        lhs = cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
+        return lhs, central_binom_lower_expr(cx, cx.of(n))
 
-    verdict, lhs, rhs = certified_less(
-        lhs_build, lambda cx: central_binom_lower_expr(cx, cx.of(n))
-    )
+    verdict, lhs, rhs = certified_less(sides)
     return Section5Report(n, c, thresholds, thresholds.t_pow.lo, lhs, rhs, verdict)

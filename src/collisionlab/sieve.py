@@ -253,13 +253,15 @@ class _SegmentJobs(Sequence):
 
 
 def prime_count(x: int) -> int:
-    """Exact pi(x): len(base_primes(x)) below 2 * DEFAULT_SEGMENT_ODDS.
+    """Exact pi(x): len(base_primes(x)) where the base table serves it.
 
-    Above that span x is counted segment by segment, so memory stays bounded.
+    It does below 2 * DEFAULT_SEGMENT_ODDS, and wherever the grow-only
+    table already covers x.  Above both, x is counted segment by segment,
+    so memory stays bounded.
     """
     if x > _INT64_MAX:
         raise ValueError(f"prime_count: x exceeds 63-bit sieve range: {x}")
-    if x < 2 * DEFAULT_SEGMENT_ODDS:
+    if x < 2 * DEFAULT_SEGMENT_ODDS or x <= _base_cache["limit"]:
         return len(base_primes(x))
     total = 0
     for _, slo, shi in SegmentPlan(2, x + 1).jobs():

@@ -23,8 +23,30 @@ import numpy as np
 
 from collisionlab import arith, sieve
 from collisionlab.bounds import Real
-from collisionlab.collision import ParamTuple
+from collisionlab.collision import CollisionRecord, ParamTuple, Representation
 from collisionlab.intervals import IntervalValue, Verdict, certified_less, evaluate
+
+
+def enumerate_collisions_walk(v_max: int) -> list[CollisionRecord]:
+    """collision.enumerate_collisions as a walk over every row a >= 2.
+
+    Each C(x, a) <= v_max with 2 <= a <= x/2 is indexed, the a = 2 row
+    included, and every value with two or more positions is a record.
+    """
+    index: dict[int, list[Representation]] = {}
+    a = 2
+    while arith.binomial(2 * a, a) <= v_max:
+        x = 2 * a
+        while (value := arith.binomial(x, a)) <= v_max:
+            index.setdefault(value, []).append(Representation(x, a))
+            x += 1
+        a += 1
+    return [
+        CollisionRecord(value, tuple(sorted(index[value], key=lambda r: -r.x)))
+        for value in sorted(index)
+        if len(index[value]) >= 2
+    ]
+
 
 # directly-summed theta/psi are only offered up to this point
 EXACT_SUM_LIMIT = 10**9
@@ -309,10 +331,7 @@ def psi_linear_constant_check() -> Verdict:
     J. Math. 6, 1962).  Criterion 05 checks it at every integer up to 10^6
     and a bounds test up to 1,747,029; beyond that it is cited, not checked.
     """
-    verdict, _, _ = certified_less(
-        lambda cx: cx.of("1.03883"),
-        lambda cx: cx.log(cx.of("2.83")),
-    )
+    verdict, _, _ = certified_less(lambda cx: (cx.of("1.03883"), cx.log(cx.of("2.83"))))
     return verdict
 
 
@@ -417,7 +436,7 @@ def central_binom_constant_check() -> Verdict:
         r = 2 / cx.of("0.735")
         return cx.log(r * r / cx.power(r - 1, cx.of("1.265")))
 
-    verdict, _, _ = certified_less(lambda cx: cx.of("1.3132"), rate, strict=False)
+    verdict, _, _ = certified_less(lambda cx: (cx.of("1.3132"), rate(cx)), strict=False)
     return verdict
 
 

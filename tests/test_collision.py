@@ -13,6 +13,7 @@ from collisionlab import arith, collision
 from collisionlab.collision import CollisionRecord, ParamTuple, Representation
 
 from conftest import EXPECTED_TABLE
+import oracles
 from oracles import legendre_valuation
 
 
@@ -32,6 +33,12 @@ def test_enumeration_sorted_and_verified(records_25k):
 def test_enumeration_nothing_new_below_1e6(records_25k):
     # the seven sporadic values are the only ones below one million
     assert len(collision.enumerate_collisions(10**6)) == len(records_25k)
+
+
+@pytest.mark.parametrize("v_max", [10**6, 10**8, 10**10])
+def test_enumeration_equals_the_walk_over_every_row(v_max):
+    # the a = 2 positions come from 8N + 1 = s^2, not from walking the row
+    assert collision.enumerate_collisions(v_max) == oracles.enumerate_collisions_walk(v_max)
 
 
 def test_enumeration_rejects_tiny_bound():

@@ -388,34 +388,34 @@ def test_precise_evaluate_names_a_value_past_binary64(build):
         evaluate(build, precise=True)
 
 
-def _const(iv):
-    """A builder of one precomputed enclosure, valid in either context."""
-    return lambda cx: cx.of(iv)
+def _consts(lhs, rhs):
+    """A builder of two precomputed enclosures, valid in either context."""
+    return lambda cx: (cx.of(lhs), cx.of(rhs))
 
 
 def test_compare_less_decided():
-    a = _const(IntervalValue(0.0, 1.0))
-    b = _const(IntervalValue(2.0, 3.0))
-    v, _, _ = certified_less(a, b)
+    a = IntervalValue(0.0, 1.0)
+    b = IntervalValue(2.0, 3.0)
+    v, _, _ = certified_less(_consts(a, b))
     assert v.state == HOLDS and v.margin == 1.0 and v.holds
-    v2, _, _ = certified_less(b, a)
+    v2, _, _ = certified_less(_consts(b, a))
     assert v2.state == FAILS and v2.margin == 1.0 and v2.fails
 
 
 def test_compare_less_overlap_is_indeterminate():
     # the escalated pass reads the same endpoints, so it cannot decide either
-    a = _const(IntervalValue(0.0, 2.0))
-    b = _const(IntervalValue(1.0, 3.0))
-    v, _, _ = certified_less(a, b)
+    a = IntervalValue(0.0, 2.0)
+    b = IntervalValue(1.0, 3.0)
+    v, _, _ = certified_less(_consts(a, b))
     assert v.state == INDETERMINATE
     assert not v.decided
     assert v.margin <= 0
 
 
 def test_compare_less_touching_endpoints():
-    a = _const(IntervalValue.of(1.0))
-    v_strict, _, _ = certified_less(a, a, strict=True)
-    v_loose, _, _ = certified_less(a, a, strict=False)
+    a = IntervalValue.of(1.0)
+    v_strict, _, _ = certified_less(_consts(a, a), strict=True)
+    v_loose, _, _ = certified_less(_consts(a, a), strict=False)
     assert v_strict.state == FAILS    # 1 < 1 is certainly false
     assert v_loose.state == HOLDS     # 1 <= 1 certainly holds
     assert v_loose.margin == 0.0
@@ -453,23 +453,41 @@ def test_evaluate_precise_is_sharper():
 
 def test_certified_less_escalates_to_high_precision():
     # indistinguishable in binary64, split cleanly at 55 digits
-    lhs = lambda cx: cx.of("1.00000000000000000001")
-    rhs = lambda cx: cx.of("1.00000000000000000002")
-    verdict, lo_iv, hi_iv = certified_less(lhs, rhs)
+    verdict, lo_iv, hi_iv = certified_less(
+        lambda cx: (cx.of("1.00000000000000000001"), cx.of("1.00000000000000000002"))
+    )
     assert verdict.state == HOLDS
     assert verdict.margin > 0
 
 
+def test_certified_less_builds_each_claim_once_per_context(monkeypatch):
+    # the binary64 pass runs the builder once, and the escalation once more
+    # in one PreciseContext: both sides come from that one run
+    contexts, runs = [], []
+
+    class CountingContext(intervals.PreciseContext):
+        def __init__(self) -> None:
+            contexts.append(self)
+
+    def build(cx):
+        runs.append(cx)
+        return cx.of("1.00000000000000000001"), cx.of("1.00000000000000000002")
+
+    monkeypatch.setattr(intervals, "PreciseContext", CountingContext)
+    verdict, _, _ = certified_less(build)
+    assert verdict.state == HOLDS
+    assert len(contexts) == 1
+    assert runs == [IntervalValue, contexts[0]]
+
+
 def test_certified_less_equal_values_stay_indeterminate_for_strict():
     one = lambda cx: cx.of(Fraction(1, 3)) * 3
-    verdict, _, _ = certified_less(one, one, strict=True)
+    verdict, _, _ = certified_less(lambda cx: (one(cx), one(cx)), strict=True)
     assert verdict.state == INDETERMINATE
 
 
 def test_certified_less_fast_path_decides_without_escalation():
-    verdict, lhs, rhs = certified_less(
-        lambda cx: cx.of(1), lambda cx: cx.of(2)
-    )
+    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(1), cx.of(2)))
     assert verdict.state == HOLDS
     # binary64 evaluation of exact integers is a zero-width interval
     assert width(lhs) == 0.0 and width(rhs) == 0.0
@@ -481,7 +499,7 @@ def test_certified_less_escalates_when_binary64_cannot_divide():
     tiny = lambda cx: cx.of(Fraction(10**16 + 1, 10**16)) - 1
     with pytest.raises(ZeroDivisionError):
         evaluate(lambda cx: 1 / tiny(cx))
-    verdict, lhs, _ = certified_less(lambda cx: 1 / tiny(cx), lambda cx: cx.of(1))
+    verdict, lhs, _ = certified_less(lambda cx: (1 / tiny(cx), cx.of(1)))
     assert verdict.state == FAILS
     assert verdict.margin == pytest.approx(10**16 - 1)
     assert contains(lhs, 10**16)
@@ -492,7 +510,7 @@ def test_certified_less_escalates_when_binary64_overflows():
     big = lambda cx: cx.of(10**400) / cx.of(10**399)
     with pytest.raises(OverflowError):
         evaluate(big)
-    verdict, lhs, _ = certified_less(big, lambda cx: cx.of(11))
+    verdict, lhs, _ = certified_less(lambda cx: (big(cx), cx.of(11)))
     assert verdict.state == HOLDS
     assert contains(lhs, 10)
 
@@ -503,9 +521,8 @@ def test_certified_less_escalates_when_an_intermediate_overflows():
     overflowing = lambda cx: cx.of(10**308) * 2 / 4
     with pytest.raises(OverflowError):
         evaluate(overflowing)
-    rhs = lambda cx: cx.of(10**308)
     for lhs in (overflowing, lambda cx: cx.of(2 * 10**308) / 4):
-        verdict, lhs_iv, _ = certified_less(lhs, rhs)
+        verdict, lhs_iv, _ = certified_less(lambda cx: (lhs(cx), cx.of(10**308)))
         assert verdict.state == HOLDS
         assert contains(lhs_iv, 5 * 10**307)
 
@@ -513,9 +530,9 @@ def test_certified_less_escalates_when_an_intermediate_overflows():
 def test_certified_less_reports_a_side_past_binary64_as_absent():
     # 10^400 and -10^400 are finite at 55 digits and have no binary64
     # enclosure: the verdict stands, and only the other side is reported
-    verdict, lhs, rhs = certified_less(lambda cx: cx.of(10**400), lambda cx: cx.of(1))
+    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(10**400), cx.of(1)))
     assert verdict.state == FAILS and lhs is None and contains(rhs, 1)
-    verdict, lhs, rhs = certified_less(lambda cx: cx.of(1), lambda cx: -cx.of(10**400))
+    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(1), -cx.of(10**400)))
     assert verdict.state == FAILS and rhs is None and contains(lhs, 1)
 
 
@@ -523,7 +540,7 @@ def test_certified_less_exact_zero_divisor_is_an_error():
     # mpmath divides by exactly zero into [-inf, +inf], which is never a verdict,
     # nor a value a precise evaluation can enclose
     with pytest.raises(OverflowError, match="finite"):
-        certified_less(lambda cx: 1 / (cx.of(1) - 1), lambda cx: cx.of(1))
+        certified_less(lambda cx: (1 / (cx.of(1) - 1), cx.of(1)))
     with pytest.raises(OverflowError, match="finite"):
         evaluate(lambda cx: 1 / (cx.of(1) - 1), precise=True)
 
@@ -591,7 +608,5 @@ def test_verdict_margin_rounds_an_mpf_gap_toward_zero():
 
 
 def test_verdict_margin_semantics():
-    verdict, lhs, rhs = certified_less(
-        lambda cx: cx.of(0), lambda cx: cx.of(10)
-    )
+    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(0), cx.of(10)))
     assert verdict.margin == pytest.approx(10.0)

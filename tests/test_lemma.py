@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisionlab import bounds, cli, lemma
+from collisionlab import bounds, cli, intervals, lemma
 from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import K_MIN, L_RATIO, M_RATIO, ParamTuple, check_eq12
 from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, certified_less, evaluate
@@ -54,10 +54,10 @@ def test_uncorrected_index_forms_fail_on_a_true_collision():
 
     # check21's second inequality, (k-m)(k+m+delta+extra)/(n+k+delta) < (l-delta) log(2n/(n+k))
     def second(extra):
-        return certified_less(
-            lambda cx: cx.of(Fraction((k - m) * (k + m + delta + extra), n + k + delta)),
-            lambda cx: cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
-        )[0]
+        return certified_less(lambda cx: (
+            cx.of(Fraction((k - m) * (k + m + delta + extra), n + k + delta)),
+            cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
+        ))[0]
 
     assert second(0).state == HOLDS  # 1/3 < log(14/9)
     assert second(1).state == FAILS  # 4/9 > log(14/9)
@@ -144,7 +144,7 @@ def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
     sides = iter([Verdict(*first), Verdict(*second)])
     monkeypatch.setattr(
         lemma, "certified_less",
-        lambda lhs, rhs, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
+        lambda build, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
     )
     report = lemma.check_lemma21(SATISFYING[0])
     assert (report.verdict.state, report.verdict.margin) == (state, margin)
@@ -310,6 +310,28 @@ def test_check31_decides_a_side_of_exactly_zero():
     for mode in ("exact", "dusart"):
         report = lemma.check_lemma31(ParamTuple(0, 2, 1, 1, 0), pi_mode=mode)
         assert report.verdict.state == HOLDS, mode
+
+
+@pytest.mark.parametrize(
+    "t, expected",
+    [
+        (SATISFYING[0], [IntervalValue]),
+        (ParamTuple(0, 2, 1, 1, 0), [IntervalValue, intervals.PreciseContext]),
+    ],
+    ids=["binary64", "escalated"],
+)
+def test_check31_builds_lemma31_sides_once_per_context(monkeypatch, t, expected):
+    # both sides come from one (c, r): once in binary64, once more on escalation
+    contexts = []
+    plain = lemma._lemma31_sides
+
+    def counting(cx, *args):
+        contexts.append(cx if cx is IntervalValue else type(cx))  # the binary64 context is the class
+        return plain(cx, *args)
+
+    monkeypatch.setattr(lemma, "_lemma31_sides", counting)
+    assert lemma.check_lemma31(t).verdict.state == HOLDS
+    assert contexts == expected
 
 
 def test_check31_rejects_unknown_mode():
@@ -662,18 +684,18 @@ _SECTION4_TUPLE = ParamTuple(0, 10**6, 7000, 10000, 2)
     ids=["section5-lhs-1e9", "section5-lhs-123456789", "central-binom-rate", "section4-upper"],
 )
 def test_power_builders_precise_enclose_mpmath(monkeypatch, module, call, side, exact):
-    # each builder raises a context value to a context exponent; take it from
-    # the checker's certified_less call and run it in the mpmath context
+    # each builder raises a context value to a context exponent; take the
+    # checker's certified_less builder and run its side in the mpmath context
     builders = []
     plain = module.certified_less
 
-    def spy(lhs, rhs, strict=True):
-        builders.append((lhs, rhs))
-        return plain(lhs, rhs, strict)
+    def spy(build, strict=True):
+        builders.append(build)
+        return plain(build, strict)
 
     monkeypatch.setattr(module, "certified_less", spy)
     call()
-    iv = evaluate(builders[0][side], precise=True)
+    iv = evaluate(lambda cx: builders[0](cx)[side], precise=True)
     with mpmath.workdps(80):
         value = exact()
         assert mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)
@@ -697,8 +719,8 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
     verdicts = []
     plain = lemma.certified_less
 
-    def spy(lhs, rhs, strict=True):
-        out = plain(lhs, rhs, strict)
+    def spy(build, strict=True):
+        out = plain(build, strict)
         verdicts.append(out[0])
         return out
 

@@ -342,7 +342,10 @@ def test_prime_count_pinned():
 
 
 # prime_count reads the base table below one default segment span, 2^22,
-# and counts segment by segment above it; the draws cover both sides
+# and above it counts segment by segment unless the table already covers x;
+# the draws run against a table that ends just below the cut, so a draw past
+# it takes the segment path whatever grew the table before
+# (test_prime_count_reads_a_table_that_covers_x takes the table path there)
 _PRIME_COUNT_TOP = 2**22 + 2**21
 
 
@@ -361,7 +364,12 @@ def _reference_prime_counts():
 @example(2 * sieve.DEFAULT_SEGMENT_ODDS - 1)
 @example(2 * sieve.DEFAULT_SEGMENT_ODDS)
 def test_prime_count_matches_reference_on_both_sides_of_the_table_cut(x):
-    assert sieve.prime_count(x) == int(_reference_prime_counts()[x])
+    below_cut = 2 * sieve.DEFAULT_SEGMENT_ODDS - 1
+    table = {"limit": below_cut, "primes": sieve.base_primes(below_cut)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_base_cache", table)
+        assert sieve.prime_count(x) == int(_reference_prime_counts()[x])
+    assert table["limit"] == below_cut  # nothing grew it
 
 
 def test_prime_count_grows_the_table_from_the_seed_exactly(tmp_path):
@@ -381,6 +389,27 @@ def test_prime_count_grows_the_table_from_the_seed_exactly(tmp_path):
     table = np.load(out)
     assert np.array_equal(table, _reference_primes(int(limit)))
     assert [int(v) for v in counts.split()] == [int(_reference_prime_counts()[x]) for x in xs]
+
+
+def test_prime_count_reads_a_table_that_covers_x():
+    # a fresh interpreter counts these x >= 2^22 by segments from the seeded
+    # table; once the table is grown past them, the count reads it instead
+    xs = [2**22, 2**22 + 1, 4_400_000]
+    code = (
+        "from collisionlab import sieve\n"
+        f"xs = {xs}\n"
+        "print(*[sieve.prime_count(x) for x in xs])\n"
+        "sieve.base_primes(max(xs))\n"
+        "calls = []\n"
+        "plain = sieve._odd_prime_mask\n"
+        "sieve._odd_prime_mask = lambda lo, hi: calls.append(lo) or plain(lo, hi)\n"
+        "print(*[sieve.prime_count(x) for x in xs])\n"
+        "print(len(calls))\n"
+    )
+    by_segments, from_table, mask_calls = _fresh_interpreter(code).splitlines()
+    assert from_table == by_segments
+    assert [int(v) for v in by_segments.split()] == [int(_reference_prime_counts()[x]) for x in xs]
+    assert mask_calls == "0"
 
 
 def test_prime_count_1e8_pinned():
