@@ -9,7 +9,9 @@ compact JSON document with a version field, printed by _cmd_doc, or one
 compact JSON line per row, written by _cmd_lines to stdout or --out.  Every
 lemma checker's report goes through _cmd_lemma_report, the one report
 handler: one document {"version", "config", "report"} whose report _fields
-writes, and an exit code that follows the verdict.  Run defaults live in
+writes, and an exit code that follows the verdict.  A checker's report
+lists its comparisons, each {"lhs", "rhs", "verdict"}, before the verdict
+that joins them; a gated report lists none.  Run defaults live in
 CertificateConfig and GridConfig: certify and lemma nmax31 pass on only the
 flags given and echo the resolved dataclass.  certify's windows, smoothness
 bound, gap cap and run length are constants of CertificateConfig, so it
@@ -98,9 +100,11 @@ def _cmd_lines(args) -> int:
 
 
 def _out(value):
-    """A value as output: an interval as [lo, hi], any other dataclass by _fields, the rest as is."""
+    """An interval as [lo, hi], a tuple as a list of _out values, any other dataclass by _fields, the rest as is."""
     if isinstance(value, IntervalValue):
         return [value.lo, value.hi]
+    if isinstance(value, tuple):
+        return [_out(item) for item in value]
     return _fields(value) if dataclasses.is_dataclass(value) else value
 
 
@@ -177,14 +181,6 @@ def _cmd_lemma_nmax31(args) -> int:
     _echo(args, cfg)
     print(_json_doc(cfg, _fields(lemma.nmax_lemma31(grid), "pi_mode")))  # already in the config
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# sieve subcommands
-
-def _neighbors_doc(args) -> dict:
-    prev_p, next_p = sieve.prime_neighbors(args.x)
-    return {"prev": prev_p, "next": next_p, "gap": next_p - prev_p}
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = ssub.add_parser("pi", help="exact prime count up to x")
     s.add_argument("--x", type=int, required=True)
     s.set_defaults(func=_cmd_doc, call=lambda a: {"pi": sieve.prime_count(a.x)})
-
-    s = ssub.add_parser("neighbors", help="nearest primes around x")
-    s.add_argument("--x", type=int, required=True)
-    s.set_defaults(func=_cmd_doc, call=_neighbors_doc)
 
     p = sub.add_parser("certify", help="run the prime-gap smoothness certificate")
     p.add_argument("--qmax", type=int, dest="q_max", default=argparse.SUPPRESS)

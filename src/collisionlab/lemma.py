@@ -1,13 +1,17 @@
 """Checkers for the necessary conditions a binomial collision must satisfy.
 
-Every checker returns a LemmaReport: certified lhs/rhs intervals (None for
-a side past binary64's range), a verdict from intervals.certified_less, and
-the hypothesis flags that gate it.  Each claim is one builder that returns
-its two sides together, so what they share is built once per context.  A
-checker never extrapolates: when a hypothesis fails, the verdict is
-INDETERMINATE, the report says which flag failed, and neither side is
-evaluated: lhs and rhs are None, null in the CLI's JSON report, where the
-hypotheses say why.
+Every checker returns a LemmaReport: the hypothesis flags that gate it, one
+Comparison per intervals.certified_less call, and the verdict that joins
+them.  A comparison holds certified lhs/rhs intervals (None for a side past
+binary64's range) in the orientation in which it was decided, lhs < rhs,
+and that call's verdict.  check21 lists its two inequalities, first then
+second; the other checkers list one comparison.  The joined verdict is
+HOLDS if every comparison holds, else FAILS if any fails, else
+INDETERMINATE; LemmaReport computes it.  Each claim is one builder that
+returns its two sides together, so what they share is built once per
+context.  A checker never extrapolates: when a hypothesis fails, the report
+says which flag failed and no side is evaluated: comparisons is empty ([]
+in the CLI's JSON report) and the verdict is INDETERMINATE 0.0.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -61,6 +65,7 @@ from .intervals import (
 )
 
 __all__ = [
+    "Comparison",
     "LemmaReport",
     "index_windows",
     "check_lemma21",
@@ -85,48 +90,64 @@ __all__ = [
 PI_MODES = ("exact", "dusart")
 
 
-def _span(iv: IntervalValue | None) -> str:
-    """A side in check21's notes: its enclosure, or that binary64 has none."""
-    return "beyond binary64" if iv is None else f"in [{iv.lo!r}, {iv.hi!r}]"
+@dataclass(frozen=True, slots=True)
+class Comparison:
+    """One certified comparison, lhs < rhs (lhs <= rhs for a non-strict claim).
+
+    The sides are kept in the orientation that certified_less decided, so a
+    claim lhs > rhs is stored as rhs < lhs.  lhs and rhs are binary64
+    enclosures, None for a side past binary64's range, and verdict is the
+    certified_less verdict.
+    """
+
+    lhs: IntervalValue | None
+    rhs: IntervalValue | None
+    verdict: Verdict
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class LemmaReport:
+    """A checker's hypotheses, its comparisons and their joined verdict.
+
+    The verdict is HOLDS, at the least margin, if every comparison holds;
+    else FAILS, at the least failing margin, if any fails; else
+    INDETERMINATE, at the least margin.  A gated report has no comparisons
+    and reads INDETERMINATE 0.0.
+    """
+
     lemma: str
     hypotheses: dict[str, bool]
-    lhs: IntervalValue | None
-    rhs: IntervalValue | None
+    comparisons: tuple[Comparison, ...]
     verdict: Verdict
     notes: str
 
     def __init__(
-        self,
-        lemma: str,
-        hypotheses: dict[str, bool],
-        lhs: IntervalValue | None,
-        rhs: IntervalValue | None,
-        verdict: Verdict,
-        notes: str,
+        self, lemma: str, hypotheses: dict[str, bool], comparisons: tuple[Comparison, ...], notes: str
     ) -> None:
+        if len(comparisons) == 1:  # the join of one verdict is that verdict
+            verdict = comparisons[0].verdict
+        else:
+            states = {c.verdict.state for c in comparisons}
+            state = FAILS if FAILS in states else HOLDS if states == {HOLDS} else INDETERMINATE
+            margins = [c.verdict.margin for c in comparisons if state != FAILS or c.verdict.fails]
+            verdict = Verdict(state, min(margins, default=0.0))
         _set_lemma(self, lemma)  # the slot descriptors, as in IntervalValue
         _set_hypotheses(self, hypotheses)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
+        _set_comparisons(self, comparisons)
         _set_verdict(self, verdict)
         _set_notes(self, notes)
 
 
 _set_lemma = LemmaReport.lemma.__set__
 _set_hypotheses = LemmaReport.hypotheses.__set__
-_set_lhs = LemmaReport.lhs.__set__
-_set_rhs = LemmaReport.rhs.__set__
+_set_comparisons = LemmaReport.comparisons.__set__
 _set_verdict = LemmaReport.verdict.__set__
 _set_notes = LemmaReport.notes.__set__
 
 
 def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
     failed = ", ".join(name for name, ok in hyp.items() if not ok)
-    return LemmaReport(lemma, hyp, None, None, Verdict(INDETERMINATE, 0.0), f"hypotheses not met: {failed}")
+    return LemmaReport(lemma, hyp, (), f"hypotheses not met: {failed}")
 
 
 def index_windows(t: ParamTuple) -> tuple[range, range]:
@@ -143,7 +164,9 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
 
     First: (l-delta) log((2n+l)/(n+k+l)) < (k-m)(k+m+delta+1)/(n-k).
     Second: (l-delta) log(2n/(n+k)) > (k-m)(k+m+delta)/(n+k+delta).
-    The verdict joins the two; the notes give each one's state and margin.
+    The report lists the two comparisons in that order, the second one as
+    decided, (k-m)(k+m+delta)/(n+k+delta) < (l-delta) log(2n/(n+k)), and
+    its verdict is their join.
     """
     delta, n, m, k, l = t.delta, t.n, t.m, t.k, t.l
     hyp = {
@@ -158,24 +181,11 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
         cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
     ))
-    # orientation flipped: the claim is lhs2 > rhs2
-    v2, rhs2, lhs2 = certified_less(lambda cx: (
+    v2, lhs2, rhs2 = certified_less(lambda cx: (
         cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
         cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
     ))
-
-    if v1.holds and v2.holds:
-        verdict = Verdict(HOLDS, min(v1.margin, v2.margin))
-    elif v1.fails or v2.fails:
-        verdict = Verdict(FAILS, min(v.margin for v in (v1, v2) if v.fails))
-    else:
-        verdict = Verdict(INDETERMINATE, min(v1.margin, v2.margin))
-    notes = (
-        f"first: {v1.state} (margin {v1.margin!r}); "
-        f"second: lhs {_span(lhs2)}, rhs {_span(rhs2)}, "
-        f"{v2.state} (margin {v2.margin!r})"
-    )
-    return LemmaReport("lemma21", hyp, lhs1, rhs1, verdict, notes)
+    return LemmaReport("lemma21", hyp, (Comparison(lhs1, rhs1, v1), Comparison(lhs2, rhs2, v2)), "")
 
 
 def check_lemma22(n: int, k: int) -> LemmaReport:
@@ -198,7 +208,7 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
     notes = "forces l = delta" if verdict.holds else (
         "does not force l = delta" if verdict.fails else "force undecided"
     )
-    return LemmaReport("lemma22", hyp, lhs, rhs, verdict, notes)
+    return LemmaReport("lemma22", hyp, (Comparison(lhs, rhs, verdict),), notes)
 
 
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
@@ -239,7 +249,7 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     # max prime factor vs k0; lhs stays as reported, as escalation would widen it
     verdict, _, rhs = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
     notes = f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, S2 offsets {s2.start}..{s2.stop - 1}"
-    return LemmaReport("lemma23", hyp, lhs, rhs, verdict, notes)
+    return LemmaReport("lemma23", hyp, (Comparison(lhs, rhs, verdict),), notes)
 
 
 def _lemma31_sides(cx, excess, pi, base, log_f1, log_f2):
@@ -290,7 +300,7 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         return c * cx.log(cx.of(n - k)), r
 
     verdict, lhs, rhs = certified_less(sides, strict=False)
-    return LemmaReport("lemma31", hyp, lhs, rhs, verdict, pi_note)
+    return LemmaReport("lemma31", hyp, (Comparison(lhs, rhs, verdict),), pi_note)
 
 
 def _lemma32(cx, F: int):
@@ -515,7 +525,7 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75"))) * cx.log(cx.of("2.83")),
     ), strict=False)
     notes = "bounds compatible" if verdict.holds else "bounds incompatible: no such tuple exists"
-    return LemmaReport("section4", hyp, lhs, rhs, verdict, notes)
+    return LemmaReport("section4", hyp, (Comparison(lhs, rhs, verdict),), notes)
 
 
 def _section4_sides(x: float) -> tuple[float, float]:

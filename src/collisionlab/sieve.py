@@ -1,4 +1,4 @@
-"""Segmented sieve of Eratosthenes: prime counts, gap events, prime neighbours.
+"""Segmented sieve of Eratosthenes: prime counts and gap events.
 
 The sieve works on odd numbers only, one numpy byte per odd entry, with a
 base prime table up to sqrt(hi).  Everything downstream is expressed over
@@ -6,7 +6,6 @@ segments so ranges up to a few times 1e10 stay within desk memory:
 
   * prime_count                     exact pi(x)
   * gap_scan                        events (p, d(p)) with d(p) >= min_gap
-  * prime_neighbors                 nearest primes around a point
 
 Segment mask: a segment starts as np.tile of one constant pattern, one
 period of 255255 odd entries, that already strikes the multiples of 3..17.
@@ -60,7 +59,6 @@ __all__ = [
     "prime_list",
     "primes_unbounded",
     "prime_count",
-    "prime_neighbors",
     "gap_scan",
 ]
 
@@ -277,17 +275,6 @@ def next_prime_after(x: int) -> int:
     while not arith.is_prime(c):
         c += 1
     return c
-
-
-def prime_neighbors(x: int) -> tuple[int, int]:
-    """(largest prime <= x, smallest prime > x); needs 3 <= x <= 2**63 - 1."""
-    if x < 3:
-        raise ValueError(f"prime_neighbors: x must be >= 3, got {x}")
-    nxt = next_prime_after(x)  # refuses x above the 63-bit range first
-    prev = x
-    while not arith.is_prime(prev):
-        prev -= 1
-    return prev, nxt
 
 
 @dataclass(frozen=True, slots=True)

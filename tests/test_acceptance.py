@@ -231,7 +231,6 @@ CRITERION_13_CASES = [
     ["lemma", "threshold32"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
     ["sieve", "pi", "--x", "1000000"],
-    ["sieve", "neighbors", "--x", "1000000"],
     ["certify", "--qmax", "30000000"],
 ]
 
@@ -252,18 +251,17 @@ CRITERION_13_PINNED = [
         "9565fe22b0fcba44119a6c435ad131aadea49205da75143d1dc9ecb6c1a03f88",
         "8d2c12a8d9b6dd1ab1929bbaa54ab2e8d179384d7b5dd9486d00fcd3808b9394",
         "d7ea09f8371bebfd90fee3a8257611b7b87c7289092390fb02068d40ba65bbe6",
-        "d8dad9c370461bfac876c8fe592341ce34bc42fd2423cc8a0f48c9a38c8c576e",
-        "bafb59782740b2d6d6087d8aa532713f048810c248590f7b1f37ff38eb628e99",
-        "c6dec9018c39d9bcfed2935cfc1b2a84d2d59e76cd3263c1283d8e6e2a864c2d",
-        "a6d1eeb6b98bebeb966af6bb17da0a58622b8da66ccb5ebf07d5575631bf61c0",
+        "6ad0e119427670489f130c70d3dcd5f535b725a5f7c336250e25f3f7e20516be",
+        "fba9dab442b17eab7821acfd09f5723ae8f44e8c4dcaaf24be912edb1e90179f",
+        "77a9a17d43ba35f6c53bb9af496f00b1c5e50dd914edf10ad05c1c9062870458",
+        "391c52872a1fb4aec7dc2bedde8313a0c489bc28411a6f15f7d7226b04d3763e",
         "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
         "80d7a75230dfa0b9d7c6548e8a704c41aa15ac3561d8695c670f9dcc05e64564",
         "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",
-        "e70a6b94e45ba5ac4b72e7fce93967c286955c4120f65f46645a21a78b2053d3",
         "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
     ], [0] * len(CRITERION_13_CASES)),
     (["lemma", "section4"] + _TUPLE,
-     "54aa28e7adcc18cb054729be1ac757962ae09e37f8e67476c405671c96a40453", 0),
+     "a4504871746a19fb52f54ceb835efc08b1b8ebc0fcbe48ce407380b403ccff85", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
      "f934350819aa57777cb65344be892da32d28b600f98b3ade06ec6a8b8a550265", 0),
     # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31
@@ -273,16 +271,16 @@ CRITERION_13_PINNED = [
      "57e887eede4c7052352198fe58b35a9b8840131b5c8b244a486002e697fda790", 0),
     (["lemma", "check31", "--delta", "1", "--n", "51", "--m", "11", "--k", "12", "--l", "2",
       "--pi-mode", "dusart"],
-     "0b8c4cfa49a60611ba7d624d3bad63c7c49535fe07b419292de7683de0c3a994", 0),
+     "148510e78fd503a562f5d99d26f861ba25fad50d545ac35fe78746cb90b9e0d5", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700", "--pi-mode", "exact"],
      "a6688a708096eb4a31d2418410131cca114d1cd8dd2dc9830e833ffc1f3a1a1c", 0),
     # check31 with nu = 110 and 115, whose factorials are no binary64 points
     (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
       "--pi-mode", "exact"],
-     "931faaac8bf95081947f00f7fc320949fb3f324c4c022fb61e4d7b0d7de4eff7", 1),
+     "169eacce8d43e6861dbafc76068e7e1657d699b643ca8e1729cc1579bb86d482", 1),
     (["lemma", "check31", "--delta", "0", "--n", "4000", "--m", "10", "--k", "120", "--l", "5",
       "--pi-mode", "dusart"],
-     "cdef9f958729096a64e2d05bbb5c79ea094b7d22e4212501797dfe03e8d0a976", 1),
+     "750b184eafe9f19fac78af8b8a7dadf1a3e814b9e5b33487ae12be1f89076681", 1),
 ]
 
 

@@ -16,9 +16,9 @@ import mpmath
 import pytest
 
 from collisionlab import __version__, bounds, cli, lemma, sieve
-from collisionlab.arith import is_prime
 from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
+from collisionlab.intervals import HOLDS, IntervalValue, Verdict
 from collisionlab.lemma import GridConfig
 
 
@@ -76,7 +76,6 @@ JSON_DOC_CASES = [
     ["lemma", "section4", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "1"],
     ["lemma", "section5", "--n", "1000000000", "--c", "0.68"],
     ["sieve", "pi", "--x", "1000"],
-    ["sieve", "neighbors", "--x", "1000"],
 ]
 
 # flags that choose where output goes or the worker count, never its content
@@ -351,8 +350,9 @@ def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
     assert code == 1
     report = json.loads(out)["report"]
     # the gap is past binary64 too: the margin reads as the largest double
-    assert (report["verdict"], report["lhs"]) == ({"state": "FAILS", "margin": 1.7976931348623157e+308}, None)
-    assert report["rhs"][0] <= 1 <= report["rhs"][1]
+    [comparison] = report["comparisons"]
+    assert (report["verdict"], comparison["lhs"]) == ({"state": "FAILS", "margin": 1.7976931348623157e+308}, None)
+    assert comparison["rhs"][0] <= 1 <= comparison["rhs"][1]
 
 
 def test_lemma_check23(capsys):
@@ -478,7 +478,7 @@ def test_lemma_section4_full_tuple(capsys):
     assert doc["report"]["notes"] == "hypotheses not met: l_small, scale"
     assert doc["report"]["hypotheses"]["l_small"] is False
     # gated: neither side evaluated
-    assert '"lhs":null,"rhs":null,"verdict":{"state":"INDETERMINATE","margin":0.0}' in out
+    assert '"comparisons":[],"verdict":{"state":"INDETERMINATE","margin":0.0}' in out
 
 
 def test_lemma_section4_full_tuple_at_huge_n(capsys, monkeypatch):
@@ -549,6 +549,15 @@ def _bare_floats(value, key=None):
     return []
 
 
+def test_out_writes_a_tuple_as_a_list_of_out_values():
+    point = IntervalValue.of(1)
+    comparison = lemma.Comparison(point, None, Verdict(HOLDS, 0.5))
+    assert cli._out((comparison, point, 3)) == [
+        {"lhs": [1.0, 1.0], "rhs": None, "verdict": {"state": "HOLDS", "margin": 0.5}}, [1.0, 1.0], 3,
+    ]
+    assert cli._out(()) == []
+
+
 def test_bare_floats_finds_only_unenclosed_values():
     assert _bare_floats({"t_pow": [1.5, 2.5], "lo": 1.0, "hi": 2.0, "margin": 0.1, "config": {"c": 0.5}}) == []
     assert _bare_floats({"t_pow": 1.5, "t_log2": [2.5, 1.5], "f": [0.5]}) == ["t_pow", "t_log2", "t_log2", "f"]
@@ -578,10 +587,10 @@ _REPORT_CASES = [
 
 @pytest.mark.parametrize("argv, checker", _REPORT_CASES, ids=[argv[1] for argv, _ in _REPORT_CASES])
 def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
-    # the digits of every margin on stdout read back as the float it reports:
-    # the verdict's as the report's margin, a check21 note's as one
-    # certified_less verdict's
-    reports, margins = [], []
+    # the digits of every margin and enclosure end on stdout read back as the
+    # float it reports: the verdict's as the report's, and each printed
+    # comparison's as one certified_less return's, in call order
+    reports, returns = [], []
     plain_check, plain_less = getattr(lemma, checker), lemma.certified_less
 
     def check(*args, **kwargs):
@@ -589,9 +598,8 @@ def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
         return reports[-1]
 
     def less(*args, **kwargs):
-        out = plain_less(*args, **kwargs)
-        margins.append(out[0].margin)
-        return out
+        returns.append(plain_less(*args, **kwargs))
+        return returns[-1]
 
     monkeypatch.setattr(lemma, checker, check)
     monkeypatch.setattr(lemma, "certified_less", less)
@@ -600,9 +608,12 @@ def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
     report = json.loads(out)["report"]
     verdict = reports[0].verdict
     assert report["verdict"] == {"state": verdict.state, "margin": verdict.margin}
-    noted = re.findall(r"margin ([^)]*)\)", report.get("notes", ""))
-    assert all(float(text) in margins for text in noted)
-    assert len(noted) == (2 if checker == "check_lemma21" else 0)
+    printed = report.get("comparisons", [report])  # section5's report is its one comparison
+    # check21 decides two inequalities, the gated section4 case none
+    assert len(printed) == len(returns) == {"check_lemma21": 2, "section4_check": 0}.get(checker, 1)
+    for comparison, (verdict, lhs, rhs) in zip(printed, returns):
+        assert comparison["verdict"] == {"state": verdict.state, "margin": verdict.margin}
+        assert [comparison["lhs"], comparison["rhs"]] == [None if iv is None else [iv.lo, iv.hi] for iv in (lhs, rhs)]
 
 
 def test_dusart_note_prints_the_upper_end_exactly(capsys):
@@ -621,25 +632,14 @@ def test_sieve_pi(capsys):
     assert json.loads(out)["pi"] == 78498
 
 
-def test_sieve_neighbors(capsys):
-    code, out, err = run_cli(capsys, ["sieve", "neighbors", "--x", "100"])
-    assert code == 0
-    doc = json.loads(out)
-    assert (doc["prev"], doc["next"], doc["gap"]) == (97, 101, 4)
-
-
-def test_sieve_neighbors_at_1e18_and_refused_at_2_63(capsys):
-    code, out, err = run_cli(capsys, ["sieve", "neighbors", "--x", str(10**18)])
-    assert code == 0
-    doc = json.loads(out)
-    prev, nxt = doc["prev"], doc["next"]
-    assert prev <= 10**18 < nxt and doc["gap"] == nxt - prev
-    assert is_prime(prev) and is_prime(nxt)
-    assert not any(is_prime(v) for v in range(prev + 1, nxt))
-    code, out, err = run_cli(capsys, ["sieve", "neighbors", "--x", str(2**63)])
-    assert code == 3
-    assert out == ""
-    assert "63-bit" in err
+def test_sieve_neighbors_is_a_usage_error(capsys):
+    # the subcommand is gone; sieve.next_prime_after, which closes the
+    # certificate's tail gap, stays and is tested in test_sieve.py
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve", "neighbors", "--x", "100"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "invalid choice: 'neighbors'" in err
 
 
 def test_sieve_gaps_stream_and_threads(capsys):

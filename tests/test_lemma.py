@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisionlab import bounds, cli, intervals, lemma
@@ -91,14 +91,18 @@ def test_check21_holds_on_satisfying_tuples():
 
 def test_check21_pinned_values():
     report = lemma.check_lemma21(ParamTuple(0, 7, 1, 2, 1))
-    # first inequality: log(15/10) vs 4/5; report carries that pair
-    assert mid(report.lhs) == pytest.approx(math.log(1.5), abs=1e-12)
-    assert contains(report.rhs, 0.8)
+    # one comparison per inequality, and no third one; each margin as certified
+    first, second = report.comparisons
+    # first inequality: log(15/10) vs 4/5
+    assert mid(first.lhs) == pytest.approx(math.log(1.5), abs=1e-12)
+    assert contains(first.rhs, 0.8)
+    assert first.verdict == Verdict(HOLDS, 0.3945348918918351)
+    # second, as decided: 1/3 < log(14/9)
+    assert contains(second.lhs, 1 / 3)
+    assert mid(second.rhs) == pytest.approx(math.log(14 / 9), abs=1e-12)
+    assert second.verdict == report.verdict
     assert report.verdict.margin == pytest.approx(0.108499, abs=1e-5)
-    # one clause per inequality, and no third one; each margin as certified
-    assert report.notes.startswith("first: HOLDS (margin 0.3945348918918351); second: lhs in [")
-    assert report.notes.endswith(f", HOLDS (margin {report.verdict.margin!r})")
-    assert report.notes.count("HOLDS") == 2 and "FAILS" not in report.notes
+    assert report.notes == ""
 
 
 def test_check21_gated_by_ordering():
@@ -127,8 +131,9 @@ def test_check21_fails_on_the_failing_side(monkeypatch):
     monkeypatch.setattr(lemma, "check_eq12", lambda t: True)
     report = lemma.check_lemma21(ParamTuple(0, 100, 1, 2, 50))
     assert report.verdict.state == FAILS
-    assert report.verdict.margin == report.lhs.lo - report.rhs.hi
-    assert report.notes.startswith("first: FAILS")
+    first = report.comparisons[0]
+    assert report.verdict.margin == first.lhs.lo - first.rhs.hi
+    assert first.verdict.state == FAILS
 
 
 @pytest.mark.parametrize(
@@ -157,12 +162,12 @@ def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
 def test_check22_pinned_boundary():
     holds = lemma.check_lemma22(500000, 587)
     assert holds.verdict.state == HOLDS
-    assert holds.lhs.hi < 1
+    assert holds.comparisons[0].lhs.hi < 1
     assert holds.notes == "forces l = delta"
 
     fails = lemma.check_lemma22(500000, 588)
     assert fails.verdict.state == FAILS
-    assert fails.lhs.lo > 1
+    assert fails.comparisons[0].lhs.lo > 1
     assert fails.notes == "does not force l = delta"
 
 
@@ -199,7 +204,7 @@ def test_check23_holds_on_true_collisions():
 def test_check23_pinned_notes():
     report = lemma.check_lemma23_smooth(ParamTuple(0, 7, 1, 2, 1))
     assert report.notes == "all 3 elements are 5-smooth (max prime factor 5); S1 offsets 1..1, S2 offsets 2..3"
-    assert report.rhs.lo == 5.0
+    assert report.comparisons[0].rhs.lo == 5.0
 
 
 def test_check23_gated_without_collision():
@@ -211,7 +216,7 @@ def test_check23_k0_below_two_fails_with_witness():
     # C(2, 2) = C(2, 0): elements [2, 1, 2], k0 = 1, and no prime is <= 1
     report = lemma.check_lemma23_smooth(ParamTuple(0, 1, -1, 1, 0))
     assert report.verdict.state == FAILS
-    assert (report.lhs.lo, report.rhs.lo) == (2.0, 1.0)
+    assert (report.comparisons[0].lhs.lo, report.comparisons[0].rhs.lo) == (2.0, 1.0)
     assert "element 2 has prime factor 2 > 1" in report.notes
 
 
@@ -246,7 +251,7 @@ def test_check23_k0_below_two_sweep():
             continue
         assert report.verdict.state == FAILS, t
         least = min(p for p in range(2, big[0] + 1) if big[0] % p == 0)
-        assert report.lhs.lo == least, t
+        assert report.comparisons[0].lhs.lo == least, t
         failed += 1
     assert failed > 0
     assert vacuous > 0
@@ -296,12 +301,12 @@ def test_checker_edge_branches(check, t, state, note):
 )
 def test_gated_report_evaluates_neither_side(check, args):
     # a gate stops the checker before either side: no placeholder enclosure,
-    # and the report prints null for both
+    # and the report prints no comparison
     report = check(*args)
     assert not all(report.hypotheses.values())
-    assert (report.lhs, report.rhs, report.verdict) == (None, None, Verdict(INDETERMINATE, 0.0))
+    assert (report.comparisons, report.verdict) == ((), Verdict(INDETERMINATE, 0.0))
     printed = json.dumps(cli._fields(report), separators=(",", ":"))
-    assert '"lhs":null,"rhs":null,"verdict":{"state":"INDETERMINATE","margin":0.0}' in printed
+    assert '"comparisons":[],"verdict":{"state":"INDETERMINATE","margin":0.0}' in printed
 
 
 def test_check31_decides_a_side_of_exactly_zero():
@@ -360,7 +365,8 @@ def test_check31_right_side_contains_robbins_hull_value(mode):
             el = mpmath.log(k0)
             pi = k0 / el * (1 + 1 / el + 2 / el**2 + mpmath.mpf("7.59") / el**3)
         rhs = pi * mpmath.log(803) + mpmath.loggamma(301) + mpmath.loggamma(304)
-        assert mpmath.mpf(report.rhs.lo) <= rhs <= mpmath.mpf(report.rhs.hi)
+        side = report.comparisons[0].rhs
+        assert mpmath.mpf(side.lo) <= rhs <= mpmath.mpf(side.hi)
 
 
 # each builder as (build(cx, args), the range each argument's box is drawn from)
@@ -729,6 +735,37 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
     assert report.verdict.decided
     # check21 joins two verdicts; its margin is the smaller of the two
     assert report.verdict in verdicts
+    if isinstance(report, lemma.LemmaReport):  # section5's report has its one verdict
+        assert [c.verdict for c in report.comparisons] == verdicts
+        assert report.verdict == _join([c.verdict for c in report.comparisons])
+
+
+def _join(verdicts):
+    """The join LemmaReport documents, written out: FAILS if any fails, else HOLDS if all hold."""
+    if any(v.fails for v in verdicts):
+        return Verdict(FAILS, min(v.margin for v in verdicts if v.fails))
+    if verdicts and all(v.holds for v in verdicts):
+        return Verdict(HOLDS, min(v.margin for v in verdicts))
+    return Verdict(INDETERMINATE, min((v.margin for v in verdicts), default=0.0))
+
+
+@given(st.lists(st.tuples(st.sampled_from([HOLDS, FAILS, INDETERMINATE]), st.floats(allow_nan=False)), max_size=4))
+@example([])
+@example([(HOLDS, 1.0), (INDETERMINATE, -0.5)])
+@example([(HOLDS, 1.0), (FAILS, 2.0)])
+def test_report_verdict_is_the_join_of_its_comparisons(pairs):
+    verdicts = [Verdict(*pair) for pair in pairs]
+    comparisons = tuple(lemma.Comparison(IntervalValue.of(0), IntervalValue.of(1), v) for v in verdicts)
+    verdict = lemma.LemmaReport("lemma", {}, comparisons, "").verdict
+    assert verdict == _join(verdicts)
+    # the examples, pinned
+    pinned = {
+        (): Verdict(INDETERMINATE, 0.0),
+        ((HOLDS, 1.0), (INDETERMINATE, -0.5)): Verdict(INDETERMINATE, -0.5),
+        ((HOLDS, 1.0), (FAILS, 2.0)): Verdict(FAILS, 2.0),
+    }
+    if tuple(pairs) in pinned:
+        assert verdict == pinned[tuple(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +774,10 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
 def test_lemma_report_json_shape(capsys):
     assert cli.main(["lemma", "check22", "--n", "500000", "--k", "587"]) == 0
     payload = json.loads(capsys.readouterr().out)["report"]
-    assert list(payload) == ["lemma", "hypotheses", "lhs", "rhs", "verdict", "notes"]
+    assert list(payload) == ["lemma", "hypotheses", "comparisons", "verdict", "notes"]
     assert list(payload["verdict"]) == ["state", "margin"]
     assert payload["verdict"]["state"] == "HOLDS"
-    assert payload["lhs"][0] <= payload["lhs"][1]
+    [comparison] = payload["comparisons"]
+    assert list(comparison) == ["lhs", "rhs", "verdict"]
+    assert comparison["lhs"][0] <= comparison["lhs"][1]
     assert payload["notes"] == "forces l = delta"

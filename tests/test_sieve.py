@@ -420,44 +420,38 @@ def test_next_prime_after():
     assert sieve.next_prime_after(10**6) == 1000003
     assert sieve.next_prime_after(2) == 3
     assert sieve.next_prime_after(31) == 37
+    assert sieve.next_prime_after(100) == sieve.next_prime_after(97) == 101
+    assert sieve.next_prime_after(3) == 5
+    # past 10^18, where no table reaches: the walk stops at the first prime
+    nxt = sieve.next_prime_after(10**18)
+    assert arith.is_prime(nxt) and not any(arith.is_prime(v) for v in range(10**18 + 1, nxt))
 
 
-def test_prime_neighbors():
-    assert sieve.prime_neighbors(100) == (97, 101)
-    assert sieve.prime_neighbors(97) == (97, 101)
-    assert sieve.prime_neighbors(3) == (3, 5)
-    with pytest.raises(ValueError):
-        sieve.prime_neighbors(2)
-
-
-def _neighbors_by_sieve(x):
+def _next_prime_by_sieve(x):
     window = oracles._primes_array(max(2, x - 2000), x + 2000)
-    return int(window[window <= x][-1]), int(window[window > x][0])
+    return int(window[window > x][0])
 
 
 @given(st.integers(min_value=3, max_value=10**12))
 @settings(max_examples=100)
-def test_prime_neighbors_match_sieve_at_random_points(x):
-    prev, nxt = _neighbors_by_sieve(x)
-    assert sieve.prime_neighbors(x) == (prev, nxt)
-    assert sieve.next_prime_after(x) == nxt
+def test_next_prime_after_matches_sieve_at_random_points(x):
+    assert sieve.next_prime_after(x) == _next_prime_by_sieve(x)
 
 
 @pytest.mark.parametrize("segment", [1, 2, 100, 238, 7570])
-def test_prime_neighbors_straddle_segment_boundaries(segment):
+def test_next_prime_after_straddles_segment_boundaries(segment):
     boundary = 2 + segment * 2 * sieve.DEFAULT_SEGMENT_ODDS
     for x in range(boundary - 30, boundary + 30):
-        assert sieve.prime_neighbors(x) == _neighbors_by_sieve(x), x
+        assert sieve.next_prime_after(x) == _next_prime_by_sieve(x), x
     # the gap a segment closes across the boundary
     last = int(oracles._primes_array(boundary - 4000, boundary)[-1])
     assert sieve.next_prime_after(last) == int(oracles._primes_array(boundary, boundary + 4000)[0])
 
 
-def test_prime_neighbors_refuse_above_63_bits():
-    assert sieve.prime_neighbors(2**63 - 1) == (2**63 - 25, 2**63 + 29)
-    for fn in (sieve.next_prime_after, sieve.prime_neighbors):
-        with pytest.raises(ValueError, match="63-bit"):
-            fn(2**63)
+def test_next_prime_after_refuses_above_63_bits():
+    assert sieve.next_prime_after(2**63 - 1) == 2**63 + 29
+    with pytest.raises(ValueError, match="63-bit"):
+        sieve.next_prime_after(2**63)
 
 
 def test_prime_count_and_gap_scan_refuse_above_63_bits(monkeypatch):
@@ -526,8 +520,7 @@ def test_gap_scan_segmentation_invariance():
 def test_gap_scan_gap_values_are_real_gaps():
     for ev in sieve.gap_scan(10**6, 10**7, 100):
         assert sieve.next_prime_after(ev.p) == ev.p + ev.gap
-        prev, _ = sieve.prime_neighbors(ev.p)
-        assert prev == ev.p
+        assert arith.is_prime(ev.p)
 
 
 def test_chebyshev_exact_pinned():
