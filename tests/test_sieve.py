@@ -420,8 +420,14 @@ def test_next_prime_after():
     assert sieve.next_prime_after(10**6) == 1000003
     assert sieve.next_prime_after(2) == 3
     assert sieve.next_prime_after(31) == 37
+
+
+def test_next_prime_after_a_prime_and_a_composite():
     assert sieve.next_prime_after(100) == sieve.next_prime_after(97) == 101
     assert sieve.next_prime_after(3) == 5
+
+
+def test_next_prime_after_walks_past_1e18():
     # past 10^18, where no table reaches: the walk stops at the first prime
     nxt = sieve.next_prime_after(10**18)
     assert arith.is_prime(nxt) and not any(arith.is_prime(v) for v in range(10**18 + 1, nxt))
