@@ -124,17 +124,13 @@ class LemmaReport:
     def __init__(
         self, lemma: str, hypotheses: dict[str, bool], comparisons: tuple[Comparison, ...], notes: str
     ) -> None:
-        if len(comparisons) == 1:  # the join of one verdict is that verdict
-            verdict = comparisons[0].verdict
-        else:
-            states = {c.verdict.state for c in comparisons}
-            state = FAILS if FAILS in states else HOLDS if states == {HOLDS} else INDETERMINATE
-            margins = [c.verdict.margin for c in comparisons if state != FAILS or c.verdict.fails]
-            verdict = Verdict(state, min(margins, default=0.0))
+        states = {c.verdict.state for c in comparisons}
+        state = FAILS if FAILS in states else HOLDS if states == {HOLDS} else INDETERMINATE
+        margins = [c.verdict.margin for c in comparisons if state != FAILS or c.verdict.fails]
         _set_lemma(self, lemma)  # the slot descriptors, as in IntervalValue
         _set_hypotheses(self, hypotheses)
         _set_comparisons(self, comparisons)
-        _set_verdict(self, verdict)
+        _set_verdict(self, Verdict(state, min(margins, default=0.0)))
         _set_notes(self, notes)
 
 
