@@ -10,13 +10,15 @@ whose build(cx) returns the pair (lhs, rhs), so work the two sides share is
 written and done once per context.  It decides from binary64 intervals
 and, when they overlap or binary64 cannot evaluate a side (a divisor
 around zero, an endpoint past its range: OverflowError), re-runs the same
-builder once under mpmath's interval type at 55 significant digits.  The
-binary64 context is the IntervalValue class itself and the mpmath context
-is PreciseContext; both expose the same surface (`of`, `log`, `power`,
-`pi`), so each formula is written exactly once.  `of(value)` encloses an
-int, a float, a decimal string, a Fraction or an IntervalValue exactly;
-`power(v, e)` is exp(e log v) for a positive v, and its exponent e is
-itself a context value, so both contexts take the same path.
+builder once under mpmath's interval type at 55 significant digits.  It
+returns one Comparison: the two sides' binary64 enclosures, in the
+builder's order, and the Verdict.  The binary64 context is the
+IntervalValue class itself and the mpmath context is PreciseContext; both
+expose the same surface (`of`, `log`, `power`, `pi`), so each formula is
+written exactly once.  `of(value)` encloses an int, a float, a decimal
+string, a Fraction or an IntervalValue exactly; `power(v, e)` is
+exp(e log v) for a positive v, and its exponent e is itself a context
+value, so both contexts take the same path.
 
 One constructor, IntervalValue(lo, hi), makes and checks every binary64
 value: __post_init__, the one validator, accepts a finite, ordered pair by
@@ -47,6 +49,7 @@ from mpmath import iv
 __all__ = [
     "IntervalValue",
     "Verdict",
+    "Comparison",
     "HOLDS",
     "FAILS",
     "INDETERMINATE",
@@ -252,6 +255,21 @@ _set_state = Verdict.state.__set__
 _set_margin = Verdict.margin.__set__
 
 
+@dataclass(frozen=True, slots=True)
+class Comparison:
+    """One certified comparison, lhs < rhs (lhs <= rhs for a non-strict claim).
+
+    The sides are kept in the orientation that certified_less decided, so a
+    claim lhs > rhs is stored as rhs < lhs.  lhs and rhs are binary64
+    enclosures, None for a side past binary64's range, and verdict is the
+    certified_less verdict.
+    """
+
+    lhs: IntervalValue | None
+    rhs: IntervalValue | None
+    verdict: Verdict
+
+
 def _verdict(lhs_lo, lhs_hi, rhs_lo, rhs_hi, strict: bool) -> Verdict:
     """The HOLDS/FAILS/INDETERMINATE ladder over float or mpf endpoints; the margin rounds toward zero."""
     state, a, b = INDETERMINATE, rhs_lo, lhs_hi
@@ -333,9 +351,7 @@ def _enclosure(raw) -> IntervalValue | None:
         return None
 
 
-def certified_less(
-    build: Callable, strict: bool = True
-) -> tuple[Verdict, IntervalValue | None, IntervalValue | None]:
+def certified_less(build: Callable, strict: bool = True) -> Comparison:
     """Decide lhs < rhs, where build(cx) returns the pair (lhs, rhs).
 
     The claim is one builder, so work the two sides share is done once per
@@ -343,12 +359,13 @@ def certified_less(
     more under one PreciseContext.  The escalated comparison happens on the
     raw high-precision endpoints; collapsing to binary64 first would forfeit
     exactly the resolution the escalation exists to buy.  The returned
-    intervals are binary64 enclosures for reporting and may overlap even
-    when the verdict is decided.  A side that binary64 cannot evaluate (a
-    divisor around zero, an operand or quotient past its range) is undecided
-    too.  After an escalation, a finite side with no binary64 enclosure is
-    returned as None, never clamped or widened, and the verdict stands as
-    decided; an unbounded side raises OverflowError.
+    Comparison holds the verdict and the two sides' binary64 enclosures,
+    which are for reporting and may overlap even when the verdict is
+    decided.  A side that binary64 cannot evaluate (a divisor around zero,
+    an operand or quotient past its range) is undecided too.  After an
+    escalation, a finite side with no binary64 enclosure is returned as
+    None, never clamped or widened, and the verdict stands as decided; an
+    unbounded side raises OverflowError.
     """
     try:
         lhs, rhs = build(IntervalValue)
@@ -358,7 +375,7 @@ def certified_less(
     else:
         verdict = _verdict(lhs.lo, lhs.hi, rhs.lo, rhs.hi, strict)
         if verdict.decided:
-            return verdict, lhs, rhs
+            return Comparison(lhs, rhs, verdict)
     lhs_raw, rhs_raw = _run_precise(build)
     # read endpoints at a working precision above the evaluation's, so the
     # conversion itself cannot merge values the escalation separated
@@ -367,4 +384,4 @@ def certified_less(
             mpmath.mpf(lhs_raw.a), mpmath.mpf(lhs_raw.b),
             mpmath.mpf(rhs_raw.a), mpmath.mpf(rhs_raw.b), strict,
         )
-    return verdict, _enclosure(lhs_raw), _enclosure(rhs_raw)
+    return Comparison(_enclosure(lhs_raw), _enclosure(rhs_raw), verdict)

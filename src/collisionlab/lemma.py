@@ -1,17 +1,19 @@
 """Checkers for the necessary conditions a binomial collision must satisfy.
 
-Every checker returns a LemmaReport: the hypothesis flags that gate it, one
-Comparison per intervals.certified_less call, and the verdict that joins
-them.  A comparison holds certified lhs/rhs intervals (None for a side past
-binary64's range) in the orientation in which it was decided, lhs < rhs,
-and that call's verdict.  check21 lists its two inequalities, first then
-second; the other checkers list one comparison.  The joined verdict is
-HOLDS if every comparison holds, else FAILS if any fails, else
-INDETERMINATE; LemmaReport computes it.  Each claim is one builder that
-returns its two sides together, so what they share is built once per
-context.  A checker never extrapolates: when a hypothesis fails, the report
-says which flag failed and no side is evaluated: comparisons is empty ([]
-in the CLI's JSON report) and the verdict is INDETERMINATE 0.0.
+Every checker returns a LemmaReport: the hypothesis flags that gate it,
+the intervals.Comparison each certified_less call returns, and the verdict
+that joins them.  A comparison holds certified lhs/rhs intervals (None for
+a side past binary64's range) in the orientation in which it was decided,
+lhs < rhs, and that call's verdict; check23 alone keeps its own lhs, the
+exact enclosure an escalation would widen.  check21 lists its two
+inequalities, first then second; the other checkers list one comparison.
+The joined verdict is HOLDS if every comparison holds, else FAILS if any
+fails, else INDETERMINATE; LemmaReport computes it and takes no verdict as
+an argument.  Each claim is one builder that returns its two sides
+together, so what they share is built once per context.  A checker never
+extrapolates: when a hypothesis fails, the report says which flag failed
+and no side is evaluated: comparisons is empty ([] in the CLI's JSON
+report) and the verdict is INDETERMINATE 0.0.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -58,6 +60,7 @@ from .intervals import (
     FAILS,
     HOLDS,
     INDETERMINATE,
+    Comparison,
     IntervalValue,
     Verdict,
     certified_less,
@@ -65,7 +68,6 @@ from .intervals import (
 )
 
 __all__ = [
-    "Comparison",
     "LemmaReport",
     "index_windows",
     "check_lemma21",
@@ -91,54 +93,27 @@ PI_MODES = ("exact", "dusart")
 
 
 @dataclass(frozen=True, slots=True)
-class Comparison:
-    """One certified comparison, lhs < rhs (lhs <= rhs for a non-strict claim).
-
-    The sides are kept in the orientation that certified_less decided, so a
-    claim lhs > rhs is stored as rhs < lhs.  lhs and rhs are binary64
-    enclosures, None for a side past binary64's range, and verdict is the
-    certified_less verdict.
-    """
-
-    lhs: IntervalValue | None
-    rhs: IntervalValue | None
-    verdict: Verdict
-
-
-@dataclass(frozen=True, slots=True, init=False)
 class LemmaReport:
     """A checker's hypotheses, its comparisons and their joined verdict.
 
     The verdict is HOLDS, at the least margin, if every comparison holds;
     else FAILS, at the least failing margin, if any fails; else
     INDETERMINATE, at the least margin.  A gated report has no comparisons
-    and reads INDETERMINATE 0.0.
+    and reads INDETERMINATE 0.0.  The verdict is no argument: the join is
+    the only way one gets in.
     """
 
     lemma: str
     hypotheses: dict[str, bool]
     comparisons: tuple[Comparison, ...]
-    verdict: Verdict
+    verdict: Verdict = field(init=False)
     notes: str
 
-    def __init__(
-        self, lemma: str, hypotheses: dict[str, bool], comparisons: tuple[Comparison, ...], notes: str
-    ) -> None:
-        states = {c.verdict.state for c in comparisons}
+    def __post_init__(self) -> None:
+        states = {c.verdict.state for c in self.comparisons}
         state = FAILS if FAILS in states else HOLDS if states == {HOLDS} else INDETERMINATE
-        margins = [c.verdict.margin for c in comparisons if state != FAILS or c.verdict.fails]
-        _set_lemma(self, lemma)  # the slot descriptors, as in IntervalValue
-        _set_hypotheses(self, hypotheses)
-        _set_comparisons(self, comparisons)
-        _set_verdict(self, Verdict(state, min(margins, default=0.0)))
-        _set_notes(self, notes)
-
-
-_set_lemma = LemmaReport.lemma.__set__
-_set_hypotheses = LemmaReport.hypotheses.__set__
-_set_comparisons = LemmaReport.comparisons.__set__
-_set_verdict = LemmaReport.verdict.__set__
-_set_notes = LemmaReport.notes.__set__
+        margins = [c.verdict.margin for c in self.comparisons if state != FAILS or c.verdict.fails]
+        object.__setattr__(self, "verdict", Verdict(state, min(margins, default=0.0)))
 
 
 def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
@@ -173,15 +148,15 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
     if not all(hyp.values()):
         return _gated("lemma21", hyp)
 
-    v1, lhs1, rhs1 = certified_less(lambda cx: (
+    first = certified_less(lambda cx: (
         cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
         cx.of(Fraction((k - m) * (k + m + delta + 1), n - k)),
     ))
-    v2, lhs2, rhs2 = certified_less(lambda cx: (
+    second = certified_less(lambda cx: (
         cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
         cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
     ))
-    return LemmaReport("lemma21", hyp, (Comparison(lhs1, rhs1, v1), Comparison(lhs2, rhs2, v2)), "")
+    return LemmaReport("lemma21", hyp, (first, second), "")
 
 
 def check_lemma22(n: int, k: int) -> LemmaReport:
@@ -200,11 +175,12 @@ def check_lemma22(n: int, k: int) -> LemmaReport:
         den = cx.of(n - k) * cx.log(cx.of("2.001") / (cx.of("1.001") + kn))
         return cx.of(k * k) / den, cx.of(1)
 
-    verdict, lhs, rhs = certified_less(sides)
+    comparison = certified_less(sides)
+    verdict = comparison.verdict
     notes = "forces l = delta" if verdict.holds else (
         "does not force l = delta" if verdict.fails else "force undecided"
     )
-    return LemmaReport("lemma22", hyp, (Comparison(lhs, rhs, verdict),), notes)
+    return LemmaReport("lemma22", hyp, (comparison,), notes)
 
 
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
@@ -243,9 +219,9 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
     # max prime factor vs k0; lhs stays as reported, as escalation would widen it
-    verdict, _, rhs = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
+    decided = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
     notes = f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, S2 offsets {s2.start}..{s2.stop - 1}"
-    return LemmaReport("lemma23", hyp, (Comparison(lhs, rhs, verdict),), notes)
+    return LemmaReport("lemma23", hyp, (Comparison(lhs, decided.rhs, decided.verdict),), notes)
 
 
 def _lemma31_sides(cx, excess, pi, base, log_f1, log_f2):
@@ -295,8 +271,7 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         c, r = _lemma31_sides(cx, *map(cx.of, (2 * k + l - m - m0, pi, 2 * k + l, log_f1, log_f2)))
         return c * cx.log(cx.of(n - k)), r
 
-    verdict, lhs, rhs = certified_less(sides, strict=False)
-    return LemmaReport("lemma31", hyp, (Comparison(lhs, rhs, verdict),), pi_note)
+    return LemmaReport("lemma31", hyp, (certified_less(sides, strict=False),), pi_note)
 
 
 def _lemma32(cx, F: int):
@@ -335,7 +310,7 @@ class Lemma32Threshold:
 
 def _sign_at(F: int) -> int:
     """+1 if the expression is certified >= 0 at F, -1 if certified < 0."""
-    verdict, _, _ = certified_less(lambda cx: (_lemma32(cx, F), cx.of(0)))
+    verdict = certified_less(lambda cx: (_lemma32(cx, F), cx.of(0))).verdict
     if not verdict.decided:
         raise ArithmeticError(f"threshold expression sign undecidable at F = {F}")
     return -1 if verdict.holds else 1
@@ -516,12 +491,12 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     if not all(hyp.values()):
         return _gated("section4", hyp)
 
-    verdict, lhs, rhs = certified_less(lambda cx: (
+    comparison = certified_less(lambda cx: (
         cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k)),
         (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75"))) * cx.log(cx.of("2.83")),
     ), strict=False)
-    notes = "bounds compatible" if verdict.holds else "bounds incompatible: no such tuple exists"
-    return LemmaReport("section4", hyp, (Comparison(lhs, rhs, verdict),), notes)
+    notes = "bounds compatible" if comparison.verdict.holds else "bounds incompatible: no such tuple exists"
+    return LemmaReport("section4", hyp, (comparison,), notes)
 
 
 def _section4_sides(x: float) -> tuple[float, float]:
@@ -611,5 +586,5 @@ def section5_check(n: int, c: float) -> Section5Report:
         lhs = cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
         return lhs, central_binom_lower_expr(cx, cx.of(n))
 
-    verdict, lhs, rhs = certified_less(sides)
-    return Section5Report(n, c, thresholds, thresholds.t_pow.lo, lhs, rhs, verdict)
+    decided = certified_less(sides)
+    return Section5Report(n, c, thresholds, thresholds.t_pow.lo, decided.lhs, decided.rhs, decided.verdict)

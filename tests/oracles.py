@@ -331,8 +331,7 @@ def psi_linear_constant_check() -> Verdict:
     J. Math. 6, 1962).  Criterion 05 checks it at every integer up to 10^6
     and a bounds test up to 1,747,029; beyond that it is cited, not checked.
     """
-    verdict, _, _ = certified_less(lambda cx: (cx.of("1.03883"), cx.log(cx.of("2.83"))))
-    return verdict
+    return certified_less(lambda cx: (cx.of("1.03883"), cx.log(cx.of("2.83")))).verdict
 
 
 def h_rate(alpha: Real, lam: Real = 0) -> IntervalValue:
@@ -436,8 +435,7 @@ def central_binom_constant_check() -> Verdict:
         r = 2 / cx.of("0.735")
         return cx.log(r * r / cx.power(r - 1, cx.of("1.265")))
 
-    verdict, _, _ = certified_less(lambda cx: (cx.of("1.3132"), rate(cx)), strict=False)
-    return verdict
+    return certified_less(lambda cx: (cx.of("1.3132"), rate(cx)), strict=False).verdict
 
 
 def entropy_gap(z: float, z1: float) -> IntervalValue:

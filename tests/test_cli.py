@@ -18,7 +18,7 @@ import pytest
 from collisionlab import __version__, bounds, cli, lemma, sieve
 from collisionlab.certificate import CertificateConfig
 from collisionlab.cli import main
-from collisionlab.intervals import HOLDS, IntervalValue, Verdict
+from collisionlab.intervals import HOLDS, Comparison, IntervalValue, Verdict
 from collisionlab.lemma import GridConfig
 
 
@@ -551,7 +551,7 @@ def _bare_floats(value, key=None):
 
 def test_out_writes_a_tuple_as_a_list_of_out_values():
     point = IntervalValue.of(1)
-    comparison = lemma.Comparison(point, None, Verdict(HOLDS, 0.5))
+    comparison = Comparison(point, None, Verdict(HOLDS, 0.5))
     assert cli._out((comparison, point, 3)) == [
         {"lhs": [1.0, 1.0], "rhs": None, "verdict": {"state": "HOLDS", "margin": 0.5}}, [1.0, 1.0], 3,
     ]
@@ -611,9 +611,8 @@ def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
     printed = report.get("comparisons", [report])  # section5's report is its one comparison
     # check21 decides two inequalities, the gated section4 case none
     assert len(printed) == len(returns) == {"check_lemma21": 2, "section4_check": 0}.get(checker, 1)
-    for comparison, (verdict, lhs, rhs) in zip(printed, returns):
-        assert comparison["verdict"] == {"state": verdict.state, "margin": verdict.margin}
-        assert [comparison["lhs"], comparison["rhs"]] == [None if iv is None else [iv.lo, iv.hi] for iv in (lhs, rhs)]
+    for comparison, decided in zip(printed, returns):
+        assert {key: comparison[key] for key in ("lhs", "rhs", "verdict")} == cli._out(decided)
 
 
 def test_dusart_note_prints_the_upper_end_exactly(capsys):

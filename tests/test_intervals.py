@@ -396,9 +396,9 @@ def _consts(lhs, rhs):
 def test_compare_less_decided():
     a = IntervalValue(0.0, 1.0)
     b = IntervalValue(2.0, 3.0)
-    v, _, _ = certified_less(_consts(a, b))
+    v = certified_less(_consts(a, b)).verdict
     assert v.state == HOLDS and v.margin == 1.0 and v.holds
-    v2, _, _ = certified_less(_consts(b, a))
+    v2 = certified_less(_consts(b, a)).verdict
     assert v2.state == FAILS and v2.margin == 1.0 and v2.fails
 
 
@@ -406,7 +406,7 @@ def test_compare_less_overlap_is_indeterminate():
     # the escalated pass reads the same endpoints, so it cannot decide either
     a = IntervalValue(0.0, 2.0)
     b = IntervalValue(1.0, 3.0)
-    v, _, _ = certified_less(_consts(a, b))
+    v = certified_less(_consts(a, b)).verdict
     assert v.state == INDETERMINATE
     assert not v.decided
     assert v.margin <= 0
@@ -414,8 +414,8 @@ def test_compare_less_overlap_is_indeterminate():
 
 def test_compare_less_touching_endpoints():
     a = IntervalValue.of(1.0)
-    v_strict, _, _ = certified_less(_consts(a, a), strict=True)
-    v_loose, _, _ = certified_less(_consts(a, a), strict=False)
+    v_strict = certified_less(_consts(a, a), strict=True).verdict
+    v_loose = certified_less(_consts(a, a), strict=False).verdict
     assert v_strict.state == FAILS    # 1 < 1 is certainly false
     assert v_loose.state == HOLDS     # 1 <= 1 certainly holds
     assert v_loose.margin == 0.0
@@ -453,9 +453,9 @@ def test_evaluate_precise_is_sharper():
 
 def test_certified_less_escalates_to_high_precision():
     # indistinguishable in binary64, split cleanly at 55 digits
-    verdict, lo_iv, hi_iv = certified_less(
+    verdict = certified_less(
         lambda cx: (cx.of("1.00000000000000000001"), cx.of("1.00000000000000000002"))
-    )
+    ).verdict
     assert verdict.state == HOLDS
     assert verdict.margin > 0
 
@@ -474,7 +474,7 @@ def test_certified_less_builds_each_claim_once_per_context(monkeypatch):
         return cx.of("1.00000000000000000001"), cx.of("1.00000000000000000002")
 
     monkeypatch.setattr(intervals, "PreciseContext", CountingContext)
-    verdict, _, _ = certified_less(build)
+    verdict = certified_less(build).verdict
     assert verdict.state == HOLDS
     assert len(contexts) == 1
     assert runs == [IntervalValue, contexts[0]]
@@ -482,15 +482,15 @@ def test_certified_less_builds_each_claim_once_per_context(monkeypatch):
 
 def test_certified_less_equal_values_stay_indeterminate_for_strict():
     one = lambda cx: cx.of(Fraction(1, 3)) * 3
-    verdict, _, _ = certified_less(lambda cx: (one(cx), one(cx)), strict=True)
+    verdict = certified_less(lambda cx: (one(cx), one(cx)), strict=True).verdict
     assert verdict.state == INDETERMINATE
 
 
 def test_certified_less_fast_path_decides_without_escalation():
-    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(1), cx.of(2)))
-    assert verdict.state == HOLDS
+    decided = certified_less(lambda cx: (cx.of(1), cx.of(2)))
+    assert decided.verdict.state == HOLDS
     # binary64 evaluation of exact integers is a zero-width interval
-    assert width(lhs) == 0.0 and width(rhs) == 0.0
+    assert width(decided.lhs) == 0.0 and width(decided.rhs) == 0.0
 
 
 def test_certified_less_escalates_when_binary64_cannot_divide():
@@ -499,10 +499,10 @@ def test_certified_less_escalates_when_binary64_cannot_divide():
     tiny = lambda cx: cx.of(Fraction(10**16 + 1, 10**16)) - 1
     with pytest.raises(ZeroDivisionError):
         evaluate(lambda cx: 1 / tiny(cx))
-    verdict, lhs, _ = certified_less(lambda cx: (1 / tiny(cx), cx.of(1)))
-    assert verdict.state == FAILS
-    assert verdict.margin == pytest.approx(10**16 - 1)
-    assert contains(lhs, 10**16)
+    decided = certified_less(lambda cx: (1 / tiny(cx), cx.of(1)))
+    assert decided.verdict.state == FAILS
+    assert decided.verdict.margin == pytest.approx(10**16 - 1)
+    assert contains(decided.lhs, 10**16)
 
 
 def test_certified_less_escalates_when_binary64_overflows():
@@ -510,9 +510,9 @@ def test_certified_less_escalates_when_binary64_overflows():
     big = lambda cx: cx.of(10**400) / cx.of(10**399)
     with pytest.raises(OverflowError):
         evaluate(big)
-    verdict, lhs, _ = certified_less(lambda cx: (big(cx), cx.of(11)))
-    assert verdict.state == HOLDS
-    assert contains(lhs, 10)
+    decided = certified_less(lambda cx: (big(cx), cx.of(11)))
+    assert decided.verdict.state == HOLDS
+    assert contains(decided.lhs, 10)
 
 
 def test_certified_less_escalates_when_an_intermediate_overflows():
@@ -522,18 +522,18 @@ def test_certified_less_escalates_when_an_intermediate_overflows():
     with pytest.raises(OverflowError):
         evaluate(overflowing)
     for lhs in (overflowing, lambda cx: cx.of(2 * 10**308) / 4):
-        verdict, lhs_iv, _ = certified_less(lambda cx: (lhs(cx), cx.of(10**308)))
-        assert verdict.state == HOLDS
-        assert contains(lhs_iv, 5 * 10**307)
+        decided = certified_less(lambda cx: (lhs(cx), cx.of(10**308)))
+        assert decided.verdict.state == HOLDS
+        assert contains(decided.lhs, 5 * 10**307)
 
 
 def test_certified_less_reports_a_side_past_binary64_as_absent():
     # 10^400 and -10^400 are finite at 55 digits and have no binary64
     # enclosure: the verdict stands, and only the other side is reported
-    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(10**400), cx.of(1)))
-    assert verdict.state == FAILS and lhs is None and contains(rhs, 1)
-    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(1), -cx.of(10**400)))
-    assert verdict.state == FAILS and rhs is None and contains(lhs, 1)
+    decided = certified_less(lambda cx: (cx.of(10**400), cx.of(1)))
+    assert decided.verdict.state == FAILS and decided.lhs is None and contains(decided.rhs, 1)
+    decided = certified_less(lambda cx: (cx.of(1), -cx.of(10**400)))
+    assert decided.verdict.state == FAILS and decided.rhs is None and contains(decided.lhs, 1)
 
 
 def test_certified_less_exact_zero_divisor_is_an_error():
@@ -608,5 +608,5 @@ def test_verdict_margin_rounds_an_mpf_gap_toward_zero():
 
 
 def test_verdict_margin_semantics():
-    verdict, lhs, rhs = certified_less(lambda cx: (cx.of(0), cx.of(10)))
+    verdict = certified_less(lambda cx: (cx.of(0), cx.of(10))).verdict
     assert verdict.margin == pytest.approx(10.0)

@@ -1,5 +1,6 @@
 """Lemma checkers: gating, certified verdicts, thresholds, grids."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from collisionlab import bounds, cli, intervals, lemma
 from collisionlab.certificate import CertificateConfig
 from collisionlab.collision import K_MIN, L_RATIO, M_RATIO, ParamTuple, check_eq12
-from collisionlab.intervals import FAILS, HOLDS, INDETERMINATE, IntervalValue, Verdict, certified_less, evaluate
+from collisionlab.intervals import (
+    FAILS, HOLDS, INDETERMINATE, Comparison, IntervalValue, Verdict, certified_less, evaluate,
+)
 import oracles
 from oracles import contains, mid, product_identity_check, width
 
@@ -57,7 +60,7 @@ def test_uncorrected_index_forms_fail_on_a_true_collision():
         return certified_less(lambda cx: (
             cx.of(Fraction((k - m) * (k + m + delta + extra), n + k + delta)),
             cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
-        ))[0]
+        )).verdict
 
     assert second(0).state == HOLDS  # 1/3 < log(14/9)
     assert second(1).state == FAILS  # 4/9 > log(14/9)
@@ -149,7 +152,7 @@ def test_check21_verdict_ladder(monkeypatch, first, second, state, margin):
     sides = iter([Verdict(*first), Verdict(*second)])
     monkeypatch.setattr(
         lemma, "certified_less",
-        lambda build, strict=True: (next(sides), IntervalValue.of(0), IntervalValue.of(1)),
+        lambda build, strict=True: Comparison(IntervalValue.of(0), IntervalValue.of(1), next(sides)),
     )
     report = lemma.check_lemma21(SATISFYING[0])
     assert (report.verdict.state, report.verdict.margin) == (state, margin)
@@ -722,22 +725,30 @@ def test_power_builders_precise_enclose_mpmath(monkeypatch, module, call, side, 
     ids=["check21", "check22", "check23", "check31-exact", "check31-dusart", "section4", "section5"],
 )
 def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
-    verdicts = []
+    returns = []
     plain = lemma.certified_less
 
     def spy(build, strict=True):
-        out = plain(build, strict)
-        verdicts.append(out[0])
-        return out
+        returns.append(plain(build, strict))
+        return returns[-1]
 
     monkeypatch.setattr(lemma, "certified_less", spy)
     report = call()
+    verdicts = [decided.verdict for decided in returns]
     assert report.verdict.decided
     # check21 joins two verdicts; its margin is the smaller of the two
     assert report.verdict in verdicts
-    if isinstance(report, lemma.LemmaReport):  # section5's report has its one verdict
-        assert [c.verdict for c in report.comparisons] == verdicts
-        assert report.verdict == _join([c.verdict for c in report.comparisons])
+    if not isinstance(report, lemma.LemmaReport):  # section5's report holds its one comparison's fields
+        (decided,) = returns
+        assert report.lhs is decided.lhs and report.rhs is decided.rhs and report.verdict is decided.verdict
+        return
+    assert len(report.comparisons) == len(returns)
+    for shown, decided in zip(report.comparisons, returns):
+        if report.lemma == "lemma23":  # its lhs is the exact enclosure, which an escalation would widen
+            assert shown.rhs is decided.rhs and shown.verdict is decided.verdict
+        else:
+            assert shown is decided
+    assert report.verdict == _join(verdicts)
 
 
 def _join(verdicts):
@@ -755,7 +766,7 @@ def _join(verdicts):
 @example([(HOLDS, 1.0), (FAILS, 2.0)])
 def test_report_verdict_is_the_join_of_its_comparisons(pairs):
     verdicts = [Verdict(*pair) for pair in pairs]
-    comparisons = tuple(lemma.Comparison(IntervalValue.of(0), IntervalValue.of(1), v) for v in verdicts)
+    comparisons = tuple(Comparison(IntervalValue.of(0), IntervalValue.of(1), v) for v in verdicts)
     verdict = lemma.LemmaReport("lemma", {}, comparisons, "").verdict
     assert verdict == _join(verdicts)
     # the examples, pinned
@@ -766,6 +777,19 @@ def test_report_verdict_is_the_join_of_its_comparisons(pairs):
     }
     if tuple(pairs) in pinned:
         assert verdict == pinned[tuple(pairs)]
+
+
+def test_report_verdict_is_no_argument_and_stays_the_join():
+    # the join is the only way a verdict gets into a report
+    comparisons = (Comparison(IntervalValue.of(0), IntervalValue.of(1), Verdict(HOLDS, 1.0)),)
+    with pytest.raises(TypeError):
+        lemma.LemmaReport("lemma", {}, comparisons, "", verdict=Verdict(FAILS, 1.0))
+    with pytest.raises(TypeError):
+        lemma.LemmaReport("lemma", {}, comparisons, Verdict(FAILS, 1.0), "")
+    report = lemma.LemmaReport("lemma", {}, comparisons, "")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict = Verdict(FAILS, 1.0)
+    assert report.verdict == Verdict(HOLDS, 1.0)
 
 
 # ---------------------------------------------------------------------------
