@@ -173,7 +173,8 @@ def smooth_split(value: int, bound: int) -> SmoothFactorization:
 
     rem = value
     factors: list[tuple[int, int]] = []
-    for p in sieve.prime_list(bound):
+    # the scan stops before any prime above isqrt(value), so it reads no more
+    for p in sieve.prime_list(min(bound, math.isqrt(value))):
         if p * p > rem:
             break
         if rem % p == 0:

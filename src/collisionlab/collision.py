@@ -217,8 +217,8 @@ def to_param(x: int, a: int, y: int, b: int) -> ParamTuple:
 # check_eq12 compares v_p for the 25 primes up to this bound: v_p varies most
 # at small p, and one mismatch settles a pair before the exact comparison,
 # whose products are as long as the distance between the two positions.  It
-# reads them from the memoized sieve.prime_list at the call, not at import,
-# which would grow the sieve's seeded table
+# reads them from sieve.prime_list at the call, not at import, which would
+# grow the sieve's seeded table
 _KUMMER_BOUND = 97
 
 

@@ -38,6 +38,7 @@ around the intended decimal value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +71,6 @@ _INF = math.inf
 _FLOAT_MAX = math.nextafter(_INF, 0.0)  # sys.float_info.max, the largest finite double
 _EXACT_INT = 2**53  # every int up to this magnitude is a binary64 value
 _nextafter = math.nextafter
-_DECIMAL_CACHE: dict[str, IntervalValue] = {}  # each decimal string's enclosure
 
 
 Coercible = Union[int, float, str, Fraction, "IntervalValue"]
@@ -105,8 +105,8 @@ class IntervalValue:
         A float, or an int within 2**53, is a binary64 value and so a point;
         anything else rounds outward from its exact value.  A value past
         binary64's range raises OverflowError.  The exact types IntervalValue,
-        float, int and a cached decimal string are tested first; subclasses,
-        bool and the rest take the general path below.
+        float and int, and every str, are tested first; subclasses, bool and
+        the rest take the general path below.
         """
         t = type(value)
         if t is IntervalValue:
@@ -114,8 +114,8 @@ class IntervalValue:
         if t is float or (t is int and -_EXACT_INT <= value <= _EXACT_INT):
             x = float(value)
             return IntervalValue(x, x)
-        if t is str and value in _DECIMAL_CACHE:
-            return _DECIMAL_CACHE[value]
+        if isinstance(value, str):
+            return _decimal(value)
         if isinstance(value, IntervalValue):
             return value
         if isinstance(value, bool):
@@ -123,10 +123,6 @@ class IntervalValue:
         if isinstance(value, float) or (isinstance(value, int) and abs(value) <= _EXACT_INT):
             x = float(value)
             return IntervalValue(x, x)
-        if isinstance(value, str):
-            if value not in _DECIMAL_CACHE:
-                _DECIMAL_CACHE[value] = cls.of(Fraction(value))
-            return _DECIMAL_CACHE[value]
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(value).__name__} to IntervalValue")
         fr = Fraction(value)
@@ -198,6 +194,14 @@ class IntervalValue:
 
 _set_lo = IntervalValue.lo.__set__
 _set_hi = IntervalValue.hi.__set__
+
+
+# bounded, so that callers' decimal strings cannot grow it; the package's
+# own constants, about a dozen, are used often enough to stay in it
+@functools.lru_cache(maxsize=128)
+def _decimal(text: str) -> IntervalValue:
+    """The enclosure of a decimal string, cached."""
+    return IntervalValue.of(Fraction(text))
 
 
 def _product(a: float, b: float, c: float, d: float) -> IntervalValue:

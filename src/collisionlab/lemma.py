@@ -1,19 +1,20 @@
 """Checkers for the necessary conditions a binomial collision must satisfy.
 
 Every checker returns a LemmaReport: the hypothesis flags that gate it,
-the intervals.Comparison each certified_less call returns, and the verdict
-that joins them.  A comparison holds certified lhs/rhs intervals (None for
-a side past binary64's range) in the orientation in which it was decided,
-lhs < rhs, and that call's verdict; check23 alone keeps its own lhs, the
-exact enclosure an escalation would widen.  check21 lists its two
-inequalities, first then second; the other checkers list one comparison.
-The joined verdict is HOLDS if every comparison holds, else FAILS if any
-fails, else INDETERMINATE; LemmaReport computes it and takes no verdict as
-an argument.  Each claim is one builder that returns its two sides
-together, so what they share is built once per context.  A checker never
-extrapolates: when a hypothesis fails, the report says which flag failed
-and no side is evaluated: comparisons is empty ([] in the CLI's JSON
-report) and the verdict is INDETERMINATE 0.0.
+the intervals.Comparison each certified_less call returns, as returned,
+and the verdict that joins them.  A comparison holds certified lhs/rhs
+intervals (None for a side past binary64's range) in the orientation in
+which it was decided, lhs < rhs, and that call's verdict.  check21 lists
+its two inequalities, first then second; the other checkers list one
+comparison.  The joined verdict is HOLDS if every comparison holds, else
+FAILS if any fails, else INDETERMINATE; LemmaReport computes it and takes
+no verdict as an argument.  Notes carry only what no other field says:
+check23's window detail and witness, and how check31 took pi(k0).  Each
+claim is one builder that returns its two sides together, so what they
+share is built once per context.  A checker never extrapolates: when a
+hypothesis fails, the false flags in hypotheses say which, no side is
+evaluated, comparisons is empty ([] in the CLI's JSON report) and the
+verdict is INDETERMINATE 0.0.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -43,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import arith, sieve
+from . import arith, intervals, sieve
 from .bounds import (
     Section5Thresholds,
     central_binom_lower_expr,
@@ -60,7 +61,6 @@ from .intervals import (
     FAILS,
     HOLDS,
     INDETERMINATE,
-    Comparison,
     IntervalValue,
     Verdict,
     certified_less,
@@ -96,29 +96,26 @@ PI_MODES = ("exact", "dusart")
 class LemmaReport:
     """A checker's hypotheses, its comparisons and their joined verdict.
 
-    The verdict is HOLDS, at the least margin, if every comparison holds;
+    Each comparison is the record a certified_less call returned.  The
+    verdict is HOLDS, at the least margin, if every comparison holds;
     else FAILS, at the least failing margin, if any fails; else
-    INDETERMINATE, at the least margin.  A gated report has no comparisons
-    and reads INDETERMINATE 0.0.  The verdict is no argument: the join is
-    the only way one gets in.
+    INDETERMINATE, at the least margin.  A gated report has no comparisons,
+    its false flags in hypotheses, and reads INDETERMINATE 0.0.  The verdict
+    is no argument: the join is the only way one gets in.  notes is empty
+    unless it says what no other field does.
     """
 
     lemma: str
     hypotheses: dict[str, bool]
-    comparisons: tuple[Comparison, ...]
+    comparisons: tuple[intervals.Comparison, ...]
     verdict: Verdict = field(init=False)
-    notes: str
+    notes: str = ""
 
     def __post_init__(self) -> None:
         states = {c.verdict.state for c in self.comparisons}
         state = FAILS if FAILS in states else HOLDS if states == {HOLDS} else INDETERMINATE
         margins = [c.verdict.margin for c in self.comparisons if state != FAILS or c.verdict.fails]
         object.__setattr__(self, "verdict", Verdict(state, min(margins, default=0.0)))
-
-
-def _gated(lemma: str, hyp: dict[str, bool]) -> LemmaReport:
-    failed = ", ".join(name for name, ok in hyp.items() if not ok)
-    return LemmaReport(lemma, hyp, (), f"hypotheses not met: {failed}")
 
 
 def index_windows(t: ParamTuple) -> tuple[range, range]:
@@ -146,7 +143,7 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         "l_gt_delta": t.l_gt_delta,
     }
     if not all(hyp.values()):
-        return _gated("lemma21", hyp)
+        return LemmaReport("lemma21", hyp, ())
 
     first = certified_less(lambda cx: (
         cx.of(l - delta) * cx.log(cx.of(2 * n + l) / cx.of(n + k + l)),
@@ -156,38 +153,34 @@ def check_lemma21(t: ParamTuple) -> LemmaReport:
         cx.of(Fraction((k - m) * (k + m + delta), n + k + delta)),
         cx.of(l - delta) * cx.log(cx.of(2 * n) / cx.of(n + k)),
     ))
-    return LemmaReport("lemma21", hyp, (first, second), "")
+    return LemmaReport("lemma21", hyp, (first, second))
 
 
 def check_lemma22(n: int, k: int) -> LemmaReport:
     """Whether k is small enough to force l = delta.
 
     Evaluates k^2 / ((n-k) log(2.001/(1.001 + k/n))); a value below 1 pins
-    l - delta < 1.  The boundary sits exactly between k = 587 and k = 588
-    at n = 500000, which is where the k >= 588 regime comes from.
+    l - delta < 1, so HOLDS means that k forces l = delta and FAILS that it
+    does not.  The boundary sits exactly between k = 587 and k = 588 at
+    n = 500000, which is where the k >= 588 regime comes from.
     """
     hyp = {"scale": n >= SCALE_MIN_N, "k_range": 1 <= k < n}
     if not all(hyp.values()):
-        return _gated("lemma22", hyp)
+        return LemmaReport("lemma22", hyp, ())
 
     def sides(cx):
         kn = cx.of(k) / cx.of(n)
         den = cx.of(n - k) * cx.log(cx.of("2.001") / (cx.of("1.001") + kn))
         return cx.of(k * k) / den, cx.of(1)
 
-    comparison = certified_less(sides)
-    verdict = comparison.verdict
-    notes = "forces l = delta" if verdict.holds else (
-        "does not force l = delta" if verdict.fails else "force undecided"
-    )
-    return LemmaReport("lemma22", hyp, (comparison,), notes)
+    return LemmaReport("lemma22", hyp, (certified_less(sides),))
 
 
 def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
     """Every element of S1 = {n-m, ..., n-k+1} and S2 must be k0-smooth."""
     hyp = {"eq12": check_eq12(t)}
     if not all(hyp.values()):
-        return _gated("lemma23", hyp)
+        return LemmaReport("lemma23", hyp, ())
 
     k0 = t.k0
     s1, s2 = index_windows(t)
@@ -218,10 +211,10 @@ def check_lemma23_smooth(t: ParamTuple) -> LemmaReport:
         elem, wprime = witness
         lhs = IntervalValue(IntervalValue.of(wprime).lo, IntervalValue.of(max(wprime, elem)).hi)
         detail = f"element {elem} has prime factor {wprime} > {k0}"
-    # max prime factor vs k0; lhs stays as reported, as escalation would widen it
-    decided = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
+    # max prime factor vs k0
+    comparison = certified_less(lambda cx: (cx.of(lhs), cx.of(k0)), strict=False)
     notes = f"{detail}; S1 offsets {s1.start}..{s1.stop - 1}, S2 offsets {s2.start}..{s2.stop - 1}"
-    return LemmaReport("lemma23", hyp, (Comparison(lhs, decided.rhs, decided.verdict),), notes)
+    return LemmaReport("lemma23", hyp, (comparison,), notes)
 
 
 def _lemma31_sides(cx, excess, pi, base, log_f1, log_f2):
@@ -254,7 +247,7 @@ def check_lemma31(t: ParamTuple, pi_mode: str = "exact") -> LemmaReport:
         "base_positive": 2 * k + l >= 1,
     }
     if not all(hyp.values()):
-        return _gated("lemma31", hyp)
+        return LemmaReport("lemma31", hyp, ())
 
     if k0 < 2:
         pi, pi_note = 0, "pi(k0) = 0 (k0 < 2)"
@@ -474,9 +467,8 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     lhs is the lower bound 4.6623k - 2.879 - log k; rhs is the upper bound
     (k0 + 3 k0^(3/4)) log 2.83.  On any tuple meeting all hypotheses the
     comparison FAILS for k >= 588: the window that should contain the exact
-    product is empty, which is the impossibility this section rests on.  The
-    notes name that outcome only; they print no value the verdict does not
-    decide.
+    product is empty, which is the impossibility this section rests on.  So
+    FAILS means that no tuple meets the hypotheses.
     """
     n, k, l, k0 = t.n, t.k, t.l, t.k0
     hyp = {
@@ -487,16 +479,15 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         "cube": (n + k + l) ** 2 <= k0**3,
     }
     if k < 1 or k0 < 1:
-        return _gated("section4", {**hyp, "k_positive": False})
+        return LemmaReport("section4", {**hyp, "k_positive": False}, ())
     if not all(hyp.values()):
-        return _gated("section4", hyp)
+        return LemmaReport("section4", hyp, ())
 
     comparison = certified_less(lambda cx: (
         cx.of("4.6623") * cx.of(k) - cx.of("2.879") - cx.log(cx.of(k)),
         (cx.of(k0) + 3 * cx.power(cx.of(k0), cx.of("0.75"))) * cx.log(cx.of("2.83")),
     ), strict=False)
-    notes = "bounds compatible" if comparison.verdict.holds else "bounds incompatible: no such tuple exists"
-    return LemmaReport("section4", hyp, (comparison,), notes)
+    return LemmaReport("section4", hyp, (comparison,))
 
 
 def _section4_sides(x: float) -> tuple[float, float]:

@@ -39,11 +39,12 @@ pi(sqrt(hi)) * 8 bytes, about 0.4 GB at hi = 1e18 and 1.2 GB at hi = 2^63.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -118,10 +119,18 @@ def base_primes(limit: int) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
-@functools.cache
+# the base table's primes through "limit" as plain ints: one grow-only list,
+# which every bound prime_list is asked for slices
+_int_cache: dict[str, Any] = {"limit": 1, "primes": []}
+
+
 def prime_list(bound: int) -> list[int]:
-    """Primes <= bound as plain ints, memoized per bound for trial division."""
-    return [int(p) for p in base_primes(bound)]
+    """Primes <= bound as plain ints for trial division, sliced from one grow-only list."""
+    primes = _int_cache["primes"]
+    if bound > _int_cache["limit"]:
+        primes += base_primes(bound)[len(primes) :].tolist()
+        _int_cache["limit"] = bound
+    return primes[: bisect.bisect_right(primes, bound)]
 
 
 def primes_unbounded() -> Iterator[int]:

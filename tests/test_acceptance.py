@@ -252,7 +252,7 @@ CRITERION_13_PINNED = [
         "8d2c12a8d9b6dd1ab1929bbaa54ab2e8d179384d7b5dd9486d00fcd3808b9394",
         "d7ea09f8371bebfd90fee3a8257611b7b87c7289092390fb02068d40ba65bbe6",
         "6ad0e119427670489f130c70d3dcd5f535b725a5f7c336250e25f3f7e20516be",
-        "fba9dab442b17eab7821acfd09f5723ae8f44e8c4dcaaf24be912edb1e90179f",
+        "904295f4f6bde3e816a682525f63146046594ba66c3f19caea93afd89b45f4b5",
         "77a9a17d43ba35f6c53bb9af496f00b1c5e50dd914edf10ad05c1c9062870458",
         "391c52872a1fb4aec7dc2bedde8313a0c489bc28411a6f15f7d7226b04d3763e",
         "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
@@ -261,7 +261,7 @@ CRITERION_13_PINNED = [
         "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
     ], [0] * len(CRITERION_13_CASES)),
     (["lemma", "section4"] + _TUPLE,
-     "a4504871746a19fb52f54ceb835efc08b1b8ebc0fcbe48ce407380b403ccff85", 0),
+     "035b040e4fc2f1ca9451b4e718e66b340689472fcda2db6841564e4f1319cff8", 0),
     (["lemma", "nmax31", "--k-max", "700", "--dense-until", "700"],
      "f934350819aa57777cb65344be892da32d28b600f98b3ade06ec6a8b8a550265", 0),
     # the precise enclosures, Dusart's pi in check31 and the exact pi in nmax31

@@ -8,6 +8,7 @@ whole soundness contract of the module.
 import enum
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from collisionlab import intervals, lemma
+from collisionlab import bounds, intervals, lemma
 from collisionlab.intervals import (
     FAILS,
     HOLDS,
@@ -310,7 +311,8 @@ _B = IntervalValue(3.0, 4.0)
 )
 def test_every_value_passes_the_one_validator(monkeypatch, make, values):
     # bench/tracing.py counts intervals.values by this same patch
-    monkeypatch.setattr(intervals, "_DECIMAL_CACHE", {"0.1": IntervalValue.of(Fraction(1, 10))})
+    intervals._decimal.cache_clear()
+    IntervalValue.of("0.1")
     validate = IntervalValue.__post_init__
     calls = []
 
@@ -322,6 +324,25 @@ def test_every_value_passes_the_one_validator(monkeypatch, make, values):
     made = make()
     assert len(calls) == values
     assert values == 0 or calls[-1] is made
+
+
+def test_callers_decimal_strings_retain_no_memory():
+    # every distinct decimal string a caller passes is enclosed, and the cache
+    # of enclosures is bounded, so 20,000 of them leave no trace behind
+    xs = [f"{1000 + i}.5" for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            bounds.pi_upper_dusart(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+    # the package's own constants stay cached
+    hits = intervals._decimal.cache_info().hits
+    bounds.pi_upper_dusart(1000)
+    assert intervals._decimal.cache_info().hits == hits + 1
 
 
 def test_log_requires_positive():

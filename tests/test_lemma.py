@@ -22,6 +22,7 @@ from collisionlab.intervals import (
 )
 import oracles
 from oracles import contains, mid, product_identity_check, width
+from test_acceptance import CRITERION_13_CASES, CRITERION_13_PINNED
 
 # the two tuples from exhaustive small-n enumeration that satisfy every
 # hypothesis of the two-sided ratio test
@@ -111,9 +112,8 @@ def test_check21_pinned_values():
 def test_check21_gated_by_ordering():
     report = lemma.check_lemma21(ParamTuple(0, 5, 1, 3, 11))
     assert report.verdict.state == INDETERMINATE
-    assert "hypotheses not met" in report.notes
-    assert "ordering" in report.notes
-    assert not report.hypotheses["ordering"]
+    assert report.hypotheses == {"eq12": True, "ordering": False, "l_gt_delta": True}
+    assert report.notes == ""
 
 
 def test_check21_gated_by_eq12():
@@ -126,7 +126,7 @@ def test_check21_gate_lists_every_failed_hypothesis():
     # C(16,5) = C(16,5) trivially, but m = k and l = delta
     report = lemma.check_lemma21(ParamTuple(0, 8, 3, 3, 0))
     assert report.verdict.state == INDETERMINATE
-    assert "ordering" in report.notes and "l_gt_delta" in report.notes
+    assert report.hypotheses == {"eq12": True, "ordering": False, "l_gt_delta": False}
 
 
 def test_check21_fails_on_the_failing_side(monkeypatch):
@@ -166,12 +166,12 @@ def test_check22_pinned_boundary():
     holds = lemma.check_lemma22(500000, 587)
     assert holds.verdict.state == HOLDS
     assert holds.comparisons[0].lhs.hi < 1
-    assert holds.notes == "forces l = delta"
+    assert holds.notes == ""
 
     fails = lemma.check_lemma22(500000, 588)
     assert fails.verdict.state == FAILS
     assert fails.comparisons[0].lhs.lo > 1
-    assert fails.notes == "does not force l = delta"
+    assert fails.notes == ""
 
 
 def test_check22_gating():
@@ -276,19 +276,20 @@ def test_check31_dusart_mode():
 
 
 @pytest.mark.parametrize(
-    "check, t, state, note",
+    "check, t, state, failed, note",
     [
-        (lemma.check_lemma31, ParamTuple(0, 5, 0, 5, 1), INDETERMINATE, "hypotheses not met: n_gt_k"),
-        (lemma.check_lemma31, ParamTuple(0, 10, 0, 1, 0), FAILS, "pi(k0) = 0 (k0 < 2)"),
+        (lemma.check_lemma31, ParamTuple(0, 5, 0, 5, 1), INDETERMINATE, ["n_gt_k"], ""),
+        (lemma.check_lemma31, ParamTuple(0, 10, 0, 1, 0), FAILS, [], "pi(k0) = 0 (k0 < 2)"),
         (lemma.section4_check, ParamTuple(0, 10, 0, 0, 0), INDETERMINATE,
-         "hypotheses not met: ordering, scale, cube, k_positive"),
+         ["ordering", "scale", "cube", "k_positive"], ""),
     ],
     ids=["check31-n-not-above-k", "check31-k0-below-two", "section4-k-zero"],
 )
-def test_checker_edge_branches(check, t, state, note):
+def test_checker_edge_branches(check, t, state, failed, note):
     report = check(t)
     assert report.verdict.state == state
-    assert note in report.notes
+    assert [name for name, ok in report.hypotheses.items() if not ok] == failed
+    assert report.notes == note
 
 
 @pytest.mark.parametrize(
@@ -596,7 +597,8 @@ def test_section4_contradiction_refuses_k_past_binary64():
 def test_section4_check_gated_on_small_tuple():
     report = lemma.section4_check(ParamTuple(0, 7, 1, 2, 1))
     assert report.verdict.state == INDETERMINATE
-    assert "hypotheses not met" in report.notes
+    assert [name for name, ok in report.hypotheses.items() if not ok] == ["l_small", "scale"]
+    assert report.notes == ""
 
 
 def test_section4_check_incompatible_at_scale():
@@ -604,7 +606,7 @@ def test_section4_check_incompatible_at_scale():
     report = lemma.section4_check(t)
     assert all(report.hypotheses.values()), report.hypotheses
     assert report.verdict.state == FAILS
-    assert report.notes == "bounds incompatible: no such tuple exists"
+    assert report.notes == ""
 
 
 def test_section4_contradiction_pinned():
@@ -743,12 +745,51 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
         assert report.lhs is decided.lhs and report.rhs is decided.rhs and report.verdict is decided.verdict
         return
     assert len(report.comparisons) == len(returns)
-    for shown, decided in zip(report.comparisons, returns):
-        if report.lemma == "lemma23":  # its lhs is the exact enclosure, which an escalation would widen
-            assert shown.rhs is decided.rhs and shown.verdict is decided.verdict
-        else:
-            assert shown is decided
+    assert all(shown is decided for shown, decided in zip(report.comparisons, returns))
     assert report.verdict == _join(verdicts)
+
+
+# every criterion-13 case that prints a LemmaReport, and a gated case of each checker
+_REPORT_ARGVS = list(dict.fromkeys(
+    tuple(argv) for argv in CRITERION_13_CASES + [argv for argv, _, _ in CRITERION_13_PINNED]
+    if argv[0] == "lemma" and argv[1] in ("check21", "check22", "check23", "check31", "section4")
+)) + [
+    ("lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "2"),
+    ("lemma", "check22", "--n", "7", "--k", "2"),
+    ("lemma", "check23", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "2"),
+    ("lemma", "check31", "--delta", "0", "--n", "5", "--m", "0", "--k", "5", "--l", "1"),
+    ("lemma", "section4", "--delta", "0", "--n", "10", "--m", "0", "--k", "0", "--l", "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _REPORT_ARGVS, ids=["-".join(a for a in argv[1:] if not a.startswith("--")) for argv in _REPORT_ARGVS],
+)
+def test_a_report_states_each_fact_once(capsys, monkeypatch, argv):
+    # the verdict and the hypotheses are fields, so no note restates them:
+    # only check23 (its windows and witness) and check31 (how it took pi(k0))
+    # write one, and each comparison is the record certified_less returned
+    reports, returns = [], []
+    plain_fields, plain_less = cli._fields, lemma.certified_less
+
+    def fields(result, *drop):
+        if isinstance(result, lemma.LemmaReport):
+            reports.append(result)
+        return plain_fields(result, *drop)
+
+    def spy(build, strict=True):
+        returns.append(plain_less(build, strict))
+        return returns[-1]
+
+    monkeypatch.setattr(cli, "_fields", fields)
+    monkeypatch.setattr(lemma, "certified_less", spy)
+    cli.main(list(argv))
+    [report] = reports
+    assert json.loads(capsys.readouterr().out)["report"]["notes"] == report.notes
+    assert bool(report.notes) == (report.lemma in ("lemma23", "lemma31") and all(report.hypotheses.values()))
+    assert bool(report.comparisons) == all(report.hypotheses.values())
+    assert len(report.comparisons) == len(returns)
+    assert all(shown is decided for shown, decided in zip(report.comparisons, returns))
 
 
 def _join(verdicts):
@@ -804,4 +845,4 @@ def test_lemma_report_json_shape(capsys):
     [comparison] = payload["comparisons"]
     assert list(comparison) == ["lhs", "rhs", "verdict"]
     assert comparison["lhs"][0] <= comparison["lhs"][1]
-    assert payload["notes"] == "forces l = delta"
+    assert payload["notes"] == ""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ PSI_1E6 = 999586.5974956343
 def test_prime_list_golden_prefix():
     assert sieve.prime_list(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert sieve.prime_list(1) == []
+
+
+def test_prime_list_keeps_one_table_across_distinct_bounds():
+    # check23 asks for the primes <= k0, one bound per tuple; 100 distinct
+    # bounds slice one grow-only list, so what they retain does not grow
+    bounds = range(20_011, 20_211, 2)
+    sieve.prime_list(bounds[-1])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ends = [sieve.prime_list(bound)[-1] for bound in bounds]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+    table = sieve.base_primes(bounds[-1])
+    assert ends == [int(table[np.searchsorted(table, bound, side="right") - 1]) for bound in bounds]
+    assert sieve.prime_list(20_011) == table[: np.searchsorted(table, 20_011, side="right")].tolist()
 
 
 def test_base_primes_grow_only_cache():
