@@ -8,7 +8,8 @@ intervals module).  The estimates covered:
   * log_factorial          log(nu!) itself: exact nu! up to 170, Robbins's hull above
   * central_binom_lower_expr  the near-central binomial floor of the large-l case
   * section5_l0_expr       the theorem's threshold l0 = (c n / log n)^(40/21)
-  * section5_thresholds    l0's enclosure t_pow and the critical constant c_star
+  * section5_thresholds    l0's enclosure t_pow
+  * C_STAR                 the critical constant c* = 1.3132 * 21/40 below which c must lie
 
 Numeric constants that originate as decimal literals enter as strings,
 cx.of("7.59"), so the enclosures bracket the intended decimal values, not
@@ -22,7 +23,6 @@ NaN and the infinities, which no Fraction holds, are refused by Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,7 +30,7 @@ from .collision import SCALE_MIN_N
 from .intervals import IntervalValue, evaluate
 
 __all__ = [
-    "Section5Thresholds",
+    "C_STAR",
     "pi_upper_dusart",
     "pi_upper_dusart_expr",
     "stirling_log_bounds",
@@ -136,28 +136,25 @@ def log_factorial(nu: int) -> IntervalValue:
     return IntervalValue(log_g_lower(nu).lo, log_g_upper(nu).hi)
 
 
-@dataclass(frozen=True, slots=True)
-class Section5Thresholds:
-    t_pow: IntervalValue
-    c_star: float
+# the critical constant c* = 1.3132 * 21/40 (= 0.68943 exactly): section5_check
+# refuses every c >= C_STAR
+C_STAR = float(Fraction("1.3132") * 21 / 40)
 
 
-def section5_thresholds(n: int, c: float) -> Section5Thresholds:
-    """The theorem's lower threshold for l, enclosed, plus the critical exponent constant.
+def section5_thresholds(n: int, c: float) -> IntervalValue:
+    """t_pow, the enclosure of the theorem's lower threshold l0 for l.
 
-    t_pow encloses l0 = (c n / log n)^(40/21), section5_l0_expr in binary64;
-    c_star = 1.3132 * 21/40 exactly (= 0.68943).  An l0 that binary64
-    cannot enclose is refused by name.
+    t_pow encloses l0 = (c n / log n)^(40/21), section5_l0_expr in binary64.
+    An l0 that binary64 cannot enclose is refused by name.
     """
     if n < SCALE_MIN_N:
         raise ValueError(f"section5_thresholds: n must be >= {SCALE_MIN_N}, got {n}")
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"section5_thresholds: c must be positive and finite, got {c}")
     try:
-        t_pow = evaluate(lambda cx: section5_l0_expr(cx, cx.of(n), cx.of(c)))
+        return evaluate(lambda cx: section5_l0_expr(cx, cx.of(n), cx.of(c)))
     except OverflowError:
         raise OverflowError("section5_thresholds: t_pow lies beyond binary64's range") from None
-    return Section5Thresholds(t_pow, float(Fraction("1.3132") * 21 / 40))
 
 
 def central_binom_lower_expr(cx, v):

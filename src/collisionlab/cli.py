@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("thresholds", help="large-n cutoffs for a given leading constant")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--c", type=_finite_float, required=True)
-    b.set_defaults(func=_cmd_doc, call=lambda a: _fields(bounds.section5_thresholds(a.n, a.c)))
+    b.set_defaults(
+        func=_cmd_doc, call=lambda a: {"t_pow": _out(bounds.section5_thresholds(a.n, a.c)), "c_star": bounds.C_STAR}
+    )
 
     p = sub.add_parser("lemma", help="certified lemma checkers")
     lsub = p.add_subparsers(dest="lemma_command", required=True)

@@ -2,11 +2,12 @@
 
 Every checker returns a LemmaReport: the hypothesis flags that gate it,
 the intervals.Comparison each certified_less call returns, as returned,
-and the verdict that joins them.  A comparison holds certified lhs/rhs
-intervals (None for a side past binary64's range) in the orientation in
-which it was decided, lhs < rhs, and that call's verdict.  check21 lists
-its two inequalities, first then second; the other checkers list one
-comparison.  The joined verdict is HOLDS if every comparison holds, else
+and the verdict that joins them; section5's, a Section5Report, also
+carries n and t_pow, the enclosure of its threshold l0.  A comparison
+holds certified lhs/rhs intervals (None for a side past binary64's range)
+in the orientation in which it was decided, lhs < rhs, and that call's
+verdict.  check21 lists its two inequalities, first then second; the
+other checkers list one comparison.  The joined verdict is HOLDS if every comparison holds, else
 FAILS if any fails, else INDETERMINATE; LemmaReport computes it and takes
 no verdict as an argument.  Notes carry only what no other field says:
 check23's window detail and witness, and how check31 took pi(k0).  Each
@@ -14,7 +15,8 @@ claim is one builder that returns its two sides together, so what they
 share is built once per context.  A checker never extrapolates: when a
 hypothesis fails, the false flags in hypotheses say which, no side is
 evaluated, comparisons is empty ([] in the CLI's JSON report) and the
-verdict is INDETERMINATE 0.0.
+verdict is INDETERMINATE 0.0.  section5 refuses bad input instead (its
+hypotheses are empty), so it is never gated.
 
 Index-range corrections.  The product identity behind everything here is
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import arith, intervals, sieve
 from .bounds import (
-    Section5Thresholds,
+    C_STAR,
     central_binom_lower_expr,
     f_stirling,
     log_factorial,
@@ -468,7 +470,9 @@ def section4_check(t: ParamTuple) -> LemmaReport:
     (k0 + 3 k0^(3/4)) log 2.83.  On any tuple meeting all hypotheses the
     comparison FAILS for k >= 588: the window that should contain the exact
     product is empty, which is the impossibility this section rests on.  So
-    FAILS means that no tuple meets the hypotheses.
+    FAILS means that no tuple meets the hypotheses.  The hypotheses alone
+    gate the comparison: ordering gives k >= 1, and scale with cube gives
+    k0 >= 1.
     """
     n, k, l, k0 = t.n, t.k, t.l, t.k0
     hyp = {
@@ -478,8 +482,6 @@ def section4_check(t: ParamTuple) -> LemmaReport:
         "scale": t.scale_ok,
         "cube": (n + k + l) ** 2 <= k0**3,
     }
-    if k < 1 or k0 < 1:
-        return LemmaReport("section4", {**hyp, "k_positive": False}, ())
     if not all(hyp.values()):
         return LemmaReport("section4", hyp, ())
 
@@ -547,14 +549,18 @@ def section4_contradiction(k: int) -> Section4Contradiction:
 
 
 @dataclass(frozen=True, slots=True)
-class Section5Report:
-    n: int
-    c: float
-    thresholds: Section5Thresholds
-    l0: float
-    lhs: IntervalValue | None
-    rhs: IntervalValue | None
-    verdict: Verdict
+class Section5Report(LemmaReport):
+    """section5's LemmaReport, which also carries n and t_pow, the enclosure of l0.
+
+    l0 is t_pow.lo, a lower end of the exact l0.
+    """
+
+    n: int = field(kw_only=True)
+    t_pow: IntervalValue = field(kw_only=True)
+
+    @property
+    def l0(self) -> float:
+        return self.t_pow.lo
 
 
 def section5_check(n: int, c: float) -> Section5Report:
@@ -566,16 +572,17 @@ def section5_check(n: int, c: float) -> Section5Report:
     l, so a certified HOLDS here excludes every l <= l0.  l0 is
     bounds.section5_l0_expr, enclosed inside each evaluation context, so
     HOLDS covers the exact l0.  The report's l0 is t_pow.lo, a lower end of
-    the exact l0, so HOLDS excludes every l <= l0 as printed too.
+    the exact l0, so HOLDS excludes every l <= l0 too.  A c at or above
+    C_STAR is refused before anything is evaluated; bad input is
+    refused, never gated, so the report's hypotheses are empty.
     """
-    thresholds = section5_thresholds(n, c)
-    if not c < thresholds.c_star:
-        raise ValueError(f"section5_check: c must be below {thresholds.c_star}, got {c}")
+    if not c < C_STAR:
+        raise ValueError(f"section5_check: c must be below {C_STAR}, got {c}")
+    t_pow = section5_thresholds(n, c)
 
     def sides(cx):
         base = 2 * cx.of(n) + section5_l0_expr(cx, cx.of(n), cx.of(c))
         lhs = cx.power(base, cx.of(Fraction(21, 40))) * cx.log(base)
         return lhs, central_binom_lower_expr(cx, cx.of(n))
 
-    decided = certified_less(sides)
-    return Section5Report(n, c, thresholds, thresholds.t_pow.lo, decided.lhs, decided.rhs, decided.verdict)
+    return Section5Report("section5", {}, (certified_less(sides),), n=n, t_pow=t_pow)

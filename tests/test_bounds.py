@@ -233,13 +233,13 @@ def test_log_binom_lowers_rejects_out_of_range():
 
 
 def test_section5_thresholds_pinned():
-    th = bounds.section5_thresholds(10**9, 0.68)
-    assert th.c_star == float(Fraction("1.3132") * 21 / 40)
-    assert round(th.c_star, 5) == 0.68943
+    assert bounds.C_STAR == float(Fraction("1.3132") * 21 / 40)
+    assert round(bounds.C_STAR, 5) == 0.68943
+    t_pow = bounds.section5_thresholds(10**9, 0.68)
     with mpmath.workdps(60):
         exact = (mpmath.mpf(0.68) * 10**9 / mpmath.log(10**9)) ** (mpmath.mpf(40) / 21)
-        assert th.t_pow.lo <= exact <= th.t_pow.hi
-    assert th.t_pow.hi - th.t_pow.lo <= 1e-12 * th.t_pow.lo
+        assert t_pow.lo <= exact <= t_pow.hi
+    assert t_pow.hi - t_pow.lo <= 1e-12 * t_pow.lo
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -272,7 +272,7 @@ def test_central_binom_lower_dominated_by_exact():
 @pytest.mark.parametrize("n", [10**6, 123456789, 10**9])
 def test_central_binom_lower_is_section5_rhs(n):
     iv = _central_binom_lower(n)
-    assert lemma.section5_check(n, 0.68).rhs == iv
+    assert lemma.section5_check(n, 0.68).comparisons[0].rhs == iv
     with mpmath.workdps(50):
         exact = mpmath.mpf("1.3132") * n - mpmath.log(n) / 2 - mpmath.mpf("0.5359")
         assert mpmath.mpf(iv.lo) <= exact <= mpmath.mpf(iv.hi)

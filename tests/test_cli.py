@@ -273,6 +273,20 @@ def test_echo_refuses_a_non_finite_value(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("n", [10**9, 10**170], ids=["n-1e9", "n-1e170"])
+@pytest.mark.parametrize("c", ["0.68943", "0.9"])
+def test_lemma_section5_refuses_c_at_or_above_c_star_before_evaluating(capsys, monkeypatch, n, c):
+    # c is tested against the constant c* first, so a t_pow past binary64
+    # (as 0.9 at n = 10^170 gives) cannot hide the refusal, and nothing is evaluated
+    def evaluated(*args):
+        raise AssertionError("section5 evaluated l0 for a c it refuses")
+
+    monkeypatch.setattr(lemma, "section5_thresholds", evaluated)
+    code, out, err = run_cli(capsys, ["lemma", "section5", "--n", str(n), "--c", c])
+    assert (code, out) == (3, "")
+    assert f"c must be below 0.68943, got {float(c)}" in err
+
+
 @pytest.mark.parametrize(
     "command", [["bounds", "thresholds"], ["lemma", "section5"]], ids=["thresholds", "section5"]
 )
@@ -504,15 +518,13 @@ def test_lemma_section5(capsys):
     doc = json.loads(out)
     assert list(doc) == ["version", "config", "report"]
     report = doc["report"]
-    assert list(report) == ["n", "c", "thresholds", "l0", "lhs", "rhs", "verdict"]
-    assert list(report["thresholds"]) == ["t_pow", "c_star"]  # the nested dataclass, by _fields
-    assert report["thresholds"]["t_pow"][0] == report["l0"]  # l0 is t_pow's lower end
+    # a LemmaReport, as every checker prints, with n and the enclosure of l0
+    assert list(report) == ["lemma", "hypotheses", "comparisons", "verdict", "notes", "n", "t_pow"]
+    assert (report["lemma"], report["hypotheses"], report["notes"], report["n"]) == ("section5", {}, "", 10**9)
+    [comparison] = report["comparisons"]
+    assert comparison["verdict"] == report["verdict"]
     assert report["verdict"]["state"] == "HOLDS" and report["verdict"]["margin"] > 0
-    code, out, err = run_cli(
-        capsys, ["lemma", "section5", "--n", "1000000000", "--c", "0.9"]
-    )
-    assert code == 3
-    assert "must be below" in err
+    assert report["t_pow"] == cli._out(bounds.section5_thresholds(10**9, 0.68))
     with pytest.raises(SystemExit) as exc:
         main(["lemma", "section5", "--n", "1000000000", "--c", "abc"])
     out, err = capsys.readouterr()
@@ -524,10 +536,9 @@ def test_lemma_section5(capsys):
 # stdout prints exact or enclosed numbers
 
 # the keys whose float is no enclosure endpoint: a certified margin (rounded
-# toward zero), section5's l0 (the lower end of t_pow), the exact constant
-# c_star, the echoed input c, and nmax31's grid maximum, which the sampled
-# grid does not certify
-_BARE_FLOAT_KEYS = {"margin", "l0", "c_star", "c", "n_max", "log_n_max"}
+# toward zero), the exact constant c_star, the echoed input c, and nmax31's
+# grid maximum, which the sampled grid does not certify
+_BARE_FLOAT_KEYS = {"margin", "c_star", "c", "n_max", "log_n_max"}
 
 
 def _is_enclosure(lo, hi):
@@ -608,7 +619,7 @@ def test_text_margins_parse_back_exactly(capsys, monkeypatch, argv, checker):
     report = json.loads(out)["report"]
     verdict = reports[0].verdict
     assert report["verdict"] == {"state": verdict.state, "margin": verdict.margin}
-    printed = report.get("comparisons", [report])  # section5's report is its one comparison
+    printed = report["comparisons"]
     # check21 decides two inequalities, the gated section4 case none
     assert len(printed) == len(returns) == {"check_lemma21": 2, "section4_check": 0}.get(checker, 1)
     for comparison, decided in zip(printed, returns):

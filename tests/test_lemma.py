@@ -192,7 +192,7 @@ def test_scale_floor_is_500000_at_every_site():
     assert lemma.check_lemma22(500000, 587).verdict.state == HOLDS
     with pytest.raises(ValueError, match="n must be >= 500000, got 499999"):
         bounds.section5_thresholds(499999, 0.5)
-    assert bounds.section5_thresholds(500000, 0.5).t_pow.lo > 0
+    assert bounds.section5_thresholds(500000, 0.5).lo > 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_check31_dusart_mode():
         (lemma.check_lemma31, ParamTuple(0, 5, 0, 5, 1), INDETERMINATE, ["n_gt_k"], ""),
         (lemma.check_lemma31, ParamTuple(0, 10, 0, 1, 0), FAILS, [], "pi(k0) = 0 (k0 < 2)"),
         (lemma.section4_check, ParamTuple(0, 10, 0, 0, 0), INDETERMINATE,
-         ["ordering", "scale", "cube", "k_positive"], ""),
+         ["ordering", "scale", "cube"], ""),
     ],
     ids=["check31-n-not-above-k", "check31-k0-below-two", "section4-k-zero"],
 )
@@ -628,11 +628,26 @@ def test_section4_contradiction_pinned():
 def test_section5_pinned():
     rep = lemma.section5_check(10**9, 0.68)
     assert rep.verdict.state == HOLDS
-    assert rep.l0 == rep.thresholds.t_pow.lo
-    assert rep.lhs.hi < rep.rhs.lo
-    assert (rep.lhs.lo, rep.lhs.hi) == (1081680823.0231318, 1081680823.0231931)
-    assert mid(rep.lhs) == pytest.approx(1.081e9, rel=1e-3)
-    assert mid(rep.rhs) == pytest.approx(1.3132e9, rel=1e-3)
+    assert rep.l0 == rep.t_pow.lo
+    [c] = rep.comparisons
+    assert c.lhs.hi < c.rhs.lo
+    assert (c.lhs.lo, c.lhs.hi) == (1081680823.0231318, 1081680823.0231931)
+    assert mid(c.lhs) == pytest.approx(1.081e9, rel=1e-3)
+    assert mid(c.rhs) == pytest.approx(1.3132e9, rel=1e-3)
+
+
+def test_section5_report_reads_as_the_benchmark_reads_it():
+    # the checkers workload reads n, l0 and verdict.state, and no other field
+    rep = lemma.section5_check(10**9, 0.68)
+    n, l0, state = rep.n, rep.l0, rep.verdict.state
+    assert (n, state) == (10**9, HOLDS)
+    assert type(l0) is float and l0.hex() == rep.t_pow.lo.hex() == bounds.section5_thresholds(10**9, 0.68).lo.hex()
+    assert l0 == 207151019659108.94
+    # l0 is a read-only property; a frozen slots dataclass refuses the write
+    # with TypeError or AttributeError, depending on the Python version
+    with pytest.raises((TypeError, AttributeError)):
+        rep.l0 = 0.0
+    assert rep.l0 == rep.t_pow.lo
 
 
 def _section5_lhs(n, c):
@@ -647,8 +662,8 @@ def test_section5_lhs_encloses_value_at_exact_l0():
     rep = lemma.section5_check(n, c)
     with mpmath.workdps(50):
         exact = _section5_lhs(n, c)
-        assert rep.lhs.lo <= exact <= rep.lhs.hi
-    assert rep.l0 == rep.thresholds.t_pow.lo
+        assert rep.comparisons[0].lhs.lo <= exact <= rep.comparisons[0].lhs.hi
+    assert rep.l0 == rep.t_pow.lo
 
 
 @pytest.mark.parametrize("n, c", [(10**6, 0.5), (10**9, 0.68), (10**12, 0.3), (10**100, 0.6)])
@@ -659,7 +674,7 @@ def test_section5_l0_is_a_lower_end(n, c):
     with mpmath.workdps(60):
         exact = (mpmath.mpf(c) * n / mpmath.log(n)) ** (mpmath.mpf(40) / 21)
         assert rep.l0 <= exact
-        assert rep.thresholds.t_pow.lo <= exact <= rep.thresholds.t_pow.hi
+        assert rep.t_pow.lo <= exact <= rep.t_pow.hi
 
 
 def test_section5_rejects_c_at_or_above_star():
@@ -740,10 +755,6 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
     assert report.verdict.decided
     # check21 joins two verdicts; its margin is the smaller of the two
     assert report.verdict in verdicts
-    if not isinstance(report, lemma.LemmaReport):  # section5's report holds its one comparison's fields
-        (decided,) = returns
-        assert report.lhs is decided.lhs and report.rhs is decided.rhs and report.verdict is decided.verdict
-        return
     assert len(report.comparisons) == len(returns)
     assert all(shown is decided for shown, decided in zip(report.comparisons, returns))
     assert report.verdict == _join(verdicts)
@@ -752,7 +763,7 @@ def test_every_checker_verdict_comes_from_certified_less(monkeypatch, call):
 # every criterion-13 case that prints a LemmaReport, and a gated case of each checker
 _REPORT_ARGVS = list(dict.fromkeys(
     tuple(argv) for argv in CRITERION_13_CASES + [argv for argv, _, _ in CRITERION_13_PINNED]
-    if argv[0] == "lemma" and argv[1] in ("check21", "check22", "check23", "check31", "section4")
+    if argv[0] == "lemma" and argv[1] in ("check21", "check22", "check23", "check31", "section4", "section5")
 )) + [
     ("lemma", "check21", "--delta", "0", "--n", "7", "--m", "1", "--k", "2", "--l", "2"),
     ("lemma", "check22", "--n", "7", "--k", "2"),
@@ -821,16 +832,31 @@ def test_report_verdict_is_the_join_of_its_comparisons(pairs):
 
 
 def test_report_verdict_is_no_argument_and_stays_the_join():
-    # the join is the only way a verdict gets into a report
+    # the join is the only way a verdict gets into a report, section5's included
+    comparisons = (Comparison(IntervalValue.of(0), IntervalValue.of(1), Verdict(HOLDS, 1.0)),)
+    for report_type, extra in (
+        (lemma.LemmaReport, {}),
+        (lemma.Section5Report, {"n": 10**9, "t_pow": IntervalValue.of(2)}),
+    ):
+        with pytest.raises(TypeError):
+            report_type("lemma", {}, comparisons, "", verdict=Verdict(FAILS, 1.0), **extra)
+        with pytest.raises(TypeError):
+            report_type("lemma", {}, comparisons, Verdict(FAILS, 1.0), "", **extra)
+        report = report_type("lemma", {}, comparisons, "", **extra)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.verdict = Verdict(FAILS, 1.0)
+        assert report.verdict == Verdict(HOLDS, 1.0), report_type
+
+
+def test_section5_report_takes_n_and_t_pow_by_keyword_only():
     comparisons = (Comparison(IntervalValue.of(0), IntervalValue.of(1), Verdict(HOLDS, 1.0)),)
     with pytest.raises(TypeError):
-        lemma.LemmaReport("lemma", {}, comparisons, "", verdict=Verdict(FAILS, 1.0))
-    with pytest.raises(TypeError):
-        lemma.LemmaReport("lemma", {}, comparisons, Verdict(FAILS, 1.0), "")
-    report = lemma.LemmaReport("lemma", {}, comparisons, "")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        report.verdict = Verdict(FAILS, 1.0)
-    assert report.verdict == Verdict(HOLDS, 1.0)
+        lemma.Section5Report("section5", {}, comparisons, "", 10**9, IntervalValue.of(2))
+    report = lemma.Section5Report("section5", {}, comparisons, n=10**9, t_pow=IntervalValue(2.0, 3.0))
+    assert (report.notes, report.l0) == ("", 2.0)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "lemma", "hypotheses", "comparisons", "verdict", "notes", "n", "t_pow",
+    ]
 
 
 # ---------------------------------------------------------------------------
