@@ -345,13 +345,19 @@ def evaluate(build: Callable, precise: bool = False) -> IntervalValue:
 
 
 def _enclosure(raw) -> IntervalValue | None:
-    """The binary64 enclosure of an mpmath interval; None if it is finite but past binary64."""
+    """The binary64 enclosure of an mpmath interval; None if it is finite but past binary64.
+
+    An unbounded interval is no value: OverflowError, naming the escalation.
+    """
     lo, hi = mpmath.mpf(raw.a), mpmath.mpf(raw.b)
+    if mpmath.isinf(lo) or mpmath.isinf(hi):
+        raise OverflowError(
+            f"the mpmath escalation at PRECISE_DIGITS = {PRECISE_DIGITS} could not bound a side: "
+            f"[{lo}, {hi}] has no finite end, as from a divisor it cannot separate from zero"
+        )
     try:
         return _widen(float(lo), float(hi))
     except OverflowError:
-        if mpmath.isinf(lo) or mpmath.isinf(hi):
-            raise  # an unbounded side, as from a divisor of exactly zero, is no verdict
         return None
 
 
@@ -368,8 +374,9 @@ def certified_less(build: Callable, strict: bool = True) -> Comparison:
     decided.  A side that binary64 cannot evaluate (a divisor around zero,
     an operand or quotient past its range) is undecided too.  After an
     escalation, a finite side with no binary64 enclosure is returned as
-    None, never clamped or widened, and the verdict stands as decided; an
-    unbounded side raises OverflowError.
+    None, never clamped or widened, and the verdict stands as decided; a
+    side the escalation cannot bound (an infinite endpoint) raises an
+    OverflowError that says so.
     """
     try:
         lhs, rhs = build(IntervalValue)

@@ -34,12 +34,20 @@ window holds n - i (S1) or n + i (S2).
 The two threshold computations live here as well: threshold_lemma32 locates
 the sign change that caps k+l, and nmax_lemma31 maximizes the implied bound
 for n over a (k, l) grid.
+
+section4_contradiction, the Section 4 sweep at one integer k, decides
+nothing per call: at import, three certified_less comparisons prove that
+its margin rises on [1, oo) and turns positive at k = 3, and each call
+compares k with that threshold.  Its lhs and rhs are read lazily, as
+binary64 floats, and a k whose binary64 sides would overflow is refused.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -497,14 +505,87 @@ def _section4_sides(x: float) -> tuple[float, float]:
     return 4.6623 * x - 1.8344 - math.log(x), 1.0433 * x + 3.13 * x**0.75
 
 
+# the sweep's claim a k - b - log k > c k + d k^(3/4): (a, b, c, d) as decimal
+# strings, the same decimals as the float literals of _section4_sides
+_SECTION4_CONSTANTS = ("4.6623", "1.8344", "1.0433", "3.13")
+
+
+def _section4_margin(cx, x):
+    """D(x) = (a - c) x - b - log x - d x^(3/4), the sweep's lhs - rhs, in context cx."""
+    a, b, c, d = map(cx.of, _SECTION4_CONSTANTS)
+    return (a - c) * x - b - cx.log(x) - d * cx.power(x, cx.of("0.75"))
+
+
+def _section4_slope(cx, x):
+    """D'(x) = (a - c) - 1/x - (3/4) d x^(-1/4) in context cx; it rises with x for d > 0."""
+    a, _, c, d = map(cx.of, _SECTION4_CONSTANTS)
+    return (a - c) - 1 / x - cx.of("0.75") * d * cx.power(x, cx.of("-0.25"))
+
+
+def _section4_threshold() -> tuple[int, tuple[intervals.Comparison, ...]]:
+    """The least k >= 1 with D(k) > 0, and the certified_less comparisons that prove it.
+
+    D'(x) rises with x, since its -1/x and -(3/4) d x^(-1/4) terms do, so
+    D'(1) > 0 makes D increasing on [1, oo): then D(k) > 0 exactly for the
+    k at or above the first one where it is.  The proof is D'(1) > 0,
+    D(k-1) < 0 (absent when k is 1) and D(k) > 0, each a comparison that
+    HOLDS; with the constants above it reads D'(1) = 0.2715, D(2) < 0 < D(3).
+    ArithmeticError if a sign cannot be certified.
+    """
+    rising = certified_less(lambda cx: (cx.of(0), _section4_slope(cx, cx.of(1))))
+    if not rising.verdict.holds:
+        raise ArithmeticError("section4: the sweep's margin is not certified to rise on [1, oo)")
+    k, proof = 1, (rising,)
+    # D rises at least D'(1) per step, so some D(k) < 0 fails
+    while (below := certified_less(lambda cx: (_section4_margin(cx, cx.of(k)), cx.of(0)))).verdict.holds:
+        k, proof = k + 1, (rising, below)
+    above = certified_less(lambda cx: (cx.of(0), _section4_margin(cx, cx.of(k))))
+    if not above.verdict.holds:
+        raise ArithmeticError(f"section4: the sweep's margin has no certified sign at k = {k}")
+    return k, (*proof, above)
+
+
+def _section4_k_max() -> int:
+    """The largest k whose binary64 sides _section4_sides(float(k)) are both finite.
+
+    Overflow sets in only upward, so a bisection over the bit patterns of
+    the doubles in [1, max], which order as the doubles do, finds the last
+    double x with finite sides.  float(k) rounds to nearest, ties to even:
+    every k below the midpoint of x and the next double rounds to at most
+    x, and the midpoint itself does when it rounds down.
+    """
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def double(b: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    lo, hi = bits(1.0), bits(sys.float_info.max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all(map(math.isfinite, _section4_sides(double(mid)))):
+            lo = mid
+        else:
+            hi = mid
+    x = double(lo)
+    midpoint = (int(x) + int(double(lo + 1))) // 2
+    return midpoint if float(midpoint) == x else midpoint - 1
+
+
+# certified once, at import: every k >= _SECTION4_K0 is a contradiction
+_SECTION4_K0 = _section4_threshold()[0]
+_SECTION4_K_MAX = _section4_k_max()
+
+
 class Section4Contradiction(int):
     """One sweep point: an int whose value is k.
 
     section4_contradiction returns one of two subclasses whose class
-    attribute `contradiction` is the verdict lhs > rhs, so a point holds
+    attribute `contradiction` is the certified verdict, so a point holds
     its k and nothing else (about 57 B retained).  A point built from this
-    class by hand carries no verdict.  lhs and rhs are recomputed from k when read, bit
-    for bit as the call computed them.
+    class by hand carries no verdict.  lhs and rhs are the two sides in
+    plain binary64, recomputed from k when read, bit for bit as float
+    arithmetic on k gives them; no verdict is decided from them.
     """
 
     __slots__ = ()
@@ -533,19 +614,24 @@ class _NoContradiction(Section4Contradiction):
 
 
 def section4_contradiction(k: int) -> Section4Contradiction:
-    """4.6623k - 1.8344 - log k vs 1.0433k + 3.13 k^(3/4), plain binary64.
+    """Whether 4.6623k - 1.8344 - log k > 1.0433k + 3.13 k^(3/4) at the integer k.
 
-    The margin grows linearly with k (slope ~3.6), so float evaluation is
-    ample; at k = 1 the inequality genuinely reverses.  Both sides are
-    evaluated and the verdict decided in the call.
+    The verdict is certified once per process, at import, for every k:
+    the margin lhs - rhs rises on [1, oo) and turns positive at k = 3, by
+    three certified_less comparisons (see _section4_threshold).  So the
+    call compares k with that threshold and evaluates neither side; at
+    k = 1 and 2 the inequality genuinely reverses.  lhs and rhs are read
+    lazily, as binary64 floats.  A k below 1 raises ValueError, a float k
+    TypeError, and a k whose binary64 sides would overflow (from about
+    3.86e307) OverflowError.
     """
     if type(k) is not int:
         k = operator.index(k)  # TypeError for a float, which an int point would truncate
     if k < 1:
         raise ValueError(f"section4_contradiction: k must be >= 1, got {k}")
-    # the rounding an int operand of a float op gets; OverflowError past binary64
-    lhs, rhs = _section4_sides(float(k))
-    return (_Contradiction if lhs > rhs else _NoContradiction)(k)
+    if k > _SECTION4_K_MAX:
+        raise OverflowError(f"section4_contradiction: a binary64 side overflows past k = {_SECTION4_K_MAX:.6e}")
+    return (_Contradiction if k >= _SECTION4_K0 else _NoContradiction)(k)
 
 
 @dataclass(frozen=True, slots=True)

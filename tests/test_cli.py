@@ -369,6 +369,16 @@ def test_lemma_check22_reports_an_lhs_past_binary64(capsys):
     assert comparison["rhs"][0] <= 1 <= comparison["rhs"][1]
 
 
+def test_lemma_check22_names_a_side_the_escalation_cannot_bound(capsys):
+    # log(2.001/(1.001 + k/n)) is about 5e-201, which 55 digits cannot tell
+    # from zero: the quotient's enclosure is unbounded, and stderr says why
+    argv = ["lemma", "check22", "--n", str(10**200), "--k", str(10**200 - 1)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "escalation at PRECISE_DIGITS = 55 could not bound a side" in err
+    assert "a divisor it cannot separate from zero" in err
+
+
 def test_lemma_check23(capsys):
     code, out, err = run_cli(capsys, ["lemma", "check23"] + TUPLE_FLAGS)
     assert code == 0

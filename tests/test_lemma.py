@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -592,6 +593,64 @@ def test_section4_contradiction_refuses_k_past_binary64():
     # k is any int, and float(k) has no binary64 value past about 1.8e308
     with pytest.raises(OverflowError):
         lemma.section4_contradiction(10**400)
+
+
+@pytest.mark.parametrize("k", [179 * 10**306, 4 * 10**307], ids=["both-sides-inf", "lhs-inf"])
+def test_section4_contradiction_refuses_k_whose_sides_overflow(k):
+    # float(k) exists, but 4.6623 float(k) does not: no side of an inf to read
+    assert not all(map(math.isfinite, lemma._section4_sides(float(k))))
+    with pytest.raises(OverflowError, match="overflows"):
+        lemma.section4_contradiction(k)
+
+
+def test_section4_overflow_bound_is_the_last_k_with_finite_sides():
+    k_max = lemma._SECTION4_K_MAX
+    c = lemma.section4_contradiction(k_max)
+    assert math.isfinite(c.lhs) and math.isfinite(c.rhs) and c.contradiction
+    assert not all(map(math.isfinite, lemma._section4_sides(float(k_max + 1))))
+    with pytest.raises(OverflowError):
+        lemma.section4_contradiction(k_max + 1)
+
+
+def test_section4_certified_verdict_is_the_float_rule():
+    # the verdict the float sides gave when the call still decided from them:
+    # every k to 10^5, then 2,000 seeded k spread over the decades up to the bound
+    rng = random.Random(45)
+    spread = [rng.randint(1, min(lemma._SECTION4_K_MAX, 10 ** rng.randint(1, 308))) for _ in range(2000)]
+    for k in itertools.chain(range(1, 10**5 + 1), spread):
+        c = lemma.section4_contradiction(k)
+        assert c.contradiction is (c.lhs > c.rhs), k
+
+
+def test_section4_verdict_is_certified_once_and_evaluates_no_side(monkeypatch):
+    k0, proof = lemma._section4_threshold()
+    # D'(1) > 0, D(2) < 0 and D(3) > 0, each decided by certified_less
+    assert k0 == lemma._SECTION4_K0 == 3 and len(proof) == 3
+    assert all(type(c) is Comparison and c.verdict.state == HOLDS for c in proof)
+    assert [c.lhs.lo == c.lhs.hi == 0.0 for c in proof] == [True, False, True]
+    assert contains(proof[0].rhs, Fraction("0.2715"))
+
+    def margin(x):
+        return float(mpmath.mpf("3.619") * x - mpmath.mpf("1.8344") - mpmath.log(x) - mpmath.mpf("3.13") * mpmath.mpf(x) ** 0.75)
+
+    assert (mid(proof[1].lhs), mid(proof[2].rhs)) == pytest.approx((margin(2), margin(3)), abs=1e-12)
+    monkeypatch.setattr(lemma, "_section4_sides", None)
+    assert [lemma.section4_contradiction(k).contradiction for k in (1, 2, 3, 588)] == [False, False, True, True]
+
+
+def test_section4_threshold_is_computed_from_the_constants(monkeypatch):
+    # the certified decimals are the float literals the sides are read with
+    a, b, c, d = map(float, lemma._SECTION4_CONSTANTS)
+    for x in (1.0, 3.0, 588.0, 1e300):
+        assert lemma._section4_sides(x) == (a * x - b - math.log(x), c * x + d * x**0.75)
+    # a planted margin of 8.0 moves the sign change from 2..3 to 6..7
+    monkeypatch.setattr(lemma, "_SECTION4_CONSTANTS", ("4.6623", "8.0", "1.0433", "3.13"))
+    k0, proof = lemma._section4_threshold()
+    assert k0 == 7 and all(c.verdict.state == HOLDS for c in proof)
+    # a slope of 3.3 leaves D'(1) < 0, which certifies no threshold
+    monkeypatch.setattr(lemma, "_SECTION4_CONSTANTS", ("4.3433", "1.8344", "1.0433", "3.13"))
+    with pytest.raises(ArithmeticError, match="not certified to rise"):
+        lemma._section4_threshold()
 
 
 def test_section4_check_gated_on_small_tuple():
